@@ -117,10 +117,6 @@ def _metric(analyzer, name: str, sf_dir: str, table: str, columns) -> pa.Table:
     return pa.table({name: pa.array([round(float(value), 6)], pa.float64())})
 
 
-def _q(fn):
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # entry
 # ---------------------------------------------------------------------------
@@ -251,7 +247,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             "frac4", "lineitem", ["l_tax", "l_discount", "l_extendedprice"]),
     }
     for qname, (make, col, table, columns) in analyzer_specs.items():
-        out[qname] = _q(
+        out[qname] = (
             lambda sf_dir, _m=make, _c=col, _t=table, _cols=columns: _metric(
                 _m(), _c, sf_dir, _t, _cols
             )

@@ -1,19 +1,16 @@
 """Skew-aware shuffle helpers.
 
 A ``groupby(key)`` hash shuffle sends every row of a hot key to ONE reducer;
-a handful of million-turn conversations would straggle the whole wave.  Two
-standard remedies, both implemented here:
+a handful of million-turn conversations would straggle the whole wave.
 
 - **Salted partial aggregation** (for mergeable per-group reductions):
   rows group by ``(key, salt)`` with ``salt = hash(row) % buckets`` so a hot
   key's rows spread over ``buckets`` reducers; the per-(key, salt) partials
   are tiny and a second, skew-free pass merges them per key.  This is the
   generalization of the transcript pipeline's per-block pre-aggregation.
-- **Sequence groups with a size guard** (for order-dependent per-group
-  logic that genuinely needs every row of a group together, e.g. turn-order
-  checks): group sizes are bounded by a cap; oversized groups are flagged
-  rather than materialized, so one pathological conversation cannot OOM a
-  reducer.
+
+Order-dependent per-key logic (turn-order checks, windows, sessions) runs
+on the range-sorted scan in ``sorted_scan``, not on a per-key group apply.
 """
 
 from __future__ import annotations
@@ -66,45 +63,6 @@ def salted_group_aggregate(
         return batch.rename_columns(names)
 
     return final.map_batches(rename, batch_format="pyarrow")
-
-
-class _BoundedGroupApply:
-    def __init__(self, fn: Callable, order_by: Optional[str], max_rows: int):
-        self.fn = fn
-        self.order_by = order_by
-        self.max_rows = max_rows
-
-    def __call__(self, group):
-        import pandas as pd
-
-        if len(group) > self.max_rows:
-            # refuse to materialize a pathological group; surface it instead
-            return pd.DataFrame(
-                {
-                    "__oversized_group": [True],
-                    "__group_rows": [len(group)],
-                }
-            )
-        if self.order_by is not None:
-            group = group.sort_values(self.order_by, ignore_index=True)
-        return self.fn(group)
-
-
-def grouped_sequence_apply(
-    ds,
-    key: str,
-    fn: Callable,
-    order_by: Optional[str] = None,
-    max_group_rows: int = 1_000_000,
-):
-    """Per-group ordered apply with an OOM guard: ``fn`` receives each
-    group's rows as a pandas frame sorted by ``order_by``.  Groups larger
-    than ``max_group_rows`` yield a flag row instead of being processed
-    (downstream decides: drop, split, or handle specially)."""
-    bounded = _BoundedGroupApply(fn, order_by, max_group_rows)
-    return ds.groupby(key).map_groups(
-        lambda g, _b=bounded: _b(g), batch_format="pandas"
-    )
 
 
 def _tree_combine_factory(keys: Sequence[str], agg_cols: Sequence[str],
@@ -223,11 +181,15 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     ``keys + cols``, one row per key) to an arbitrary summary table —
     frequency reductions use it to emit one scalar-summary row per bucket
     so the folded table itself never re-shuffles.  ``combine`` (optional)
-    replaces the column-wise ``funcs`` fold with a custom self-mergeable
-    per-bucket reduction over ``keys + cols`` (e.g. the first/last
-    lexicographic selection of ``windows.grouped_first_last``); ``funcs``
-    and ``drop_null_keys`` are then ignored — the callable owns its own
-    semantics, including the empty/degenerate-block guard.  Returns an
+    replaces the column-wise ``funcs`` fold with a custom per-bucket
+    reduction over ``keys + cols`` (e.g. the first/last lexicographic
+    selection of ``windows.grouped_first_last``).  It runs EXACTLY ONCE
+    per bucket, on that bucket's complete rows, so it need not be
+    self-mergeable (``decontam.cross_source_overlap``'s ``bucket_pairs``
+    relies on this: re-applied to its own output it would return
+    nothing).  ``funcs`` and ``drop_null_keys`` are then ignored — the
+    callable owns its own semantics, including the empty/degenerate-block
+    guard.  Returns an
     unmaterialized Dataset of the per-bucket outputs."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     cols = list(cols)

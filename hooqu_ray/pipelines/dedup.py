@@ -1574,7 +1574,6 @@ class _BucketCosinePairs:
         if n > self.max_bucket_rows:
             # one dense bucket would do O(n²) work in a single reducer —
             # refuse to materialize it and surface a flag row instead
-            # (functions.shuffle._BoundedGroupApply pattern)
             return pd.DataFrame(
                 {
                     "__oversized_bucket": [int(group["bucket"].iloc[0])],

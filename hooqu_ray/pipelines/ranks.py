@@ -13,15 +13,15 @@ extension tier, SURVEY.md §8):
   SQL oracle use), the exact counterpart of
   ``relational.grouped_approx_quantile``'s t-digests.
 
-Scale shape: both ride the shared one-range-sort scaffold
-(``transcripts._per_conversation_apply``): ONE distributed ``sort(key,
-v)`` over a slim projection, a fully vectorized per-block kernel for key
-groups interior to a block, and a ``groupby(key)`` boundary repair that
-touches only each block's first/last key (O(#blocks) repair groups).  The
-boundary repair materializes one whole key group per task — the
-documented hot-group caveat shared with ``shuffle.grouped_sequence_apply``
-(a single key holding a meaningful fraction of the corpus needs the
-salted machinery instead).
+Scale shape: every op here rides the shared sorted scan
+(``functions.sorted_scan``): ONE distributed ``sort(key, v)`` over a slim
+projection, a fully vectorized per-block kernel for key groups interior to
+a block, and the same kernel re-run per boundary key in a ``groupby(key)``
+repair that touches only each block's first/last key (O(#blocks) repair
+groups).  The repair materializes one whole key group per task — the
+documented hot-key caveat of the kernel re-apply policy (a single key
+holding a meaningful fraction of the corpus needs the salted machinery
+instead).
 
 Null semantics: rows with a null key or a null order/value are DROPPED
 (the projection prep's null-key filter; SQL instead ranks NULL orders
@@ -34,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..functions.sorted_scan import sorted_scan
 
 
 def _segment_starts(keys: np.ndarray) -> np.ndarray:
@@ -62,7 +64,6 @@ def grouped_rank(ds, key: str, order_col: str, tie_col: str, *,
     a rank by definition).  For descending rank, negate a numeric order
     column upstream — an in-kernel float negation would silently corrupt
     int64 orders above 2^53.  The three column names must be distinct."""
-    from .transcripts import _per_conversation_apply
 
     if len({key, order_col, tie_col}) != 3:
         raise ValueError("key/order/tie column names must be distinct")
@@ -91,8 +92,8 @@ def grouped_rank(ds, key: str, order_col: str, tie_col: str, *,
             rank = run_start - seg_start + 1
         return t.append_column(out_col, pa.array(rank, pa.int64()))
 
-    return _per_conversation_apply(
-        ds, [key, order_col, tie_col], key, order_col, kernel)
+    return sorted_scan(ds, [key, order_col, tie_col], key, [order_col],
+                       kernel, non_null=[order_col])
 
 
 def _nearest_k(q: float, n: np.ndarray) -> np.ndarray:
@@ -114,7 +115,6 @@ def grouped_exact_quantile(ds, key: str, value_col: str, q: float, *,
     Quantile analyzer + SQL oracle share).  pandas' ``GroupBy.quantile``
     cython path instead rounds ``.5`` DOWN — a pandas-internal
     inconsistency, pinned in ``tests/test_ranks.py``."""
-    from .transcripts import _per_conversation_apply
 
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must be in [0, 1], got {q}")
@@ -134,8 +134,8 @@ def grouped_exact_quantile(ds, key: str, value_col: str, q: float, *,
         return pa.table({key: t.column(key).take(sel),
                          out_col: t.column(value_col).take(sel)})
 
-    return _per_conversation_apply(
-        ds, [key, value_col], key, value_col, kernel)
+    return sorted_scan(ds, [key, value_col], key, [value_col], kernel,
+                       non_null=[value_col])
 
 
 def grouped_ntile(ds, key: str, order_col: str, tie_col: str, n: int, *,
@@ -151,7 +151,6 @@ def grouped_ntile(ds, key: str, order_col: str, tie_col: str, n: int, *,
     Note the scaffold sorts on (key, order) only; within equal
     ``order_col`` values the kernel re-orders by ``tie_col`` locally, so
     the (order, tie) order is total without a 3-column distributed sort."""
-    from .transcripts import _per_conversation_apply
 
     if n < 1:
         raise ValueError(f"ntile n must be >= 1, got {n}")
@@ -190,8 +189,8 @@ def grouped_ntile(ds, key: str, order_col: str, tie_col: str, n: int, *,
         tile = np.where(base == 0, rn + 1, tile)
         return t.append_column(out_col, pa.array(tile, pa.int64()))
 
-    return _per_conversation_apply(
-        ds, [key, order_col, tie_col], key, order_col, kernel)
+    return sorted_scan(ds, [key, order_col, tie_col], key, [order_col],
+                       kernel, non_null=[order_col])
 
 
 def grouped_percent_rank(ds, key: str, order_col: str, tie_col: str, *,
@@ -202,7 +201,6 @@ def grouped_percent_rank(ds, key: str, order_col: str, tie_col: str, *,
     ``order_col`` ascending.  Values round to 6 decimals (the engine's
     oracle-comparison convention).  Same one-sort scaffold and null-drop
     contract as :func:`grouped_rank`."""
-    from .transcripts import _per_conversation_apply
 
     if len({key, order_col, tie_col}) != 3:
         raise ValueError("key/order/tie column names must be distinct")
@@ -238,8 +236,8 @@ def grouped_percent_rank(ds, key: str, order_col: str, tie_col: str, *,
         return t.append_column(out_col,
                                pa.array(np.round(val, 6), pa.float64()))
 
-    return _per_conversation_apply(
-        ds, [key, order_col, tie_col], key, order_col, kernel)
+    return sorted_scan(ds, [key, order_col, tie_col], key, [order_col],
+                       kernel, non_null=[order_col])
 
 
 def grouped_string_agg(ds, key: str, value_col: str, order_col: str,
@@ -259,7 +257,6 @@ def grouped_string_agg(ds, key: str, value_col: str, order_col: str,
     joined string materializes one group's full concatenation in a single
     cell: a mega-group yields a mega-cell (same caveat as any SQL
     string_agg)."""
-    from .transcripts import _per_conversation_apply
 
     if len({key, value_col, order_col, tie_col}) != 4:
         raise ValueError("key/value/order/tie column names must be distinct")
@@ -288,5 +285,5 @@ def grouped_string_agg(ds, key: str, value_col: str, order_col: str,
         sel = pa.array(starts, pa.int64())
         return pa.table({key: t.column(key).take(sel), out_col: joined})
 
-    return _per_conversation_apply(
-        ds, [key, value_col, order_col, tie_col], key, order_col, kernel)
+    return sorted_scan(ds, [key, value_col, order_col, tie_col], key,
+                       [order_col], kernel, non_null=[order_col])

@@ -68,51 +68,21 @@ def grouped_top_k(ds, group_col: str, order_col: str, k: int,
 
 
 def _distributed_topk_merge(partials, group_col, sort_cols, ascending, k, cols):
-    """Range-sort the combiner partials, finish interior groups vectorized
-    per block, and repair only each block's first/last group through a
-    ≤ 2-groups-per-block ``groupby().map_groups`` — #groups × k result rows
-    stay distributed."""
-    import pandas as pd
+    """Range-sort the combiner partials and keep each group's first ``k``
+    rows per block, re-running that head-k over each block's first/last
+    group (the shared sorted scan, ``functions.sorted_scan``) — #groups × k
+    result rows stay distributed."""
+    from ..functions.sorted_scan import sorted_scan
+    from .ranks import _key_codes, _segment_starts
 
-    def split_block(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t.append_column("__pending", pa.array([], pa.bool_()))
-        df = t.to_pandas()  # block is already (group, order, tie)-sorted
-        g = df[group_col].to_numpy()
-        pending = (g == g[0]) | (g == g[-1])
-        keep = pending.copy()
-        interior_top = (
-            df[~pending].groupby(group_col, sort=False).head(k).index.to_numpy()
-        )
-        keep[interior_top] = True
-        out = df[keep]
-        return pa.Table.from_pandas(
-            out.assign(__pending=pending[keep]), preserve_index=False
-        )
+    def head_k(t: pa.Table) -> pa.Table:
+        first = _segment_starts(_key_codes(t, group_col))
+        idx = np.arange(len(t))
+        rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
+        return t.filter(pa.array(rank < k))
 
-    marked = partials.sort(sort_cols, descending=[not a for a in ascending]) \
-        .map_batches(split_block, batch_format="pyarrow", batch_size=None) \
-        .materialize()  # consumed twice below; ≤ #groups×k + boundary rows
-
-    interior = marked.map_batches(
-        lambda t, _c=cols: t.filter(pc.invert(t.column("__pending"))).select(_c),
-        batch_format="pyarrow",
-    )
-
-    def merge_group(grp):
-        grp = grp.sort_values(
-            sort_cols, ascending=ascending, kind="mergesort", ignore_index=True
-        )
-        return grp.head(k)[cols]
-
-    boundary = marked.map_batches(
-        lambda t, _c=cols: t.filter(t.column("__pending")).select(_c),
-        batch_format="pyarrow",
-    )
-    merged = boundary.groupby(group_col).map_groups(
-        lambda g, _m=merge_group: _m(g), batch_format="pandas"
-    )
-    return interior.union(merged)
+    return sorted_scan(partials, cols, group_col, sort_cols[1:], head_k,
+                       descending=[not a for a in ascending])
 
 
 _HEX_MAX8 = 8

@@ -9,50 +9,43 @@ microsecond precision).  Session ids are 0-based per key in time order — the
 same definition DuckDB expresses with ``lag`` + a running ``sum`` window,
 which is the oracle for the driver's correctness gate.
 
-Two implementations:
-
-- ``session_stats`` (default): ONE distributed ``sort(key, ts)`` + a
-  vectorized per-block pass (numpy run/break detection + ``reduceat``-style
-  segment aggregates — zero Python per key) + a boundary merge.  After a
-  range-partitioned sort a key interior to a block cannot appear in any
-  other block, so only each block's FIRST and LAST key can straddle a block
-  boundary; their per-session partials (O(#sessions), not O(#events)) go
-  through a tiny ``groupby(key).map_groups`` merge — at most 2 groups per
-  block, so the ~100 µs/group pandas overhead is paid ≤ 2·#blocks times
-  instead of once per key (the round-2 version paid it for EVERY key: hours
-  of pure interpreter time at 100M+ keys).
-- ``session_stats_grouped``: the round-2 ``groupby(key).map_groups`` shape,
-  kept for differential testing and for inputs that are already
-  key-partitioned.
+Shape: the shared sorted scan (``functions.sorted_scan``) — ONE
+distributed ``sort(key, ts)`` + a vectorized per-block pass (numpy
+run/break detection + ``reduceat``-style segment aggregates — zero Python
+per key) + a boundary merge.  After a range-partitioned sort a key interior
+to a block cannot appear in any other block, so only each block's FIRST and
+LAST key can straddle a block boundary; their per-block session partials
+(O(#sessions), not O(#events) — a hot key stays cheap) go through a tiny
+``groupby(key).map_groups`` merge — at most 2 groups per block.  Rows with
+a null key or timestamp are dropped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.sorted_scan import edge_mask, sorted_scan
 
 
-def _session_partials_block(batch: pa.Table, key: str, ts_col: str,
-                            gap_us: int) -> pa.Table:
-    """Vectorized per-block sessionization over a (key, ts)-sorted block.
-
-    Emits one row per LOCAL session: interior keys' sessions are final
-    (``__pending`` False, ``session_idx`` assigned); sessions of the block's
-    first/last key are partials (``__pending`` True, ``session_idx`` −1) for
-    the boundary merge."""
-    empty = pa.table(
-        {
-            key: pa.array([], batch.column(key).type if batch.num_columns else pa.int64()),
-            "session_idx": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "t_start": pa.array([], pa.timestamp("us")),
-            "t_end": pa.array([], pa.timestamp("us")),
-            "__pending": pa.array([], pa.bool_()),
-        }
-    )
+def _session_rows(batch: pa.Table, key: str, ts_col: str,
+                  gap_us: int) -> pa.Table:
+    """Vectorized sessionization over a (key, ts)-sorted table: one row
+    per session with its 0-based index within the key.  Final for keys
+    complete in ``batch``; per-block partials (re-indexed by
+    :func:`_merge_sessions`) for a boundary key's rows."""
     n = len(batch)
     if n == 0:
-        return empty
+        return pa.table(
+            {
+                key: pa.array([], batch.column(key).type if batch.num_columns else pa.int64()),
+                "session_idx": pa.array([], pa.int64()),
+                "n_events": pa.array([], pa.int64()),
+                "t_start": pa.array([], pa.timestamp("us")),
+                "t_end": pa.array([], pa.timestamp("us")),
+            }
+        )
     keys_np = batch.column(key).to_numpy(zero_copy_only=False)
     ts_np = (
         batch.column(ts_col)
@@ -70,8 +63,6 @@ def _session_partials_block(batch: pa.Table, key: str, ts_col: str,
     key_first = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
     run_lens = np.diff(np.r_[key_first, len(starts)])
     sess_idx = np.arange(len(starts), dtype=np.int64) - np.repeat(key_first, run_lens)
-    pending = (skey == keys_np[0]) | (skey == keys_np[-1])
-    sess_idx = np.where(pending, -1, sess_idx)
     return pa.table(
         {
             key: pa.array(skey),
@@ -79,39 +70,32 @@ def _session_partials_block(batch: pa.Table, key: str, ts_col: str,
             "n_events": pa.array((ends - starts).astype(np.int64), pa.int64()),
             "t_start": pa.array(ts_np[starts]),
             "t_end": pa.array(ts_np[ends - 1]),
-            "__pending": pa.array(pending, pa.bool_()),
         }
     )
 
 
-class _MergeBoundarySessions:
+def _merge_sessions(g: pa.Table, key: str, gap_us: int) -> pa.Table:
     """groupby(key) merge of one boundary key's per-block session partials:
     sort by t_start, fuse adjacent partials whose junction gap is within the
     threshold (within-block sessions already have gap > threshold, so fusing
     is exactly the cross-block repair), then assign final 0-based indices."""
+    g = g.sort_by([("t_start", "ascending"), ("t_end", "ascending")])
 
-    def __init__(self, key: str, gap_us: int):
-        self.key = key
-        self.gap_us = gap_us
+    def us(col):
+        return g.column(col).to_numpy().astype("datetime64[us]").astype(np.int64)
 
-    def __call__(self, group):
-        import pandas as pd
-
-        g = group.sort_values(["t_start", "t_end"], ignore_index=True)
-        start_us = g["t_start"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        end_us = g["t_end"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        gap = start_us[1:] - end_us[:-1]
-        sid = np.r_[0, np.cumsum(gap > self.gap_us)]
-        out = pd.DataFrame(
-            {
-                self.key: g[self.key].iloc[0],
-                "session_idx": np.arange(sid[-1] + 1, dtype=np.int64),
-                "n_events": np.bincount(sid, weights=g["n_events"].to_numpy()).astype(np.int64),
-                "t_start": g["t_start"].to_numpy()[np.r_[True, sid[1:] != sid[:-1]]],
-                "t_end": g["t_end"].to_numpy()[np.r_[sid[1:] != sid[:-1], True]],
-            }
-        )
-        return out
+    sid = np.r_[0, np.cumsum(us("t_start")[1:] - us("t_end")[:-1] > gap_us)]
+    first = np.r_[True, sid[1:] != sid[:-1]]
+    return pa.table(
+        {
+            key: g.column(key).filter(first),
+            "session_idx": pa.array(np.arange(sid[-1] + 1, dtype=np.int64)),
+            "n_events": pa.array(np.bincount(
+                sid, weights=g.column("n_events").to_numpy()).astype(np.int64)),
+            "t_start": g.column("t_start").filter(first),
+            "t_end": g.column("t_end").filter(np.r_[first[1:], True]),
+        }
+    )
 
 
 def session_stats(ds, key: str = "user_id", ts_col: str = "ts",
@@ -120,76 +104,16 @@ def session_stats(ds, key: str = "user_id", ts_col: str = "ts",
 
     ONE ``sort(key, ts)`` range shuffle over a TWO-COLUMN projection (the
     event payload never moves), a fully vectorized per-block pass, and a
-    boundary merge touching ≤ 2 keys per block.  The per-session partial
-    dataset is materialized once (it is output-sized — O(#sessions), far
-    below O(#events)) because it feeds two consumers (interior pass-through
-    and the boundary merge) and a lazy pipeline consumed twice re-executes
-    its whole lineage."""
+    boundary merge of per-block session partials touching ≤ 2 keys per
+    block."""
     gap_us = int(round(gap_seconds * 1_000_000))
 
-    proj = ds.map_batches(
-        lambda t, _k=key, _t=ts_col: t.select([_k, _t]), batch_format="pyarrow"
-    )
-    partials = proj.sort([key, ts_col]).map_batches(
-        lambda t, _k=key, _t=ts_col, _g=gap_us: _session_partials_block(t, _k, _t, _g),
-        batch_format="pyarrow",
-    ).materialize()
+    def block(t: pa.Table, emit: str) -> pa.Table:
+        if len(t):
+            edge = edge_mask(t, key)
+            t = t.filter(edge if emit == "pend" else pc.invert(edge))
+        return _session_rows(t, key, ts_col, gap_us)
 
-    out_cols = [key, "session_idx", "n_events", "t_start", "t_end"]
-    interior = partials.map_batches(
-        lambda t, _c=out_cols: t.filter(
-            pa.compute.invert(t.column("__pending"))
-        ).select(_c),
-        batch_format="pyarrow",
-    )
-    boundary = partials.map_batches(
-        lambda t, _c=out_cols: t.filter(t.column("__pending")).select(_c),
-        batch_format="pyarrow",
-    )
-    merge = _MergeBoundarySessions(key, gap_us)
-    merged = boundary.groupby(key).map_groups(
-        lambda g, _m=merge: _m(g), batch_format="pandas"
-    )
-    return interior.union(merged)
-
-
-def session_stats_grouped(ds, key: str = "user_id", ts_col: str = "ts",
-                          gap_seconds: float = 3600.0,
-                          max_group_rows: int = 1_000_000):
-    """Round-2 shape: per-key ordered apply (``groupby(key).map_groups``)
-    with an OOM guard.  Kept for differential testing; pays ~100 µs of
-    pandas per key — prefer ``session_stats``."""
-    from ..functions.shuffle import grouped_sequence_apply
-
-    gap_us = int(round(gap_seconds * 1_000_000))
-
-    def per_key(g):
-        import pandas as pd
-
-        ts = g[ts_col].to_numpy()
-        us = ts.astype("datetime64[us]").astype(np.int64)
-        brk = np.r_[False, np.diff(us) > gap_us]
-        sid = np.cumsum(brk)
-        agg = (
-            pd.DataFrame({"session_idx": sid, "ts": ts})
-            .groupby("session_idx", sort=True)["ts"]
-            .agg(["count", "min", "max"])
-            .reset_index()
-        )
-        out = pd.DataFrame(
-            {
-                key: g[key].iloc[0],
-                "session_idx": agg["session_idx"].astype("int64"),
-                "n_events": agg["count"].astype("int64"),
-                "t_start": agg["min"],
-                "t_end": agg["max"],
-            }
-        )
-        return out
-
-    proj = ds.map_batches(
-        lambda t, _k=key, _t=ts_col: t.select([_k, _t]), batch_format="pyarrow"
-    )
-    return grouped_sequence_apply(
-        proj, key, per_key, order_by=ts_col, max_group_rows=max_group_rows
-    )
+    return sorted_scan(ds, [key, ts_col], key, [ts_col], non_null=[ts_col],
+                       block=block,
+                       merge=lambda g: _merge_sessions(g, key, gap_us))

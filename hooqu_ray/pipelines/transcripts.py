@@ -41,6 +41,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.expr import Predicate
+from ..functions.sorted_scan import (edge_rows, scan_sorted, sort_projection,
+                                     sorted_scan)
 from ..stages import spec
 from ..stages.heuristics import compute_features
 from ..stages.models import CharBigramLM, TrigramLangID
@@ -340,18 +342,6 @@ def _write_dropped_index_distributed(partials_dir: str, out_dir: str,
     acks.count()  # consume the tiny ack rows to execute the write
 
 
-def conv_verdicts_from_counts(conv_ids, kept, total) -> Dict[str, bool]:
-    """Conversation-level keep rule over per-conv (kept, total) counts —
-    scalar reference of the vectorized verdict computed inside
-    ``filter_and_scrub`` (kept for API users and differential tests)."""
-    out = {}
-    for c, k, t in zip(conv_ids, kept, total):
-        out[c] = bool(
-            k >= spec.CONV_MIN_KEPT_TURNS and (t > 0 and k / t >= spec.CONV_MIN_KEPT_FRACTION)
-        )
-    return out
-
-
 def score_turns(ds, scorer_concurrency: Optional[Tuple[int, int]] = None):
     """Stages 1–3: features + scrub, actor-pool scoring, per-turn policy."""
     featured = ds.map_batches(compute_features, batch_format="pyarrow")
@@ -647,71 +637,45 @@ def transcripts_from_documents(docs_ds, replicate: int = 1):
 
 _CORE_ROLES = ("user", "assistant")
 
-_CONV_FEATURE_COLS = [
-    "conv_id", "n_turns", "role_alternates", "ts_monotone", "first_role"
-]
+_CONV_FEATURE_SCHEMA = pa.schema([
+    ("conv_id", pa.string()),
+    ("n_turns", pa.int64()),
+    ("role_alternates", pa.bool_()),
+    ("ts_monotone", pa.bool_()),
+    ("first_role", pa.string()),
+])
 
 
-def _conv_feature_partials_block(batch: pa.Table) -> pa.Table:
-    """Vectorized per-block conversation features over a
-    (conv_id, turn_idx)-sorted block.
-
-    One row per conversation SEGMENT in the block: interior conversations
-    are final (``__pending`` False); the block's first/last conversation may
-    straddle a boundary, so its segment carries merge state (first/last core
-    role for the alternation junction, first/last ts for the monotonicity
-    junction, first turn_idx for segment ordering) with ``__pending``
-    True.  Zero Python per conversation."""
-    schema = pa.schema(
-        [
-            ("conv_id", pa.string()),
-            ("n_turns", pa.int64()),
-            ("role_alternates", pa.bool_()),
-            ("ts_monotone", pa.bool_()),
-            ("first_role", pa.string()),
-            ("__pending", pa.bool_()),
-            ("__turn_first", pa.int64()),
-            ("__first_core", pa.string()),
-            ("__last_core", pa.string()),
-            ("__ts_first", pa.timestamp("us")),
-            ("__ts_last", pa.timestamp("us")),
-        ]
-    )
+def _conv_features_table(batch: pa.Table) -> pa.Table:
+    """Vectorized conversation features over COMPLETE, (conv_id,
+    turn_idx)-sorted conversations: one row per conversation, zero Python
+    per conversation.  ``role_alternates`` checks the core-role
+    (user/assistant) subsequence only; ``ts_monotone`` that ts never
+    decreases in turn order."""
     n = len(batch)
     if n == 0:
-        return schema.empty_table()
+        return _CONV_FEATURE_SCHEMA.empty_table()
     keys = batch.column("conv_id").to_numpy(zero_copy_only=False)
     roles = batch.column("role").to_numpy(zero_copy_only=False)
-    tidx = batch.column("turn_idx").to_numpy(zero_copy_only=False).astype(np.int64)
-    ts_np = (
-        batch.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]")
+    us = (
+        batch.column("ts").to_numpy(zero_copy_only=False)
+        .astype("datetime64[us]").astype(np.int64)
     )
-    us = ts_np.astype(np.int64)
     new_key = np.r_[True, keys[1:] != keys[:-1]]
     starts = np.flatnonzero(new_key)
     ends = np.r_[starts[1:], n]
-    nseg = len(starts)
     seg_id = np.cumsum(new_key) - 1
-    # within-segment ts monotonicity: junction positions forced True
-    ok_adj = np.r_[True, us[1:] >= us[:-1]] | new_key
-    mono = np.logical_and.reduceat(ok_adj, starts)
-    # alternation over the core-role subsequence of each segment
-    core_mask = (roles == _CORE_ROLES[0]) | (roles == _CORE_ROLES[1])
-    core_idx = np.flatnonzero(core_mask)
-    alt = np.ones(nseg, dtype=bool)
-    first_core = np.full(nseg, None, dtype=object)
-    last_core = np.full(nseg, None, dtype=object)
-    if core_idx.size:
-        cseg = seg_id[core_idx]
-        crole = roles[core_idx]
-        same = cseg[1:] == cseg[:-1]
-        viol = same & (crole[1:] == crole[:-1])
-        alt[cseg[1:][viol]] = False
-        cfirst = np.flatnonzero(np.r_[True, cseg[1:] != cseg[:-1]])
-        clast = np.r_[cfirst[1:], core_idx.size] - 1
-        first_core[cseg[cfirst]] = crole[cfirst]
-        last_core[cseg[cfirst]] = crole[clast]
-    pending = (keys[starts] == keys[0]) | (keys[starts] == keys[-1])
+    # within-conversation ts monotonicity: conversation starts forced True
+    mono = np.logical_and.reduceat(np.r_[True, us[1:] >= us[:-1]] | new_key,
+                                   starts)
+    # alternation over the core-role subsequence of each conversation
+    core_idx = np.flatnonzero((roles == _CORE_ROLES[0])
+                              | (roles == _CORE_ROLES[1]))
+    alt = np.ones(len(starts), dtype=bool)
+    cseg = seg_id[core_idx]
+    crole = roles[core_idx]
+    viol = (cseg[1:] == cseg[:-1]) & (crole[1:] == crole[:-1])
+    alt[cseg[1:][viol]] = False
     return pa.table(
         {
             "conv_id": pa.array(keys[starts]),
@@ -719,48 +683,8 @@ def _conv_feature_partials_block(batch: pa.Table) -> pa.Table:
             "role_alternates": pa.array(alt, pa.bool_()),
             "ts_monotone": pa.array(mono, pa.bool_()),
             "first_role": pa.array(roles[starts].astype(object), pa.string()),
-            "__pending": pa.array(pending, pa.bool_()),
-            "__turn_first": pa.array(tidx[starts], pa.int64()),
-            "__first_core": pa.array(first_core, pa.string()),
-            "__last_core": pa.array(last_core, pa.string()),
-            "__ts_first": pa.array(ts_np[starts]),
-            "__ts_last": pa.array(ts_np[ends - 1]),
         },
-        schema=schema,
-    )
-
-
-def _merge_boundary_conv_features(group):
-    """groupby(conv_id) merge of one boundary conversation's per-block
-    segment partials: order by first turn_idx, AND the per-segment
-    verdicts, and repair the two junction conditions (adjacent core roles
-    must differ across the seam; ts must not decrease across it).  At most
-    2 conversations per block reach here, and segments per conversation are
-    bounded by the block count it spans."""
-    import pandas as pd
-
-    g = group.sort_values("__turn_first", ignore_index=True)
-    alt = bool(g["role_alternates"].all())
-    last = None
-    for fc, lc in zip(g["__first_core"], g["__last_core"]):
-        if fc is None or (isinstance(fc, float) and np.isnan(fc)):
-            continue  # segment with no core roles is transparent
-        if last is not None and fc == last:
-            alt = False
-        last = lc
-    ts_first = g["__ts_first"].to_numpy().astype("datetime64[us]").astype(np.int64)
-    ts_last = g["__ts_last"].to_numpy().astype("datetime64[us]").astype(np.int64)
-    mono = bool(g["ts_monotone"].all()) and bool(
-        (ts_first[1:] >= ts_last[:-1]).all()
-    )
-    return pd.DataFrame(
-        {
-            "conv_id": [g["conv_id"].iloc[0]],
-            "n_turns": [int(g["n_turns"].sum())],
-            "role_alternates": [alt],
-            "ts_monotone": [mono],
-            "first_role": [g["first_role"].iloc[0]],
-        }
+        schema=_CONV_FEATURE_SCHEMA,
     )
 
 
@@ -769,68 +693,37 @@ def conversation_features(ds):
     a conversation together, in turn order: role-alternation validity and
     timestamp monotonicity.
 
-    ONE ``sort(conv_id, turn_idx)`` range shuffle over a FOUR-COLUMN
-    projection (the text never moves), a fully vectorized per-block pass,
-    and a boundary merge touching ≤ 2 conversations per block — the same
-    shape as ``sessions.session_stats``, replacing the round-2 per-key
-    pandas apply (~100 µs of interpreter per conversation; hours at 100M+
-    keys).  The per-conversation partial dataset is materialized once (it
-    is O(#convs), far below O(#turns)) because it feeds two consumers."""
-    proj = ds.map_batches(
-        lambda t: t.select(["conv_id", "turn_idx", "role", "ts"]),
-        batch_format="pyarrow",
-    )
-    partials = (
-        proj.sort(["conv_id", "turn_idx"])
-        .map_batches(_conv_feature_partials_block, batch_format="pyarrow")
-        .materialize()
-    )
-    interior = partials.map_batches(
-        lambda t: t.filter(pc.invert(t.column("__pending"))).select(
-            _CONV_FEATURE_COLS
-        ),
-        batch_format="pyarrow",
-    )
-    boundary = partials.map_batches(
-        lambda t: t.filter(t.column("__pending")), batch_format="pyarrow"
-    )
-    merged = boundary.groupby("conv_id").map_groups(
-        lambda g: _merge_boundary_conv_features(g), batch_format="pandas"
-    )
-    return interior.union(merged)
+    The shared sorted scan (:mod:`hooqu_ray.functions.sorted_scan`): ONE
+    ``sort(conv_id, turn_idx)`` range shuffle over a FOUR-COLUMN
+    projection (the text never moves), the vectorized
+    :func:`_conv_features_table` kernel per block, and the same kernel
+    re-run per boundary conversation (≤ 2 per block).  Rows with a null
+    conv_id/turn_idx are dropped (SQL GROUP BY semantics, like
+    :func:`validate_conversations`)."""
+    return sorted_scan(ds, ["conv_id", "turn_idx", "role", "ts"], "conv_id",
+                       ["turn_idx"], _conv_features_table,
+                       non_null=["turn_idx"])
 
 
-_VALIDATE_COLS = [
-    "conv_id", "n_turns", "starts_with_user", "ends_with_assistant",
-    "dense_index", "has_empty_text", "valid",
-]
+_VALIDATE_SCHEMA = pa.schema([
+    ("conv_id", pa.string()),
+    ("n_turns", pa.int64()),
+    ("starts_with_user", pa.bool_()),
+    ("ends_with_assistant", pa.bool_()),
+    ("dense_index", pa.bool_()),
+    ("has_empty_text", pa.bool_()),
+    ("valid", pa.bool_()),
+])
 
 
-def _validate_partials_block(batch: pa.Table) -> pa.Table:
-    """Vectorized per-block schema-validation partials over a
-    (conv_id, turn_idx)-sorted block — same segment/boundary shape as
-    ``_conv_feature_partials_block``.  Per conversation SEGMENT:
-    turn count, first/last turn_idx + role, whether turn_idx values are
-    strictly consecutive within the segment, and whether any turn has
-    null/empty text."""
-    schema = pa.schema(
-        [
-            ("conv_id", pa.string()),
-            ("n_turns", pa.int64()),
-            ("has_empty_text", pa.bool_()),
-            ("__dense_in", pa.bool_()),
-            ("__idx_first", pa.int64()),
-            ("__idx_last", pa.int64()),
-            ("__role_first", pa.string()),
-            ("__role_last", pa.string()),
-            ("__pending", pa.bool_()),
-        ]
-    )
+def _validate_table(batch: pa.Table) -> pa.Table:
+    """Vectorized per-conversation validation rows over COMPLETE,
+    (conv_id, turn_idx)-sorted conversations (see
+    :func:`validate_conversations` for the flags)."""
     n = len(batch)
     if n == 0:
-        return schema.empty_table()
+        return _VALIDATE_SCHEMA.empty_table()
     keys = batch.column("conv_id").to_numpy(zero_copy_only=False)
-    roles = batch.column("role").to_numpy(zero_copy_only=False)
     tidx = batch.column("turn_idx").to_numpy(zero_copy_only=False).astype(np.int64)
     text = batch.column("text")
     empty = pc.or_kleene(
@@ -839,78 +732,19 @@ def _validate_partials_block(batch: pa.Table) -> pa.Table:
     new_key = np.r_[True, keys[1:] != keys[:-1]]
     starts = np.flatnonzero(new_key)
     ends = np.r_[starts[1:], n]
-    # consecutive turn_idx within segment (junctions repaired in the merge)
     ok_adj = np.r_[True, tidx[1:] == tidx[:-1] + 1] | new_key
-    dense_in = np.logical_and.reduceat(ok_adj, starts)
-    has_empty = np.logical_or.reduceat(empty, starts)
-    pending = (keys[starts] == keys[0]) | (keys[starts] == keys[-1])
+    dense = pa.array(np.logical_and.reduceat(ok_adj, starts)
+                     & (tidx[starts] == 0))
+    has_empty = pa.array(np.logical_or.reduceat(empty, starts))
+    roles = batch.column("role")
+    swu = pc.equal(roles.take(pa.array(starts)), "user")
+    ewa = pc.equal(roles.take(pa.array(ends - 1)), "assistant")
+    valid = pc.and_(pc.and_(swu, ewa), pc.and_(dense, pc.invert(has_empty)))
     return pa.table(
-        {
-            "conv_id": pa.array(keys[starts]),
-            "n_turns": pa.array((ends - starts).astype(np.int64), pa.int64()),
-            "has_empty_text": pa.array(has_empty, pa.bool_()),
-            "__dense_in": pa.array(dense_in, pa.bool_()),
-            "__idx_first": pa.array(tidx[starts], pa.int64()),
-            "__idx_last": pa.array(tidx[ends - 1], pa.int64()),
-            "__role_first": pa.array(roles[starts].astype(object), pa.string()),
-            "__role_last": pa.array(roles[ends - 1].astype(object), pa.string()),
-            "__pending": pa.array(pending, pa.bool_()),
-        },
-        schema=schema,
+        [pa.array(keys[starts]), pa.array(ends - starts), swu, ewa, dense,
+         has_empty, valid],
+        schema=_VALIDATE_SCHEMA,
     )
-
-
-def _validate_finalize(t: pa.Table) -> pa.Table:
-    """Partial segment rows → final per-conversation validation rows
-    (works for single-segment interior conversations and for merged
-    boundary conversations alike)."""
-    swu = pc.equal(t.column("__role_first"), "user")
-    ewa = pc.equal(t.column("__role_last"), "assistant")
-    dense = pc.and_(t.column("__dense_in"), pc.equal(t.column("__idx_first"), 0))
-    valid = pc.and_(
-        pc.and_(swu, ewa),
-        pc.and_(dense, pc.invert(t.column("has_empty_text"))),
-    )
-    return pa.table(
-        {
-            "conv_id": t.column("conv_id"),
-            "n_turns": t.column("n_turns"),
-            "starts_with_user": swu,
-            "ends_with_assistant": ewa,
-            "dense_index": dense,
-            "has_empty_text": t.column("has_empty_text"),
-            "valid": valid,
-        }
-    )
-
-
-def _merge_boundary_validate(group):
-    """groupby(conv_id) merge of one boundary conversation's segment
-    partials: order segments by first turn_idx, sum counts, OR the empty
-    flag, AND the dense verdicts plus the junction condition (next
-    segment's first idx == previous segment's last idx + 1)."""
-    import pandas as pd
-
-    g = group.sort_values("__idx_first", ignore_index=True)
-    idx_first = g["__idx_first"].to_numpy()
-    idx_last = g["__idx_last"].to_numpy()
-    dense = bool(g["__dense_in"].all()) and bool(
-        (idx_first[1:] == idx_last[:-1] + 1).all()
-    )
-    merged = pd.DataFrame(
-        {
-            "conv_id": [g["conv_id"].iloc[0]],
-            "n_turns": [int(g["n_turns"].sum())],
-            "has_empty_text": [bool(g["has_empty_text"].any())],
-            "__dense_in": [dense],
-            "__idx_first": [int(idx_first[0])],
-            "__idx_last": [int(idx_last[-1])],
-            "__role_first": [g["__role_first"].iloc[0]],
-            "__role_last": [g["__role_last"].iloc[-1]],
-            "__pending": [False],
-        }
-    )
-    return _validate_finalize(pa.Table.from_pandas(merged, preserve_index=False))
 
 
 def validate_conversations(ds):
@@ -923,67 +757,12 @@ def validate_conversations(ds):
     - ``has_empty_text`` — any turn with null or zero-length text,
     - ``valid`` — all of the above hold (and no empty turn).
 
-    Same scale shape as ``conversation_features``: ONE range
-    ``sort(conv_id, turn_idx)`` over a four-column projection, a fully
-    vectorized per-block segment pass, and a boundary merge touching at
-    most 2 conversations per block.  Rows with null conv_id/turn_idx are
+    Same scale shape as ``conversation_features``: the shared sorted scan
+    over a four-column projection with the vectorized
+    :func:`_validate_table` kernel.  Rows with null conv_id/turn_idx are
     dropped (SQL GROUP BY semantics)."""
-
-    def prep(t: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.is_valid(t.column("conv_id")), pc.is_valid(t.column("turn_idx"))
-        )
-        return t.select(["conv_id", "turn_idx", "role", "text"]).filter(mask)
-
-    partials = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .sort(["conv_id", "turn_idx"])
-        .map_batches(_validate_partials_block, batch_format="pyarrow")
-        .materialize()
-    )
-    interior = partials.map_batches(
-        lambda t: _validate_finalize(t.filter(pc.invert(t.column("__pending")))),
-        batch_format="pyarrow",
-    )
-    boundary = partials.map_batches(
-        lambda t: t.filter(t.column("__pending")), batch_format="pyarrow"
-    )
-    merged = boundary.groupby("conv_id").map_groups(
-        lambda g: _merge_boundary_validate(g), batch_format="pandas"
-    )
-    return interior.union(merged)
-
-
-def conversation_features_grouped(ds, max_group_rows: int = 1_000_000):
-    """Round-2 shape: guarded ``groupby(conv_id)`` sequence apply (see
-    functions.shuffle), kept for differential testing — pays ~100 µs of
-    pandas per conversation; prefer ``conversation_features``."""
-    from ..functions.shuffle import grouped_sequence_apply
-
-    def per_conv(group):
-        import pandas as pd
-
-        roles = group["role"].tolist()
-        core = [r for r in roles if r in _CORE_ROLES]
-        alternates = all(a != b for a, b in zip(core, core[1:]))
-        ts = group["ts"]
-        return pd.DataFrame(
-            {
-                "conv_id": [group["conv_id"].iloc[0]],
-                "n_turns": [len(group)],
-                "role_alternates": [alternates],
-                "ts_monotone": [bool(ts.is_monotonic_increasing)],
-                "first_role": [roles[0] if roles else None],
-            }
-        )
-
-    proj = ds.map_batches(
-        lambda t: t.select(["conv_id", "turn_idx", "role", "ts"]),
-        batch_format="pyarrow",
-    )
-    return grouped_sequence_apply(
-        proj, "conv_id", per_conv, order_by="turn_idx", max_group_rows=max_group_rows
-    )
+    return sorted_scan(ds, ["conv_id", "turn_idx", "role", "text"], "conv_id",
+                       ["turn_idx"], _validate_table, non_null=["turn_idx"])
 
 
 def quality_metrics_analyzers():
@@ -1044,13 +823,13 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
     so a single turn longer than the budget is dropped together with every
     turn before it (its running suffix total already exceeds the budget).
 
-    Same discipline as :func:`~hooqu_ray.pipelines.windows.running_agg`:
-    ONE distributed range sort on ``(conv, -turn_idx)``, a fully vectorized
-    per-block padded-cumsum pass (``_running_block``), and a
-    ``groupby(conv)`` boundary merge that touches only each block's
-    first/last conversation — O(#blocks) merge groups, not O(#convs).
-    Rows with a null conv id or turn idx are dropped; ``n_tok`` counts
-    ``\\S+`` runs (``textstats.TOKEN_PATTERN``), nulls count 0.
+    The shared sorted scan (:mod:`hooqu_ray.functions.sorted_scan`): ONE
+    distributed range sort on ``(conv, idx)``, the vectorized
+    :func:`_suffix_truncate_table` kernel per block (a padded cumsum
+    difference — no descending sort), and the same kernel re-run per
+    boundary conversation.  Rows with a null conv id or turn idx are
+    dropped; ``n_tok`` counts ``\\S+`` runs (``textstats.TOKEN_PATTERN``),
+    nulls count 0.
 
     Returns the input columns plus ``suffix_tokens`` (the running
     suffix-token total including the row itself, int64).  Scale note: the
@@ -1060,60 +839,14 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
     size-gated broadcast/hash join used by ``relational.cohort_retention``
     — half the data movement, at the cost of a join; not needed below
     ~10^11 turns."""
-    from .textstats import TOKEN_PATTERN
-    from .windows import _MergeBoundaryRunning, _running_block
-
     if max_tokens < 0:
         raise ValueError(f"truncate_conversations: max_tokens must be >= 0,"
                          f" got {max_tokens}")
-
-    def attach(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(conv_col)),
-                       pc.is_valid(t.column(idx_col)))
-        t = t.filter(mask)
-        ntok = pc.cast(
-            pc.fill_null(
-                pc.count_substring_regex(t.column(text_col),
-                                         pattern=TOKEN_PATTERN), 0),
-            pa.float64())
-        neg = pc.negate_checked(pc.cast(t.column(idx_col), pa.int64()))
-        return t.append_column("__ntok", ntok).append_column("__negidx", neg)
-
-    sorted_ds = (
-        ds.map_batches(attach, batch_format="pyarrow")
-        .sort([conv_col, "__negidx"])
-        .materialize()  # shared by the finals and pending block passes
-    )
-    from ..util import dataset_arrow_schema
-
-    out_schema = pa.schema(
-        [f for f in dataset_arrow_schema(sorted_ds)
-         if f.name not in ("__ntok", "__negidx")]
-        + [pa.field("suffix_tokens", pa.int64())]
-    )
-    finals = sorted_ds.map_batches(
-        lambda t: _running_block(t, conv_col, "__ntok", "finals"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    pend = sorted_ds.map_batches(
-        lambda t: _running_block(t, conv_col, "__ntok", "pend"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    merge = _MergeBoundaryRunning("__negidx", idx_col, "__ntok")
-    merged = pend.groupby(conv_col).map_groups(
-        lambda g, _m=merge: _m(g), batch_format="pyarrow"
-    )
-
-    def trim(t: pa.Table) -> pa.Table:
-        if "run_sum" not in t.column_names:  # schema-less empty block
-            return out_schema.empty_table()
-        t = t.filter(pc.less_equal(t.column("run_sum"),
-                                   pa.scalar(float(max_tokens))))
-        suffix = pc.cast(t.column("run_sum"), pa.int64())
-        return t.drop_columns(["__negidx", "run_sum", "run_n"]).append_column(
-            "suffix_tokens", suffix).select(out_schema.names)
-
-    return finals.union(merged).map_batches(trim, batch_format="pyarrow")
+    return sorted_scan(
+        ds, None, conv_col, [idx_col],
+        lambda t: _suffix_truncate_table(t, conv_col, idx_col, text_col,
+                                         max_tokens),
+        non_null=[idx_col])
 
 
 class _IsInAnyShard:
@@ -1272,9 +1005,7 @@ def _merge_runs_table(t: pa.Table, conv_col: str, idx_col: str, role_col: str,
     """Vectorized same-role run merge over a (conv, idx)-sorted table: run
     detection via dictionary codes (null role == null role -> same run),
     per-run text join through a zero-copy ListArray + ``binary_join``,
-    first idx/role/ts per run, summed ``n_merged``.  Works for raw turns
-    (``n_merged`` absent -> counts rows) and for re-merging partially
-    merged segments (``n_merged`` present -> sums)."""
+    first idx/role/ts per run and the run length as ``n_merged``."""
     n = len(t)
     if n == 0:
         def typed(col, default):  # keep empty blocks union-compatible
@@ -1309,11 +1040,7 @@ def _merge_runs_table(t: pa.Table, conv_col: str, idx_col: str, role_col: str,
         text = text.combine_chunks()
     joined = pc.binary_join(
         pa.ListArray.from_arrays(offsets, pc.fill_null(text, "")), sep)
-    if "n_merged" in t.column_names:
-        cnt = np.asarray(t.column("n_merged"), dtype=np.int64)
-        merged_n = np.add.reduceat(cnt, starts)
-    else:
-        merged_n = np.diff(np.r_[starts, n])
+    merged_n = np.diff(np.r_[starts, n])
     first = pa.array(starts.astype(np.int64))
     cols = {
         conv_col: t.column(conv_col).take(first),
@@ -1339,50 +1066,17 @@ def merge_consecutive_turns(ds, *, conv_col: str = "conv_id",
     ``''``), and ``n_merged`` (run length).  A null role equals a null
     role (they form one run); rows with a null conv or idx are dropped.
 
-    Same discipline as :func:`truncate_conversations`: one distributed
-    range sort on ``(conv, idx)``, a fully vectorized per-block run merge
-    (dictionary-code break detection, zero-copy ListArray text join), and
-    a ``groupby(conv)`` boundary repair for each block's first/last
-    conversation — whose partially merged segments re-enter the SAME
-    vectorized kernel (``n_merged`` sums), so a conversation spanning many
-    blocks costs one slim re-merge, never per-row Python."""
+    The shared sorted scan (:mod:`hooqu_ray.functions.sorted_scan`): one
+    distributed range sort on ``(conv, idx)`` and the vectorized
+    :func:`_merge_runs_table` kernel (dictionary-code break detection,
+    zero-copy ListArray text join) per block, re-run per boundary
+    conversation."""
     proj = [conv_col, idx_col, role_col, text_col] + ([ts_col] if ts_col else [])
-
-    def prep(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(conv_col)),
-                       pc.is_valid(t.column(idx_col)))
-        return t.select(proj).filter(mask)
-
-    sorted_ds = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .sort([conv_col, idx_col])
-        .materialize()  # shared by the finals and pending passes
-    )
-
-    def block_pass(t: pa.Table, emit: str) -> pa.Table:
-        merged = _merge_runs_table(t, conv_col, idx_col, role_col, text_col,
-                                   ts_col, sep)
-        if len(t) == 0:
-            return merged
-        keys = merged.column(conv_col)
-        pending = pc.or_(pc.equal(keys, keys[0]), pc.equal(keys, keys[-1]))
-        return merged.filter(pending if emit == "pend" else pc.invert(pending))
-
-    finals = sorted_ds.map_batches(
-        lambda t: block_pass(t, "finals"), batch_format="pyarrow",
-        batch_size=None)
-    pend = sorted_ds.map_batches(
-        lambda t: block_pass(t, "pend"), batch_format="pyarrow",
-        batch_size=None)
-
-    def remerge(g: pa.Table) -> pa.Table:
-        g = g.sort_by([(idx_col, "ascending")])
-        return _merge_runs_table(g, conv_col, idx_col, role_col, text_col,
-                                 ts_col, sep)
-
-    merged = pend.groupby(conv_col).map_groups(
-        lambda g: remerge(g), batch_format="pyarrow")
-    return finals.union(merged)
+    return sorted_scan(
+        ds, proj, conv_col, [idx_col],
+        lambda t: _merge_runs_table(t, conv_col, idx_col, role_col, text_col,
+                                    ts_col, sep),
+        non_null=[idx_col])
 
 
 def _context_examples_table(t: pa.Table, conv_col: str, idx_col: str,
@@ -1500,68 +1194,9 @@ def extract_training_examples(ds, max_tokens: int, *,
                                        text_col, target_role, max_tokens, sep,
                                        max_context_turns)
 
-    return _per_conversation_apply(
-        ds, [conv_col, idx_col, role_col, text_col], conv_col, idx_col,
-        kernel)
-
-
-def _sorted_conv_projection(ds, proj_cols, conv_col: str, idx_col: str):
-    """Project + drop null conv/idx + ONE range ``sort(conv, idx)`` +
-    materialize — the expensive half of the whole-conversation scaffold,
-    shared so :func:`conversation_reports` can pay it once for a whole
-    report family."""
-
-    def prep(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(conv_col)),
-                       pc.is_valid(t.column(idx_col)))
-        return t.select(proj_cols).filter(mask)
-
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .sort([conv_col, idx_col])
-        .materialize()
-    )
-
-
-def _apply_kernel_on_sorted(sorted_ds, conv_col: str, idx_col: str, kernel):
-    """The cheap half: apply ``kernel`` per block to conversations fully
-    interior to the block, and re-apply the SAME kernel per boundary
-    conversation in a ``groupby(conv)`` repair (``kernel`` may assume
-    complete, idx-sorted conversations).  Multiple kernels may consume the
-    same materialized ``sorted_ds`` — each pays only map passes plus the
-    slim boundary exchange, never a second corpus sort."""
-
-    def block_pass(t: pa.Table, emit: str) -> pa.Table:
-        if len(t) == 0:
-            return kernel(t) if emit == "finals" else t
-        keys = t.column(conv_col)
-        pending = pc.or_(pc.equal(keys, keys[0]), pc.equal(keys, keys[-1]))
-        if emit == "pend":
-            return t.filter(pending)
-        return kernel(t.filter(pc.invert(pending)))
-
-    finals = sorted_ds.map_batches(
-        lambda t: block_pass(t, "finals"), batch_format="pyarrow",
-        batch_size=None)
-    pend = sorted_ds.map_batches(
-        lambda t: block_pass(t, "pend"), batch_format="pyarrow",
-        batch_size=None)
-    merged = pend.groupby(conv_col).map_groups(
-        lambda g: kernel(g.sort_by([(idx_col, "ascending")])),
-        batch_format="pyarrow")
-    return finals.union(merged)
-
-
-def _per_conversation_apply(ds, proj_cols, conv_col: str, idx_col: str,
-                            kernel):
-    """The shared whole-conversation scaffold: project + drop null
-    conv/idx, ONE range ``sort(conv, idx)``, apply ``kernel`` per block to
-    conversations fully interior to the block, and re-apply the SAME
-    kernel per boundary conversation in a ``groupby(conv)`` repair
-    (``kernel`` may assume complete, idx-sorted conversations)."""
-    return _apply_kernel_on_sorted(
-        _sorted_conv_projection(ds, proj_cols, conv_col, idx_col),
-        conv_col, idx_col, kernel)
+    return sorted_scan(
+        ds, [conv_col, idx_col, role_col, text_col], conv_col, [idx_col],
+        kernel, non_null=[idx_col])
 
 
 # odd multipliers for combining (idx, lo, hi, n) into fingerprints; the
@@ -1950,16 +1585,16 @@ def dedup_turns(ds, *, conv_col: str = "conv_id", idx_col: str = "turn_idx",
 def _suffix_truncate_table(t: pa.Table, conv_col: str, idx_col: str,
                            text_col: str, budget: int) -> pa.Table:
     """In-kernel context-window truncation: keep each conversation's
-    maximal turn suffix whose whitespace-token total fits ``budget``.
-    Requires every conversation in ``t`` to be COMPLETE and
-    (conv, idx)-sorted — exactly the contract
-    :func:`_per_conversation_apply` kernels get — so the reverse running
-    sum is one padded cumsum difference, no second (descending) sort."""
+    maximal turn suffix whose whitespace-token total fits ``budget`` and
+    append that running suffix total as ``suffix_tokens``.  Requires every
+    conversation in ``t`` to be COMPLETE and (conv, idx)-sorted — the
+    sorted-scan kernel contract — so the reverse running sum is one padded
+    cumsum difference, no second (descending) sort."""
     from .textstats import TOKEN_PATTERN
 
     n = len(t)
     if n == 0:
-        return t
+        return t.append_column("suffix_tokens", pa.array([], pa.int64()))
     text = pc.fill_null(
         t.column(text_col).combine_chunks()
         if isinstance(t.column(text_col), pa.ChunkedArray)
@@ -1978,7 +1613,9 @@ def _suffix_truncate_table(t: pa.Table, conv_col: str, idx_col: str,
     ends = np.r_[starts[1:], n][ordinal]  # exclusive conv end per row
     cs = np.r_[0, np.cumsum(ntok)]
     suffix = cs[ends] - cs[np.arange(n)]  # tokens from this row to conv end
-    return t.filter(pa.array(suffix <= budget))
+    keep = suffix <= budget
+    return t.filter(pa.array(keep)).append_column(
+        "suffix_tokens", pa.array(suffix[keep], pa.int64()))
 
 
 def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
@@ -1995,7 +1632,7 @@ def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
 
     Stages 2+3 are FUSED into one kernel over a single range sort
     (:func:`_suffix_truncate_table` then :func:`_context_examples_table`
-    inside the same :func:`_per_conversation_apply` pass) — semantically
+    inside the same :func:`sorted_scan` pass) — semantically
     identical to ``extract_training_examples(truncate_conversations(x))``
     but the corpus text sorts ONCE instead of twice (measured 49 s → the
     fused cost of one sort at 3.2M turns).  Returns the example Dataset
@@ -2012,9 +1649,9 @@ def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
                                        "text", target_role, example_budget,
                                        "\n")
 
-    return _per_conversation_apply(
+    return sorted_scan(
         clean, ["conv_id", "turn_idx", "role", "text"], "conv_id",
-        "turn_idx", kernel)
+        ["turn_idx"], kernel, non_null=["turn_idx"])
 
 
 # -- PII detection report ---------------------------------------------------
@@ -2808,7 +2445,7 @@ def assistant_loop_stats(ds, min_run: int = 2, *,
 
     Scale shape: role prefilter (embarrassingly parallel, drops ~half the
     rows before the exchange), then the shared
-    :func:`_per_conversation_apply` scaffold — ONE range sort, a fully
+    :func:`sorted_scan` scaffold — ONE range sort, a fully
     vectorized run-length kernel per block (``np.maximum.reduceat`` over
     run breaks, zero Python per conversation), boundary conversations
     repaired per group.  The kernel only ever tests adjacent-text
@@ -2848,9 +2485,10 @@ def assistant_loop_stats(ds, min_run: int = 2, *,
 
     import ray.data as rd
 
-    return _per_conversation_apply(
+    return sorted_scan(
         ds.map_batches(role_hash_proj, batch_format="pyarrow"),
-        [conv_col, idx_col, "__th"], conv_col, idx_col, kernel).union(
+        [conv_col, idx_col, "__th"], conv_col, [idx_col], kernel,
+        non_null=[idx_col]).union(
         rd.from_arrow(out_schema.empty_table()))  # schema anchor
 
 
@@ -2977,7 +2615,7 @@ def echo_stats(ds, *, conv_col: str = "conv_id",
     pairs (denominator for an echo rate).  Null texts never count as an
     echo (SQL ``=`` three-valued semantics).
 
-    Scale shape: the shared :func:`_per_conversation_apply` scaffold,
+    Scale shape: the shared :func:`sorted_scan` scaffold,
     but the kernel only ever tests adjacent-text EQUALITY, so the text
     column is projected to an 8-byte content hash (dedup's
     ``_text_hash63``) + a validity flag BEFORE the range sort — the
@@ -3010,10 +2648,10 @@ def echo_stats(ds, *, conv_col: str = "conv_id",
 
     import ray.data as rd
 
-    return _per_conversation_apply(
+    return sorted_scan(
         ds.map_batches(hash_proj, batch_format="pyarrow"),
-        [conv_col, idx_col, role_col, "__th", "__tv"], conv_col, idx_col,
-        kernel).union(
+        [conv_col, idx_col, role_col, "__th", "__tv"], conv_col, [idx_col],
+        kernel, non_null=[idx_col]).union(
         rd.from_arrow(out_schema.empty_table()))  # schema anchor
 
 
@@ -3216,7 +2854,7 @@ def tool_transition_counts(ds, *, conv_col: str = "conv_id",
     contribute nothing.
 
     Scale shape: tool-only prefilter (usually drops most turns), the
-    shared :func:`_per_conversation_apply` one-sort scaffold with a
+    shared :func:`sorted_scan` one-sort scaffold with a
     vectorized shift-pair kernel that pre-counts per block, then a slim
     global ``groupby(from, to).sum`` over O(#distinct transitions ×
     blocks) partial rows."""
@@ -3232,9 +2870,10 @@ def tool_transition_counts(ds, *, conv_col: str = "conv_id",
 
     from ..functions.shuffle import tree_group_sum
 
-    partials = _per_conversation_apply(
+    partials = sorted_scan(
         ds.map_batches(tool_only, batch_format="pyarrow"),
-        [conv_col, idx_col, tool_col], conv_col, idx_col, kernel)
+        [conv_col, idx_col, tool_col], conv_col, [idx_col], kernel,
+        non_null=[idx_col])
     folded = tree_group_sum(partials, ["tool_from", "tool_to"], ["__n"])
 
     empty = pa.table({"tool_from": pa.array([], pa.string()),
@@ -3428,9 +3067,9 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
             cols[tool_col] = t.column(tool_col)
         return pa.table(cols)
 
-    sorted_ds = _sorted_conv_projection(
+    sorted_ds = sort_projection(
         ds.map_batches(proj, batch_format="pyarrow"),
-        proj_cols, conv_col, idx_col)
+        proj_cols, conv_col, [idx_col], non_null=[idx_col])
 
     # --- the wide per-conversation kernel: loop + echo + role_balance in
     # ONE pass over a block of complete sorted conversations.  Family
@@ -3506,32 +3145,13 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
 
     # pend rows (first/last conversation of each block) materialize ONCE
     # and feed every family's boundary repair — they are O(#blocks) convs
-    def block_pend(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t
-        keys = t.column(conv_col)
-        return t.filter(pc.or_(pc.equal(keys, keys[0]),
-                               pc.equal(keys, keys[-1])))
-
-    def block_interior(t: pa.Table, kernel) -> pa.Table:
-        if len(t) == 0:
-            return kernel(t)
-        keys = t.column(conv_col)
-        pending = pc.or_(pc.equal(keys, keys[0]), pc.equal(keys, keys[-1]))
-        return kernel(t.filter(pc.invert(pending)))
-
-    pend = sorted_ds.map_batches(
-        block_pend, batch_format="pyarrow", batch_size=None).materialize()
+    pend = edge_rows(sorted_ds, conv_col).materialize()
 
     out = {}
     if per_conv:
-        wide = sorted_ds.map_batches(
-            lambda t: block_interior(t, wide_kernel),
-            batch_format="pyarrow", batch_size=None
-        ).union(pend.groupby(conv_col).map_groups(
-            lambda g: wide_kernel(g.sort_by([(idx_col, "ascending")])),
-            batch_format="pyarrow")
-        ).union(rd.from_arrow(wide_schema.empty_table()))
+        wide = scan_sorted(sorted_ds, conv_col, [idx_col], wide_kernel,
+                           pend=pend).union(
+            rd.from_arrow(wide_schema.empty_table()))
         if len(per_conv) > 1:
             wide = wide.materialize()  # consumed once per family below
 
@@ -3567,12 +3187,8 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
         def tool_kernel(t: pa.Table) -> pa.Table:
             return base_tool(t.filter(pc.is_valid(t.column(tool_col))))
 
-        partials = sorted_ds.map_batches(
-            lambda t: block_interior(t, tool_kernel),
-            batch_format="pyarrow", batch_size=None
-        ).union(pend.groupby(conv_col).map_groups(
-            lambda g: tool_kernel(g.sort_by([(idx_col, "ascending")])),
-            batch_format="pyarrow"))
+        partials = scan_sorted(sorted_ds, conv_col, [idx_col], tool_kernel,
+                               pend=pend)
         folded = tree_group_sum(partials, ["tool_from", "tool_to"], ["__n"])
         empty = pa.table({"tool_from": pa.array([], pa.string()),
                           "tool_to": pa.array([], pa.string()),
@@ -3733,7 +3349,7 @@ def reindex_turns(ds, *, conv_col: str = "conv_id",
     :func:`filter_conversations`), so the output may have fewer rows than
     the input.
 
-    Scale shape: the shared :func:`_per_conversation_apply` one-sort
+    Scale shape: the shared :func:`sorted_scan` one-sort
     scaffold; the kernel is a pure vectorized arange per conversation
     segment."""
     from ..util import dataset_arrow_schema
@@ -3764,8 +3380,8 @@ def reindex_turns(ds, *, conv_col: str = "conv_id",
                          pc.cast(pa.array(rank), idx_type))
         return t.append_column("orig_turn_idx", orig)
 
-    return _per_conversation_apply(
-        ds, proj_cols, conv_col, idx_col, kernel)
+    return sorted_scan(
+        ds, proj_cols, conv_col, [idx_col], kernel, non_null=[idx_col])
 
 
 def conversation_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
@@ -4306,7 +3922,7 @@ def split_conversations_by_gap(ds, gap_seconds: float, *,
     key.
 
     One range sort via the shared whole-conversation scaffold
-    (:func:`_per_conversation_apply`), a vectorized cumsum kernel per
+    (:func:`sorted_scan`), a vectorized cumsum kernel per
     block, and the O(#blocks) boundary-conversation repair.  All input
     columns ride the sort and come back stamped (the
     ``truncate_conversations`` discipline).  A null or non-monotone
@@ -4346,4 +3962,5 @@ def split_conversations_by_gap(ds, gap_seconds: float, *,
         return t.append_column(
             out_col, pa.array(c - c[run_start], pa.int64()))
 
-    return _per_conversation_apply(ds, proj_cols, conv_col, idx_col, kernel)
+    return sorted_scan(ds, proj_cols, conv_col, [idx_col], kernel,
+                       non_null=[idx_col])

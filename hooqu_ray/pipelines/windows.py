@@ -4,9 +4,10 @@ BY ts, tie ROWS BETWEEN w-1 PRECEDING AND CURRENT ROW)``), Ray-Data-first.
 The reference has no window surface (SURVEY §2.3 "Streaming: nothing");
 rolling features (trailing activity averages, smoothed quality scores) are
 a staple of event-log and training-data pipelines.  Same sort-based
-discipline as ``sessions.py``/``asof.py``: ONE distributed range
-``sort(key, ts, tie)`` over a slim projection, then a fully vectorized
-per-block padded-cumsum pass — zero Python per row.
+discipline as ``sessions.py``/``asof.py``: the shared sorted scan
+(``functions.sorted_scan``) — ONE distributed range ``sort(key, ts, tie)``
+over a slim projection, then a fully vectorized per-block padded-cumsum
+pass — zero Python per row.
 
 Boundary repair: after a range sort only a block's FIRST key can continue
 from an earlier block, so only its first ``w−1`` rows can have windows
@@ -32,13 +33,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.sorted_scan import sorted_scan
+
 
 def _rolling_block(t: pa.Table, key: str, value_col: str, w: int,
                    out_col: str, emit: str) -> pa.Table:
     """One vectorized pass over a (key, ts, tie)-sorted block.
 
     ``emit='finals'``: rows whose window is complete in-block, with the
-    rolling mean attached.  ``emit='pendctx'``: the boundary set — pending
+    rolling mean attached.  ``emit='pend'``: the boundary set — pending
     first-key head rows (``__emit`` true) plus the last ``w−1`` rows of the
     block's last key as context (``__emit`` false)."""
     n = len(t)
@@ -52,7 +55,7 @@ def _rolling_block(t: pa.Table, key: str, value_col: str, w: int,
     arange = np.arange(n, dtype=np.int64)
     pending = (keys == keys[0]) & (arange < w - 1)
 
-    if emit == "pendctx":
+    if emit == "pend":
         mask = pending.copy()
         ctx = np.flatnonzero(keys == keys[-1])[-(w - 1):] if w > 1 else []
         is_pending = pending.copy()
@@ -122,7 +125,7 @@ def _time_block(t: pa.Table, key: str, ts_col: str, value_col: str,
                 span_seconds: float, emit: str) -> pa.Table:
     """One vectorized pass over a (key, ts)-sorted block for the time
     window.  ``emit='finals'``: rows whose window is provably in-block.
-    ``emit='pendctx'``: boundary rows — pending (window may cross a block
+    ``emit='pend'``: boundary rows — pending (window may cross a block
     edge: first-key rows with ``ts <= first_ts + span``, plus last-key rows
     tied with the block's last ts, whose equal-ts peers may sit in the next
     block) with ``__emit`` true, and context rows (last-key rows within
@@ -142,7 +145,7 @@ def _time_block(t: pa.Table, key: str, ts_col: str, value_col: str,
     last_key = keys == keys[-1]
     pending = (first_key & (ts <= ts[0] + span)) | (last_key & (ts == ts[-1]))
 
-    if emit == "pendctx":
+    if emit == "pend":
         ctx = (last_key & (ts >= ts[-1] - span)) | (first_key & (ts == ts[0]))
         mask = pending | ctx
         sub = t.filter(pa.array(mask))
@@ -205,28 +208,12 @@ def time_window_mean(ds, key: str, ts_col: str, id_col: str, value_col: str,
     if span_seconds < 0:
         raise ValueError(f"time_window_mean: span must be ≥ 0, got {span_seconds}")
 
-    def project(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts_col)))
-        return t.select([key, ts_col, id_col, value_col]).filter(mask)
-
-    sorted_ds = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort([key, ts_col, id_col])
-        .materialize()
-    )
-    finals = sorted_ds.map_batches(
-        lambda t: _time_block(t, key, ts_col, value_col, span_seconds, "finals"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    pendctx = sorted_ds.map_batches(
-        lambda t: _time_block(t, key, ts_col, value_col, span_seconds, "pendctx"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    merge = _MergeBoundaryTime(ts_col, value_col, span_seconds)
-    merged = pendctx.groupby(key).map_groups(
-        lambda g, _m=merge: _m(g), batch_format="pyarrow"
-    )
-    return finals.union(merged)
+    return sorted_scan(
+        ds, [key, ts_col, id_col, value_col], key, [ts_col, id_col],
+        non_null=[ts_col],
+        block=lambda t, emit: _time_block(t, key, ts_col, value_col,
+                                          span_seconds, emit),
+        merge=_MergeBoundaryTime(ts_col, value_col, span_seconds))
 
 
 class _MergeBoundaryRolling:
@@ -265,29 +252,12 @@ def rolling_mean(ds, key: str, ts_col: str, tie: str, value_col: str,
     if window < 1:
         raise ValueError(f"rolling_mean: window must be ≥ 1, got {window}")
 
-    def project(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts_col)))
-        return t.select([key, ts_col, tie, value_col]).filter(mask)
-
-    sorted_ds = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort([key, ts_col, tie])
-        .materialize()  # the sort builds these blocks anyway; pinning lets
-    )                   # the two block passes share them
-
-    finals = sorted_ds.map_batches(
-        lambda t: _rolling_block(t, key, value_col, window, out_col, "finals"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    pendctx = sorted_ds.map_batches(
-        lambda t: _rolling_block(t, key, value_col, window, out_col, "pendctx"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    merge = _MergeBoundaryRolling(ts_col, tie, value_col, window, out_col)
-    merged = pendctx.groupby(key).map_groups(
-        lambda g, _m=merge: _m(g), batch_format="pyarrow"
-    )
-    return finals.union(merged)
+    return sorted_scan(
+        ds, [key, ts_col, tie, value_col], key, [ts_col, tie],
+        non_null=[ts_col],
+        block=lambda t, emit: _rolling_block(t, key, value_col, window,
+                                             out_col, emit),
+        merge=_MergeBoundaryRolling(ts_col, tie, value_col, window, out_col))
 
 
 def hopping_window_agg(ds, key_col: str, ts_col: str, value_col: str,
@@ -501,28 +471,11 @@ def running_agg(ds, key: str, ts_col: str, tie: str, value_col: str):
     (cf. ``asof.py``).  ``tie`` must be unique per key.  Returns
     ``[key, ts_col, tie, run_sum, run_n]``."""
 
-    def project(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts_col)))
-        return t.select([key, ts_col, tie, value_col]).filter(mask)
-
-    sorted_ds = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort([key, ts_col, tie])
-        .materialize()  # shared by the two block passes below
-    )
-    finals = sorted_ds.map_batches(
-        lambda t: _running_block(t, key, value_col, "finals"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    pend = sorted_ds.map_batches(
-        lambda t: _running_block(t, key, value_col, "pend"),
-        batch_format="pyarrow", batch_size=None,
-    )
-    merge = _MergeBoundaryRunning(ts_col, tie, value_col)
-    merged = pend.groupby(key).map_groups(
-        lambda g, _m=merge: _m(g), batch_format="pyarrow"
-    )
-    return finals.union(merged)
+    return sorted_scan(
+        ds, [key, ts_col, tie, value_col], key, [ts_col, tie],
+        non_null=[ts_col],
+        block=lambda t, emit: _running_block(t, key, value_col, emit),
+        merge=_MergeBoundaryRunning(ts_col, tie, value_col))
 
 
 def _lag_block(t: pa.Table, key: str, value_col: str, periods: int,
@@ -535,7 +488,7 @@ def _lag_block(t: pa.Table, key: str, value_col: str, periods: int,
 
     ``emit='finals'``: rows with their in-block predecessor resolved (the
     first ``periods`` rows of the block's FIRST key are pending — their
-    predecessor may sit in the previous block).  ``emit='pendctx'``: those
+    predecessor may sit in the previous block).  ``emit='pend'``: those
     pending rows (``__emit`` true) plus the last ``periods`` rows of the
     block's LAST key as context (``__emit`` false)."""
     out_col = "next_value" if forward else "prev_value"
@@ -550,7 +503,7 @@ def _lag_block(t: pa.Table, key: str, value_col: str, periods: int,
     arange = np.arange(n, dtype=np.int64)
     pending = (keys == keys[0]) & (arange < periods)
 
-    if emit == "pendctx":
+    if emit == "pend":
         mask = pending.copy()
         ctx = np.flatnonzero(keys == keys[-1])[-periods:]
         mask[ctx] = True
@@ -654,29 +607,12 @@ def _lag_lead_scaffold(ds, key: str, ts_col: str, tie: str, value_col: str,
             f"{'lead' if forward else 'lag'}_delta: periods must be ≥ 1, "
             f"got {periods}")
 
-    def project(t: pa.Table) -> pa.Table:
-        mask = pc.and_(pc.is_valid(t.column(key)), pc.is_valid(t.column(ts_col)))
-        return t.select([key, ts_col, tie, value_col]).filter(mask)
-
-    sorted_ds = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .sort([key, ts_col, tie],
-              descending=[False, forward, forward])
-        .materialize()  # shared by the two block passes
-    )
-    finals = sorted_ds.map_batches(
-        lambda t: _lag_block(t, key, value_col, periods, "finals", forward),
-        batch_format="pyarrow", batch_size=None,
-    )
-    pendctx = sorted_ds.map_batches(
-        lambda t: _lag_block(t, key, value_col, periods, "pendctx", forward),
-        batch_format="pyarrow", batch_size=None,
-    )
-    merge = _MergeBoundaryLag(ts_col, tie, value_col, periods, forward)
-    merged = pendctx.groupby(key).map_groups(
-        lambda g, _m=merge: _m(g), batch_format="pyarrow"
-    )
-    return finals.union(merged)
+    return sorted_scan(
+        ds, [key, ts_col, tie, value_col], key, [ts_col, tie],
+        descending=[False, forward, forward], non_null=[ts_col],
+        block=lambda t, emit: _lag_block(t, key, value_col, periods, emit,
+                                         forward),
+        merge=_MergeBoundaryLag(ts_col, tie, value_col, periods, forward))
 
 
 def _first_last_combine(key: str):

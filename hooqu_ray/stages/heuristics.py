@@ -14,7 +14,7 @@ Feature definitions are frozen in ``spec`` (shared with the test oracle).
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -52,30 +52,6 @@ def scrub_text(text: Optional[str]) -> Optional[str]:
     for rx, token in _SCRUB_RULES:
         text = rx.sub(token, text)
     return text
-
-
-def _dup_2gram_fraction(words_lists: List[Optional[List[str]]]) -> np.ndarray:
-    """Fraction of word-2grams that are repeats of an earlier 2gram.
-    (Reference implementation kept for tests; the hot path uses the
-    vectorized ``_dup_2gram_from_tokens``.)"""
-    out = np.zeros(len(words_lists))
-    for i, words in enumerate(words_lists):
-        if words:
-            words = [w for w in words if w]  # drop empty split tokens
-        if not words or len(words) < 3:
-            continue
-        seen = set()
-        dups = 0
-        prev = words[0]
-        for w in words[1:]:
-            pair = (prev, w)
-            if pair in seen:
-                dups += 1
-            else:
-                seen.add(pair)
-            prev = w
-        out[i] = dups / (len(words) - 1)
-    return out
 
 
 try:

@@ -27,50 +27,6 @@ def test_salted_group_aggregate_matches_plain(ray_session):
     np.testing.assert_allclose(res["sum(value)"], expected["value"], rtol=1e-9)
 
 
-def test_grouped_sequence_apply_ordering(ray_session):
-    import ray.data as rd
-
-    from hooqu_ray.functions.shuffle import grouped_sequence_apply
-
-    df = pd.DataFrame(
-        {
-            "k": ["a"] * 4 + ["b"] * 3,
-            "i": [3, 1, 0, 2, 1, 0, 2],
-            "v": [30, 10, 0, 20, 100, 0, 200],
-        }
-    )
-
-    def fn(group):
-        return pd.DataFrame({"k": [group["k"].iloc[0]], "seq": ["-".join(map(str, group["v"]))]})
-
-    out = (
-        grouped_sequence_apply(rd.from_pandas(df).repartition(3), "k", fn, order_by="i")
-        .to_pandas()
-        .sort_values("k", ignore_index=True)
-    )
-    assert out.loc[0, "seq"] == "0-10-20-30"
-    assert out.loc[1, "seq"] == "0-100-200"
-
-
-def test_grouped_sequence_apply_oversize_guard(ray_session):
-    import ray.data as rd
-
-    from hooqu_ray.functions.shuffle import grouped_sequence_apply
-
-    df = pd.DataFrame({"k": ["big"] * 50 + ["ok"] * 3, "i": range(53), "v": range(53)})
-
-    def fn(group):
-        return pd.DataFrame({"k": [group["k"].iloc[0]], "n": [len(group)]})
-
-    out = grouped_sequence_apply(
-        rd.from_pandas(df), "k", fn, order_by="i", max_group_rows=10
-    ).to_pandas()
-    assert "__oversized_group" in out.columns
-    flagged = out[out["__oversized_group"] == True]  # noqa: E712
-    assert flagged["__group_rows"].iloc[0] == 50
-    assert (out[out["__oversized_group"] != True]["n"] == 3).any()  # noqa: E712
-
-
 def test_conversation_features(ray_session):
     import ray.data as rd
 
@@ -88,11 +44,12 @@ def test_conversation_features(ray_session):
     assert merged["ts_monotone"].all()
 
 
-def test_conversation_features_sorted_matches_grouped(ray_session):
-    """The sort-based pass (vectorized blocks + boundary merge) must agree
-    with the per-key grouped apply on adversarial input: conversations that
-    straddle block boundaries, broken role alternation, ts regressions at
-    and away from seams, and core-role-free (tool/system-only) spans."""
+def test_conversation_features_matches_pandas_reference(ray_session):
+    """The sort-based pass (vectorized kernel + boundary re-apply) must
+    agree with a per-conversation pandas reference on adversarial input:
+    conversations that straddle block boundaries, broken role
+    alternation, ts regressions at and away from seams, and core-role-free
+    (tool/system-only) spans."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -111,16 +68,25 @@ def test_conversation_features_sorted_matches_grouped(ray_session):
             rows.append((f"c{c:03d}", i, str(roles[i]), ts[i]))
     pdf = pd.DataFrame(rows, columns=["conv_id", "turn_idx", "role", "ts"])
     pdf["ts"] = pdf["ts"].astype("datetime64[us]")
+
+    def per_conv(g):
+        g = g.sort_values("turn_idx")
+        core = [r for r in g["role"] if r in ("user", "assistant")]
+        return pd.Series({
+            "n_turns": len(g),
+            "role_alternates": all(a != b for a, b in zip(core, core[1:])),
+            "ts_monotone": bool(g["ts"].is_monotonic_increasing),
+            "first_role": g["role"].iloc[0],
+        })
+
+    expect = (pdf.groupby("conv_id").apply(per_conv, include_groups=False)
+              .reset_index())
     for nparts in (1, 7):
         ds = rd.from_pandas(pdf.sample(frac=1.0, random_state=3)).repartition(nparts)
-        a = (
+        got = (
             tp.conversation_features(ds)
             .to_pandas()
             .sort_values("conv_id", ignore_index=True)
         )
-        b = (
-            tp.conversation_features_grouped(ds)
-            .to_pandas()
-            .sort_values("conv_id", ignore_index=True)[a.columns]
-        )
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        pd.testing.assert_frame_equal(got, expect[got.columns],
+                                      check_dtype=False)
