@@ -1286,13 +1286,15 @@ def _histogram_quantity(sf_dir: str):
 
 
 def _salted_group_sum_events(sf_dir: str):
-    """Skew-safe grouped sum via salted two-phase aggregation
-    (functions.shuffle.salted_group_aggregate)."""
-    from hooqu_ray.functions.shuffle import salted_group_aggregate
+    """Skew-safe grouped sum: the per-block combine bounds a hot key to
+    ≤ #blocks partial rows before the tree fold
+    (functions.shuffle.tree_group_sum; the null user keeps its group)."""
+    from hooqu_ray.functions.shuffle import tree_group_sum
 
     ds = _read(sf_dir, "events", ["user_id", "value"])
-    res = salted_group_aggregate(ds, "user_id", ["value"], buckets=8).to_pandas()
-    res = res.rename(columns={"sum(value)": "sum_value"})
+    res = tree_group_sum(ds, "user_id", ["value"],
+                         drop_null_keys=False).to_pandas()
+    res = res.rename(columns={"value": "sum_value"})
     res["sum_value"] = res["sum_value"].round(6)
     return res
 
@@ -1549,17 +1551,18 @@ def _profile_events(sf_dir: str):
 
 def _top50_user_ids(sf_dir: str):
     """Top-50 users by total value (ties by ascending user_id) via the
-    salted skew-safe sum.  Sums are rounded to 6 decimals BEFORE ranking —
-    the engine folds per-salt partials while the oracle streams one sum, so
+    skew-safe tree fold.  Sums are rounded to 6 decimals BEFORE ranking —
+    the engine folds per-block partials while the oracle streams one sum, so
     last-ulp float differences must not flip the rank-50 boundary (repo
     convention: 6-decimal rounding on both sides of any compared aggregate)."""
-    from hooqu_ray.functions.shuffle import salted_group_aggregate
+    from hooqu_ray.functions.shuffle import tree_group_sum
 
     ds = _read(sf_dir, "events", ["user_id", "value"])
-    sums = salted_group_aggregate(ds, "user_id", ["value"], buckets=8).to_pandas()
-    sums["sum(value)"] = sums["sum(value)"].round(6)
+    sums = tree_group_sum(ds, "user_id", ["value"],
+                          drop_null_keys=False).to_pandas()
+    sums["value"] = sums["value"].round(6)
     sums = sums.sort_values(
-        ["sum(value)", "user_id"], ascending=[False, True], kind="mergesort"
+        ["value", "user_id"], ascending=[False, True], kind="mergesort"
     )
     return sums["user_id"].head(50).to_numpy()
 
@@ -3043,7 +3046,8 @@ def oracle_sql() -> dict[str, str]:
             "SELECT date_trunc('hour', ts) AS window_start, "
             "CAST(count(DISTINCT user_id) AS BIGINT) AS n_distinct "
             "FROM events WHERE ts IS NOT NULL "
-            "GROUP BY window_start ORDER BY window_start"
+            "GROUP BY window_start HAVING count(user_id) > 0 "
+            "ORDER BY window_start"
         ),
         "windowed_events_hourly": (
             "SELECT event_type, date_trunc('hour', ts) AS hour, count(*) AS n, "

@@ -8,7 +8,7 @@ The reference computes an in-memory pandas groupby frequency table
     WHERE colA IS NOT NULL OR colB IS NOT NULL OR ...
     GROUP BY colA, colB, ...
 
-Our engine runs that as a Ray Data hash-shuffle ``groupby(columns).count()``
+Our engine runs that as a bucketed count fold (``shuffle.bucketed_group_fold``)
 and NEVER materializes the frequency table on the driver: every metric here
 is a reduction over group counts (Σ[cnt=1], #groups, Σcnt, Σcnt·ln cnt), so
 the post-shuffle pass emits tiny per-block partials that fold into a

@@ -65,17 +65,19 @@ def anti_join(ds, keys, col: str, key_col: Optional[str] = None):
     )
 
 
-def _dim_table(dim, dim_key: str) -> pa.Table:
+def _dim_table(dim, dim_key: str, cols) -> pa.Table:
     """Normalize the dimension side to one local Arrow table with a UNIQUE,
     non-null key column (a lookup join is only well-defined against a
     primary key — duplicate keys would silently multiply fact rows in SQL
-    but can only pick one arbitrary match here, so they are an error)."""
+    but can only pick one arbitrary match here, so they are an error).
+    A Dataset dim with no rows (e.g. a fold over empty input, whose
+    blocks carry no schema) matches nothing: its ``cols`` are null."""
     if hasattr(dim, "to_arrow_refs"):  # ray.data.Dataset small side
         from ..util import collect_arrow
 
         dim = collect_arrow(dim)
         if dim is None:
-            dim = pa.table({dim_key: pa.array([])})
+            dim = pa.table({c: pa.array([]) for c in [dim_key, *cols]})
     elif not isinstance(dim, pa.Table):
         dim = pa.Table.from_pandas(dim, preserve_index=False)
     dim = dim.combine_chunks()
@@ -138,8 +140,8 @@ def enrich_join(ds, dim, on: str, dim_key: str, cols, how: str = "left"):
 
     if how not in ("left", "inner"):
         raise ValueError(f"enrich_join: how must be 'left' or 'inner', got {how!r}")
-    dim_tbl = _dim_table(dim, dim_key)
     cols = list(cols)
+    dim_tbl = _dim_table(dim, dim_key, cols)
     missing = [c for c in cols if c not in dim_tbl.column_names]
     if missing:
         raise KeyError(f"enrich_join: dim columns not found: {missing}")

@@ -1,13 +1,19 @@
-"""Skew-aware shuffle helpers.
+"""The engine's one grouped fold: every keyed aggregate in ``hooqu_ray``
+runs through this module, never through Ray's ``groupby().aggregate``.
 
-A ``groupby(key)`` hash shuffle sends every row of a hot key to ONE reducer;
-a handful of million-turn conversations would straggle the whole wave.
+A ``groupby(key)`` exchange sends every row of a hot key to ONE reducer and
+pays a per-group Python cost in its reduce tasks.  Both folds here combine
+each block first (one vectorized Arrow ``group_by``), so a hot key
+contributes at most one partial row per block before anything moves:
 
-- **Salted partial aggregation** (for mergeable per-group reductions):
-  rows group by ``(key, salt)`` with ``salt = hash(row) % buckets`` so a hot
-  key's rows spread over ``buckets`` reducers; the per-(key, salt) partials
-  are tiny and a second, skew-free pass merges them per key.  This is the
-  generalization of the transcript pipeline's per-block pre-aggregation.
+- :func:`tree_group_sum` — the default entry point for sum/min/max (count
+  = sum of a ones column).  Partials coalesce through log-depth
+  whole-block rounds with no key exchange; it measures the partial count
+  and falls back to the bucketed exchange when the keys stay
+  corpus-sized.  :func:`tree_distinct` is its de-duplication form.
+- :func:`bucketed_group_fold` — the keyed exchange over an int32 key-hash
+  bucket, called directly only where the keys are corpus-cardinality by
+  construction (near-unique ids, content hashes, full-row set keys).
 
 Order-dependent per-key logic (turn-order checks, windows, sessions) runs
 on the range-sorted scan in ``sorted_scan``, not on a per-key group apply.
@@ -15,54 +21,11 @@ on the range-sorted scan in ``sorted_scan``, not on a per-key group apply.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-
-class _AddSalt:
-    def __init__(self, key: str, buckets: int):
-        self.key = key
-        self.buckets = buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # cheap deterministic row salt: row position within block mod buckets
-        # spreads a hot key's rows evenly regardless of its hash
-        salt = np.arange(len(batch), dtype=np.int32) % self.buckets
-        return batch.append_column("__salt", pa.array(salt, pa.int32()))
-
-
-def salted_group_aggregate(
-    ds,
-    key: str,
-    agg_columns: Sequence[str],
-    buckets: int = 16,
-):
-    """Skew-safe ``groupby(key).sum(agg_columns)``.
-
-    Pass 1 groups by (key, __salt) — a hot key fans out over ``buckets``
-    reducers; pass 2 groups the (much smaller) partials by key alone.
-    Returns a Dataset with columns ``key`` + ``sum(col)`` per agg column."""
-    from ray.data.aggregate import Sum
-
-    salted = ds.map_batches(_AddSalt(key, buckets), batch_format="pyarrow")
-    partial = salted.groupby([key, "__salt"]).aggregate(
-        *[Sum(c) for c in agg_columns]
-    )
-    final = partial.groupby(key).aggregate(
-        *[Sum(f"sum({c})") for c in agg_columns]
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        names = []
-        for n in batch.column_names:
-            # sum(sum(x)) -> sum(x)
-            names.append(n[4:-1] if n.startswith("sum(sum(") else n)
-        return batch.rename_columns(names)
-
-    return final.map_batches(rename, batch_format="pyarrow")
 
 
 def _tree_combine_factory(keys: Sequence[str], agg_cols: Sequence[str],
@@ -78,9 +41,8 @@ def _tree_combine_factory(keys: Sequence[str], agg_cols: Sequence[str],
     spec = [(c, f) for c, f in zip(agg_cols, funcs)]
 
     def combine(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not set(proj).issubset(t.column_names):
-            # schema-less empty aggregate block — emit nothing; the caller
-            # anchors the output schema
+        if not set(proj).issubset(t.column_names):
+            # bucketed_group_fold's no-schema path folds an empty table
             return pa.table({})
         t = t.select(proj)
         if drop_null_keys:
@@ -122,19 +84,14 @@ def _row_hash64(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
 
 class _StampBucket:
     """Project a block to ``keys + cols`` and stamp ``__bh = hash64(keys)
-    % num_buckets`` (int32).  Degenerate blocks (schema-less empty
-    aggregates that lack the key columns) emit a typed empty table so the
-    exchange never sees mixed schemas."""
+    % num_buckets`` (int32)."""
 
-    def __init__(self, keys, cols, num_buckets, empty: pa.Table):
+    def __init__(self, keys, cols, num_buckets):
         self.proj = list(keys) + list(cols)
         self.keys = list(keys)
         self.num_buckets = num_buckets
-        self.empty = empty
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not set(self.proj).issubset(t.column_names):
-            return self.empty
         t = t.select(self.proj)
         b = (_row_hash64(t, self.keys) % np.uint64(self.num_buckets)).astype(
             np.int32)
@@ -209,12 +166,10 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
 
         out = combine(pa.table({}))
         return rd.from_arrow(finalize(out) if finalize is not None else out)
-    empty = pa.schema([schema.field(c) for c in proj]).empty_table()
-    empty = empty.append_column("__bh", pa.array([], pa.int32()))
 
     if num_buckets is None:
         num_buckets = _default_buckets(n, rows_per_bucket)
-    stamped = ds.map_batches(_StampBucket(keys, cols, num_buckets, empty),
+    stamped = ds.map_batches(_StampBucket(keys, cols, num_buckets),
                              batch_format="pyarrow")
     # Ray's sort-based exchange inherits reduce parallelism from the input
     # block count: a near-single-block input would serialize every bucket
@@ -262,9 +217,10 @@ def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
     VALID ONLY when the distinct-key count fits one block: after the first
     combine the partials are counted, and if they still exceed
     ``max_fold_rows`` × ``fanin`` (combining did not shrink — unbounded
-    key cardinality) the partials fall back to the sort-based
-    ``groupby`` exchange, so at 100 TB a near-unique key degrades
-    gracefully instead of OOMing the final fold task.
+    key cardinality) the partials fall back to
+    :func:`bucketed_group_fold`'s keyed exchange, so at 100 TB a
+    near-unique key degrades gracefully instead of OOMing the final fold
+    task.
 
     ``funcs`` generalizes to per-column "sum"/"min"/"max" (algebraic,
     self-mergeable — a min of mins is the min).  ``drop_null_keys=True``
@@ -329,15 +285,13 @@ def tree_distinct(ds, cols, *, max_fold_rows: int = 4_000_000,
                   fanin: int = 8):
     """DISTINCT ``cols`` tuples via the tree fold: per-block Arrow
     ``group_by(cols)`` dedupe, coalesce-and-combine rounds, adaptive
-    sort-shuffle fallback — the shared helper behind the "distinct set +
+    bucketed-exchange fallback — the shared helper behind the "distinct set +
     ones column" pattern (connected-components node init, pivot column
     scan, document frequency).  Null-key tuples drop (the grouped-op
     convention).  Returns a materialized Dataset with exactly ``cols``."""
     cols = list(cols) if not isinstance(cols, str) else [cols]
 
     def ones(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not set(cols).issubset(t.column_names):
-            return pa.table({})
         sub = t.select(cols)
         return sub.append_column(
             "__one", pa.array(np.ones(len(sub), np.int64)))
@@ -345,7 +299,5 @@ def tree_distinct(ds, cols, *, max_fold_rows: int = 4_000_000,
     out = tree_group_sum(ds.map_batches(ones, batch_format="pyarrow"),
                          cols, ["__one"],
                          max_fold_rows=max_fold_rows, fanin=fanin)
-    return out.map_batches(
-        lambda t: (t.drop_columns(["__one"]) if "__one" in t.column_names
-                   else t),
-        batch_format="pyarrow")
+    return out.map_batches(lambda t: t.drop_columns(["__one"]),
+                           batch_format="pyarrow")

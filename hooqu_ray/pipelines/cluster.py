@@ -10,8 +10,8 @@ is engine-extension tier (SURVEY.md §8), built for the 100-TB shape:
 - **Distributed min-label propagation ("hash-to-min")** expressed purely
   in Ray Data — per sweep, each node's label is joined onto its edges
   through a *bucketed* union + ``groupby(bucket)`` with a local Arrow
-  (Acero) hash join per bucket, then the new label is
-  ``groupby(node).aggregate(Min)``.  Only slim ``(node, label)`` /
+  (Acero) hash join per bucket, then the new label is a ``tree_group_sum``
+  min per node.  Only slim ``(node, label)`` /
   ``(src, dst)`` integer-or-string rows ever shuffle; neither the edge
   set nor the label set is EVER collected to the driver or broadcast.
 - No column is ever all-null: Ray's groupby shuffle runs blocks through
@@ -98,8 +98,6 @@ def _label_signature(t: pa.Table) -> pa.Table:
     a uint64 sum — deterministic across workers via stable_hash64)."""
     from ..util import stable_hash64
 
-    if "label" not in t.column_names:
-        return pa.table({"sig": pa.array([0], pa.int64())})
     s = np.uint64(stable_hash64(t.column("label")).sum())
     return pa.table({"sig": pa.array([int(np.int64(s))], pa.int64())})
 
@@ -132,9 +130,6 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
     from ..util import shard_codes
 
     def norm(t: pa.Table) -> pa.Table:
-        if id_a not in t.column_names:  # schema-less empty aggregate block
-            it = id_type or pa.int64()
-            return pa.table({"u": pa.array([], it), "v": pa.array([], it)})
         a, b = t.column(id_a), t.column(id_b)
         keep = pc.and_(pc.is_valid(a), pc.is_valid(b))
         t = t.filter(keep)
@@ -156,12 +151,9 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
         )})
 
     def init_labels(t: pa.Table) -> pa.Table:
-        if "node" not in t.column_names:
-            it = id_type or pa.int64()
-            return pa.table({"node": pa.array([], it), "label": pa.array([], it)})
         return pa.table({"node": t.column("node"), "label": t.column("node")})
 
-    # Distinct node set via a distributive Count shuffle; L0(u) = u.
+    # Distinct node set via the tree fold; L0(u) = u.
     # The trailing repartition (in-plan, no shuffle) bounds the label
     # dataset's BLOCK count: Sort/Aggregate otherwise emit one block per
     # input block, so each sweep would compound blocks (64 → 128 → 192 →
@@ -209,9 +201,6 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
         )
 
     def finish(t: pa.Table) -> pa.Table:
-        if "cand" not in t.column_names:
-            it = id_type or pa.int64()
-            return pa.table({"node": pa.array([], it), "label": pa.array([], it)})
         return pa.table(
             {"node": t.column("node"), "label": t.column("cand")}
         )
@@ -251,8 +240,6 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
         )
 
     def out(t: pa.Table) -> pa.Table:
-        if "label" not in t.column_names:
-            return _empty_components(id_type or pa.int64())
         return pa.table(
             {"node": t.column("node"), "cluster_id": t.column("label")}
         )
@@ -268,8 +255,6 @@ def cluster_representatives(components):
     — combine with the broadcast/sharded anti-join machinery in
     ``pipelines/dedup.py`` for the corpus-side filter."""
     def keep(t: pa.Table) -> pa.Table:
-        if "node" not in t.column_names:
-            return t
         return t.filter(pc.equal(t.column("node"), t.column("cluster_id")))
 
     return components.map_batches(keep, batch_format="pyarrow")

@@ -12,13 +12,13 @@ probability 1 − e^−depth per query.  Pipeline:
    and derives ``depth`` row hashes via independent odd-constant
    multiply-shift mixes; ``np.add.at`` accumulates a local ``depth × width``
    counter block, emitted SPARSE as ``(cell_idx, count)`` rows.  One slim
-   ``groupby(cell).sum`` folds all blocks; the ≤ depth·width-row result
+   ``tree_group_sum`` folds all blocks; the ≤ depth·width-row result
    collects to a dense driver matrix and broadcasts via ``ray.put``.
 2. **Candidate pass** — each block emits its exact LOCAL top-m values
    (Arrow ``group_by`` count + partition), so at most ``#blocks × m`` slim
    candidate rows exist; a true global heavy hitter is heavy in at least
    one block, so generous ``m`` (default 8k) makes missing one vanishingly
-   unlikely at real skew.  Candidates dedupe through one ``groupby`` and
+   unlikely at real skew.  Candidates dedupe through ``tree_distinct`` and
    each is estimated against the broadcast sketch (vectorized min over
    rows); the global top-k by estimate returns.
 
@@ -111,12 +111,6 @@ class _EstimateCms:
 
             obj = self.cms_ref
             self._cms = obj if isinstance(obj, np.ndarray) else ray.get(obj)
-        if self.col not in t.column_names or len(t) == 0:
-            # empty/schema-less aggregate block: collect_arrow drops 0-row
-            # parts, so the placeholder types are never consulted
-            return pa.table(
-                {self.col: pa.array([]), "est_count": pa.array([], pa.int64())}
-            )
         v = t.column(self.col)
         if isinstance(v, pa.ChunkedArray):
             v = v.combine_chunks()
@@ -147,32 +141,26 @@ def heavy_hitters(ds, col: str, k: int, width: int = 8192, depth: int = 4,
         raise ValueError(f"heavy_hitters: k must be ≥ 1, got {k}")
     if depth < 1 or depth > len(_ROW_MIX):
         raise ValueError(f"heavy_hitters: depth must be in [1, {len(_ROW_MIX)}]")
-    from ray.data.aggregate import Count, Sum
-
+    from ..functions.shuffle import tree_distinct, tree_group_sum
     from ..util import collect_arrow
 
-    folded = (
+    tbl = collect_arrow(tree_group_sum(
         ds.map_batches(
             lambda t: _sketch_rows(t, col, depth, width), batch_format="pyarrow"
-        )
-        .groupby("__cell")
-        .aggregate(Sum("__cnt"))
-    )
+        ),
+        ["__cell"], ["__cnt"], drop_null_keys=True,
+    ))
     cms = np.zeros(depth * width, dtype=np.int64)
-    tbl = collect_arrow(folded)
-    if tbl is not None and "sum(__cnt)" in tbl.column_names and len(tbl):
-        cms[tbl.column("__cell").to_numpy(zero_copy_only=False)] = (
-            tbl.column("sum(__cnt)").to_numpy(zero_copy_only=False)
-        )
+    if tbl is not None:
+        cms[tbl.column("__cell").to_numpy()] = tbl.column("__cnt").to_numpy()
     cms_ref = ray.put(cms)
 
-    cands = (
+    cands = tree_distinct(  # dedupe across blocks
         ds.map_batches(
             lambda t: _local_candidates(t, col, candidates_per_block),
             batch_format="pyarrow",
-        )
-        .groupby(col)
-        .aggregate(Count())  # dedupe across blocks
+        ),
+        [col],
     )
     est = cands.map_batches(
         _EstimateCms(cms_ref, col, depth, width), batch_format="pyarrow"

@@ -10,7 +10,7 @@ range — the standard feature-drift gate in front of a training run.
 Scale shape: the reference snapshot is scanned once for (min, max)
 (shared-scan analyzers), the breakpoints are a k-float broadcast, and each
 side then reduces block→bucket-counts via one vectorized ``np.bincount``
-combiner before a bucket-cardinality ``groupby().sum`` — the values
+combiner before a bucket-cardinality ``tree_group_sum`` — the values
 themselves never shuffle, and both sides stream.  Out-of-range values in
 the comparison snapshot clamp into the edge buckets (LEAST/GREATEST in the
 SQL oracle).  Zero proportions substitute ``eps`` inside the log (the
@@ -26,18 +26,15 @@ import pyarrow.compute as pc
 
 def _bucket_counts(ds, col: str, lo: float, width: float, k: int):
     """Per-side histogram: block combiner (clip + bincount) then one
-    k-row ``groupby(bucket).sum`` — returns a length-k int64 numpy array."""
-    from ray.data.aggregate import Sum
+    k-row ``tree_group_sum`` — returns a length-k int64 numpy array."""
+    from ..functions.shuffle import tree_group_sum
+    from ..util import collect_arrow
 
     def block_counts(t: pa.Table) -> pa.Table:
         v = t.column(col)
         if isinstance(v, pa.ChunkedArray):
             v = v.combine_chunks()
         v = pc.cast(v.drop_null(), pa.float64()).to_numpy(zero_copy_only=False)
-        if len(v) == 0:
-            return pa.table(
-                {"bucket": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-            )
         codes = np.clip(
             np.floor((v - lo) / width).astype(np.int64), 0, k - 1
         )
@@ -50,15 +47,12 @@ def _bucket_counts(ds, col: str, lo: float, width: float, k: int):
             }
         )
 
-    agg = (
-        ds.map_batches(block_counts, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum("n"))
-    )
+    tbl = collect_arrow(tree_group_sum(
+        ds.map_batches(block_counts, batch_format="pyarrow"), ["bucket"],
+        ["n"], drop_null_keys=True))
     out = np.zeros(k, dtype=np.int64)
-    for row in agg.iter_rows():
-        if row.get("bucket") is not None and row.get("sum(n)") is not None:
-            out[int(row["bucket"])] = int(row["sum(n)"])
+    if tbl is not None:
+        out[tbl.column("bucket").to_numpy()] = tbl.column("n").to_numpy()
     return out
 
 

@@ -60,8 +60,6 @@ def _frag_empty() -> pa.Table:
 
 def _fragments_block(t: pa.Table, text_col: str, max_len: int,
                      offsets: dict, id_col: str) -> pa.Table:
-    if len(t) == 0:
-        return _frag_empty()
     flat = _block_tokens(t, text_col)
     n = len(flat)
     if n == 0:
@@ -133,8 +131,6 @@ def pack_texts(ds, id_col: str, text_col: str, max_len: int):
     sorted_ds = proj.sort(id_col).materialize()
 
     def summary(t: pa.Table) -> pa.Table:
-        if id_col not in t.column_names or len(t) == 0:
-            return pa.table({"__fid": pa.array([]), "__tok": pa.array([], pa.int64())})
         return pa.table(
             {
                 "__fid": t.column(id_col).slice(0, 1),
@@ -227,10 +223,6 @@ def length_bucket_batches(ds, id_col: str, text_col: str,
         # running_agg returns [key, ts, tie, run_sum, run_n]; the per-row
         # token count is not carried through — the plan is (id, bucket,
         # batch_idx), re-derive n_tokens downstream if needed
-        if "run_n" not in t.column_names:  # schema-less empty block
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "bucket": pa.array([], pa.int64()),
-                             "batch_idx": pa.array([], pa.int64())})
         rn = pc.cast(t.column("run_n"), pa.int64())
         # integer (rn - 1) // batch_size without a float round trip
         batch_idx = pc.cast(

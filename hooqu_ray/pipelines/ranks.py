@@ -20,8 +20,8 @@ a block, and the same kernel re-run per boundary key in a ``groupby(key)``
 repair that touches only each block's first/last key (O(#blocks) repair
 groups).  The repair materializes one whole key group per task — the
 documented hot-key caveat of the kernel re-apply policy (a single key
-holding a meaningful fraction of the corpus needs the salted machinery
-instead).
+holding a meaningful fraction of the corpus needs ``sorted_scan``'s
+bounded-state ``block``/``merge`` form instead).
 
 Null semantics: rows with a null key or a null order/value are DROPPED
 (the projection prep's null-key filter; SQL instead ranks NULL orders

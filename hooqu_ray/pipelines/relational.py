@@ -317,10 +317,6 @@ def grouped_approx_quantile(ds, group_col: str, value_col: str, q: float,
         centroid set and is strictly no less accurate than merge-compress;
         per group this holds ≤ #blocks-containing-group × compression
         centroids, the same rows the merge already shuffles."""
-        if len(t) == 0 or group_col not in t.column_names:
-            return pa.table(
-                {group_col: pa.array([]), "q_value": pa.array([], pa.float64())}
-            )
         g = t.column(group_col)
         if isinstance(g, pa.ChunkedArray):
             g = g.combine_chunks()
@@ -393,20 +389,8 @@ def grouped_approx_quantile(ds, group_col: str, value_col: str, q: float,
     from ..functions.shuffle import _default_buckets, _row_hash64
 
     num_buckets = _default_buckets(partials.count(), 250_000)
-    # empty/schema-less blocks must keep the PARTIALS' key dtype (CLAUDE.md
-    # gotcha: a hardcoded null-typed group col makes mixed-schema blocks
-    # enter the groupby); partials is non-empty on this branch, so its
-    # schema is always resolvable
-    from ..util import dataset_arrow_schema
-
-    empty_stamped = dataset_arrow_schema(partials).empty_table().append_column(
-        "__bh", pa.array([], pa.int32()))
 
     def stamp(t: pa.Table) -> pa.Table:
-        if group_col not in t.column_names:
-            return empty_stamped
-        if len(t) == 0:
-            return t.append_column("__bh", pa.array([], pa.int32()))
         b = (_row_hash64(t, [group_col]) % np.uint64(num_buckets)).astype(np.int32)
         return t.append_column("__bh", pa.array(b, pa.int32()))
 
@@ -440,9 +424,7 @@ def reservoir_sample(ds, group_col: str, id_col: str, k: int, extra_cols=()):
     if isinstance(out, pa.Table):
         return out.drop_columns(["__rank"])
     return out.map_batches(
-        lambda t: t.drop_columns(["__rank"]) if "__rank" in t.column_names else t,
-        batch_format="pyarrow",
-    )
+        lambda t: t.drop_columns(["__rank"]), batch_format="pyarrow")
 
 
 def _corpus_tdigest(ds, value_col: str, compression: int = 200):
@@ -592,11 +574,6 @@ def pivot_counts(ds, row_col: str, col_col: str, max_cols: int = 1000,
         [row_col], out_names)
 
     def rename(t: pa.Table) -> pa.Table:
-        if out_names[0] not in t.column_names:
-            return pa.table(
-                {row_col: pa.array([]),
-                 **{nm: pa.array([], pa.int64()) for nm in out_names}}
-            )
         cols = {row_col: t.column(row_col)}
         for nm in out_names:
             cols[nm] = pc.cast(t.column(nm), pa.int64())
@@ -614,13 +591,13 @@ def funnel_counts(ds, key_col: str, ts_col: str, step_col: str, steps):
     K steps: the per-key first-completion table of step i−1 (slim
     ``(key, t)`` rows, materialized) hash-joins (:func:`~hooqu_ray.
     functions.joins.hash_join`) onto the step-i events, a vectorized
-    filter keeps ``ts > t``, and ``groupby(key).min`` yields the next
-    table.  Only per-key and per-step-event rows ever shuffle; nothing
-    collects on the driver.  Returns a small Arrow table
-    ``(step_idx, step, n_keys)``."""
-    from ray.data.aggregate import Min
-
+    filter keeps ``ts > t``, and a ``tree_group_sum`` min yields the next
+    table.  Only per-key and per-step-event rows ever move; nothing
+    collects on the driver.  A null key counts as one key at step 1 (SQL
+    GROUP BY) and never matches a later step's join.  Returns a small
+    Arrow table ``(step_idx, step, n_keys)``."""
     from ..functions.joins import hash_join
+    from ..functions.shuffle import tree_group_sum
 
     if not steps:
         raise ValueError("funnel_counts: steps must be non-empty")
@@ -639,20 +616,13 @@ def funnel_counts(ds, key_col: str, ts_col: str, step_col: str, steps):
             )
         return f
 
-    def rename_min(t: pa.Table) -> pa.Table:
-        if f"min({ts_col})" not in t.column_names:
-            return pa.table({key_col: pa.array([]), "__t": pa.array([])})
-        return pa.table(
-            {key_col: t.column(key_col), "__t": t.column(f"min({ts_col})")}
-        )
+    def first_touch(events):
+        return tree_group_sum(events, [key_col], [ts_col], funcs=["min"],
+                              drop_null_keys=False).map_batches(
+            lambda t: t.rename_columns([key_col, "__t"]),
+            batch_format="pyarrow").materialize()
 
-    prev = (
-        ds.map_batches(only(steps[0]), batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(Min(ts_col))
-        .map_batches(rename_min, batch_format="pyarrow")
-        .materialize()
-    )
+    prev = first_touch(ds.map_batches(only(steps[0]), batch_format="pyarrow"))
     counts = [prev.count()]
     for step in steps[1:]:
         if counts[-1] == 0:
@@ -662,17 +632,9 @@ def funnel_counts(ds, key_col: str, ts_col: str, step_col: str, steps):
         joined = hash_join(evs, prev, on=key_col, how="inner")
 
         def after(t: pa.Table) -> pa.Table:
-            if ts_col not in t.column_names:
-                return t
             return t.filter(pc.greater(t.column(ts_col), t.column("__t")))
 
-        prev = (
-            joined.map_batches(after, batch_format="pyarrow")
-            .groupby(key_col)
-            .aggregate(Min(ts_col))
-            .map_batches(rename_min, batch_format="pyarrow")
-            .materialize()
-        )
+        prev = first_touch(joined.map_batches(after, batch_format="pyarrow"))
         counts.append(prev.count())
     return pa.table(
         {
@@ -732,8 +694,6 @@ def grouped_count_distinct(ds, group_col: str, value_col: str):
         [group_col, value_col], ["__one"], ["sum"], drop_null_keys=True)
 
     def pair_to_one(t: pa.Table) -> pa.Table:
-        if group_col not in t.column_names:
-            return pa.table({})
         return pa.table({group_col: t.column(group_col)}).append_column(
             "__one", pa.array(np.ones(len(t), np.int64)))
 
@@ -742,10 +702,6 @@ def grouped_count_distinct(ds, group_col: str, value_col: str):
         [group_col], ["__one"], ["sum"], drop_null_keys=True)
 
     def rename(t: pa.Table) -> pa.Table:
-        if "__one" not in t.column_names:
-            return pa.table(
-                {group_col: pa.array([]), "n_distinct": pa.array([], pa.int64())}
-            )
         return pa.table(
             {
                 group_col: t.column(group_col),
@@ -777,11 +733,6 @@ def global_row_number(ds, order_col: str, tie_col: str,
                         descending=[descending, descending]).materialize()
 
     def summary(t: pa.Table) -> pa.Table:
-        if order_col not in t.column_names or len(t) == 0:
-            return pa.table(
-                {"__fo": pa.array([]), "__ft": pa.array([]),
-                 "__n": pa.array([], pa.int64())}
-            )
         return pa.table(
             {
                 "__fo": t.column(order_col).slice(0, 1),
@@ -826,8 +777,6 @@ def global_row_number(ds, order_col: str, tie_col: str,
         )
 
     def assign(t: pa.Table) -> pa.Table:
-        if order_col not in t.column_names or len(t) == 0:
-            return t
         key = (
             _norm(t.column(order_col)[0].as_py()),
             _norm(t.column(tie_col)[0].as_py()),
@@ -881,7 +830,7 @@ def grouped_zscore(ds, group_col: str, value_col: str, out_col: str = "zscore"):
 
     Two passes, no row shuffle: a combiner reduces each block to per-group
     ``(n, Σv, Σv²)`` partials (Arrow ``group_by``, zero Python per row), one
-    slim ``groupby(group).sum`` folds them, and the #groups-row stats table
+    slim ``tree_group_sum`` folds them, and the #groups-row stats table
     broadcasts back through :func:`hooqu_ray.functions.joins.enrich_join`
     (``ray.put`` once, vectorized ``index_in`` lookup per batch — the fact
     rows never move).  The stats table must fit on the driver: it is one
@@ -891,14 +840,14 @@ def grouped_zscore(ds, group_col: str, value_col: str, out_col: str = "zscore"):
 
     Null semantics match SQL: null values get a null z and don't contribute
     to the moments; a zero std (constant group) or a group with no valid
-    values yields null."""
-    from ray.data.aggregate import Sum
-
+    values yields null.  A null group never matches the stats table, so
+    its rows get a null z."""
     from ..functions.joins import enrich_join
+    from ..functions.shuffle import tree_group_sum
 
     def partials(t: pa.Table) -> pa.Table:
         v = pc.cast(t.column(value_col), pa.float64())
-        sub = pa.table(
+        return pa.table(
             {
                 group_col: t.column(group_col),
                 "__v": v,
@@ -906,31 +855,18 @@ def grouped_zscore(ds, group_col: str, value_col: str, out_col: str = "zscore"):
                 "__n": pc.cast(pc.is_valid(v), pa.int64()),
             }
         )
-        return sub.group_by([group_col], use_threads=False).aggregate(
-            [("__v", "sum"), ("__v2", "sum"), ("__n", "sum")]
-        )
 
-    stats = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(Sum("__v_sum"), Sum("__v2_sum"), Sum("__n_sum"))
-    )
+    stats = tree_group_sum(ds.map_batches(partials, batch_format="pyarrow"),
+                           [group_col], ["__v", "__v2", "__n"],
+                           drop_null_keys=True)
 
     def finish_stats(t: pa.Table) -> pa.Table:
-        if "sum(__n_sum)" not in t.column_names:  # schema-less empty block
-            return pa.table(
-                {
-                    group_col: pa.array([]),
-                    "__mean": pa.array([], pa.float64()),
-                    "__std": pa.array([], pa.float64()),
-                }
-            )
-        n = pc.cast(t.column("sum(__n_sum)"), pa.float64())
+        n = pc.cast(t.column("__n"), pa.float64())
         # groups with no valid values: null mean/std → null z downstream
         n_safe = pc.if_else(pc.greater(n, 0.0), n, pa.scalar(None, pa.float64()))
-        mean = pc.divide(t.column("sum(__v_sum)"), n_safe)
+        mean = pc.divide(t.column("__v"), n_safe)
         var = pc.subtract(
-            pc.divide(t.column("sum(__v2_sum)"), n_safe), pc.multiply(mean, mean)
+            pc.divide(t.column("__v2"), n_safe), pc.multiply(mean, mean)
         )
         std = pc.sqrt(pc.max_element_wise(var, pa.scalar(0.0, pa.float64())))
         return pa.table({group_col: t.column(group_col), "__mean": mean, "__std": std})
@@ -1009,11 +945,6 @@ def grouped_approx_count_distinct(ds, group_col: str, value_col: str,
         [group_col, "__reg"], ["__rank_max"], funcs=["max"])
 
     def pow2neg(t: pa.Table) -> pa.Table:
-        if "__rank_max" not in t.column_names:
-            return pa.table(
-                {group_col: pa.array([]), "__w": pa.array([], pa.float64()),
-                 "__pres": pa.array([], pa.int64())}
-            )
         rank = pc.cast(t.column("__rank_max"), pa.float64())
         w = pc.power(pa.scalar(2.0, pa.float64()), pc.negate(rank))
         return pa.table({group_col: t.column(group_col), "__w": w,
@@ -1087,23 +1018,6 @@ def pack_sequences(ds, id_col: str, tokens_col: str, max_len: int):
         return sorted_ds
 
     def assign(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            ids = (
-                t.column(id_col).slice(0, 0)
-                if id_col in t.column_names
-                else pa.array([])
-            )
-            e = pa.array([], pa.int64())
-            return pa.table(
-                {
-                    id_col: ids,
-                    tokens_col: e,
-                    "token_start": e,
-                    "seq_start": e,
-                    "seq_end": e,
-                    "n_seqs": e,
-                }
-            )
         base = offsets[t.column(id_col)[0].as_py()]
         n = t.column(tokens_col).to_numpy(zero_copy_only=False).astype(np.int64)
         start = base + np.concatenate([[0], np.cumsum(n)[:-1]]).astype(np.int64)
@@ -1157,14 +1071,6 @@ def mix_sources(ds, source_col: str, id_col: str, tokens_col: str,
     run = running_agg(ranked, source_col, "__rank", id_col, tokens_col)
 
     def keep(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([]),
-                    source_col: pa.array([], pa.string()),
-                    "cum_tokens": pa.array([], pa.int64()),
-                }
-            )
         src = t.column(source_col)
         if isinstance(src, pa.ChunkedArray):
             src = src.combine_chunks()
@@ -1192,43 +1098,26 @@ def grouped_minmax(ds, group_col: str, value_col: str,
     """Per-group min-max scaling to [0, 1]: ``(v − min_g) / (max_g −
     min_g)`` — the bounded companion of :func:`grouped_zscore`, same shape:
     a per-block Arrow ``group_by`` min/max combiner, one slim
-    ``groupby(group)`` fold, and a broadcast ``enrich_join`` stamp (fact
-    rows never shuffle; #groups-row stats table, shard by group-hash range
-    at extreme cardinality).  Null values get a null output and don't
+    ``tree_group_sum`` min/max fold, and a broadcast ``enrich_join`` stamp
+    (fact rows never shuffle; #groups-row stats table, shard by group-hash
+    range at extreme cardinality).  Null values get a null output and don't
     contribute to the extrema; a constant group (range 0) or an all-null
-    group yields null — SQL ``NULLIF(max − min, 0)`` semantics."""
-    from ray.data.aggregate import Max, Min
-
+    group yields null — SQL ``NULLIF(max − min, 0)`` semantics.  A null
+    group never matches the stats table, so its rows get a null output."""
     from ..functions.joins import enrich_join
+    from ..functions.shuffle import tree_group_sum
 
     def partials(t: pa.Table) -> pa.Table:
-        sub = pa.table(
-            {
-                group_col: t.column(group_col),
-                "__v": pc.cast(t.column(value_col), pa.float64()),
-            }
-        )
-        return sub.group_by([group_col], use_threads=False).aggregate(
-            [("__v", "min"), ("__v", "max")]
-        )
+        v = pc.cast(t.column(value_col), pa.float64())
+        return pa.table({group_col: t.column(group_col), "__lo": v, "__hi": v})
 
-    stats = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(Min("__v_min"), Max("__v_max"))
-    )
+    stats = tree_group_sum(ds.map_batches(partials, batch_format="pyarrow"),
+                           [group_col], ["__lo", "__hi"], funcs=["min", "max"],
+                           drop_null_keys=True)
 
     def finish_stats(t: pa.Table) -> pa.Table:
-        if "min(__v_min)" not in t.column_names:  # schema-less empty block
-            return pa.table(
-                {
-                    group_col: pa.array([]),
-                    "__lo": pa.array([], pa.float64()),
-                    "__rng": pa.array([], pa.float64()),
-                }
-            )
-        lo = pc.cast(t.column("min(__v_min)"), pa.float64())
-        rng = pc.subtract(pc.cast(t.column("max(__v_max)"), pa.float64()), lo)
+        lo = t.column("__lo")
+        rng = pc.subtract(t.column("__hi"), lo)
         rng = pc.if_else(
             pc.greater(rng, 0.0), rng, pa.scalar(None, pa.float64())
         )
@@ -1253,95 +1142,62 @@ def rollup_agg(ds, group_cols, value_col: str, sentinel: str = "ALL"):
     total), with rolled-up columns set to ``sentinel`` and a ``level``
     column (number of grouping columns kept, ROLLUP's ``k - GROUPING(..)``).
 
-    Scale shape: the raw data is reduced ONCE — a per-block Arrow
-    ``Table.group_by`` combiner then one ``groupby(g1..gk)`` shuffle build
-    the finest-grain aggregate; every coarser level re-aggregates THAT
-    (sums and counts compose), so level 2..0 cost shuffles of the finest
-    aggregate's cardinality, never a second pass over the input.  Group
-    columns are emitted as strings (the sentinel must share a type with
-    real values); null group keys are dropped by the Ray groupby
-    (documented divergence shared with the other grouped ops — SQL ROLLUP
-    would keep them as their own group).
+    Scale shape: the raw data is reduced ONCE — one ``tree_group_sum``
+    (per-block Arrow combine, then coalesce rounds) builds the finest-grain
+    aggregate; every coarser level re-folds THAT (sums and counts
+    compose), so levels k-1..1 cost folds of the finest aggregate's
+    cardinality, never a second pass over the input.  Group columns are
+    emitted as strings (the sentinel must share a type with real values);
+    a null group key is its own group (SQL ROLLUP), distinguishable from
+    the sentinel.
 
     Returns a Dataset with columns ``g1..gk`` (string), ``level`` (int64),
     ``sum_value`` (float64) and ``n`` (int64)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from ..functions.shuffle import tree_group_sum
 
     group_cols = list(group_cols)
     if not group_cols:
         raise ValueError("rollup_agg: need at least one group column")
 
-    def block_partial(t: pa.Table) -> pa.Table:
-        cols = {
-            c: pc.cast(t.column(c), pa.string()) for c in group_cols
-        }
-        cols["__v"] = pc.cast(t.column(value_col), pa.float64())
-        flat = pa.table(cols)
-        agg = flat.group_by(group_cols).aggregate(
-            [("__v", "sum"), ("__v", "count")]
-        )
-        return agg.rename_columns(group_cols + ["__sum", "__n"])
+    def project(t: pa.Table) -> pa.Table:
+        cols = {c: pc.cast(t.column(c), pa.string()) for c in group_cols}
+        v = pc.cast(t.column(value_col), pa.float64())
+        cols["__sum"] = v
+        cols["__n"] = pc.cast(pc.is_valid(v), pa.int64())
+        return pa.table(cols)
 
-    finest = (
-        ds.map_batches(block_partial, batch_format="pyarrow")
-        .groupby(group_cols)
-        .aggregate(Sum("__sum"), Sum("__n"))
-    )
+    finest = tree_group_sum(ds.map_batches(project, batch_format="pyarrow"),
+                            group_cols, ["__sum", "__n"], drop_null_keys=False)
 
     def _finish(keep_cols):
-        """Rename the Ray aggregate's sum(..) columns and stamp the level
-        + sentinel fills; tolerant of schema-less empty blocks."""
+        """Stamp the level + sentinel fills on one level's fold."""
 
         def f(t: pa.Table) -> pa.Table:
-            if "sum(__sum)" not in t.column_names:
-                return pa.table(
-                    {
-                        **{c: pa.array([], pa.string()) for c in group_cols},
-                        "level": pa.array([], pa.int64()),
-                        "sum_value": pa.array([], pa.float64()),
-                        "n": pa.array([], pa.int64()),
-                    }
-                )
             n = len(t)
             cols = {}
             for c in group_cols:
                 if c in keep_cols:
-                    cols[c] = pc.cast(t.column(c), pa.string())
+                    cols[c] = t.column(c)
                 else:
                     cols[c] = pa.array([sentinel] * n, pa.string())
             cols["level"] = pa.array([len(keep_cols)] * n, pa.int64())
-            cols["sum_value"] = pc.cast(t.column("sum(__sum)"), pa.float64())
-            cols["n"] = pc.cast(t.column("sum(__n)"), pa.int64())
+            cols["sum_value"] = t.column("__sum")
+            cols["n"] = t.column("__n")
             return pa.table(cols)
 
         return f
 
     out = finest.map_batches(_finish(group_cols), batch_format="pyarrow")
-    # coarser levels re-aggregate the (small) finest aggregate
-    base = finest.map_batches(
-        lambda t: (
-            t.rename_columns(group_cols + ["__sum", "__n"])
-            if "sum(__sum)" in t.column_names
-            else pa.table(
-                {
-                    **{c: pa.array([], pa.string()) for c in group_cols},
-                    "__sum": pa.array([], pa.float64()),
-                    "__n": pa.array([], pa.int64()),
-                }
-            )
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+    # coarser levels re-fold the (small) finest aggregate
     for i in range(len(group_cols) - 1, 0, -1):
-        lvl = (
-            base.groupby(group_cols[:i])
-            .aggregate(Sum("__sum"), Sum("__n"))
-            .map_batches(_finish(group_cols[:i]), batch_format="pyarrow")
-        )
-        out = out.union(lvl)
+        lvl = tree_group_sum(finest, group_cols[:i], ["__sum", "__n"],
+                             drop_null_keys=False)
+        out = out.union(
+            lvl.map_batches(_finish(group_cols[:i]), batch_format="pyarrow"))
     # grand total: driver fold of the (tiny) finest aggregate
-    tot = base.sum(["__sum", "__n"]) or {"sum(__sum)": 0.0, "sum(__n)": 0}
+    tot = finest.sum(["__sum", "__n"]) or {"sum(__sum)": 0.0, "sum(__n)": 0}
     grand = pa.table(
         {
             **{c: pa.array([sentinel], pa.string()) for c in group_cols},
@@ -1366,20 +1222,19 @@ def cohort_retention(ds, key_col: str, ts_col: str, unit: str = "month",
 
     Combiner-first and slim end-to-end: each block reduces to its distinct
     ``(key, month)`` pairs (dictionary-code lexsort, no Python per row),
-    one ``groupby(key, month)`` dedupes globally, ``groupby(key).min``
+    ``tree_distinct`` dedupes them globally, a ``tree_group_sum`` min
     derives each key's cohort month, the cohort is stamped back onto the
-    pair rows, and a final ``groupby(cohort, month).count`` emits the
-    matrix.  Only distinct pairs ever shuffle; the month is carried as an
-    int64 epoch value and formatted once at the end.
+    pair rows, and a final ``tree_group_sum`` count emits the matrix.
+    Only distinct pairs ever shuffle; the month is carried as an int64
+    epoch value and formatted once at the end.
 
     The cohort stamp is size-gated: the cohort table is one row per KEY
     (unbounded on a web corpus), so at ≤ ``broadcast_max_keys`` rows it
     ships once as a broadcast enrichment join, and above the gate it
     switches to the fully distributed bucketed ``hash_join`` — nothing
     key-shaped is collected to the driver on the scale path."""
-    from ray.data.aggregate import Count, Min
-
     from ..functions.joins import enrich_join
+    from ..functions.shuffle import tree_distinct, tree_group_sum
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
         k = t.column(key_col)
@@ -1408,25 +1263,14 @@ def cohort_retention(ds, key_col: str, ts_col: str, unit: str = "month",
         sel = pa.array(order[first], pa.int64())
         return pa.table({key_col: k.take(sel), "__per": per.take(sel)})
 
-    pairs = (
-        ds.map_batches(distinct_pairs, batch_format="pyarrow")
-        .groupby([key_col, "__per"])
-        .aggregate(Count())
-        .drop_columns(["count()"])
-        .materialize()  # consumed twice (cohort derivation + join probe)
-    )
-    cohorts = pairs.groupby(key_col).aggregate(Min("__per"))
-
-    def rename_cohort(t: pa.Table) -> pa.Table:
-        if "min(__per)" not in t.column_names:
-            return pa.table(
-                {key_col: pa.array([]), "__coh": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {key_col: t.column(key_col), "__coh": t.column("min(__per)")}
-        )
-
-    cohort_ds = cohorts.map_batches(rename_cohort, batch_format="pyarrow")
+    # materialized: consumed twice (cohort derivation + join probe)
+    pairs = tree_distinct(
+        ds.map_batches(distinct_pairs, batch_format="pyarrow"),
+        [key_col, "__per"]).materialize()
+    cohort_ds = tree_group_sum(
+        pairs, [key_col], ["__per"], funcs=["min"], drop_null_keys=True,
+    ).map_batches(lambda t: t.rename_columns([key_col, "__coh"]),
+                  batch_format="pyarrow").materialize()
     if cohort_ds.count() <= broadcast_max_keys:
         stamped = enrich_join(
             pairs, cohort_ds, on=key_col, dim_key=key_col,
@@ -1436,25 +1280,22 @@ def cohort_retention(ds, key_col: str, ts_col: str, unit: str = "month",
         from ..functions.joins import hash_join
 
         stamped = hash_join(pairs, cohort_ds, on=key_col, how="inner")
-    matrix = stamped.groupby(["__coh", "__per"]).aggregate(Count())
+    matrix = tree_group_sum(
+        stamped.map_batches(
+            lambda t: t.select(["__coh", "__per"]).append_column(
+                "__n", pa.array(np.ones(len(t), np.int64))),
+            batch_format="pyarrow"),
+        ["__coh", "__per"], ["__n"], drop_null_keys=True)
 
     def _fmt(col):
         return pc.strftime(pc.cast(col, pa.timestamp("us")), format=fmt)
 
     def finish(t: pa.Table) -> pa.Table:
-        if "count()" not in t.column_names:
-            return pa.table(
-                {
-                    "cohort": pa.array([], pa.string()),
-                    "period": pa.array([], pa.string()),
-                    "n_users": pa.array([], pa.int64()),
-                }
-            )
         return pa.table(
             {
                 "cohort": _fmt(t.column("__coh")),
                 "period": _fmt(t.column("__per")),
-                "n_users": pc.cast(t.column("count()"), pa.int64()),
+                "n_users": t.column("__n"),
             }
         )
 
@@ -1502,16 +1343,10 @@ def grouped_mode(ds, group_col: str, value_col: str, *,
             [([], "count_all")]
         ).rename_columns([group_col, value_col, "__n"])
 
-    # typed guard + anchor: an empty/all-null input would otherwise reach
-    # grouped_top_k as ONE schema-less pa.table({}) block, whose
-    # select(group_col) raises (CLAUDE.md empty-aggregate-block gotcha)
-    def guard(t: pa.Table) -> pa.Table:
-        return t if group_col in t.column_names else anchor
-
+    # typed anchor: an empty/all-null input keeps its schema
     counts = tree_group_sum(
         ds.map_batches(pair_partials, batch_format="pyarrow"),
-        [group_col, value_col], ["__n"]).map_batches(
-        guard, batch_format="pyarrow").union(rd.from_arrow(anchor))
+        [group_col, value_col], ["__n"]).union(rd.from_arrow(anchor))
 
     top = grouped_top_k(counts, group_col, "__n", 1, value_col)
 
@@ -1523,9 +1358,7 @@ def grouped_mode(ds, group_col: str, value_col: str, *,
 
     if isinstance(top, pa.Table):
         return rename(top)
-    return top.map_batches(
-        lambda t: (rename(t) if "__n" in t.column_names else t),
-        batch_format="pyarrow")
+    return top.map_batches(rename, batch_format="pyarrow")
 
 
 def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
@@ -1555,9 +1388,6 @@ def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
     cols = ["__n", "__sx", "__sy", "__sxx", "__syy", "__sxy"]
 
     def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not {group_col, x_col, y_col}.issubset(
-                t.column_names):
-            return pa.table({})
         x = pc.cast(t.column(x_col), pa.float64()).to_numpy(
             zero_copy_only=False)
         y = pc.cast(t.column(y_col), pa.float64()).to_numpy(
@@ -1592,8 +1422,6 @@ def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
         return rd.from_arrow(typed_empty)
 
     def finalize(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or group_col not in t.column_names:
-            return typed_empty
         n = t.column("__n").to_numpy(zero_copy_only=False).astype(np.float64)
         sx = t.column("__sx").to_numpy(zero_copy_only=False)
         sy = t.column("__sy").to_numpy(zero_copy_only=False)
@@ -1648,13 +1476,11 @@ def weighted_sample(ds, key_col: str, weight_col: str, n: int):
             in_schema.empty_table() if in_schema is not None else pa.table(
                 {key_col: pa.array([], pa.string()),
                  weight_col: pa.array([], pa.float64())}))
-    # typed empty anchor: schema-less pa.table({}) blocks would enter the
-    # candidate sort with a mixed schema (CLAUDE.md gotcha)
+    # a block whose rows all filter out keeps the input dtypes, so the
+    # candidate sort never sees a mixed schema
     empty_cand = in_schema.append(pa.field("__q", pa.float64())).empty_table()
 
     def candidates(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not {key_col, weight_col}.issubset(t.column_names):
-            return empty_cand
         w = pc.cast(t.column(weight_col), pa.float64()).to_numpy(
             zero_copy_only=False)
         keys = t.column(key_col)
@@ -1674,9 +1500,8 @@ def weighted_sample(ds, key_col: str, weight_col: str, n: int):
 
     cand = ds.map_batches(candidates, batch_format="pyarrow")
     out = cand.sort(["__q", key_col], descending=[True, False]).limit(n)
-    return out.map_batches(
-        lambda t: t.drop_columns(["__q"]) if "__q" in t.column_names else t,
-        batch_format="pyarrow")
+    return out.map_batches(lambda t: t.drop_columns(["__q"]),
+                           batch_format="pyarrow")
 
 
 def value_histogram(ds, col: str, k: int = 50):
@@ -1705,9 +1530,6 @@ def value_histogram(ds, col: str, k: int = 50):
                       "ratio": pa.array([], pa.float64())})
 
     def prep(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or col not in t.column_names:
-            return pa.table({"value": pa.array([], pa.string()),
-                             "count": pa.array([], pa.int64())})
         s = pc.fill_null(pc.cast(t.column(col), pa.string()), "NullValue")
         return pa.table({"value": s,
                          "count": pa.array(np.ones(len(t), np.int64))})
@@ -1720,8 +1542,6 @@ def value_histogram(ds, col: str, k: int = 50):
     top = folded.sort(["count", "value"], descending=[True, False]).limit(k)
 
     def stamp_ratio(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "count" not in t.column_names:
-            return empty
         c = t.column("count").to_numpy(zero_copy_only=False)
         return t.append_column(
             "ratio", pa.array(c / float(total), pa.float64()))
@@ -1770,9 +1590,6 @@ def grouped_weighted_sample(ds, group_col: str, key_col: str,
             "__q": pa.array([], pa.float64())})
 
     def stamp(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not {group_col, key_col, weight_col}.issubset(
-                t.column_names):
-            return empty
         w = pc.cast(t.column(weight_col), pa.float64()).to_numpy(
             zero_copy_only=False)
         ok = ~np.isnan(w) & (w > 0)
@@ -1795,10 +1612,8 @@ def grouped_weighted_sample(ds, group_col: str, key_col: str,
             # result — re-anchor the input dtypes (CLAUDE.md gotcha)
             return empty.drop_columns(["__q"])
         return out.drop_columns(["__q"])
-    return out.map_batches(
-        lambda t: t.drop_columns(["__q"]) if "__q" in t.column_names else t,
-        batch_format="pyarrow",
-    )
+    return out.map_batches(lambda t: t.drop_columns(["__q"]),
+                           batch_format="pyarrow")
 
 
 def grouped_robust_stats(ds, group_col: str, value_col: str,
@@ -1833,12 +1648,7 @@ def grouped_robust_stats(ds, group_col: str, value_col: str,
              and group_col in in_schema.names else pa.string())
     vtype = (in_schema.field(value_col).type if in_schema is not None
              and value_col in in_schema.names else pa.float64())
-    slim_empty = pa.schema([(group_col, gtype),
-                            (value_col, vtype)]).empty_table()
-
     def slim(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not {group_col, value_col}.issubset(t.column_names):
-            return slim_empty
         t = t.select([group_col, value_col])
         mask = pc.and_(pc.is_valid(t.column(group_col)),
                        pc.is_valid(t.column(value_col)))
@@ -1863,13 +1673,7 @@ def grouped_robust_stats(ds, group_col: str, value_col: str,
     with_med = enrich_join(facts, med, group_col, group_col, ["median"],
                            how="inner")
 
-    dev_empty = pa.schema([(group_col, gtype), (value_col, vtype),
-                           ("median", vtype),
-                           ("__dev", pa.float64())]).empty_table()
-
     def stamp_dev(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "median" not in t.column_names:
-            return dev_empty
         v = pc.cast(t.column(value_col), pa.float64()).to_numpy(
             zero_copy_only=False)
         m = t.column("median").to_numpy(zero_copy_only=False)
@@ -1882,12 +1686,7 @@ def grouped_robust_stats(ds, group_col: str, value_col: str,
     if mad is None or len(mad) == 0:  # unreachable when med is non-empty
         return rd.from_arrow(final_empty)
 
-    count_empty = pa.schema([(group_col, gtype),
-                             ("n_outliers", pa.int64())]).empty_table()
-
     def count_partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "mad" not in t.column_names:
-            return count_empty
         v = pc.cast(t.column(value_col), pa.float64()).to_numpy(
             zero_copy_only=False)
         m = t.column("median").to_numpy(zero_copy_only=False)
@@ -1910,8 +1709,6 @@ def grouped_robust_stats(ds, group_col: str, value_col: str,
                       mad, group_col, group_col, ["mad"], how="inner")
 
     def order_cols(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "n_outliers" not in t.column_names:
-            return final_empty
         return t.select([group_col, "median", "mad", "n_outliers"])
 
     return out.map_batches(order_cols, batch_format="pyarrow")

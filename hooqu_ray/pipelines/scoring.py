@@ -15,7 +15,7 @@ Scale shape: the target sample is small by definition (a curated domain
 set); its top-V vocab comes from the existing combiner-first
 ``textstats.top_ngrams`` machinery (n=1).  Raw-corpus counts for JUST the
 vocab tokens use a broadcast membership filter inside the per-block
-combiner, so the one ``groupby(token)`` shuffle carries ≤ V rows per
+combiner, so the one ``tree_group_sum`` fold carries ≤ V partial rows per
 block no matter the corpus size.  Scoring is one embarrassingly parallel
 ``map_batches`` pass against the broadcast (token → lr) table (V entries,
 constant memory per worker)."""
@@ -45,14 +45,13 @@ def _token_count(ds, text_col: str) -> int:
 def _vocab_counts_in(ds, text_col: str, vocab_ref):
     """((token, count) table, total token occurrences) over ``ds``, with
     counts restricted to the broadcast vocab — ONE streaming pass: the
-    per-block combiner filters to vocab membership BEFORE the groupby (the
-    shuffle never carries more than V+1 rows per block) and smuggles the
-    block's TOTAL token count through the same shuffle as a sentinel
+    per-block combiner filters to vocab membership BEFORE the fold (it
+    never carries more than V+1 rows per block) and smuggles the
+    block's TOTAL token count through the same fold as a sentinel
     empty-string row (tokenization drops empty tokens, so '' can never be
     a real token).  Saves the separate full-corpus counting pass — at web
     scale that is half the operator's corpus I/O."""
-    from ray.data.aggregate import Sum
-
+    from ..functions.shuffle import tree_group_sum
     from ..util import collect_arrow
 
     def block_counts(t: pa.Table) -> pa.Table:
@@ -89,18 +88,12 @@ def _vocab_counts_in(ds, text_col: str, vocab_ref):
             [g.set_column(1, "n", pc.cast(g.column("n"), pa.int64())), total_row]
         )
 
-    totals = ds.map_batches(block_counts, batch_format="pyarrow").groupby(
-        "token"
-    ).aggregate(Sum("n"))
-    tbl = collect_arrow(totals)
-    empty = pa.table(
-        {"token": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-    )
-    if tbl is None or "sum(n)" not in tbl.column_names:
-        return empty, 0
-    tbl = pa.table(
-        {"token": tbl.column("token"), "n": pc.cast(tbl.column("sum(n)"), pa.int64())}
-    )
+    tbl = collect_arrow(tree_group_sum(
+        ds.map_batches(block_counts, batch_format="pyarrow"), ["token"], ["n"],
+        drop_null_keys=True))
+    if tbl is None:
+        return pa.table({"token": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64())}), 0
     is_total = pc.equal(tbl.column("token"), "")
     total_rows = tbl.filter(is_total)
     n_total = int(total_rows.column("n")[0].as_py()) if len(total_rows) else 0

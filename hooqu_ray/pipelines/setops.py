@@ -14,8 +14,9 @@ Shape (one all-to-all, inherent to DISTINCT semantics):
    Arrow ``group_by`` (vectorized, zero Python per row) and tagged with
    membership flags ``__in_a`` / ``__in_b`` — duplicate-heavy inputs
    shrink before anything shuffles.
-2. One ``groupby(cols).aggregate(Max(__in_a), Max(__in_b))`` brings equal
-   rows together and ORs the flags.
+2. One bucketed exchange (``shuffle.bucketed_group_fold``, max/max —
+   full-row keys are corpus-cardinality) brings equal rows together and
+   ORs the flags.
 3. A vectorized filter keeps the groups the operator wants (union: all;
    intersect: both flags; except: a-only).
 
@@ -23,8 +24,8 @@ Scale notes: the shuffle carries the distinct projected rows ONCE — project
 to the columns that define identity before calling (set ops over wide text
 rows shuffle the text; that is what DISTINCT means).  SQL null semantics:
 null row-values group together (DuckDB ``UNION``/``INTERSECT``/``EXCEPT``
-treat NULLs as equal in DISTINCT comparisons), which Ray's groupby also
-does for key columns.
+treat NULLs as equal in DISTINCT comparisons), which the fold keeps
+(``drop_null_keys=False``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _common_cols(a, b, cols: Optional[Sequence[str]]):
     missing = [c for c in cols if c not in sa.names or c not in sb.names]
     if missing:
         raise KeyError(f"set op: columns {missing} not present on both sides")
-    return list(cols), [sa.field(c).type for c in cols]
+    return list(cols)
 
 
 def _tag_side(cols: list, in_a: bool):
@@ -70,20 +71,18 @@ def _tag_side(cols: list, in_a: bool):
 
 
 def _setop(a, b, cols: Optional[Sequence[str]], keep: str):
-    from ray.data.aggregate import Max
+    from ..functions.shuffle import bucketed_group_fold
 
-    cols, types = _common_cols(a, b, cols)
+    cols = _common_cols(a, b, cols)
     tagged = a.map_batches(
         _tag_side(cols, True), batch_format="pyarrow"
     ).union(b.map_batches(_tag_side(cols, False), batch_format="pyarrow"))
-    agg = tagged.groupby(cols).aggregate(Max("__in_a"), Max("__in_b"))
+    agg = bucketed_group_fold(tagged, cols, ["__in_a", "__in_b"],
+                              ["max", "max"], drop_null_keys=False)
 
     def out(t: pa.Table) -> pa.Table:
-        # Ray aggregates can emit schema-less empty blocks (CLAUDE.md)
-        if "max(__in_a)" not in t.column_names:
-            return pa.table({c: pa.array([], ty) for c, ty in zip(cols, types)})
-        in_a = pc.equal(t.column("max(__in_a)"), 1)
-        in_b = pc.equal(t.column("max(__in_b)"), 1)
+        in_a = pc.equal(t.column("__in_a"), 1)
+        in_b = pc.equal(t.column("__in_b"), 1)
         if keep == "union":
             mask = pc.or_(in_a, in_b)
         elif keep == "intersect":

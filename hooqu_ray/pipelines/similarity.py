@@ -35,14 +35,6 @@ class _BlockTopK:
         self._q: Optional[np.ndarray] = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:  # e.g. IVF centroid filter emptied this block
-            return pa.table(
-                {
-                    "query_idx": pa.array([], pa.int64()),
-                    self.id_col: batch.column(self.id_col),
-                    "cosine": pa.array([], pa.float64()),
-                }
-            )
         if self._q is None:
             import ray
 
@@ -142,8 +134,6 @@ class _AssignCentroid:
         self._c = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch.append_column("centroid", pa.array([], pa.int32()))
         if self._c is None:
             import ray
 
@@ -309,16 +299,6 @@ def kmeans(ds, n_clusters: int, n_iters: int = 5,
             lambda t: t.select([id_col, emb_col]), batch_format="pyarrow"
         )
     ds = ds.materialize()
-    schema = dataset_arrow_schema(ds)
-    id_type = (
-        schema.field(id_col).type
-        if schema is not None and id_col in schema.names else pa.int64()
-    )
-    emb_type = (
-        schema.field(emb_col).type
-        if schema is not None and emb_col in schema.names
-        else pa.list_(pa.float64())
-    )
 
     # Pool size: each block emits its local smallest-hash top-P rows, so
     # the GLOBAL top-P over the collected union is exactly the corpus-wide
@@ -326,12 +306,6 @@ def kmeans(ds, n_clusters: int, n_iters: int = 5,
     pool = max(4 * n_clusters, 64)
 
     def block_seed(t: pa.Table) -> pa.Table:
-        if id_col not in t.column_names or len(t) == 0:
-            return pa.table(
-                {id_col: pa.array([], id_type),
-                 "__h": pa.array([], pa.uint64()),
-                 emb_col: pa.array([], pa.list_(pa.float64())).cast(emb_type)}
-            )
         h = stable_hash64(t.column(id_col))
         order = np.argsort(h, kind="stable")[:pool]
         idx = pa.array(order.astype(np.int64))
@@ -384,17 +358,14 @@ def kmeans(ds, n_clusters: int, n_iters: int = 5,
                     obj = cent_ref
                     self._c = obj if isinstance(obj, np.ndarray) else ray.get(obj)
                 sums = np.zeros((k, dim), dtype=np.float64)
-                counts = np.zeros(k, dtype=np.int64)
-                obj_sum = 0.0
-                if emb_col in t.column_names and len(t):
-                    emb = _normalize(
-                        embedding_matrix(t.column(emb_col), np.float64)
-                    )
-                    sims = emb @ self._c.T
-                    assign = np.argmax(sims, axis=1)
-                    obj_sum = float(sims[np.arange(len(emb)), assign].sum())
-                    np.add.at(sums, assign, emb)
-                    counts += np.bincount(assign, minlength=k)
+                emb = _normalize(
+                    embedding_matrix(t.column(emb_col), np.float64)
+                )
+                sims = emb @ self._c.T
+                assign = np.argmax(sims, axis=1)
+                obj_sum = float(sims[np.arange(len(emb)), assign].sum())
+                np.add.at(sums, assign, emb)
+                counts = np.bincount(assign, minlength=k).astype(np.int64)
                 return pa.table(
                     {
                         "sums": pa.array([sums.tobytes()], pa.large_binary()),
@@ -406,12 +377,6 @@ def kmeans(ds, n_clusters: int, n_iters: int = 5,
         return _Partial()
 
     def tree_add(t: pa.Table) -> pa.Table:
-        if "sums" not in t.column_names or len(t) == 0:
-            return pa.table(
-                {"sums": pa.array([], pa.large_binary()),
-                 "counts": pa.array([], pa.large_binary()),
-                 "obj": pa.array([], pa.float64())}
-            )
         s = np.zeros(k * dim, dtype=np.float64)
         c = np.zeros(k, dtype=np.int64)
         o = 0.0
@@ -455,9 +420,7 @@ def kmeans(ds, n_clusters: int, n_iters: int = 5,
     assignments = ds.map_batches(
         _AssignCentroid(ref, emb_col), batch_format="pyarrow"
     ).map_batches(
-        lambda t: t.select([id_col, "centroid"]) if id_col in t.column_names
-        else t,
-        batch_format="pyarrow",
+        lambda t: t.select([id_col, "centroid"]), batch_format="pyarrow"
     )
     return cent, assignments, history
 
@@ -475,33 +438,24 @@ def grouped_vector_mean(ds, vec_col: str = "embedding",
     FixedSizeList flatten-reshape), a stable argsort by group and ONE
     ``np.add.reduceat`` produce per-(block, group) sum vectors; those
     explode to slim ``(group, pos, s, n)`` rows — #groups_in_block × dim
-    per block, never #rows × dim — and ``groupby(group, pos).sum``
-    finishes.  Rows with a null group or null vector are dropped (SQL
-    GROUP BY over an UNNEST join).  Downstream consumers that want the
+    per block, never #rows × dim — and ``tree_group_sum`` finishes.  Rows
+    with a null group or null vector are dropped (SQL GROUP BY over an
+    UNNEST join).  Downstream consumers that want the
     vector form re-assemble with a slim O(#groups × dim) collect or a
     ``sort(group, pos)`` + block rebuild."""
-    from ray.data.aggregate import Sum
-
-    from ..util import dataset_arrow_schema, embedding_matrix
-
-    in_schema = dataset_arrow_schema(ds)
-    grp_type = (in_schema.field(group_col).type
-                if in_schema is not None and group_col in in_schema.names
-                else pa.int64())
+    from ..functions.shuffle import tree_group_sum
+    from ..util import embedding_matrix
 
     def block_partials(t: pa.Table) -> pa.Table:
-        empty = pa.table({group_col: pa.array([], grp_type),
-                          "pos": pa.array([], pa.int64()),
-                          "__s": pa.array([], pa.float64()),
-                          "__n": pa.array([], pa.int64())})
         mask = pc.and_(pc.is_valid(t.column(group_col)),
                        pc.is_valid(t.column(vec_col)))
         sub = t.select([group_col, vec_col]).filter(mask)
-        if len(sub) == 0:
-            return empty
         m = embedding_matrix(sub.column(vec_col), dtype=np.float64)
         if m.size == 0:
-            return empty
+            return pa.table({group_col: sub.column(group_col).slice(0, 0),
+                             "pos": pa.array([], pa.int64()),
+                             "__s": pa.array([], pa.float64()),
+                             "__n": pa.array([], pa.int64())})
         grp = sub.column(group_col)
         if isinstance(grp, pa.ChunkedArray):
             grp = grp.combine_chunks()
@@ -522,22 +476,16 @@ def grouped_vector_mean(ds, vec_col: str = "embedding",
             "__n": pa.array(np.repeat(counts.astype(np.int64), dim)),
         })
 
-    folded = (
-        ds.map_batches(block_partials, batch_format="pyarrow")
-        .groupby([group_col, "pos"])
-        .aggregate(Sum("__s"), Sum("__n"))
-    )
+    folded = tree_group_sum(
+        ds.map_batches(block_partials, batch_format="pyarrow"),
+        [group_col, "pos"], ["__s", "__n"], drop_null_keys=True)
 
     def finish(t: pa.Table) -> pa.Table:
-        if "sum(__s)" not in t.column_names:  # schema-less empty agg block
-            return pa.table({group_col: pa.array([], grp_type),
-                             "pos": pa.array([], pa.int64()),
-                             "mean": pa.array([], pa.float64())})
-        s = pc.cast(t.column("sum(__s)"), pa.float64())
-        n = pc.cast(t.column("sum(__n)"), pa.float64())
+        n = pc.cast(t.column("__n"), pa.float64())
         return pa.table({group_col: t.column(group_col),
-                         "pos": pc.cast(t.column("pos"), pa.int64()),
-                         "mean": pc.round(pc.divide(s, n), ndigits=6)})
+                         "pos": t.column("pos"),
+                         "mean": pc.round(pc.divide(t.column("__s"), n),
+                                          ndigits=6)})
 
     return folded.map_batches(finish, batch_format="pyarrow")
 
@@ -659,8 +607,6 @@ def hashed_doc_vectors(ds, k: int = 64, *, text_col: str = "text",
                             "value": pa.array([], pa.int64())})
 
     def vectors(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not {id_col, text_col}.issubset(t.column_names):
-            return typed_empty
         t = t.filter(pc.is_valid(t.column(id_col)))
         flat, parent = _tokenize_block(t.column(text_col))
         if len(flat) == 0:

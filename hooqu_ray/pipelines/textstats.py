@@ -245,7 +245,7 @@ def top_ngrams(ds, text_col: str = "text", n: int = 2, k: int = 20):
     n-gram string ascending).
 
     Combiner-first: per-block partial counts shrink before the one
-    ``groupby(ngram)`` shuffle; after the aggregate each n-gram lives in
+    ``tree_group_sum`` fold; after the fold each n-gram lives in
     exactly one block, so a per-block local top-k plus a driver merge of
     the #blocks × k partials yields the exact global answer without sorting
     the full distinct-n-gram table.  Returns an Arrow table (ngram, n)."""
@@ -259,10 +259,6 @@ def top_ngrams(ds, text_col: str = "text", n: int = 2, k: int = 20):
     totals = tree_group_sum(partials, ["ngram"], ["n"])
 
     def local_topk(t: pa.Table) -> pa.Table:
-        if "n" not in t.column_names:  # schema-less empty agg block
-            return pa.table(
-                {"ngram": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-            )
         df = t.to_pandas()
         df = df.sort_values(["n", "ngram"], ascending=[False, True], kind="mergesort")
         return pa.Table.from_pandas(df.head(k), preserve_index=False)
@@ -432,10 +428,11 @@ def quality_by_source(ds, text_col: str = "text", group_col: str = "source"):
     chars/tokens/symbol-ratio/stopword-ratio per ``group_col`` (the rollup
     a curation run reads to decide which crawl sources to keep or
     re-weight).  One streaming feature pass (:func:`quality_stage` +
-    token counts, all Arrow kernels) feeding one ``groupby`` over
-    #sources-cardinality keys — the feature volume itself never shuffles
-    more than (source, 4 floats) per row."""
-    from ray.data.aggregate import Count, Mean
+    token counts, all Arrow kernels) feeding one ``tree_group_sum`` of
+    per-source (count, feature sums) over #sources-cardinality keys — the
+    feature volume itself never shuffles.  A null ``group_col`` is its own
+    group (SQL GROUP BY)."""
+    from ..functions.shuffle import tree_group_sum
 
     def features(t: pa.Table) -> pa.Table:
         q = quality_stage(t, text_col)
@@ -445,6 +442,7 @@ def quality_by_source(ds, text_col: str = "text", group_col: str = "source"):
         return pa.table(
             {
                 group_col: t.column(group_col),
+                "n_docs": pa.array(np.ones(len(t), np.int64)),
                 "n_chars": q.column("q_n_chars"),
                 "n_tokens": pc.cast(n_tok, pa.int64()),
                 "symbol_ratio": q.column("q_symbol_ratio"),
@@ -452,40 +450,31 @@ def quality_by_source(ds, text_col: str = "text", group_col: str = "source"):
             }
         )
 
-    res = ds.map_batches(features, batch_format="pyarrow").groupby(
-        group_col
-    ).aggregate(
-        Count(),
-        Mean("n_chars"),
-        Mean("n_tokens"),
-        Mean("symbol_ratio"),
-        Mean("stopword_ratio"),
-    )
+    res = tree_group_sum(
+        ds.map_batches(features, batch_format="pyarrow"), [group_col],
+        ["n_docs", "n_chars", "n_tokens", "symbol_ratio", "stopword_ratio"],
+        drop_null_keys=False)
 
-    def rename(t: pa.Table) -> pa.Table:
-        if "count()" not in t.column_names:  # schema-less empty agg block
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "avg_chars": pa.array([], pa.float64()),
-                    "avg_tokens": pa.array([], pa.float64()),
-                    "avg_symbol_ratio": pa.array([], pa.float64()),
-                    "avg_stopword_ratio": pa.array([], pa.float64()),
-                }
-            )
+    def mean(t: pa.Table) -> pa.Table:
+        # the features are never null (quality_stage fills 0), so every
+        # document counts toward each mean
+        n = pc.cast(t.column("n_docs"), pa.float64())
+
+        def avg(c):
+            return pc.divide(pc.cast(t.column(c), pa.float64()), n)
+
         return pa.table(
             {
                 group_col: t.column(group_col),
-                "n_docs": pc.cast(t.column("count()"), pa.int64()),
-                "avg_chars": t.column("mean(n_chars)"),
-                "avg_tokens": t.column("mean(n_tokens)"),
-                "avg_symbol_ratio": t.column("mean(symbol_ratio)"),
-                "avg_stopword_ratio": t.column("mean(stopword_ratio)"),
+                "n_docs": t.column("n_docs"),
+                "avg_chars": avg("n_chars"),
+                "avg_tokens": avg("n_tokens"),
+                "avg_symbol_ratio": avg("symbol_ratio"),
+                "avg_stopword_ratio": avg("stopword_ratio"),
             }
         )
 
-    return res.map_batches(rename, batch_format="pyarrow")
+    return res.map_batches(mean, batch_format="pyarrow")
 
 
 def split_token_budget(ds, key_col: str = "doc_id", source_col: str = "source",
@@ -524,15 +513,6 @@ def split_token_budget(ds, key_col: str = "doc_id", source_col: str = "source",
         drop_null_keys=False)
 
     def rename(t: pa.Table) -> pa.Table:
-        if "n_docs" not in t.column_names:  # schema-less empty agg block
-            return pa.table(
-                {
-                    "split": pa.array([], pa.string()),
-                    source_col: pa.array([], pa.string()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "total_tokens": pa.array([], pa.int64()),
-                }
-            )
         return pa.table(
             {
                 "split": t.column("split"),
@@ -549,8 +529,8 @@ def doc_frequency(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Corpus document frequency per term: #documents containing each
     whitespace token.  Combiner-first: each block emits its DISTINCT
     (document, term) pairs (terms deduplicated per doc via dictionary
-    codes, no Python per token), then one ``groupby(term).count()``
-    shuffle over vocabulary-sized rows — token VOLUME never shuffles.
+    codes, no Python per token), then one ``tree_group_sum`` count over
+    vocabulary-sized rows — token VOLUME never shuffles.
     Assumes each document is one input row (true of a documents table),
     so block-local distinct pairs are globally distinct."""
 
@@ -581,10 +561,6 @@ def doc_frequency(ds, text_col: str = "text", id_col: str = "doc_id"):
         ds.map_batches(with_ones, batch_format="pyarrow"), ["term"], ["df"])
 
     def rename(t: pa.Table) -> pa.Table:
-        if "df" not in t.column_names:  # schema-less empty agg block
-            return pa.table(
-                {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-            )
         return pa.table(
             {"term": t.column("term"), "df": pc.cast(t.column("df"), pa.int64())}
         )
@@ -706,13 +682,13 @@ def vocab_stats(ds, text_col: str = "text", group_col: str = "source"):
     hapax ratio = noisy OCR or unseen-domain text; both standard
     quality-triage signals next to :func:`quality_by_source`).
 
-    Combiner-first, two slim shuffles, token VOLUME never shuffles:
+    Combiner-first, two slim tree folds, token VOLUME never shuffles:
     each block explodes whitespace tokens vectorized (``utf8_split_
     whitespace`` + ``list_parent_indices``, zero Python per token) and
     pre-aggregates (group, token, n) with Arrow ``group_by``;
-    ``groupby(group, token).sum`` folds vocabulary-sized rows; a per-block
+    ``tree_group_sum`` folds vocabulary-sized rows; a per-block
     projection then reduces each vocabulary row to (group, tokens, types,
-    hapax) partials and ``groupby(group).sum`` finishes.  Null groups are
+    hapax) partials and a second ``tree_group_sum`` finishes.  Null groups are
     dropped (documented: SQL parity keeps ``WHERE group IS NOT NULL``);
     groups whose texts have no tokens are absent, as in SQL GROUP BY over
     the exploded token table."""
@@ -745,11 +721,6 @@ def vocab_stats(ds, text_col: str = "text", group_col: str = "source"):
         [group_col, "__tk"], ["__n"])
 
     def group_partials(t: pa.Table) -> pa.Table:
-        if "__n" not in t.column_names:  # schema-less empty agg block
-            return pa.table({group_col: pa.array([], grp_type),
-                             "__tok": pa.array([], pa.int64()),
-                             "__typ": pa.array([], pa.int64()),
-                             "__hap": pa.array([], pa.int64())})
         n = pc.cast(t.column("__n"), pa.int64())
         flat_tbl = pa.table({
             group_col: t.column(group_col),
@@ -766,13 +737,6 @@ def vocab_stats(ds, text_col: str = "text", group_col: str = "source"):
         [group_col], ["__tok", "__typ", "__hap"])
 
     def finish(t: pa.Table) -> pa.Table:
-        if "__tok" not in t.column_names:
-            return pa.table({group_col: pa.array([], grp_type),
-                             "n_tokens": pa.array([], pa.int64()),
-                             "n_types": pa.array([], pa.int64()),
-                             "n_hapax": pa.array([], pa.int64()),
-                             "type_token_ratio": pa.array([], pa.float64()),
-                             "hapax_ratio": pa.array([], pa.float64())})
         tok = pc.cast(t.column("__tok"), pa.int64())
         typ = pc.cast(t.column("__typ"), pa.int64())
         hap = pc.cast(t.column("__hap"), pa.int64())
@@ -837,10 +801,6 @@ def inverted_index(ds, text_col: str = "text", id_col: str = "doc_id",
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if "run_n" not in t.column_names:  # schema-less empty block
-            return pa.table({"term": pa.array([], pa.string()),
-                             "rank": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64())})
         rn = pc.cast(t.column("run_n"), pa.int64())
         sub = pa.table({"term": t.column("term"), "rank": rn,
                         id_col: pc.cast(t.column(id_col), pa.int64())})
@@ -898,15 +858,8 @@ def bm25_scores_multi(ds, queries, *, text_col: str = "text",
     typed_out_empty = pa.table({"query_id": pa.array([], pa.string()),
                                 id_col: pa.array([], id_type),
                                 "score": pa.array([], pa.float64())})
-    typed_mat_empty = pa.table({
-        id_col: pa.array([], id_type), "term": pa.array([], pa.string()),
-        "tf": pa.array([], pa.int64()), "dl": pa.array([], pa.int64()),
-        "n_docs": pa.array([], pa.int64()),
-        "sum_dl": pa.array([], pa.int64())})
 
     def emit(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not {id_col, text_col}.issubset(t.column_names):
-            return typed_mat_empty
         flat, parent = _tokenize_block(t.column(text_col))
         nrows = len(t)
         dl = np.bincount(parent, minlength=nrows).astype(np.int64)
@@ -947,8 +900,6 @@ def bm25_scores_multi(ds, queries, *, text_col: str = "text",
     avgdl = float(sums.get("sum(sum_dl)") or 0) / float(n_total)
 
     def term_ones(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "term" not in t.column_names:
-            return pa.table({})
         sub = t.filter(pc.is_valid(t.column("term"))).select(["term"])
         return sub.append_column("df", pa.array(np.ones(len(sub), np.int64)))
 
@@ -964,8 +915,6 @@ def bm25_scores_multi(ds, queries, *, text_col: str = "text",
         idf = np.log(1.0 + (n_total - df_vec + 0.5) / (df_vec + 0.5))
 
     def score(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "term" not in t.column_names:
-            return typed_out_empty
         t = t.filter(pc.is_valid(t.column("term")))
         if len(t) == 0:
             return typed_out_empty
@@ -1049,6 +998,5 @@ def bm25_scores(ds, query: str, *, text_col: str = "text",
     anchor = pa.table({id_col: pa.array([], id_type),
                        "score": pa.array([], pa.float64())})
     return out.map_batches(
-        lambda t: (t.drop_columns(["query_id"])
-                   if "query_id" in t.column_names else t),
+        lambda t: t.drop_columns(["query_id"]),
         batch_format="pyarrow").union(rd.from_arrow(anchor))

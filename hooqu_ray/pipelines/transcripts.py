@@ -17,10 +17,10 @@ Stages (all streaming, no full materialization):
    Compliance predicate over the feature columns, compiled once on the
    driver; the SAME rule expressions feed ``quality_report`` so the
    VerificationSuite metrics and the keep mask cannot drift apart.
-4. conversation-level pass — aggregate per-conv kept/total counts
-   (``groupby("conv_id")`` over a two-column projection — the shuffle moves
-   only (conv_id, keep), not the text) then broadcast the small verdict
-   table back via ``ray.put`` + per-batch lookup.  At 10^12-turn scale the
+4. conversation-level pass — per-block (conv_id, kept, total) partials
+   fold on the driver (past a size gate: ``shuffle.bucketed_group_fold``);
+   the text never moves.  The small verdict table broadcasts back via
+   ``ray.put`` + per-batch lookup.  At 10^12-turn scale the
    broadcast side switches to a partitioned join on conv_id hash; the
    projection trick keeps the heavy table out of the shuffle either way.
 5. output — ``keep`` column on every turn; ``filtered(ds)`` selects kept
@@ -278,39 +278,25 @@ def _conv_ok(kept, total) -> np.ndarray:
 def _write_dropped_index_distributed(partials_dir: str, out_dir: str,
                                      n_buckets: int) -> None:
     """Fully distributed dropped-index build for the 10^12-turn path:
-    salted groupby over the conv-stat partials → per-block verdict filter →
-    ``groupby(cvb)`` with ONE task per bucket sorting and writing its IPC
-    file.  #convs rows never touch the driver; per-task memory is one
-    bucket (dropped/n_buckets)."""
+    bucketed fold of the conv-stat partials (one row per (block, conv)
+    already, so a hot conversation is bounded by #blocks; null convs drop)
+    → per-block verdict filter → ``groupby(cvb)`` with ONE task per bucket
+    sorting and writing its IPC file.  #convs rows never touch the driver;
+    per-task memory is one bucket (dropped/n_buckets)."""
     import os
 
     import ray.data as rd
 
-    from ..functions.shuffle import salted_group_aggregate
+    from ..functions.shuffle import bucketed_group_fold
     from ..util import stable_hash64
 
     os.makedirs(out_dir, exist_ok=True)
-    proj = rd.read_parquet(partials_dir)
-    stats = salted_group_aggregate(
-        proj, "conv_id", ["kept_partial", "total_partial"]
-    )
-    empty = pa.schema(
-        [("conv_id", pa.string()), ("h", pa.uint64()), ("cvb", pa.int64())]
-    ).empty_table()
 
     def drop_rows(t: pa.Table) -> pa.Table:
-        if "conv_id" not in t.column_names or len(t) == 0:
-            return empty  # Ray aggregates can emit schema-less empty blocks
-        kept = pc.cast(t.column("sum(kept_partial)"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        total = pc.cast(t.column("sum(total_partial)"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+        kept = t.column("kept_partial").to_numpy(zero_copy_only=False)
+        total = t.column("total_partial").to_numpy(zero_copy_only=False)
         sub = t.filter(pa.array(~_conv_ok(kept, total))).column("conv_id")
-        sub = pc.cast(sub.drop_null(), pa.string())
-        if len(sub) == 0:
-            return empty
+        sub = pc.cast(sub, pa.string())
         h = stable_hash64(sub)
         return pa.table(
             {
@@ -334,6 +320,9 @@ def _write_dropped_index_distributed(partials_dir: str, out_dir: str,
         )
         return pd.DataFrame({"cvb": [b], "rows": [len(g)]})
 
+    stats = bucketed_group_fold(
+        rd.read_parquet(partials_dir), ["conv_id"],
+        ["kept_partial", "total_partial"], drop_null_keys=True)
     acks = (
         stats.map_batches(drop_rows, batch_format="pyarrow")
         .groupby("cvb")
@@ -354,7 +343,8 @@ def score_turns(ds, scorer_concurrency: Optional[Tuple[int, int]] = None):
 
 
 # Above this many bytes of conv-stat partials the fold stops happening on
-# the driver and goes through the (salted, skew-safe) distributed groupby.
+# the driver and goes through the distributed bucketed fold (skew-safe: the
+# partials are already one row per (block, conv)).
 # The right gate is PARTIAL volume, not turn count: partials are one row per
 # (block, conv), so a billion-turn job with short conversations per block
 # still folds locally in seconds, while two Ray shuffles over the same rows
@@ -460,11 +450,11 @@ def filter_and_scrub(ds, scorer_concurrency: Optional[Tuple[int, int]] = None,
         _write_dropped_index(dropped, dropped_dir, _VERDICT_INDEX_BUCKETS)
         del dropped
     else:
-        # 10^12-turn path: distributed read of the partials + salted
-        # two-phase groupby (a mega-conversation's partials fan out over
-        # salt buckets instead of landing on one reducer) + per-block
-        # verdict filter + one-task-per-bucket index write — #convs rows
-        # never touch the driver
+        # 10^12-turn path: distributed read of the partials + bucketed
+        # fold (a mega-conversation contributes ≤ #blocks partial rows, so
+        # its bucket stays bounded) + per-block verdict filter +
+        # one-task-per-bucket index write — #convs rows never touch the
+        # driver
         _write_dropped_index_distributed(
             partials_dir, dropped_dir, _VERDICT_INDEX_BUCKETS
         )
@@ -943,8 +933,6 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
         ["__th"], ["__n"])
 
     def cand_only(t: pa.Table) -> pa.Table:
-        if "__n" not in t.column_names:  # schema-less empty block
-            return pa.table({"__th": pa.array([], pa.int64())})
         return t.filter(
             pc.greater_equal(t.column("__n"), pa.scalar(min_convs))
         ).select(["__th"])
@@ -975,8 +963,6 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
     counts = grouped_count_distinct(pairs, "__th", conv_col)
 
     def hot_only(t: pa.Table) -> pa.Table:
-        if "n_distinct" not in t.column_names:  # schema-less empty block
-            return pa.table({"__th": pa.array([], pa.int64())})
         return t.filter(
             pc.greater_equal(t.column("n_distinct"), pa.scalar(min_convs))
         ).select(["__th"])
@@ -1246,9 +1232,6 @@ def _conversation_fingerprints(ds, conv_col: str, idx_col: str,
         [conv_col], ["__lo", "__hi", "__n"])
 
     def fingerprint(t: pa.Table) -> pa.Table:
-        if "__lo" not in t.column_names:  # schema-less empty block
-            return pa.table({conv_col: pa.array([], conv_type),
-                             "__fp": pa.array([], pa.int64())})
         lo = np.asarray(t.column("__lo")).astype(np.uint64)
         hi = np.asarray(t.column("__hi")).astype(np.uint64)
         n = np.asarray(t.column("__n")).astype(np.uint64)
@@ -1275,16 +1258,16 @@ def dedup_conversations(ds, *, conv_col: str = "conv_id",
        the hashes split into two int32 halves (so int64 sums cannot
        overflow below 2^31 turns per conversation) — one slim partial row
        per (block, conv).
-    2. ``groupby(conv).sum`` folds the partials; each conversation's
+    2. ``tree_group_sum`` folds the partials; each conversation's
        fingerprint mixes (sum_lo, sum_hi, n_turns) into one int64 key.
        Equal sequences ⇒ equal fingerprints; the converse holds up to the
        same hash-collision class every 63-bit dedup op here documents.
-    3. ``groupby(fp).aggregate(Min(conv), Count)`` finds duplicate groups;
-       the winner table — O(#duplicate groups) — broadcasts in hash-range
-       shards (``dedup._sharded_refs``), losers are extracted per batch
-       (``index_in`` + winner compare), and the loser conv set drives one
-       NOT-IN pass over the original turns.  Rows with a null conv are
-       never candidates and always survive."""
+    3. a min/count fold per fingerprint (``_fp_group_table``) finds
+       duplicate groups; the winner table — O(#duplicate groups) —
+       broadcasts in hash-range shards (``dedup._sharded_refs``), losers
+       are extracted per batch (``index_in`` + winner compare), and the
+       loser conv set drives one NOT-IN pass over the original turns.
+       Rows with a null conv are never candidates and always survive."""
     import ray
 
     from .dedup import _sharded_refs, _text_hash63
@@ -1300,20 +1283,12 @@ def dedup_conversations(ds, *, conv_col: str = "conv_id",
         ds, conv_col, idx_col, text_col, conv_type
     ).materialize()  # consumed by winners AND loser probe
 
-    dups = (
-        _fp_group_table(fp_rows, conv_col, conv_type)
-        .map_batches(
-            lambda t: (
-                t.filter(pc.greater(t.column("count()"), pa.scalar(1)))
-                .select(["__fp", f"min({conv_col})"])
-                if "count()" in t.column_names
-                else pa.table({"__fp": pa.array([], pa.int64()),
-                               f"min({conv_col})": pa.array([], conv_type)})
-            ),
-            batch_format="pyarrow")
-    )
+    dups = _fp_group_table(fp_rows, conv_col, conv_type).map_batches(
+        lambda t: t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
+        .select(["__fp", "__w"]),
+        batch_format="pyarrow")
     empty = pa.table({"__fp": pa.array([], pa.int64()),
-                      f"min({conv_col})": pa.array([], conv_type)})
+                      "__w": pa.array([], conv_type)})
     win_refs = _sharded_refs(dups.materialize(), "__fp", rows_per_shard, empty)
 
     class _LoserProbe:
@@ -1338,7 +1313,7 @@ def dedup_conversations(ds, *, conv_col: str = "conv_id",
                 hit = pc.is_valid(pos).to_numpy(zero_copy_only=False)
                 if not hit.any():
                     continue
-                winner = w.column(f"min({conv_col})").take(
+                winner = w.column("__w").take(
                     pc.fill_null(pos, 0))
                 ne = pc.not_equal(conv, winner).to_numpy(
                     zero_copy_only=False)
@@ -1418,13 +1393,6 @@ def tool_usage_stats(ds, *, conv_col: str = "conv_id",
     and call count (sum) — the shuffles move one row per distinct
     (conv, tool) pair, never per turn."""
 
-    from ..util import dataset_arrow_schema
-
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
-
     def pair_partials(t: pa.Table) -> pa.Table:
         mask = pc.and_(pc.is_valid(t.column(conv_col)),
                        pc.is_valid(t.column(tool_col)))
@@ -1440,10 +1408,6 @@ def tool_usage_stats(ds, *, conv_col: str = "conv_id",
         [conv_col, tool_col], ["__n"])
 
     def pair_proj(t: pa.Table) -> pa.Table:
-        if "__n" not in t.column_names:  # schema-less empty block
-            return pa.table({conv_col: pa.array([], conv_type),
-                             "__n": pa.array([], pa.int64()),
-                             "__one": pa.array([], pa.int64())})
         return pa.table({conv_col: t.column(conv_col),
                          "__n": pc.cast(t.column("__n"), pa.int64()),
                          "__one": pa.array(np.ones(len(t), np.int64))})
@@ -1453,12 +1417,6 @@ def tool_usage_stats(ds, *, conv_col: str = "conv_id",
         [conv_col], ["__n", "__one"])
 
     def rename(t: pa.Table) -> pa.Table:
-        if "__one" not in t.column_names:
-            return pa.table({
-                conv_col: pa.array([], conv_type),
-                "n_tool_calls": pa.array([], pa.int64()),
-                "n_distinct_tools": pa.array([], pa.int64()),
-            })
         return pa.table({
             conv_col: t.column(conv_col),
             "n_tool_calls": pc.cast(t.column("__n"), pa.int64()),
@@ -1519,14 +1477,6 @@ def pack_sft_examples(ds, max_len: int, *, id_col: str = "example_id",
             batch_format="pyarrow")
 
     def assign(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            e = pa.array([], pa.int64())
-            ids = (t.column(id_col).slice(0, 0)
-                   if id_col in t.column_names else e)
-            return pa.table({id_col: ids, "n_prompt_tokens": e,
-                             "n_tokens": e, "token_start": e,
-                             "target_start": e, "target_end": e,
-                             "seq_start": e, "seq_end": e})
         base = offsets[t.column(id_col)[0].as_py()]
         np_ = np.asarray(t.column("__np"), dtype=np.int64)
         nt = np.asarray(t.column("__nt"), dtype=np.int64)
@@ -1693,13 +1643,7 @@ def _regex_report(ds, pats: "Dict[str, str]", turns_col: str, *,
     correctness is unchanged because the literal is a necessary
     condition."""
 
-    from ..util import dataset_arrow_schema
-
     cat_cols = list(pats)
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
 
     def block_partials(t: pa.Table) -> pa.Table:
         sub = t.select([conv_col, text_col]).filter(
@@ -1741,10 +1685,6 @@ def _regex_report(ds, pats: "Dict[str, str]", turns_col: str, *,
     out_cols = cat_cols + [turns_col]
 
     def project(t: pa.Table) -> pa.Table:
-        if cat_cols[0] not in t.column_names:  # schema-less empty
-            return pa.table(
-                {conv_col: pa.array([], conv_type),
-                 **{c: pa.array([], pa.int64()) for c in out_cols}})
         cols = {conv_col: t.column(conv_col)}
         for c in out_cols:
             cols[c] = pc.cast(t.column(c), pa.int64())
@@ -1819,14 +1759,8 @@ def conversation_majority_lang(ds, *, conv_col: str = "conv_id",
     returns (Arrow table under the driver gate, Dataset above it) with
     columns renamed."""
 
-    from ..util import dataset_arrow_schema
     from .relational import grouped_top_k
     from .textstats import LangIdStage
-
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
 
     scored = ds.map_batches(
         LangIdStage, fn_constructor_kwargs={"text_col": text_col},
@@ -1847,10 +1781,6 @@ def conversation_majority_lang(ds, *, conv_col: str = "conv_id",
         [conv_col, "pred_lang"], ["__n"])
 
     def proj(t: pa.Table) -> pa.Table:
-        if "__n" not in t.column_names:  # schema-less empty agg block
-            return pa.table({conv_col: pa.array([], conv_type),
-                             "pred_lang": pa.array([], pa.string()),
-                             "__n": pa.array([], pa.int64())})
         return pa.table({conv_col: t.column(conv_col),
                          "pred_lang": t.column("pred_lang"),
                          "__n": pc.cast(t.column("__n"), pa.int64())})
@@ -1887,13 +1817,7 @@ def turn_gap_stats(ds, *, conv_col: str = "conv_id", ts_col: str = "ts",
     finishes.  Single-turn conversations are absent, as in SQL ``GROUP
     BY`` over non-null ``LAG`` deltas."""
 
-    from ..util import dataset_arrow_schema
     from .windows import lag_delta
-
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
 
     def proj(t: pa.Table) -> pa.Table:
         us = pc.cast(t.column(ts_col), pa.int64())
@@ -1910,19 +1834,11 @@ def turn_gap_stats(ds, *, conv_col: str = "conv_id", ts_col: str = "ts",
     )
 
     def keep_gaps(t: pa.Table) -> pa.Table:
-        if "delta" not in t.column_names:  # schema-less empty block
-            return pa.table({conv_col: pa.array([], conv_type),
-                             "delta": pa.array([], pa.float64())})
         sub = t.filter(pc.is_valid(t.column("delta")))
         return pa.table({conv_col: sub.column(conv_col),
                          "delta": pc.cast(sub.column("delta"), pa.float64())})
 
     def gap_partials(t: pa.Table) -> pa.Table:
-        if "delta" not in t.column_names or len(t) == 0:
-            return pa.table({conv_col: pa.array([], conv_type),
-                             "__s": pa.array([], pa.float64()),
-                             "__mx": pa.array([], pa.float64()),
-                             "__n": pa.array([], pa.int64())})
         return t.group_by(conv_col).aggregate(
             [("delta", "sum"), ("delta", "max"), ([], "count_all")]
         ).rename_columns([conv_col, "__s", "__mx", "__n"])
@@ -1935,11 +1851,6 @@ def turn_gap_stats(ds, *, conv_col: str = "conv_id", ts_col: str = "ts",
         [conv_col], ["__s", "__mx", "__n"], funcs=["sum", "max", "sum"])
 
     def finish(t: pa.Table) -> pa.Table:
-        if "__mx" not in t.column_names:
-            return pa.table({conv_col: pa.array([], conv_type),
-                             "max_gap_s": pa.array([], pa.float64()),
-                             "mean_gap_s": pa.array([], pa.float64()),
-                             "n_gaps": pa.array([], pa.int64())})
         n = pc.cast(t.column("__n"), pa.float64())
         return pa.table({
             conv_col: t.column(conv_col),
@@ -1970,7 +1881,7 @@ def conversation_fork_groups(ds, prefix_turns: int, *,
     Scale shape: filter to ``turn_idx < prefix_turns`` (embarrassingly
     parallel), then the shared order-sensitive fingerprint fold
     (:func:`_conversation_fingerprints` — slim hash partials, text never
-    shuffles), ``groupby(fp).aggregate(Min, Count)`` finds groups, and
+    shuffles), a min/count fold per fingerprint finds groups, and
     the O(#fork groups) winner table broadcasts in hash-range shards for
     a per-batch membership stamp.  Conversations with FEWER than
     ``prefix_turns`` turns key on their full (shorter) sequence — two
@@ -2002,16 +1913,10 @@ def conversation_fork_groups(ds, prefix_turns: int, *,
     groups = _fp_group_table(fp_rows, conv_col, conv_type)
 
     def keep_groups(t: pa.Table) -> pa.Table:
-        if "count()" not in t.column_names:  # schema-less empty agg block
-            return pa.table({"__fp": pa.array([], pa.int64()),
-                             "__win": pa.array([], conv_type),
-                             "__size": pa.array([], pa.int64())})
-        sub = t.filter(pc.greater(t.column("count()"), pa.scalar(1)))
-        return pa.table({
-            "__fp": sub.column("__fp"),
-            "__win": sub.column(f"min({conv_col})"),
-            "__size": pc.cast(sub.column("count()"), pa.int64()),
-        })
+        sub = t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
+        return pa.table({"__fp": sub.column("__fp"),
+                         "__win": sub.column("__w"),
+                         "__size": sub.column("__c")})
 
     empty = pa.table({"__fp": pa.array([], pa.int64()),
                       "__win": pa.array([], conv_type),
@@ -2059,52 +1964,30 @@ def conversation_fork_groups(ds, prefix_turns: int, *,
 
 def _fp_group_table(fp_rows, conv_col: str, conv_type,
                     max_col: Optional[str] = None):
-    """Hot-group-proof ``groupby(__fp)`` over per-conversation fingerprint
-    rows: per-block Arrow ``group_by(__fp)`` partials (min conv, count,
-    optional max) collapse a skewed fingerprint to ≤1 row per block BEFORE
-    the shuffle, then a slim global fold (Min/Sum/Max over partials) — so a
+    """Hot-group-proof fold over per-conversation fingerprint rows:
+    per-block Arrow ``group_by(__fp)`` partials (min conv, count, optional
+    max) collapse a skewed fingerprint to ≤1 row per block BEFORE the
+    ``tree_group_sum`` fold (min/sum/max over partials) — so a
     pathological fork group with millions of members cannot straggle one
-    reducer.  Output columns keep the plain-aggregate names
-    (``min({conv})``, ``count()``[, ``max({max_col})``]) so consumers are
-    combiner-agnostic."""
-
-    part_fields = [("__fp", pa.int64()), ("__w", conv_type),
-                   ("__c", pa.int64())]
-    specs = [(conv_col, "min"), ([], "count_all")]
-    if max_col is not None:
-        part_fields.append(("__m", pa.int64()))
-        specs.append((max_col, "max"))
-    part_schema = pa.schema(part_fields)
-    part_names = [f.name for f in part_schema]
-
-    def partials(t: pa.Table) -> pa.Table:
-        if "__fp" not in t.column_names or len(t) == 0:
-            return part_schema.empty_table()
-        out = t.group_by("__fp", use_threads=False).aggregate(specs)
-        return out.rename_columns(part_names)
-
+    reducer.  Output columns: ``__fp``, ``__w`` (min conv), ``__c``
+    (member count)[, ``__m`` (max ``max_col``)]."""
     from ..functions.shuffle import tree_group_sum
 
-    fold_cols = ["__w", "__c"] + (["__m"] if max_col is not None else [])
-    fold_funcs = ["min", "sum"] + (["max"] if max_col is not None else [])
-    folded = tree_group_sum(
-        fp_rows.map_batches(partials, batch_format="pyarrow"),
-        ["__fp"], fold_cols, funcs=fold_funcs)
-
-    final_names = ["__fp", f"min({conv_col})", "count()"]
+    specs = [(conv_col, "min"), ([], "count_all")]
+    names = ["__fp", "__w", "__c"]
+    funcs = ["min", "sum"]
     if max_col is not None:
-        final_names.append(f"max({max_col})")
-    final_schema = pa.schema(
-        [("__fp", pa.int64()), (f"min({conv_col})", conv_type),
-         ("count()", pa.int64())]
-        + ([(f"max({max_col})", pa.int64())] if max_col is not None else []))
+        specs.append((max_col, "max"))
+        names.append("__m")
+        funcs.append("max")
 
-    def rename(t: pa.Table) -> pa.Table:
-        if "__w" not in t.column_names:  # schema-less empty agg block
-            return final_schema.empty_table()
-        return t.rename_columns(final_names)
+    def partials(t: pa.Table) -> pa.Table:
+        out = t.group_by("__fp", use_threads=False).aggregate(specs)
+        return out.rename_columns(names)
 
-    return folded.map_batches(rename, batch_format="pyarrow")
+    return tree_group_sum(
+        fp_rows.map_batches(partials, batch_format="pyarrow"),
+        ["__fp"], names[1:], funcs=funcs)
 
 
 def preference_pairs(ds, prefix_turns: int, *,
@@ -2133,13 +2016,13 @@ def preference_pairs(ds, prefix_turns: int, *,
     1. per block, ONE ``pa.Table.group_by(conv)`` folds the prefix
        fingerprint halves AND the tail char score as a 4th Sum rider
        (text hashes/lengths are computed per block; text never shuffles);
-    2. ``groupby(conv).Sum×4`` folds partials across blocks — the only
+    2. ``tree_group_sum`` (4 sums) folds partials across blocks — the only
        O(#convs)-group full-width fold;
-    3. ``groupby(__fp).aggregate(Min(conv), Count, Max(score))`` finds
+    3. one min/count/max fold per fingerprint (``_fp_group_table``) finds
        groups, winners AND group-max scores in one slim int64-keyed
        aggregate;
     4. the O(#fork groups) group table broadcasts in hash-range shards
-       for the member stamp; the tie-break ``groupby(__fp).Min(conv)``
+       for the member stamp; the tie-break min-conv fold per fingerprint
        runs over max-score candidates only (≈ #groups rows), and the
        chosen table broadcasts back for the final emit.
 
@@ -2223,8 +2106,6 @@ def preference_pairs(ds, prefix_turns: int, *,
                            ("__score", pa.int64())])
 
     def fp_score(t: pa.Table) -> pa.Table:
-        if "__lo" not in t.column_names:  # schema-less empty block
-            return fp_schema.empty_table()
         # a conversation with NO prefix turns (only null/deep indices)
         # never fingerprints — same absence as the prefix-filtered fold
         t = t.filter(pc.greater(t.column("__n"), pa.scalar(0)))
@@ -2254,15 +2135,11 @@ def preference_pairs(ds, prefix_turns: int, *,
     })
 
     def keep_groups(t: pa.Table) -> pa.Table:
-        if "count()" not in t.column_names:  # schema-less empty agg block
-            return group_empty
-        sub = t.filter(pc.greater(t.column("count()"), pa.scalar(1)))
-        return pa.table({
-            "__fp": sub.column("__fp"),
-            "__win": sub.column(f"min({conv_col})"),
-            "__size": pc.cast(sub.column("count()"), pa.int64()),
-            "__gmax": pc.cast(sub.column("max(__score)"), pa.int64()),
-        })
+        sub = t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
+        return pa.table({"__fp": sub.column("__fp"),
+                         "__win": sub.column("__w"),
+                         "__size": sub.column("__c"),
+                         "__gmax": pc.cast(sub.column("__m"), pa.int64())})
 
     group_refs = _sharded_refs(
         groups.map_batches(keep_groups, batch_format="pyarrow")
@@ -2287,8 +2164,6 @@ def preference_pairs(ds, prefix_turns: int, *,
             if self._tbls is None:
                 self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
                               for r in self.refs]
-            if len(t) == 0:
-                return score_schema.empty_table()
             fp = t.column("__fp")
             out = []
             for w in self._tbls:
@@ -2319,8 +2194,6 @@ def preference_pairs(ds, prefix_turns: int, *,
     # tie-break: min conv id among max-score members — an aggregate over
     # candidates only (≈ one row per group unless scores tie)
     def candidates(t: pa.Table) -> pa.Table:
-        if "__gmax" not in t.column_names or len(t) == 0:
-            return score_schema.empty_table()
         return t.filter(pc.equal(t.column("__score"), t.column("__gmax")))
 
     chosen = tree_group_sum(
@@ -2334,8 +2207,6 @@ def preference_pairs(ds, prefix_turns: int, *,
     })
 
     def chosen_rows(t: pa.Table) -> pa.Table:
-        if conv_col not in t.column_names:
-            return chosen_empty
         return pa.table({
             "__fp": t.column("__fp"),
             "__chosen": t.column(conv_col),
@@ -2354,8 +2225,6 @@ def preference_pairs(ds, prefix_turns: int, *,
             if self._tbls is None:
                 self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
                               for r in self.refs]
-            if len(t) == 0 or "__fp" not in t.column_names:
-                return out_schema.empty_table()
             fp = t.column("__fp")
             out = []
             for w in self._tbls:
@@ -2527,8 +2396,6 @@ def conversation_filter_report(ds, *, min_turns: int = 2,
         return ~np.asarray(pc.fill_null(col, fill), dtype=bool)
 
     def verdict(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "conv_id" not in t.column_names:
-            return out_schema.empty_table()
         n = t.column("n_turns").to_numpy(zero_copy_only=False).astype(
             np.int64)
         false_ = np.zeros(len(t), dtype=bool)
@@ -2580,8 +2447,6 @@ def filter_conversations(ds, *, rows_per_shard: int = 4_000_000, **rules):
     rep = conversation_filter_report(ds, **rules)
 
     def dropped_ids(t: pa.Table) -> pa.Table:
-        if "keep" not in t.column_names:
-            return pa.table({"conv_id": pa.array([], conv_type)})
         ids = t.filter(pc.invert(t.column("keep"))).column("conv_id")
         # the report canonicalizes conv ids to string; cast back so the
         # anti-join probes the turn table's ACTUAL key dtype (a string
@@ -2803,8 +2668,6 @@ def role_balance_stats(ds, *, conv_col: str = "conv_id",
         [conv_col], list(_ROLE_BALANCE_COLS))
 
     def finalize(t: pa.Table) -> pa.Table:
-        if "n_user" not in t.column_names:  # schema-less empty block
-            return empty
         return pa.table(
             {conv_col: t.column(conv_col),
              **{c: pc.cast(t.column(c), pa.int64())
@@ -2881,8 +2744,6 @@ def tool_transition_counts(ds, *, conv_col: str = "conv_id",
                       "n": pa.array([], pa.int64())})
 
     def finalize(t: pa.Table) -> pa.Table:
-        if "__n" not in t.column_names:  # schema-less empty block
-            return empty
         return pa.table({"tool_from": t.column("tool_from"),
                          "tool_to": t.column("tool_to"),
                          "n": pc.cast(t.column("__n"), pa.int64())})
@@ -3162,8 +3023,6 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
                                    + [(c, pa.int64()) for c in names])
 
             def proj_fam(t: pa.Table) -> pa.Table:
-                if len(t) == 0 or names[0] not in t.column_names:
-                    return fam_schema.empty_table()
                 t = t.select(sel)
                 # a conv absent from the family (no loop_role turn / no
                 # adjacent pair) is NULL on its wide row — drop it, like
@@ -3195,8 +3054,6 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
                           "n": pa.array([], pa.int64())})
 
         def finalize(t: pa.Table) -> pa.Table:
-            if "__n" not in t.column_names:  # schema-less empty block
-                return empty
             return pa.table({"tool_from": t.column("tool_from"),
                              "tool_to": t.column("tool_to"),
                              "n": pc.cast(t.column("__n"), pa.int64())})
@@ -3272,8 +3129,7 @@ def split_by_fork_group(ds, prefix_turns: int,
                              "fork_group": pa.array([], conv_type)})
     refs = _sharded_refs(
         members.map_batches(
-            lambda t: (t.select([conv_col, "fork_group"])
-                       if conv_col in t.column_names else member_empty),
+            lambda t: t.select([conv_col, "fork_group"]),
             batch_format="pyarrow"),
         conv_col, rows_per_shard, member_empty)
 
@@ -3283,13 +3139,13 @@ def split_by_fork_group(ds, prefix_turns: int,
                       if isinstance(conv, pa.ChunkedArray) else conv)
         u = u.filter(pc.is_valid(u))
         return pa.table({conv_col: u,
-                         "count()": pa.array(np.ones(len(u), np.int64))})
+                         "__n": pa.array(np.ones(len(u), np.int64))})
 
     from ..functions.shuffle import tree_group_sum
 
     convs = tree_group_sum(ds.map_batches(conv_partials,
                                           batch_format="pyarrow"),
-                           [conv_col], ["count()"])
+                           [conv_col], ["__n"])
 
     grouped_schema = pa.schema([
         (conv_col, conv_type), ("group_id", conv_type),
@@ -3301,8 +3157,6 @@ def split_by_fork_group(ds, prefix_turns: int,
             self._tbls = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
-            if "count()" not in t.column_names or len(t) == 0:
-                return grouped_schema.empty_table()
             if self._tbls is None:
                 self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
                               for r in self.refs]
@@ -3525,8 +3379,6 @@ def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
                           "__wit": pa.array([], wit_type)})
 
     def wit_rows(t: pa.Table) -> pa.Table:
-        if conv_col not in t.column_names:
-            return wit_empty
         return pa.table({
             "__fp": t.column("__fp"),
             "__wit": pc.cast(t.column(conv_col), wit_type),
@@ -3545,8 +3397,6 @@ def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
             if self._tbls is None:
                 self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
                               for r in self.refs]
-            if len(t) == 0:
-                return out_schema.empty_table()
             fp = t.column("__fp")
             out = []
             for w in self._tbls:
@@ -3675,9 +3525,6 @@ def filter_pii_conversations(ds, max_matches: int = 0, *,
     rep = pii_stats(ds, conv_col=conv_col, text_col=text_col)
 
     def over(t: pa.Table) -> pa.Table:
-        if "n_email" not in t.column_names or len(t) == 0:
-            # empty fallback carries the INPUT's key dtype (CLAUDE.md)
-            return pa.table({conv_col: pa.array([], conv_type)})
         total = pc.add(pc.add(t.column("n_email"), t.column("n_url")),
                        t.column("n_cc"))
         kept = t.filter(pc.greater(total, max_matches))
@@ -3796,8 +3643,6 @@ def turn_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
     ])
 
     def split_key(t: pa.Table) -> pa.Table:
-        if "key" not in t.column_names or len(t) == 0:
-            return out_schema.empty_table()
         parts = pc.split_pattern(t.column("key"), pattern="\x1f",
                                  max_splits=1, reverse=True)
         return pa.table({
@@ -3833,8 +3678,6 @@ class _MembershipAny:
         if self._vals is None:
             self._vals = [r if isinstance(r, pa.Array) else ray.get(r)
                           for r in self.refs]
-        if len(t) == 0:
-            return t
         col = t.column(self.col)
         mask = None
         for v in self._vals:
@@ -3897,8 +3740,6 @@ def _diff_output(diff, conv_type, conv_col: str):
                             ("status", pa.string())])
 
     def rename(t: pa.Table) -> pa.Table:
-        if "key" not in t.column_names or len(t) == 0:
-            return out_schema.empty_table()
         return t.rename_columns([conv_col, "status"])
 
     return diff.map_batches(rename, batch_format="pyarrow").union(

@@ -271,48 +271,28 @@ def hopping_window_agg(ds, key_col: str, ts_col: str, value_col: str,
     Embarrassingly parallel combiner: each block ENUMERATES its rows'
     window memberships vectorized (ragged repeat/offset arithmetic, no
     Python per row) and pre-aggregates per (key, window) BEFORE the one
-    ``groupby`` shuffle — the shuffle moves at most
+    ``tree_group_sum`` fold — it moves at most
     ``#blocks × #keys × #windows-per-block`` slim partial rows, never the
     events.  Null keys/timestamps are dropped (SQL GROUP BY over derived
     keys); null VALUES count toward ``n`` but not the mean (SQL
     ``count(*)`` / ``avg`` semantics), and an all-null window's mean is
     null."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..util import dataset_arrow_schema
+    from ..functions.shuffle import tree_group_sum
 
     if window_us <= 0 or hop_us <= 0 or window_us % hop_us:
         raise ValueError(
             "hopping_window_agg: window_us must be a positive multiple of hop_us"
         )
-    # resolve the key type once so empty-block fallbacks agree with real
-    # blocks (hardcoded string would break integer group keys)
-    schema = dataset_arrow_schema(ds)
-    key_type = (
-        schema.field(key_col).type
-        if schema is not None and key_col in schema.names
-        else pa.string()
-    )
 
     def block_partials(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                key_col: pa.array([], key_type),
-                "__ws": pa.array([], pa.int64()),
-                "__n": pa.array([], pa.int64()),
-                "__nv": pa.array([], pa.int64()),
-                "__sum": pa.array([], pa.float64()),
-            }
-        )
-        if key_col not in t.column_names or len(t) == 0:
-            return empty
         keep = pc.and_(
             pc.is_valid(t.column(key_col)), pc.is_valid(t.column(ts_col))
         )
         t = t.filter(keep)
         if len(t) == 0:
-            return empty
+            z = pa.array([], pa.int64())
+            return pa.table({key_col: t.column(key_col), "__ws": z, "__n": z,
+                             "__nv": z, "__sum": pa.array([], pa.float64())})
         ts_col_arr = t.column(ts_col)
         if pa.types.is_timestamp(ts_col_arr.type):
             # normalize to µs so window/hop units are unambiguous
@@ -352,23 +332,13 @@ def hopping_window_agg(ds, key_col: str, ts_col: str, value_col: str,
             }
         )
 
-    agg = ds.map_batches(block_partials, batch_format="pyarrow").groupby(
-        [key_col, "__ws"]
-    ).aggregate(Sum("__n"), Sum("__nv"), Sum("__sum"))
+    agg = tree_group_sum(
+        ds.map_batches(block_partials, batch_format="pyarrow"),
+        [key_col, "__ws"], ["__n", "__nv", "__sum"], drop_null_keys=True)
 
     def finish(t: pa.Table) -> pa.Table:
-        if "sum(__n)" not in t.column_names:
-            return pa.table(
-                {
-                    key_col: pa.array([], key_type),
-                    "w_start": pa.array([], pa.timestamp("us")),
-                    "n": pa.array([], pa.int64()),
-                    "avg_value": pa.array([], pa.float64()),
-                }
-            )
-        n = pc.cast(t.column("sum(__n)"), pa.int64())
-        nv = pc.cast(t.column("sum(__nv)"), pa.float64())
-        s = t.column("sum(__sum)")
+        nv = pc.cast(t.column("__nv"), pa.float64())
+        s = t.column("__sum")
         avg = pc.if_else(
             pc.greater(nv, 0.0), pc.divide(s, nv), pa.scalar(None, pa.float64())
         )
@@ -376,7 +346,7 @@ def hopping_window_agg(ds, key_col: str, ts_col: str, value_col: str,
             {
                 key_col: t.column(key_col),
                 "w_start": pc.cast(t.column("__ws"), pa.timestamp("us")),
-                "n": n,
+                "n": t.column("__n"),
                 "avg_value": avg,
             }
         )
@@ -625,9 +595,6 @@ def _first_last_combine(key: str):
             "__l_ts", "__l_tie", "last_value"]
 
     def combine(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not set(proj).issubset(t.column_names):
-            # schema-less empty aggregate block — caller anchors the schema
-            return pa.table({})
         t = t.select(proj)
         tf = t.take(pc.sort_indices(t, sort_keys=[
             (key, "ascending"), ("__f_ts", "ascending"),
@@ -682,9 +649,6 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str,
         # sort_indices yields run starts AND run ends — the generic
         # two-sort combine is only needed in fold rounds, where the f/l
         # candidate columns genuinely differ
-        if len(t) == 0 or not {key, ts_col, tie, value_col}.issubset(
-                t.column_names):
-            return pa.table({})
         mask = pc.and_(pc.is_valid(t.column(key)),
                        pc.is_valid(t.column(ts_col)))
         t = t.filter(mask)
@@ -720,10 +684,6 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str,
              ("last_value", vtype)]).empty_table())
 
     def finalize(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or key not in t.column_names:
-            return pa.schema([schema.field(key),
-                              schema.field("first_value"),
-                              schema.field("last_value")]).empty_table()
         return t.select([key, "first_value", "last_value"])
 
     if n <= max_fold_rows * fanin:
@@ -759,21 +719,11 @@ def windowed_count_distinct(ds, ts_col: str, value_col: str,
     if window_seconds <= 0:
         raise ValueError(
             f"window_seconds must be > 0, got {window_seconds}")
-    from ..util import dataset_arrow_schema
     from .relational import grouped_count_distinct
 
     w_us = int(round(window_seconds * 1e6))
-    in_schema = dataset_arrow_schema(ds)
-    vtype = (in_schema.field(value_col).type if in_schema is not None
-             and value_col in in_schema.names else pa.string())
-    # the empty anchor must carry the INPUT's value dtype (CLAUDE.md
-    # gotcha — a hardcoded string col would union-crash int values)
-    stamp_empty = pa.table({out_ts: pa.array([], pa.timestamp("us")),
-                            value_col: pa.array([], vtype)})
 
     def stamp(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or not {ts_col, value_col}.issubset(t.column_names):
-            return stamp_empty
         t = t.filter(pc.is_valid(t.column(ts_col)))
         ts = pc.cast(t.column(ts_col), pa.timestamp("us"))
         us = pc.cast(ts, pa.int64()).to_numpy(zero_copy_only=False)

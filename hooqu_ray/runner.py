@@ -12,9 +12,9 @@ Execution model (Ray-Data-first restatement of the reference lifecycle,
    state lists).  The reference designed this and left it dead
    (``analysis_runner.py:117-123,173-230``); on Ray Data it is the whole
    point — one streaming pass, zero materialization.
-3. **Frequency analyzers** share one ``groupby(columns).count()`` hash
-   shuffle per distinct (columns, where); group counts are reduced
-   distributively (never collected).
+3. **Frequency analyzers** share one bucketed count fold
+   (``shuffle.bucketed_group_fold``) per distinct (columns, where); group
+   counts are reduced distributively (never collected).
 4. **Exact quantiles** run the histogram-refinement selection
    (see ``analyzers/quantile.py``): bounded extra passes, no global sort.
 

@@ -1,14 +1,17 @@
-"""Skew-aware shuffle helper + conversation sequence feature tests."""
+"""Grouped-fold hot-key test + conversation sequence feature tests."""
 
 import numpy as np
 import pandas as pd
 import pytest
 
 
-def test_salted_group_aggregate_matches_plain(ray_session):
+def test_tree_group_sum_hot_key_matches_plain(ray_session):
+    """The per-block combine bounds a hot key (half of all rows) to one
+    partial row per block — the skew case the retired salted two-phase
+    aggregate existed for."""
     import ray.data as rd
 
-    from hooqu_ray.functions.shuffle import salted_group_aggregate
+    from hooqu_ray.functions.shuffle import tree_group_sum
 
     rng = np.random.default_rng(11)
     n = 20_000
@@ -16,7 +19,8 @@ def test_salted_group_aggregate_matches_plain(ray_session):
     keys = np.where(rng.random(n) < 0.5, 7, rng.integers(0, 200, n))
     df = pd.DataFrame({"user_id": keys, "value": rng.random(n).round(3)})
     res = (
-        salted_group_aggregate(rd.from_pandas(df).repartition(8), "user_id", ["value"], buckets=8)
+        tree_group_sum(rd.from_pandas(df).repartition(8), "user_id", ["value"],
+                       drop_null_keys=False)
         .to_pandas()
         .sort_values("user_id", ignore_index=True)
     )
@@ -24,7 +28,7 @@ def test_salted_group_aggregate_matches_plain(ray_session):
         "user_id", ignore_index=True
     )
     assert res["user_id"].tolist() == expected["user_id"].tolist()
-    np.testing.assert_allclose(res["sum(value)"], expected["value"], rtol=1e-9)
+    np.testing.assert_allclose(res["value"], expected["value"], rtol=1e-9)
 
 
 def test_conversation_features(ray_session):
