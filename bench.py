@@ -7,11 +7,11 @@ num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line::
   {"metric": ..., "value": <headline sec>, "unit": "sec",
    "queries": {...}, "sf": ..., "num_cpus": N, "turns_per_sec": ...}
 
-Headline = the flagship transcript filter+scrub pipeline (features → actor
-pool lang-ID/perplexity → policy → conv-level pass) over transcripts derived
-deterministically from the documents table, replicated ×BENCH_REPLICATE
-(default 128 ≈ 3.2M turns: at replicate=16 the measurement is dominated by
-fixed costs — actor spawn, read floor — and this box's ±1.5s run-to-run
+Headline = the flagship transcript filter+scrub pipeline (features →
+lang-ID/perplexity → policy as one fused task → conv-level pass) over
+transcripts derived deterministically from the documents table, replicated
+×BENCH_REPLICATE (default 128 ≈ 3.2M turns: at replicate=16 the measurement
+is dominated by fixed costs — worker start, read floor — and this box's ±1.5s run-to-run
 noise; 3.2M turns puts the signal an order of magnitude above both).
 
 ``--scaling``: runs the plain bench twice in fresh interpreters at N and
@@ -35,7 +35,7 @@ def _scaling() -> None:
     above ~16 cores this single socket saturates memory bandwidth on the
     vectorized text kernels (measured: raw 16→32-proc per-core throughput
     halves), which would measure the machine, not the engine.  The job size
-    defaults to a larger replicate so fixed costs (actor spawn, read floor,
+    defaults to a larger replicate so fixed costs (worker start, read floor,
     conv broadcast) amortize as they would on a real long-running job."""
 
     def run_once(ncpu: int) -> dict:

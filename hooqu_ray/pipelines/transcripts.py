@@ -10,12 +10,13 @@ Stages (all streaming, no full materialization):
 1. ``compute_features`` — stateless ``map_batches`` (Arrow in/out):
    heuristic features (symbol ratio, repetition, stopword density, …) +
    compiled-regex PII/toxicity scrub → ``text_scrubbed``.
-2. ``QualityScorer`` — ACTOR-POOL ``map_batches(QualityScorer,
-   concurrency=...)``: char-ngram language-ID + bigram perplexity; model
-   tables built once per actor in ``__init__`` (the fastText/KenLM shape).
+2. ``QualityScorer`` — char-ngram language-ID + bigram perplexity.  Stages
+   1–3 are ONE stateless task (``score_turns``) that builds the model
+   tables (< 1 ms) once per worker process: an actor pool would cost a
+   worker spawn per ``Dataset`` execution (≈1 s on one core).
 3. ``apply_policy`` — per-turn keep/drop: every rule is a hooqu-style
-   Compliance predicate over the feature columns, compiled once on the
-   driver; the SAME rule expressions feed ``quality_report`` so the
+   Compliance predicate over the feature columns, compiled once per
+   worker process; the SAME rule expressions feed ``quality_report`` so the
    VerificationSuite metrics and the keep mask cannot drift apart.
 4. conversation-level pass — per-block (conv_id, kept, total) partials
    fold on the driver (past a size gate: ``shuffle.bucketed_group_fold``);
@@ -33,6 +34,7 @@ The independent single-process oracle for F1/byte-equality lives in
 
 from __future__ import annotations
 
+import functools
 import tempfile
 from typing import Dict, Optional, Tuple
 
@@ -46,6 +48,7 @@ from ..functions.sorted_scan import (edge_rows, scan_sorted, sort_projection,
 from ..stages import spec
 from ..stages.heuristics import compute_features
 from ..stages.models import CharBigramLM, TrigramLangID
+from ..util import actor_pool_size
 
 # ---------------------------------------------------------------------------
 # Rules: (name, predicate over feature columns).  Shared by the keep mask,
@@ -71,21 +74,10 @@ TURN_RULES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _default_scorer_concurrency() -> int:
-    """Fixed actor pool sized to cluster CPUs minus headroom (see
-    util.actor_pool_size): all actors spawn — and build their model tables —
-    in parallel up front instead of autoscaling ramp-up, without claiming
-    every CPU (that starves the upstream read and deadlocks)."""
-    from ..util import actor_pool_size
-
-    return actor_pool_size()
-
-
 class QualityScorer:
-    """Actor-pool stage: language ID + perplexity.
-
-    Models are built once per actor (``__init__``); ``__call__`` scores a
-    zero-copy Arrow batch with vectorized numpy."""
+    """Language ID + perplexity.  Model tables are built in ``__init__``
+    (< 1 ms), once per worker process (``_score_stages``); ``__call__``
+    scores a zero-copy Arrow batch with vectorized numpy."""
 
     def __init__(self) -> None:
         self.lm = CharBigramLM()
@@ -108,7 +100,7 @@ class QualityScorer:
 class _PolicyStage:
     """Compiled per-turn rule masks + AND-combined ``keep_turn``."""
 
-    def __init__(self, schema: Optional[pa.Schema] = None):
+    def __init__(self) -> None:
         self.predicates = [(name, Predicate(expr)) for name, expr in TURN_RULES]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -331,15 +323,22 @@ def _write_dropped_index_distributed(partials_dir: str, out_dir: str,
     acks.count()  # consume the tiny ack rows to execute the write
 
 
-def score_turns(ds, scorer_concurrency: Optional[Tuple[int, int]] = None):
-    """Stages 1–3: features + scrub, actor-pool scoring, per-turn policy."""
-    featured = ds.map_batches(compute_features, batch_format="pyarrow")
-    scored = featured.map_batches(
-        QualityScorer,
-        batch_format="pyarrow",
-        concurrency=scorer_concurrency or _default_scorer_concurrency(),
-    )
-    return scored.map_batches(_PolicyStage(), batch_format="pyarrow")
+@functools.lru_cache(maxsize=1)
+def _score_stages() -> Tuple[QualityScorer, _PolicyStage]:
+    """Built once per worker process (Ray reuses task workers)."""
+    return QualityScorer(), _PolicyStage()
+
+
+def _score_block(batch: pa.Table) -> pa.Table:
+    scorer, policy = _score_stages()
+    return policy(scorer(compute_features(batch)))
+
+
+def score_turns(ds):
+    """Stages 1–3 (features + scrub, scoring, policy) as one stateless task.
+    No ``concurrency=``: Ray fuses task operators only when their pool
+    sizes match, and this one fuses with the sidecar + spill write."""
+    return ds.map_batches(_score_block, batch_format="pyarrow")
 
 
 # Above this many bytes of conv-stat partials the fold stops happening on
@@ -356,6 +355,7 @@ def filter_and_scrub(ds, scorer_concurrency: Optional[Tuple[int, int]] = None,
                      scratch_dir: Optional[str] = None):
     """Full pipeline: returns the dataset with per-turn ``keep`` + scrubbed
     text columns (all turns retained so metrics/oracles can inspect drops).
+    ``scorer_concurrency`` has no effect (scoring is a task, ``score_turns``).
 
     Two consumers need the scored turns (conversation stats + the final
     verdict stamp), so the feature/scoring stages must run once.  Instead of
@@ -371,7 +371,7 @@ def filter_and_scrub(ds, scorer_concurrency: Optional[Tuple[int, int]] = None,
     import ray
     import ray.data as rd
 
-    turns = score_turns(ds, scorer_concurrency)
+    turns = score_turns(ds)
     if scratch_dir is None:
         root = os.environ.get("HOOQU_SCRATCH_DIR")
         if root is None and len(ray.nodes()) > 1:
@@ -484,12 +484,13 @@ def filter_and_scrub(ds, scorer_concurrency: Optional[Tuple[int, int]] = None,
         },
         batch_format="pyarrow",
         batch_size=None,
-        concurrency=_default_scorer_concurrency(),
+        concurrency=actor_pool_size(),
     )
 
 
 def filtered_output(ds, scorer_concurrency=None, scratch_dir=None):
-    """Kept turns only, scrubbed text as ``text``, stable order."""
+    """Kept turns only, scrubbed text as ``text``, stable order
+    (``scorer_concurrency`` has no effect)."""
     full = filter_and_scrub(ds, scorer_concurrency, scratch_dir)
     kept = full.map_batches(_SelectKept(), batch_format="pyarrow")
     return kept.sort(["conv_id", "turn_idx"])

@@ -186,15 +186,12 @@ def compute_features(batch: pa.Table) -> pa.Table:
         pc.match_substring_regex(text, pattern=_TOX_PREFILTER_RE2),
         pc.match_substring_regex(text, pattern=_TOX_FOLD_TRICKY),
     )
-    needs = pc.fill_null(
-        pc.or_(pc.or_(may_email, may_cc), may_tox), False
-    ).to_numpy(zero_copy_only=False)
-    if needs.any():
-        idx = np.flatnonzero(needs)
-        fixed = [scrub_text(t) for t in text.take(pa.array(idx)).to_pylist()]
-        scrubbed_np = np.asarray(text.to_pylist(), dtype=object)
-        scrubbed_np[idx] = fixed
-        scrubbed = pa.array(scrubbed_np, type=pa.string())
+    needs = pc.fill_null(pc.or_(pc.or_(may_email, may_cc), may_tox), False)
+    if pc.any(needs).as_py():
+        # only the candidate rows go through Python; they are spliced back
+        # in order, every other row keeps its Arrow buffers
+        fixed = [scrub_text(t) for t in text.filter(needs).to_pylist()]
+        scrubbed = pc.replace_with_mask(text, needs, pa.array(fixed, text.type))
     else:
         scrubbed = text  # no row can match: zero-copy passthrough
 

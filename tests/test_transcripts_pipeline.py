@@ -135,6 +135,47 @@ def test_scrub_replaces_pii():
         assert scrub_text(t) == oracle_scrub(t)
 
 
+def test_scrub_splices_fixed_rows_into_mixed_batch():
+    """Rows that need the Python scrub sit between clean, null and
+    non-ASCII rows of ONE batch: only the fixed rows are replaced, in
+    order, and every row equals the oracle."""
+    from hooqu_ray.stages.heuristics import compute_features
+
+    texts = [
+        "plain clean words here",
+        "mail alice@example.org now",
+        None,
+        "Grüße aus Köln, naïve café",
+        "card 4111 1111 1111 1111 ok",
+        "an @ sign and 2024 but nothing to scrub",
+        "ok ſcuzzbucket here",
+        None,
+        "FRAKKING loud and bob@example.com",
+        "日本語のテキスト",
+    ]
+    out = compute_features(pa.table({"text": pa.array(texts, pa.string())}))
+    scrubbed = out.column("text_scrubbed")
+    assert scrubbed.type == pa.string()
+    assert scrubbed.to_pylist() == [oracle_scrub(t) for t in texts]
+    assert scrubbed.null_count == 2
+
+
+def test_score_turns_plans_no_actor_pool(ray_session, synth_table):
+    """Scoring is one stateless task stage: an actor pool would cost a
+    worker spawn per Dataset execution and block fusion with the spill."""
+    import ray.data as rd
+    from ray.data import ActorPoolStrategy
+
+    ops, stack = [], [tp.score_turns(rd.from_arrow(synth_table))._logical_plan.dag]
+    while stack:
+        op = stack.pop()
+        ops.append(op)
+        stack.extend(op.input_dependencies)
+    computes = [op._compute for op in ops if hasattr(op, "_compute")]
+    assert computes, [op.name for op in ops]
+    assert not [c for c in computes if isinstance(c, ActorPoolStrategy)]
+
+
 def test_models_match_oracle_math():
     from hooqu_ray.stages.models import CharBigramLM, TrigramLangID
 
