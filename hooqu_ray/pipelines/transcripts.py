@@ -840,38 +840,6 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
         non_null=[idx_col])
 
 
-class _IsInAnyShard:
-    """``map_batches`` stage keeping rows whose ``col`` is in ANY of the
-    broadcast hash-range shards (OR of per-shard membership masks — the
-    IN-probe counterpart of chaining ``BroadcastIsInFilter(invert=True)``,
-    which ANDs NOT-IN masks).  Shard arrays are plasma-shared zero-copy
-    reads cached once per actor/worker process."""
-
-    def __init__(self, refs, col: str):
-        self.refs = refs
-        self.col = col
-        self._vals = None
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from ..util import isin_mask
-
-        if self._vals is None:
-            import ray
-
-            self._vals = [r if isinstance(r, pa.Array) else ray.get(r)
-                          for r in self.refs]
-        col = t.column(self.col)
-        mask = None
-        for v in self._vals:
-            m = isin_mask(col, v)
-            mask = m if mask is None else pc.or_(mask, m)
-        return t.filter(mask)
-
-
-def _union_shard_members(ds, refs, col: str):
-    return ds.map_batches(_IsInAnyShard(refs, col), batch_format="pyarrow")
-
-
 def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
                            text_col: str = "text", min_chars: int = 10,
                            rows_per_shard: int = 4_000_000):
@@ -883,32 +851,29 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
     counts occurrences; this counts conversations, so a text repeated many
     times inside ONE conversation is not boilerplate).
 
-    Scale shape, cheapest-pass-first (turn text never shuffles):
+    Scale shape: one keyed exchange of slim int pairs (turn text never
+    shuffles), two Ray executions before the filter pass:
 
-    1. OCCURRENCE prefilter: a text cannot span ``min_convs`` conversations
-       with fewer than ``min_convs`` total occurrences, so a per-block
-       ``value_counts`` combiner + one ``groupby(hash).sum`` over slim
-       ``(int64, int64)`` rows yields a conservative CANDIDATE hash set —
-       O(#duplicated texts), which on a typical corpus (most turn texts
-       unique) prunes the expensive distinct-conversation pass to the
-       duplicated tail, and skips it entirely when no text repeats.
-    2. Candidate-only ``(text_hash, conv_id)`` pairs are block-deduped and
-       counted with
-       :func:`~hooqu_ray.pipelines.relational.grouped_count_distinct`.
+    1. Per block, the distinct ``(text_hash, conv)`` pairs of eligible
+       turns, at most ``min_convs`` per hash.
+    2. One ``shuffle.bucketed_group_fold`` keyed on the hash.  Its
+       ``combine`` sees every pair of a hash in one bucket, counts the
+       distinct conversations and keeps the hashes with at least
+       ``min_convs``.
     3. The hot-hash set — O(#boilerplate texts) — collects in hash-range
        shards (``util.sharded_value_refs``) and the filter pass chains one
        broadcast NOT-IN probe per shard.
 
-    The prefilter trades one extra pruned streaming read of the text
-    column for a much smaller pair shuffle — the same read-again-rather-
-    than-shuffle trade ``dedup.exact_dedup`` documents.  Turns shorter
-    than ``min_chars`` (or with a null text/conv) are never candidates and
-    always survive: they take the ``-1`` sentinel hash, which the 63-bit
-    (non-negative) hash sets cannot contain, and the membership probes
-    treat them accordingly."""
+    The per-block cap is exact: a block that hits it for a hash alone
+    holds ``min_convs`` distinct conversations of that hash, so the hash
+    is hot whatever the other blocks send; if no block hits it, every
+    block sent all its pairs and the count is exact.  A hot text therefore
+    moves at most ``min_convs`` × #blocks rows (FP-Hadoop's hot-key
+    bound).  Turns shorter than ``min_chars`` (or with a null text/conv)
+    are never candidates and always survive: they take the ``-1`` sentinel
+    hash, which the 63-bit (non-negative) hash sets cannot contain."""
     from .dedup import _text_hash63
-    from .relational import grouped_count_distinct
-    from ..functions.shuffle import tree_group_sum
+    from ..functions.shuffle import bucketed_group_fold
     from ..util import BroadcastIsInFilter, sharded_value_refs
 
     if min_convs < 1:
@@ -920,57 +885,35 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
         return pc.and_(pc.greater_equal(ln, pa.scalar(min_chars)),
                        pc.is_valid(t.column(conv_col)))
 
-    def occ_partials(t: pa.Table) -> pa.Table:
+    def capped_pairs(t: pa.Table) -> pa.Table:
         t = t.filter(_eligible_mask(t))
-        vc = pa.array(_text_hash63(t.column(text_col)), pa.int64()).value_counts()
-        return pa.table({"__th": vc.field("values"),
-                         "__n": pc.cast(vc.field("counts"), pa.int64())})
-
-    # value_counts rows fold key-exchange-free (tree_group_sum: ~20× the
-    # sort-based groupby at bench scale; degrades to the keyed exchange
-    # itself when the distinct-text count is corpus-like)
-    occ = tree_group_sum(
-        ds.map_batches(occ_partials, batch_format="pyarrow"),
-        ["__th"], ["__n"])
-
-    def cand_only(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.greater_equal(t.column("__n"), pa.scalar(min_convs))
-        ).select(["__th"])
-
-    cand_refs = sharded_value_refs(
-        occ.map_batches(cand_only, batch_format="pyarrow"),
-        "__th", rows_per_shard)
-
-    def pair_proj(t: pa.Table) -> pa.Table:
-        t = t.filter(_eligible_mask(t))
-        return pa.table({
+        pairs = pa.table({
             "__th": pa.array(_text_hash63(t.column(text_col)), pa.int64()),
             conv_col: t.column(conv_col),
-        })
+        }).group_by(["__th", conv_col]).aggregate([])
+        th = pairs.column("__th").to_numpy()
+        order = np.argsort(th, kind="stable")
+        th = th[order]
+        first = np.ones(len(th), bool)
+        first[1:] = th[1:] != th[:-1]
+        pos = np.arange(len(th))
+        rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+        return pairs.take(pa.array(order[rank < min_convs]))
 
-    pairs = ds.map_batches(pair_proj, batch_format="pyarrow")
-    if not cand_refs:  # nothing repeats >= min_convs times anywhere
+    def hot_hashes(t: pa.Table) -> pa.Table:
+        if "__th" not in t.column_names:  # the fold's empty-input path
+            return pa.table({"__th": pa.array([], pa.int64())})
+        vc = pc.value_counts(
+            t.group_by(["__th", conv_col]).aggregate([]).column("__th"))
+        hot = pc.greater_equal(vc.field("counts"), pa.scalar(min_convs))
+        return pa.table({"__th": vc.field("values").filter(hot)})
+
+    hot = bucketed_group_fold(
+        ds.map_batches(capped_pairs, batch_format="pyarrow"),
+        ["__th"], [conv_col], combine=hot_hashes)
+    refs = sharded_value_refs(hot, "__th", rows_per_shard)
+    if not refs:  # no text spans min_convs conversations
         return ds
-    # keep only candidate hashes: each chained IN-probe keeps one shard's
-    # members, so the UNION of shards needs a keep-any OR — emulate it by
-    # filtering per shard and unioning (a value lives in exactly one shard)
-    if len(cand_refs) == 1:
-        pairs = pairs.map_batches(
-            BroadcastIsInFilter(cand_refs[0], "__th"), batch_format="pyarrow")
-    else:
-        pairs = _union_shard_members(pairs, cand_refs, "__th")
-
-    counts = grouped_count_distinct(pairs, "__th", conv_col)
-
-    def hot_only(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.greater_equal(t.column("n_distinct"), pa.scalar(min_convs))
-        ).select(["__th"])
-
-    refs = sharded_value_refs(
-        counts.map_batches(hot_only, batch_format="pyarrow"),
-        "__th", rows_per_shard)
 
     def add_hash(t: pa.Table) -> pa.Table:
         h = np.asarray(_text_hash63(t.column(text_col)))
@@ -1586,7 +1529,9 @@ def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
     inside the same :func:`sorted_scan` pass) — semantically
     identical to ``extract_training_examples(truncate_conversations(x))``
     but the corpus text sorts ONCE instead of twice (measured 49 s → the
-    fused cost of one sort at 3.2M turns).  Returns the example Dataset
+    fused cost of one sort at 3.2M turns).  Building the plan runs four
+    Ray executions (stage 1's pair fold and hot-hash collect, the sort, the
+    boundary state); consuming it is the fifth.  Returns the example Dataset
     (``conv_id, turn_idx, prompt, target, n_context_turns, n_tokens``);
     feed :func:`pack_sft_examples` for the loss-mask packing plan.
     Exact-dedup stages (:func:`dedup_conversations`, :func:`dedup_turns`)
@@ -3005,9 +2950,9 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
             align(base_alt(t), fam_cols["alternation"])
         return pa.table(cols)
 
-    # pend rows (first/last conversation of each block) materialize ONCE
-    # and feed every family's boundary repair — they are O(#blocks) convs
-    pend = edge_rows(sorted_ds, conv_col).materialize()
+    # pend rows (first/last conversation of each block) are built ONCE and
+    # feed every family's boundary repair — they are O(#blocks) convs
+    pend = edge_rows(sorted_ds, conv_col)
 
     out = {}
     if per_conv:

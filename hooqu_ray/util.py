@@ -95,13 +95,16 @@ def collect_arrow(ds):
     schema-less empty blocks Ray's aggregate can emit.  Returns None when
     nothing survives.  ``to_arrow_refs`` can hand back RAW pandas blocks
     (e.g. empty sort partitions skip the pyarrow conversion) — convert
-    them here instead of crashing on ``.num_columns``."""
+    them here instead of crashing on ``.num_columns``.  The dataset
+    materializes first: on a lazy one ``to_arrow_refs`` would fetch the
+    schema by re-running the plan under ``limit=1`` (a no-op when already
+    materialized)."""
     import pandas as pd
     import pyarrow as pa
     import ray
 
     parts = []
-    for t in ray.get(ds.to_arrow_refs()):
+    for t in ray.get(ds.materialize().to_arrow_refs()):
         if isinstance(t, pd.DataFrame):
             if len(t) == 0 or len(t.columns) == 0:
                 continue

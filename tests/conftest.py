@@ -97,3 +97,21 @@ def sample_product_data():
     return pd.DataFrame(
         rows, columns=["id", "productName", "description", "priority", "numViews"]
     )
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Count Ray Data plan executions: every ``StreamingExecutor.execute``
+    call on the driver appends to the returned list (``len`` it)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls

@@ -8,12 +8,19 @@ degenerate inputs are an empty table, one row, and a table whose keys are
 all null.  Ops with an independent pandas reference must match it on every
 input; every op must give identical rows in every layout, and an empty
 result keeps the typed schema the op had before the scan was shared.
+
+Both boundary-repair arms run every op: the reference and layout tests
+force the driver arm, and a third test forces the distributed
+``groupby(key)`` arm and requires the driver arm's rows and schema on every
+input.
 """
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+
+from hooqu_ray.functions import sorted_scan as ss
 
 BASE = np.datetime64("2025-01-01T00:00:00", "us")
 CASES = ("p1", "p7", "p64", "empty", "one", "allnull")
@@ -329,8 +336,19 @@ LAYOUT_OPS = sorted([
     "grouped_top_k_distributed"])
 
 
+def _force_arm(monkeypatch, driver: bool):
+    monkeypatch.setattr(ss, "DRIVER_REPAIR_MAX_BYTES",
+                        1 << 40 if driver else -1)
+
+
+@pytest.fixture
+def driver_repair(monkeypatch):
+    _force_arm(monkeypatch, driver=True)
+
+
 @pytest.mark.parametrize("op", REFERENCE_OPS)
-def test_matches_pandas_reference_in_every_layout(ray_session, op):
+def test_matches_pandas_reference_in_every_layout(ray_session, driver_repair,
+                                                  op):
     table, run, ref = _ops()[op]
     key = "conv_id" if table is TURNS else "user_id"
     full_names = None
@@ -349,7 +367,7 @@ def test_matches_pandas_reference_in_every_layout(ray_session, op):
 
 
 @pytest.mark.parametrize("op", LAYOUT_OPS)
-def test_identical_in_every_layout(ray_session, op):
+def test_identical_in_every_layout(ray_session, driver_repair, op):
     table, run, empty_names = _layout_ops()[op]
     key = "conv_id" if table is TURNS else "user_id"
     outs = {case: _collect(run(_dataset(table, key, case))) for case in CASES}
@@ -360,3 +378,25 @@ def test_identical_in_every_layout(ray_session, op):
         pd.testing.assert_frame_equal(outs[case][1], base, obj=f"{op}/{case}")
     assert outs["empty"][0] == empty_names, op
     assert len(outs["empty"][1]) == 0 and len(outs["allnull"][1]) == 0, op
+
+
+@pytest.mark.parametrize("op", sorted(REFERENCE_OPS + LAYOUT_OPS))
+def test_distributed_repair_matches_driver_repair(ray_session, monkeypatch,
+                                                  op):
+    """The ``groupby(key)`` arm against the driver arm.  The driver arm's
+    p7/p64 rows equal its p1 rows (the tests above), so each partitioned
+    layout is compared with the driver's p1 output."""
+    table, run, _ = {**_ops(), **_layout_ops()}[op]
+    key = "conv_id" if table is TURNS else "user_id"
+
+    def outputs(driver, cases):
+        _force_arm(monkeypatch, driver)
+        return {case: _collect(run(_dataset(table, key, case)))
+                for case in cases}
+
+    dist = outputs(False, CASES)
+    drv = outputs(True, ("p1", "empty", "one", "allnull"))
+    for case in CASES:
+        names, got = drv["p1" if case.startswith("p") else case]
+        assert dist[case][0] == names, (op, case)
+        pd.testing.assert_frame_equal(dist[case][1], got, obj=f"{op}/{case}")

@@ -465,6 +465,89 @@ class TestDropBoilerplateTurns:
             self._run([("a", 0, "x")], min_convs=0)
 
 
+HOT_TEXT = "Hello! How can I help you today?"
+
+
+def _boilerplate_rows():
+    """30 conversations.  HOT_TEXT opens every one (after the shuffle it is
+    in every block, so a block holding ``min_convs`` of its conversations
+    hits the per-block cap); one text spans every third conversation, one
+    repeats only inside c00; short, null-text and null-conv turns ride
+    along."""
+    rows = []
+    for c in range(30):
+        cid = f"c{c:02d}"
+        rows += [(cid, 0, HOT_TEXT), (cid, 1, f"unique turn text {c:02d}"),
+                 (cid, 2, "short"), (cid, 3, None)]
+        if c % 3 == 0:
+            rows.append((cid, 4, "shared by every third conversation"))
+    rows += [("c00", 5 + i, "repeated inside one conversation only")
+             for i in range(8)]
+    rows += [(None, i, HOT_TEXT) for i in range(3)]
+    return rows
+
+
+def _boilerplate_oracle(df, min_convs, min_chars=10):
+    elig = ((df["text"].fillna("").str.len() >= min_chars)
+            & df["conv_id"].notna())
+    n_convs = df[elig].groupby("text")["conv_id"].nunique()
+    hot = n_convs[n_convs >= min_convs].index
+    return df[~(elig & df["text"].isin(hot))]
+
+
+def _canonical(df):
+    df = df.reset_index(drop=True)
+    if len(df):
+        key = df.astype(str)
+        df = df.iloc[np.lexsort([key[c].to_numpy()
+                                 for c in reversed(df.columns)])]
+    return df.reset_index(drop=True)
+
+
+BOILERPLATE_CASES = {
+    "cap": (_boilerplate_rows, dict(min_convs=3)),
+    "min_convs_1": (_boilerplate_rows, dict(min_convs=1)),
+    "min_convs_11": (_boilerplate_rows, dict(min_convs=11)),
+    "sharded": (_boilerplate_rows, dict(min_convs=2, rows_per_shard=1)),
+    "all_null_text": (lambda: [(f"c{i % 4}", i, None) for i in range(20)],
+                      dict(min_convs=2)),
+    "empty": (lambda: [], dict(min_convs=2)),
+}
+
+
+@pytest.mark.parametrize("blocks", [1, 7, 64])
+@pytest.mark.parametrize("case", sorted(BOILERPLATE_CASES))
+def test_drop_boilerplate_turns_matches_pandas(ray_session, case, blocks):
+    import ray.data as rd
+
+    make, kw = BOILERPLATE_CASES[case]
+    rows = make()
+    rng = np.random.default_rng(blocks)
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    table = pa.table({
+        "conv_id": pa.array([r[0] for r in rows], pa.string()),
+        "turn_idx": pa.array([r[1] for r in rows], pa.int64()),
+        "text": pa.array([r[2] for r in rows], pa.string()),
+    })
+    ds = rd.from_arrow(table)
+    if blocks > 1:
+        ds = ds.repartition(blocks)
+    out = tp.drop_boilerplate_turns(ds, **kw).materialize()
+
+    def names(d):  # an empty input repartitioned to 7+ blocks has none
+        schema = d.schema()
+        return None if schema is None else schema.names
+
+    assert names(out) == names(ds.materialize())
+    exp = _boilerplate_oracle(table.to_pandas(), kw["min_convs"])
+    got = out.to_pandas()  # Ray drops the columns of an empty result here
+    if len(exp) == 0:
+        assert len(got) == 0
+        return
+    pd.testing.assert_frame_equal(_canonical(got), _canonical(exp),
+                                  check_dtype=False, obj=f"{case}/{blocks}")
+
+
 class TestMergeConsecutiveTurns:
     """Run-merge semantics: null-role runs, cross-block conversations,
     separator joins, n_merged accounting."""
