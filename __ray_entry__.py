@@ -940,16 +940,11 @@ def _perplexity_documents(sf_dir: str):
     >= 1 (empty text scores exactly 1); two independent distributed runs
     agree bit-for-bit (deterministic model + libm)."""
     from hooqu_ray.pipelines.textstats import PerplexityStage
-    from hooqu_ray.util import actor_pool_size
 
     def run():
         ds = _read(sf_dir, "documents", ["doc_id", "text"])
         return (
-            ds.map_batches(
-                PerplexityStage,
-                batch_format="pyarrow",
-                concurrency=actor_pool_size(cap=8),
-            )
+            ds.map_batches(PerplexityStage(), batch_format="pyarrow")
             .to_pandas()
             .sort_values("doc_id", ignore_index=True)
         )
@@ -1086,7 +1081,7 @@ def _langid_docs(sf_dir: str):
     from hooqu_ray.stages.models import TrigramLangID
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    res = ds.map_batches(LangIdStage, batch_format="pyarrow", concurrency=(1, 4))
+    res = ds.map_batches(LangIdStage(), batch_format="pyarrow")
     t = _collect_arrow_entry(res)
     langs = set(TrigramLangID().langs)
     preds = t.column("pred_lang").to_pylist()

@@ -4,7 +4,7 @@
 (Check / VerificationSuite / analyzers), executed as streaming Ray Data
 pipelines: one shared ``map_batches``-style scan for all mergeable states,
 hash-shuffle groupbys for frequency metrics, selection passes for exact
-quantiles, and actor-pool stages for the transcript quality-filter/scrub
+quantiles, and stateless task stages for the transcript quality-filter/scrub
 flagship pipeline.
 """
 

@@ -616,8 +616,8 @@ def line_filter_frequent(ds, text_col: str = "text", id_col: str = "doc_id",
 
 class MinHasher:
     """num_perm universal hash functions over shingle hashes; deterministic
-    coefficients from a seeded PCG64.  Actor-pool stage: coefficients built
-    once per actor.
+    coefficients from a seeded PCG64, built in ``__init__`` (0.3 ms); passed
+    to ``map_batches`` as an instance (a stateless task).
 
     Fully vectorized per batch: one shingle-hash pass (``_batch_shingles``)
     then, per permutation, one numpy multiply-mod sweep over the flattened
@@ -944,13 +944,13 @@ def _bucket_aligned_blocks(sorted_surv: pa.Table, skeys: np.ndarray, n_parts: in
 
 def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                       num_perm: int = 128, bands: int = 32,
-                      threshold: float = 0.5, concurrency=None,
+                      threshold: float = 0.5,
                       max_bucket_rows: int = 4096,
                       driver_bands_max: int = _DRIVER_BANDS_MAX,
                       surv_rows_per_shard: int = 1_000_000):
     """Near-duplicate candidate pairs via MinHash+LSH.
 
-    shingle→minhash (actor pool, fully vectorized) → slim (band, band_key,
+    shingle→minhash (task, fully vectorized) → slim (band, band_key,
     id) rows — the signature itself never enters a shuffle — → hot-bucket
     scan (driver numpy below ``driver_bands_max`` rows, distributed count
     shuffle above, processed one bucket-key hash shard at a time: the driver
@@ -969,19 +969,18 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     import ray.data as rd
     import pandas as pd
 
-    from ..util import BroadcastIsInFilter, actor_pool_size
+    from ..functions.shuffle import _cluster_cpus
+    from ..util import BroadcastIsInFilter
 
     empty = pd.DataFrame({"id_a": [], "id_b": [], "est_jaccard": []})
-    n_parts = actor_pool_size()
+    n_parts = _cluster_cpus()
     # repartition before materialize: a single-file read yields one block,
     # and every downstream groupby/map_groups inherits that serial layout
     # (one task does ALL the per-group work) unless the signatures are
     # spread first.  ~1% of text volume; consumed by the per-shard passes.
     sigs = ds.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={"text_col": text_col, "id_col": id_col, "num_perm": num_perm},
+        MinHasher(text_col=text_col, id_col=id_col, num_perm=num_perm),
         batch_format="pyarrow",
-        concurrency=concurrency or actor_pool_size(cap=16),
     ).repartition(n_parts).materialize()
     band_stage = _BandKeys(num_perm, bands, id_col)
     n_docs = sigs.count()  # metadata on a materialized dataset — free
@@ -1298,16 +1297,9 @@ class SimHasher:
         )
 
 
-def simhash_signatures(ds, text_col: str = "text", id_col: str = "doc_id",
-                       concurrency=None):
-    from ..util import actor_pool_size
-
-    return ds.map_batches(
-        SimHasher,
-        fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow",
-        concurrency=concurrency or actor_pool_size(cap=16),
-    )
+def simhash_signatures(ds, text_col: str = "text", id_col: str = "doc_id"):
+    return ds.map_batches(SimHasher(text_col=text_col, id_col=id_col),
+                          batch_format="pyarrow")
 
 
 def _simhash_band_specs(n_bands: int):
@@ -1462,7 +1454,7 @@ class _SimhashBucketPairsBlock:
 
 
 def simhash_near_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                       max_hamming: int = 3, concurrency=None,
+                       max_hamming: int = 3,
                        max_bucket_rows: int = 4096,
                        driver_bands_max: int = _DRIVER_BANDS_MAX,
                        surv_rows_per_shard: int = _DRIVER_BANDS_MAX):
@@ -1483,12 +1475,12 @@ def simhash_near_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     import pandas as pd
     import ray.data as rd
 
-    from ..util import actor_pool_size
+    from ..functions.shuffle import _cluster_cpus
 
     empty = pd.DataFrame({"id_a": [], "id_b": [], "hamming": []})
-    n_parts = actor_pool_size()
+    n_parts = _cluster_cpus()
     n_bands = max(2, max_hamming + 1)
-    sigs = simhash_signatures(ds, text_col, id_col, concurrency).repartition(
+    sigs = simhash_signatures(ds, text_col, id_col).repartition(
         n_parts
     ).materialize()  # 16 bytes per doc
     n_docs = sigs.count()
@@ -1739,8 +1731,7 @@ def snapshot_diff(old_ds, new_ds, key_col: str, content_cols,
 
 def minhash_index_write(ds, path: str, text_col: str = "text",
                         id_col: str = "doc_id", num_perm: int = 128,
-                        bands: int = 32, shingle_w: int = 3,
-                        concurrency=None):
+                        bands: int = 32, shingle_w: int = 3):
     """Persist a corpus near-dup index for later incremental probing
     (:func:`minhash_probe_index`) — the MinHash counterpart of
     ``bloom.bloom_new_rows``'s exact-membership summary:
@@ -1756,16 +1747,10 @@ def minhash_index_write(ds, path: str, text_col: str = "text",
     produces comparable signatures."""
     import ray.data as rd
 
-    from ..util import actor_pool_size
-
     sigs = ds.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={
-            "text_col": text_col, "id_col": id_col,
-            "num_perm": num_perm, "shingle_w": shingle_w,
-        },
+        MinHasher(text_col=text_col, id_col=id_col, num_perm=num_perm,
+                  shingle_w=shingle_w),
         batch_format="pyarrow",
-        concurrency=concurrency or actor_pool_size(cap=16),
     )
     sigs.write_parquet(f"{path}/signatures")
     rd.read_parquet(f"{path}/signatures").map_batches(
@@ -1877,7 +1862,7 @@ class _CrossBucketPairs:
 def minhash_probe_index(new_ds, path: str, text_col: str = "text",
                         id_col: str = "doc_id", num_perm: int = 128,
                         bands: int = 32, shingle_w: int = 3,
-                        threshold: float = 0.5, concurrency=None,
+                        threshold: float = 0.5,
                         max_bucket_rows: int = 4096,
                         new_rows_per_shard: int = 1_000_000):
     """Probe a NEW document shard against a persisted
@@ -1901,17 +1886,14 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
     import ray
     import ray.data as rd
 
-    from ..util import BroadcastIsInFilter, ShardFilter, actor_pool_size
+    from ..functions.shuffle import _cluster_cpus
+    from ..util import BroadcastIsInFilter, ShardFilter
 
-    n_parts = actor_pool_size()
+    n_parts = _cluster_cpus()
     new_sigs = new_ds.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={
-            "text_col": text_col, "id_col": id_col,
-            "num_perm": num_perm, "shingle_w": shingle_w,
-        },
+        MinHasher(text_col=text_col, id_col=id_col, num_perm=num_perm,
+                  shingle_w=shingle_w),
         batch_format="pyarrow",
-        concurrency=concurrency or actor_pool_size(cap=16),
     ).repartition(n_parts).materialize()
     band_stage = _BandKeys(num_perm, bands, id_col)
     n_new_rows = new_sigs.count() * bands

@@ -108,28 +108,33 @@ def blocklist_pattern(terms, *, word_boundary: bool = True,
     """ONE RE2 alternation for a phrase blocklist (shared by the engine
     filter and any SQL oracle — both pyarrow and DuckDB run RE2, so the
     same string means the same matches).  Terms are regex-escaped;
-    ``word_boundary`` wraps the alternation in ``\\b``."""
+    ``word_boundary`` requires start/end of text or a character that is not
+    a Unicode letter, digit or ``_`` on each side of the match.  (RE2's
+    ``\\b`` is ASCII-only and needs a word character at the term's edge, so
+    ``über``, ``c++`` or ``@handle`` would never match under it.)"""
     import re as _re
 
     if not terms:
         raise ValueError("blocklist_pattern: empty term list")
     alt = "|".join(_re.escape(t) for t in terms)
-    pat = f"\\b(?:{alt})\\b" if word_boundary else f"(?:{alt})"
+    edge = "[^\\pL\\pN_]"
+    pat = (f"(?:^|{edge})(?:{alt})(?:$|{edge})" if word_boundary
+           else f"(?:{alt})")
     return ("(?i)" + pat) if case_insensitive else pat
 
 
 class _BlocklistFilter:
-    """Actor-pool stage: the (potentially thousands-of-terms) alternation
-    compiles ONCE per actor in ``__init__`` — RE2 builds a DFA whose match
-    cost is independent of term count — and each batch pays one vectorized
-    ``match_substring_regex``."""
+    """Per-batch blocklist stage, passed to ``map_batches`` as an instance
+    (a stateless task).  RE2 builds a DFA whose match cost is independent
+    of term count, so each batch pays one vectorized
+    ``match_substring_regex`` (pyarrow compiles the pattern per call)."""
 
     def __init__(self, pattern: str, text_col: str, invert: bool):
         self.pattern = pattern
         self.text_col = text_col
         self.invert = invert
-        # probe-compile on a NON-empty array (empty arrays skip compilation
-        # and would defer pattern errors to mid-stream — see CLAUDE.md)
+        # probe-compile on a NON-empty array, on the driver: a pattern RE2
+        # rejects raises here, not mid-stream (empty arrays skip compilation)
         pc.match_substring_regex(pa.array(["x"]), pattern=pattern)
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -141,7 +146,7 @@ class _BlocklistFilter:
 def blocklist_filter(ds, terms, text_col: str = "text", *,
                      word_boundary: bool = True,
                      case_insensitive: bool = True,
-                     invert: bool = False, concurrency=(1, 8)):
+                     invert: bool = False):
     """Drop every row whose text contains ANY blocklisted phrase — the
     C4-style "bad words" filter (public badwords lists run to ~400 terms
     per language).  ``invert=True`` keeps only matching rows (the audit
@@ -149,9 +154,5 @@ def blocklist_filter(ds, terms, text_col: str = "text", *,
     reproducible in SQL via :func:`blocklist_pattern`."""
     pat = blocklist_pattern(terms, word_boundary=word_boundary,
                             case_insensitive=case_insensitive)
-    return ds.map_batches(
-        _BlocklistFilter,
-        fn_constructor_kwargs={"pattern": pat, "text_col": text_col,
-                               "invert": invert},
-        batch_format="pyarrow", concurrency=concurrency,
-    )
+    return ds.map_batches(_BlocklistFilter(pat, text_col, invert),
+                          batch_format="pyarrow")

@@ -2,7 +2,7 @@
 
 Vectorized per-batch stages: token counting (``\\S+`` runs), quality scoring
 (length/symbol/stopword heuristics reused from the transcript stage),
-language-ID (actor-pool char-trigram model), and document fingerprinting
+language-ID (char-trigram model), and document fingerprinting
 (md5 + 64-bit rolling hash)."""
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def quality_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class LangIdStage:
-    """Actor-pool language ID (model built once per actor).  Scores via the
+    """Language ID stage, passed to ``map_batches`` as an instance (a
+    stateless task; the model builds in under 1 ms).  Scores via the
     zero-copy Arrow byte-codes path (``_byte_codes_arrow``) — the same kernel
     the flagship's QualityScorer uses — instead of ``to_pylist()`` +
     per-row ``str.encode``."""
@@ -108,9 +109,10 @@ class LangIdStage:
 
 
 class PerplexityStage:
-    """Actor-pool KenLM-style char-bigram perplexity per document (model
-    built once per actor; the flagship quality filter's scorer exposed as
-    a standalone column op).  Scores via the zero-copy Arrow byte-codes
+    """KenLM-style char-bigram perplexity per document, passed to
+    ``map_batches`` as an instance (a stateless task; the model builds in
+    under 1 ms) — the flagship quality filter's scorer exposed as a
+    standalone column op.  Scores via the zero-copy Arrow byte-codes
     path; empty/null text scores exp(0) = 1.0, and smoothing keeps every
     bigram probability < 1 so perplexity is always >= 1."""
 

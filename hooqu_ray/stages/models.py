@@ -1,11 +1,12 @@
-"""Deterministic language-ID and perplexity models (actor-pool state).
+"""Deterministic language-ID and perplexity models.
 
 Stand-ins for fastText lid.176 and a KenLM n-gram model (no downloads in
-this sandbox) with the same execution shape: the model tables are built ONCE
-per actor in ``__init__`` and applied per batch with fully vectorized numpy —
-one concatenated byte buffer per batch, per-position table lookups, and
-``np.add.reduceat`` segment sums.  No Python-per-character work in the hot
-path; the only per-row Python is ``str.encode``.
+this sandbox) with the same execution shape: the model tables are built
+ONCE in ``__init__`` (under 1 ms) and applied per batch with fully
+vectorized numpy — one concatenated byte buffer per batch, per-position
+table lookups, and ``np.add.reduceat`` segment sums.  No
+Python-per-character work in the hot path; the only per-row Python is
+``str.encode``.
 
 Math (shared with the test oracle via ``spec``):
 
@@ -106,7 +107,7 @@ def _segment_means(values: np.ndarray, offsets: np.ndarray, min_len: int) -> np.
 
 
 class CharBigramLM:
-    """KenLM-style scorer: -log P per char bigram, built once per actor."""
+    """KenLM-style scorer: -log P per char bigram."""
 
     def __init__(self, corpus: str = spec.LM_CORPUS_EN):
         codes, _ = _byte_codes([corpus])

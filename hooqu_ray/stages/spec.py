@@ -73,7 +73,7 @@ LANGS = ("en", "de", "fr")
 
 # Seed corpora for the deterministic char-ngram models (stand-ins for
 # fastText lid.176 / KenLM binaries, which this sandbox cannot download;
-# the Ray-side plumbing — actor pools, batch scoring — is identical).
+# the Ray-side plumbing — per-batch task scoring — is identical).
 LM_CORPUS_EN = """
 the quick brown fox jumps over the lazy dog near the river bank we reviewed
 the quarterly report and found that the numbers were consistent please

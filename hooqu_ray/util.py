@@ -258,28 +258,6 @@ def embedding_matrix(col, dtype=None):
     return np.stack(col.to_pylist()).astype(dtype or np.float64)
 
 
-def actor_pool_size(cap: Optional[int] = None, headroom: int = 2) -> int:
-    """Fixed actor-pool size for a map_batches stage: cluster CPUs minus
-    ``headroom`` (the upstream read / sibling task stages need slots — a
-    pool that pins EVERY logical CPU deadlocks the streaming executor),
-    optionally capped.  Falls back to 2 off-cluster.
-
-    NEVER returns more than cpus − 1: the old ``max(2, cpus − 2)`` floor
-    meant a 2-CPU cluster got a 2-actor pool claiming every slot, and the
-    fused upstream read starved forever (measured: a 2-CPU scaling leg hung
-    86 minutes).  Clusters need ≥ 2 CPUs for actor-pool stages at all."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    except Exception:  # pragma: no cover
-        cpus = 4
-    size = max(1, min(cpus - headroom, cpus - 1))
-    if cap is not None:
-        size = min(size, cap)
-    return size
-
-
 def tree_reduce(rows, combine, fanout: int = 64):
     """Distributed TREE reduction of a (materialized) dataset of partial
     rows: while more than ``fanout`` rows remain, each task combines up to

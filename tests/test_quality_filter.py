@@ -128,3 +128,30 @@ class TestBlocklistFilter:
 
         with pytest.raises(ValueError):
             blocklist_pattern([])
+
+    def test_unicode_and_symbol_term_boundaries(self, ray_session):
+        """Terms that start or end in a non-ASCII letter or a symbol match
+        at a text edge or next to a non-letter/digit/underscore, and not
+        inside a word; the engine and DuckDB's RE2 agree."""
+        import duckdb
+        import pyarrow as pa
+        import ray.data as rd
+
+        from hooqu_ray.pipelines.filters import (blocklist_filter,
+                                                 blocklist_pattern)
+
+        terms = ["über", "naïve café", "c++", "c#", "@handle", "spark"]
+        hits = ["über", "Über uns", "I write c++", "in c#.", "ping @handle",
+                "a naïve café", "spark", "one spark."]
+        misses = ["grüber", "überall", "sparky", "SPARK_x", "éspark",
+                  "mail x@handle", "c++x", "clean"]
+        t = pa.table({"doc_id": pa.array(range(len(hits) + len(misses)),
+                                         pa.int64()),
+                      "text": pa.array(hits + misses, pa.string())})
+        audit = blocklist_filter(rd.from_arrow(t).repartition(3), terms,
+                                 invert=True).to_pandas()
+        assert sorted(audit["text"]) == sorted(hits)
+        pat = blocklist_pattern(terms)
+        got = [duckdb.execute("SELECT regexp_matches(?, ?)",
+                              [s, pat]).fetchone()[0] for s in hits + misses]
+        assert got == [True] * len(hits) + [False] * len(misses)

@@ -160,17 +160,50 @@ def test_scrub_splices_fixed_rows_into_mixed_batch():
     assert scrubbed.null_count == 2
 
 
-def test_score_turns_plans_no_actor_pool(ray_session, synth_table):
-    """Scoring is one stateless task stage: an actor pool would cost a
-    worker spawn per Dataset execution and block fusion with the spill."""
+def _plan_scored(ds, monkeypatch):
+    return tp.score_turns(ds)
+
+
+def _plan_blocklist(ds, monkeypatch):
+    from hooqu_ray.pipelines.filters import blocklist_filter
+
+    return blocklist_filter(ds, ["spark"])
+
+
+def _plan_simhash(ds, monkeypatch):
+    from hooqu_ray.pipelines.dedup import simhash_signatures
+
+    return simhash_signatures(ds, "text", "conv_id")
+
+
+def _plan_partitioned_verdict(ds, monkeypatch):
+    monkeypatch.setattr(tp, "_VERDICT_BROADCAST_MAX_BYTES", 0)
+    monkeypatch.setattr(tp, "_VERDICT_INDEX_BUCKETS", 4)
+    return tp.filter_and_scrub(ds)
+
+
+@pytest.mark.parametrize("build, stage", [
+    (_plan_scored, "_score_block"),
+    (_plan_blocklist, "_BlocklistFilter"),
+    (_plan_simhash, "SimHasher"),
+    (_plan_partitioned_verdict, "_PartitionedVerdictLookup"),
+], ids=["score_turns", "blocklist_filter", "simhash_signatures",
+        "partitioned_verdict"])
+def test_stage_plans_no_actor_pool(ray_session, synth_table, monkeypatch,
+                                   build, stage):
+    """Every model stage is a stateless task: an actor pool would cost a
+    worker spawn per Dataset execution and block fusion with its
+    neighbours."""
     import ray.data as rd
     from ray.data import ActorPoolStrategy
 
-    ops, stack = [], [tp.score_turns(rd.from_arrow(synth_table))._logical_plan.dag]
+    ds = build(rd.from_arrow(synth_table), monkeypatch)
+    ops, stack = [], [ds._logical_plan.dag]
     while stack:
         op = stack.pop()
         ops.append(op)
         stack.extend(op.input_dependencies)
+    assert any(stage in op.name for op in ops), [op.name for op in ops]
     computes = [op._compute for op in ops if hasattr(op, "_compute")]
     assert computes, [op.name for op in ops]
     assert not [c for c in computes if isinstance(c, ActorPoolStrategy)]
