@@ -1115,7 +1115,8 @@ def _approx_distinct_users(sf_dir: str):
     exact_a = hq.CountDistinct(["user_id"])
     approx_a = hq.ApproxCountDistinct("user_id")
     ds = _read(sf_dir, "events", ["user_id"])
-    ctx = do_analysis_run(ds, [exact_a, approx_a])  # one shared pass
+    # the HLL scan rides the CountDistinct fold: one read, two executions
+    ctx = do_analysis_run(ds, [exact_a, approx_a])
     exact = float(ctx.metric_map[exact_a].value.get())
     est = float(ctx.metric_map[approx_a].value.get())
     return pa.table(
@@ -1442,9 +1443,9 @@ def _time_window_events(sf_dir: str):
 def _grouped_quantile_by_flag(sf_dir: str):
     """Bound-style oracle for the grouped t-digest quantile: the group keys
     and the EXACT per-group nearest-median (computed by the distributed
-    Quantile analyzer, one where-filtered scan per group — fine for a gate
-    query over 3 groups) hash-match the SQL, and the digest estimate is
-    asserted within 1% of exact per group."""
+    Quantile analyzer: one shared scan serves every group's where-filter)
+    hash-match the SQL, and the digest estimate is asserted within 1% of
+    exact per group."""
     import hooqu_ray as hq
     from hooqu_ray.pipelines.relational import grouped_approx_quantile
     from hooqu_ray.runner import do_analysis_run

@@ -11,12 +11,15 @@ computes the exact k-th order statistic distributively:
    non-null values (NaNs skipped) — the rounding rule is pinned by the
    reference goldens (median of 1..6 → 3, q=.1 → 1, q=.9 → 5,
    ``tests/test_check.py:99-120``);
-3. k is located among (−inf block | finite values | +inf block); for the
-   finite block a histogram-refinement selection runs: each pass histograms
-   the candidate range in B buckets (one vectorized map over the data),
-   narrows to the bucket containing k, and finishes by collecting only that
-   bucket (driver-side ``np.partition``).  Passes are O(log_B(range)) — in
-   practice 1–2 extra scans, never a full sort/shuffle.
+3. k is located among (−inf block | finite values | +inf block).  Up to
+   ``COLLECT_LIMIT`` finite values the profile carries the values, so a
+   driver-side ``np.partition`` answers with no pass beyond the scan.
+   Above it a histogram-refinement selection runs: each pass histograms
+   the candidate range in B buckets, narrows to the bucket containing k,
+   and finishes by collecting only that bucket — O(log_B(range)) passes,
+   never a full sort/shuffle.  (Above the cap, blocks ship their values
+   until the first merge past the cap drops them: at most one serialized
+   column of extra traffic.)
 
 q ∉ [0,1] fails with pandas' message ("percentiles should all be in the
 interval [0, 1]"), pinned by ``tests/test_analyzers.py:220-228``.
@@ -35,6 +38,8 @@ from ..states import State
 from .base import Analyzer, BoundScan, has_column, is_numeric
 from .scan import _numeric_f64
 
+COLLECT_LIMIT = 4_000_000  # float64s ≈ 32 MB on the driver
+
 
 def nearest_index(q: float, n: int) -> int:
     """Index of the 'nearest'-interpolation quantile among n sorted values.
@@ -46,22 +51,32 @@ def nearest_index(q: float, n: int) -> int:
 
 @dataclass(frozen=True, repr=False)
 class QuantileProfile(State):
-    """Shared-scan prepass state for a quantile target: counts and finite
-    bounds.  Mergeable, rides the same pass as every other scan analyzer."""
+    """Shared-scan prepass state for a quantile target: counts, finite
+    bounds and (up to ``COLLECT_LIMIT``) the finite values.  Mergeable,
+    rides the same pass as every other scan analyzer."""
 
     n_valid: int
     n_neg_inf: int
     n_pos_inf: int
     finite_min: float  # +inf when no finite values seen
     finite_max: float  # -inf when no finite values seen
+    values: Optional[bytes] = None  # finite float64s; None past the cap
+
+    def n_finite(self) -> int:
+        return self.n_valid - self.n_neg_inf - self.n_pos_inf
 
     def sum(self, other: "QuantileProfile") -> "QuantileProfile":
+        values = None
+        if (self.values is not None and other.values is not None
+                and self.n_finite() + other.n_finite() <= COLLECT_LIMIT):
+            values = self.values + other.values
         return QuantileProfile(
             self.n_valid + other.n_valid,
             self.n_neg_inf + other.n_neg_inf,
             self.n_pos_inf + other.n_pos_inf,
             min(self.finite_min, other.finite_min),
             max(self.finite_max, other.finite_max),
+            values,
         )
 
 
@@ -81,6 +96,7 @@ class QuantileProfileBound(BoundScan):
             int(np.isposinf(valid).sum()),
             float(finite.min()) if finite.size else float("inf"),
             float(finite.max()) if finite.size else float("-inf"),
+            finite.tobytes() if finite.size <= COLLECT_LIMIT else None,
         )
 
 
@@ -178,9 +194,10 @@ class Quantile(Analyzer):
 
 
 def select_nearest(profile: Optional[QuantileProfile], q: float, scanner) -> float:
-    """Drive the distributed selection.  ``scanner(bound) -> merged state``
-    runs one extra pass over the (where-filtered) data; injected so the local
-    and the Ray runners share this exact logic.
+    """Drive the distributed selection.  Answers from ``profile.values`` when
+    the scan carried them; otherwise ``scanner(spec) -> merged state`` runs
+    one extra pass over the (where-filtered) data, injected so the local and
+    the Ray runners share this exact logic.
 
     Returns the quantile value (NaN when there are no valid values)."""
     if profile is None or profile.n_valid == 0:
@@ -192,13 +209,13 @@ def select_nearest(profile: Optional[QuantileProfile], q: float, scanner) -> flo
     if k >= n - profile.n_pos_inf:
         return float("inf")
     k_global = k - profile.n_neg_inf  # rank among the finite values
+    if profile.values is not None:
+        return _kth(np.frombuffer(profile.values, dtype=np.float64), k_global)
     lo, hi = profile.finite_min, profile.finite_max
-    n_finite = n - profile.n_neg_inf - profile.n_pos_inf
 
-    COLLECT_LIMIT = 4_000_000  # float64s ≈ 32 MB on the driver
     NBINS = 8192
     offset = 0  # finite values strictly below lo
-    est_in_range = n_finite
+    est_in_range = profile.n_finite()
     for _ in range(64):  # float64 ranges collapse long before this
         if lo == hi:
             return lo  # every candidate value is identical
@@ -218,7 +235,11 @@ def select_nearest(profile: Optional[QuantileProfile], q: float, scanner) -> flo
         est_in_range = int(counts[bucket])
     vals_state = scanner(("collect", lo, hi))
     values = vals_state.to_numpy() if vals_state is not None else np.empty(0)
-    k_local = k_global - offset
-    if values.size == 0 or k_local >= values.size or k_local < 0:
-        return float("nan")  # defensive; selection invariants should prevent it
-    return float(np.partition(values, k_local)[k_local])
+    return _kth(values, k_global - offset)
+
+
+def _kth(values: np.ndarray, k: int) -> float:
+    if not 0 <= k < values.size:  # the passes saw different data
+        raise ValueError(f"inconsistent quantile passes: rank {k} is outside "
+                         f"the {values.size} collected values")
+    return float(np.partition(values, k)[k])

@@ -7,16 +7,19 @@ Execution model (Ray-Data-first restatement of the reference lifecycle,
    like the reference's ``(name, instance, entity, where)`` key), check
    preconditions against ``Dataset.schema()`` — no data scan needed — and
    compile where-filters/predicates/regexes once.
-2. **Shared scan**: ALL scan-shareable analyzers run in ONE pass
-   (``ds.aggregate(AggregateFn)``: per-block accumulate → tree merge of tiny
-   state lists).  The reference designed this and left it dead
+2. **Shared scan**: ALL scan-shareable analyzers run in ONE pass (one
+   pickled state row per block via ``map_batches``, merged ~64 at a time,
+   then on the driver — not ``AggregateFn``, which corrupts custom states).
+   The reference designed this and left it dead
    (``analysis_runner.py:117-123,173-230``); on Ray Data it is the whole
    point — one streaming pass, zero materialization.
 3. **Frequency analyzers** share one bucketed count fold
    (``shuffle.bucketed_group_fold``) per distinct (columns, where); group
-   counts are reduced distributively (never collected).
-4. **Exact quantiles** run the histogram-refinement selection
-   (see ``analyzers/quantile.py``): bounded extra passes, no global sort.
+   counts are reduced distributively (never collected).  On Ray the shared
+   scan rides the first such fold, so the suite reads its source once.
+4. **Exact quantiles** answer from values the scan carried (0 extra passes
+   up to ``quantile.COLLECT_LIMIT``); above it, bounded histogram-refinement
+   passes (see ``analyzers/quantile.py``), no global sort.
 
 Two interchangeable backends execute the same per-block kernels:
 
@@ -29,12 +32,14 @@ Two interchangeable backends execute the same per-block kernels:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .analyzers.base import Analyzer, GroupingAnalyzer, ScanShareableAnalyzer
 from .analyzers.quantile import (
@@ -97,14 +102,12 @@ class _WhereGroup:
 
 @dataclass
 class ScanPlan:
-    """Picklable: shipped inside the AggregateFn closure."""
+    """Picklable: shipped inside the per-block ``map_batches`` UDFs."""
 
     groups: List[_WhereGroup]
     n_slots: int
 
     def accumulate(self, acc: List[Any], table: pa.Table) -> List[Any]:
-        if not isinstance(table, pa.Table):  # pandas block fallback
-            table = pa.Table.from_pandas(table, preserve_index=False)
         for g in self.groups:
             if g.predicate is not None:
                 try:
@@ -128,6 +131,14 @@ class ScanPlan:
 
     def merge(self, a: List[Any], b: List[Any]) -> List[Any]:
         return [merge_states(x, y) for x, y in zip(a, b)]
+
+    def fold_pickled(self, payloads) -> List[Any]:
+        """Merge pickled state vectors (None entries skipped)."""
+        acc = self.init()
+        for p in payloads:
+            if p is not None:
+                acc = self.merge(acc, pickle.loads(p))
+        return acc
 
     def init(self) -> List[Any]:
         return [None] * self.n_slots
@@ -222,11 +233,11 @@ class RayRunner:
     collapses every ~64 partial rows into one (keeps the driver fold O(#
     blocks / 64) even at 100k-block scale), and a final driver fold.  This
     keeps full control of custom state objects instead of pushing them
-    through Ray's Arrow aggregate machinery."""
+    through Ray's Arrow aggregate machinery (``scan_and_frequencies`` folds
+    the same state rows through a frequency exchange instead)."""
 
     def __init__(self, ds):
         self.ds = ds
-        self._filtered_cache: Dict[Optional[str], Any] = {}
 
     def schema(self) -> Optional[pa.Schema]:
         # normalized across Arrow / pandas block types (object dtype → string,
@@ -240,27 +251,12 @@ class RayRunner:
         merged = states.map_batches(
             _MergePartials(plan), batch_format="pyarrow", batch_size=64
         )
-        import pickle
-
-        acc = plan.init()
-        for row in merged.take_all():
-            acc = plan.merge(acc, pickle.loads(row["state"]))
-        return acc
+        return plan.fold_pickled(row["state"] for row in merged.take_all())
 
     def run_scan(self, plan: ScanPlan) -> List[Any]:
         return self._fold(self.ds, plan)
 
-    def _filtered(self, where: Optional[str], predicate):
-        if where not in self._filtered_cache:
-            if predicate is None:
-                self._filtered_cache[where] = self.ds
-            else:
-                self._filtered_cache[where] = self.ds.map_batches(
-                    _FilterBatches(predicate), batch_format="pyarrow"
-                )
-        return self._filtered_cache[where]
-
-    def mutual_information_stats(self, columns: Sequence[str], predicate, where: Optional[str] = None):
+    def mutual_information_stats(self, columns: Sequence[str], predicate):
         """Distributed MI reductions — never collects the joint frequency
         table on the driver (the reference materializes it in pandas,
         grouping_analyzers.py:44-84; a high-cardinality pair would OOM the
@@ -277,8 +273,8 @@ class RayRunner:
         from .functions.shuffle import bucketed_group_fold
 
         cols = list(columns)
-        ds = self._filtered(where, predicate)
-        partials = ds.map_batches(_ProjectKeys(cols), batch_format="pyarrow")
+        partials = self.ds.map_batches(
+            _ProjectKeys(cols, predicate), batch_format="pyarrow")
         # materialize: the lazy joint table is consumed by three folds; without
         # this each fold would re-execute the full upstream scan + exchange
         joint = bucketed_group_fold(
@@ -299,11 +295,18 @@ class RayRunner:
         ]
         return joint_f, marginals[0], marginals[1]
 
-    def frequencies(
-        self, columns: Sequence[str], predicate, where: Optional[str] = None
-    ) -> Optional[FrequenciesAndNumRows]:
+    def frequencies(self, columns: Sequence[str], predicate) -> FrequenciesAndNumRows:
+        return self.scan_and_frequencies(None, columns, predicate)[0]
+
+    def scan_and_frequencies(self, plan: Optional[ScanPlan],
+                             columns: Sequence[str], predicate):
+        """``(frequencies, scan states)`` from ONE bucketed fold: with a
+        ``plan``, each block's projection also appends its scan-state row
+        and each bucket merges the state rows that hashed to it, so the
+        driver folds at most B states (``plan=None``: states are None)."""
+        from .functions.shuffle import bucketed_group_fold
+
         cols = list(columns)
-        ds = self._filtered(where, predicate)
         # PER-BLOCK adaptive combiner (hot-key-proof shuffle): each block
         # probes a STRIDED sample of its own keys and pre-aggregates to
         # (keys, __pcount) partials when that shrinks the block.  A skewed
@@ -319,32 +322,39 @@ class RayRunner:
         # exchange key a small int32 and each bucket folds + reduces to ONE
         # scalar-summary row with vectorized Arrow kernels, so only ≤B tiny
         # rows ever reach the driver (measured 10.6× at 3.2M rows/600k keys).
-        from .functions.shuffle import bucketed_group_fold
+        partials = self.ds.map_batches(
+            _ProjectKeys(cols, predicate, plan), batch_format="pyarrow")
 
-        partials = ds.map_batches(_ProjectKeys(cols), batch_format="pyarrow")
-
-        def summarize(folded: pa.Table) -> pa.Table:
-            f = _reduce_frequency_block(folded, "__pcount")
-            if f is None:
-                return pa.table({"__n": pa.array([], pa.int64()),
-                                 "__g": pa.array([], pa.int64()),
-                                 "__u": pa.array([], pa.int64()),
-                                 "__e": pa.array([], pa.float64())})
+        def combine(t: pa.Table) -> pa.Table:
+            # one summary row per bucket (zeros on the fold's no-schema
+            # path); state rows split off BEFORE the group_by
+            f = state = None
+            if "__pcount" in t.column_names:
+                if plan is not None:
+                    is_state = pc.is_valid(t.column("__state"))
+                    state = pickle.dumps(plan.fold_pickled(
+                        t.filter(is_state).column("__state").to_pylist()))
+                    t = t.filter(pc.invert(is_state))
+                f = _reduce_frequency_block(t.group_by(cols, use_threads=False)
+                                            .aggregate([("__pcount", "sum")]),
+                                            "__pcount_sum")
+            f = f or FrequenciesAndNumRows(0, 0, 0, 0.0)
             return pa.table({"__n": [f.num_rows], "__g": [f.num_groups],
                              "__u": [f.num_singleton_groups],
-                             "__e": [f.entropy_sum]})
+                             "__e": [f.entropy_sum],
+                             "__state": pa.array([state], pa.large_binary())})
 
         rows = bucketed_group_fold(
-            partials, cols, ["__pcount"], ["sum"], finalize=summarize
-        ).take_all()
-        if not rows:
-            return FrequenciesAndNumRows(0, 0, 0, 0.0)
-        return FrequenciesAndNumRows(
+            partials, cols, ["__pcount"] + (["__state"] if plan else []),
+            combine=combine).take_all()
+        freq = FrequenciesAndNumRows(
             int(sum(r["__n"] for r in rows)),
             int(sum(r["__g"] for r in rows)),
             int(sum(r["__u"] for r in rows)),
             float(sum(r["__e"] for r in rows)),
         )
+        return freq, (plan.fold_pickled(r["__state"] for r in rows)
+                      if plan else None)
 
 
 class _BlockStates:
@@ -354,8 +364,6 @@ class _BlockStates:
         self.plan = plan
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        import pickle
-
         acc = self.plan.accumulate(self.plan.init(), table)
         return pa.table({"state": pa.array([pickle.dumps(acc)], type=pa.large_binary())})
 
@@ -367,11 +375,7 @@ class _MergePartials:
         self.plan = plan
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        import pickle
-
-        acc = self.plan.init()
-        for payload in table.column("state").to_pylist():
-            acc = self.plan.merge(acc, pickle.loads(payload))
+        acc = self.plan.fold_pickled(table.column("state").to_pylist())
         return pa.table({"state": pa.array([pickle.dumps(acc)], type=pa.large_binary())})
 
 
@@ -385,31 +389,45 @@ class _FreqReduceBound:
         return _reduce_frequency_block(table, self.count_col)
 
 
-class _FilterBatches:
-    def __init__(self, predicate):
-        self.predicate = predicate
-
-    def __call__(self, table: pa.Table) -> pa.Table:
-        return self.predicate.filter(table)
-
-
 class _ProjectKeys:
-    """Project grouping keys, drop all-null-key rows, and ADAPTIVELY
-    pre-aggregate to per-block (keys, __pcount) partial counts: a strided
-    probe of the block's own keys decides whether a local group_by shrinks
-    it (repeated keys → partials; near-unique → raw rows with __pcount=1,
-    skipping the wasted local hash build).  Per-block adaptivity is the
-    skew guard: a hot key is collapsed wherever it repeats, so the global
-    shuffle receives ≤ #blocks rows for it."""
+    """Apply the where-filter, project grouping keys, drop all-null-key
+    rows, and ADAPTIVELY pre-aggregate to per-block (keys, __pcount)
+    partial counts: a strided probe of the block's own keys decides whether
+    a local group_by shrinks it (repeated keys → partials; near-unique →
+    raw rows with __pcount=1, skipping the wasted local hash build).
+    Per-block adaptivity is the skew guard: a hot key is collapsed wherever
+    it repeats, so the global shuffle receives ≤ #blocks rows for it.
+    With a scan ``plan`` it appends ONE row (``__pcount = 0``) holding the
+    plan's pickled ``__state`` over the UNFILTERED block, keyed like the
+    first partial (else all-null) so state rows spread over buckets."""
 
     _PROBE_ROWS = 2048
     _SHRINK_RATIO = 0.7
 
-    def __init__(self, columns: List[str]):
+    def __init__(self, columns: List[str], predicate=None,
+                 plan: Optional[ScanPlan] = None):
         self.columns = columns
+        self.predicate = predicate
+        self.plan = plan
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        keys = _drop_all_null_keys(table.select(self.columns), self.columns)
+        view = table if self.predicate is None else self.predicate.filter(table)
+        out = self._partials(
+            _drop_all_null_keys(view.select(self.columns), self.columns))
+        if self.plan is None:
+            return out
+        keys = out.select(self.columns).slice(0, 1)
+        if len(keys) == 0:
+            keys = pa.table([pa.nulls(1, f.type) for f in keys.schema],
+                            schema=keys.schema)
+        state = pickle.dumps(self.plan.accumulate(self.plan.init(), table))
+        row = keys.append_column("__pcount", pa.array([0], pa.int64()))
+        return pa.concat_tables([
+            out.append_column("__state", pa.nulls(len(out), pa.large_binary())),
+            row.append_column("__state", pa.array([state], pa.large_binary())),
+        ])
+
+    def _partials(self, keys: pa.Table) -> pa.Table:
         n = len(keys)
         if n == 0:
             return keys.append_column("__pcount", pa.array([], pa.int64()))
@@ -425,19 +443,9 @@ class _ProjectKeys:
         return out.rename_columns(self.columns + ["__pcount"])
 
 
-class _ProjectRawKeys:
-    def __init__(self, columns: List[str]):
-        self.columns = columns
-
-    def __call__(self, table: pa.Table) -> pa.Table:
-        return _drop_all_null_keys(table.select(self.columns), self.columns)
-
-
 def _drop_all_null_keys(table: pa.Table, columns: Sequence[str]) -> pa.Table:
     """Reference: rows where EVERY grouping column is null are excluded
     (grouping_analyzers.py:48-75)."""
-    import pyarrow.compute as pc
-
     mask = None
     for c in columns:
         col = table.column(c)
@@ -451,8 +459,6 @@ def _drop_all_null_keys(table: pa.Table, columns: Sequence[str]) -> pa.Table:
 
 
 def _reduce_frequency_block(freq_table: pa.Table, count_col: str) -> Optional[FrequenciesAndNumRows]:
-    if not isinstance(freq_table, pa.Table):
-        freq_table = pa.Table.from_pandas(freq_table, preserve_index=False)
     if len(freq_table) == 0:
         return None
     cnt = freq_table.column(count_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -536,7 +542,23 @@ def do_analysis_run(
             entries.append((a.where, (lambda _c=a.column: QuantileProfileBound(_c))))
 
     plan, bind_errors = _build_scan_plan(entries, schema)
-    states = runner.run_scan(plan) if plan.groups else plan.init()
+    from .analyzers.grouping import MutualInformation
+
+    freq_cache: Dict[Tuple[Tuple[str, ...], Optional[str]], Any] = {}
+    states = plan.init()
+    host = next((a for a in grouping_analyzers
+                 if not isinstance(a, MutualInformation)), None)
+    if plan.groups and host is not None and isinstance(runner, RayRunner):
+        # the scan rides the first frequency fold: one read serves both
+        key = host.frequency_key()
+        try:
+            freq_cache[key], states = runner.scan_and_frequencies(
+                plan, key[0], _compile_where(host.where, schema))
+        except Exception as ex:  # noqa: BLE001 - the frequency loop reports it
+            freq_cache[key] = FailedState.from_exception(ex)
+            states = runner.run_scan(plan)
+    elif plan.groups:
+        states = runner.run_scan(plan)
 
     for slot, a in slot_of_scan.items():
         if slot in bind_errors:
@@ -552,15 +574,12 @@ def do_analysis_run(
             metrics[a] = a.to_failure_metric(ex)
 
     # -- frequency-based analyzers ------------------------------------------
-    from .analyzers.grouping import MutualInformation
-
-    freq_cache: Dict[Tuple[Tuple[str, ...], Optional[str]], Any] = {}
     for a in grouping_analyzers:
         if isinstance(a, MutualInformation):
             try:
-                pred = compile_predicate(a.where, schema) if a.where is not None else None
+                pred = _compile_where(a.where, schema)
                 if isinstance(runner, RayRunner):
-                    stats = runner.mutual_information_stats(a.grouping_columns, pred, a.where)
+                    stats = runner.mutual_information_stats(a.grouping_columns, pred)
                     metrics[a] = a.metric_from_mi_stats(*stats)
                 else:
                     pairs = runner.joint_frequencies(a.grouping_columns, pred)
@@ -571,13 +590,8 @@ def do_analysis_run(
         key = a.frequency_key()
         try:
             if key not in freq_cache:
-                pred = (
-                    compile_predicate(a.where, schema) if a.where is not None else None
-                )
-                if isinstance(runner, RayRunner):
-                    freq_cache[key] = runner.frequencies(key[0], pred, a.where)
-                else:
-                    freq_cache[key] = runner.frequencies(key[0], pred)
+                freq_cache[key] = runner.frequencies(
+                    key[0], _compile_where(a.where, schema))
             freq = freq_cache[key]
             if isinstance(freq, FailedState):
                 metrics[a] = a.to_failure_metric(freq.to_exception())
@@ -640,12 +654,14 @@ def _empty_context(analyzers: Sequence[Analyzer]) -> AnalyzerContext:
     return AnalyzerContext(metrics)
 
 
+def _compile_where(where: Optional[str], schema: pa.Schema):
+    return compile_predicate(where, schema) if where is not None else None
+
+
 def _make_selection_scanner(runner, analyzer: Quantile, schema: pa.Schema):
     """Adapter: run one single-slot pass (histogram or collect) over the
     where-filtered data on either backend."""
-    pred = (
-        compile_predicate(analyzer.where, schema) if analyzer.where is not None else None
-    )
+    pred = _compile_where(analyzer.where, schema)
 
     def scanner(spec):
         if spec[0] == "hist":

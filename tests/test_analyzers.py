@@ -427,3 +427,16 @@ class TestQuantileInfinities:
         # and is implementation-arbitrary, so the differential is numeric
         # equality, not the zero's sign bit (NaN/inf still compared exactly).
         np.testing.assert_equal(m.value.get() + 0.0, expected + 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "open defect: pyarrow 16.1 group_by on [string, nullable int64] keys "
+    "splits the null group into many groups (ROADMAP carried item)"))
+def test_uniqueness_partial_null_multi_key_groups_like_sql():
+    rng = np.random.default_rng(0)
+    k2 = [None if rng.random() < 0.5 else int(x) for x in rng.integers(0, 3, 200)]
+    df = pd.DataFrame({"k1": rng.choice(["a", "b"], size=200),
+                       "k2": pd.array(k2, dtype="Int64")})
+    sizes = df.groupby(["k1", "k2"], dropna=False).size()
+    m = metric(df, hq.Uniqueness(["k1", "k2"]))
+    assert m.value.get() == pytest.approx((sizes == 1).sum() / len(df))

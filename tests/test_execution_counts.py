@@ -1,4 +1,4 @@
-"""Ray executions per op on the SFT path.
+"""Ray executions per op on the SFT path and per verification suite.
 
 On a small cluster one Ray Data execution costs more than the work of a
 small op, so the count is pinned: a new hidden execution is a regression.
@@ -10,8 +10,10 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+import hooqu_ray as hq
 from hooqu_ray.functions import sorted_scan as ss
 from hooqu_ray.pipelines import transcripts as tp
+from hooqu_ray.runner import do_analysis_run
 from hooqu_ray.util import collect_arrow
 
 
@@ -80,3 +82,44 @@ def test_driver_repair_plans_no_groupby(ray_session, monkeypatch, driver):
     # the range sort is materialized upstream, so any Sort left in the plan
     # is the groupby(key) repair
     assert ("Sort" in ops) is not driver, ops
+
+
+def _lineitem(n=4000, blocks=8):
+    import ray.data as rd
+
+    rng = np.random.default_rng(1)
+    t = pa.table({
+        "l_orderkey": rng.integers(0, n // 3, n),
+        "l_linenumber": rng.integers(1, 8, n),
+        "l_quantity": rng.integers(1, 51, n).astype(np.float64),
+        "l_extendedprice": rng.uniform(900, 100_000, n),
+        "l_discount": rng.integers(0, 11, n) / 100,
+        "l_returnflag": rng.choice(["A", "N", "R"], n),
+    })
+    return rd.from_arrow(t).repartition(blocks).materialize()
+
+
+SCAN = [hq.Completeness("l_returnflag"), hq.Mean("l_quantity"),
+        hq.Minimum("l_extendedprice"), hq.StandardDeviation("l_quantity"),
+        hq.Correlation("l_quantity", "l_extendedprice"),
+        hq.Compliance("discount_range",
+                      "l_discount >= 0.0 and l_discount <= 0.1"),
+        hq.ApproxCountDistinct("l_orderkey")]
+QUANTILE = hq.Quantile("l_extendedprice", 0.5)
+FLAG_QUANTILES = [hq.Quantile("l_extendedprice", 0.5,
+                              where=f"l_returnflag == '{g}'") for g in "ANR"]
+
+
+@pytest.mark.parametrize("suite, limit", [
+    # the perfbench suite: the scan rides the Uniqueness fold (was 4)
+    (SCAN + [QUANTILE, hq.Uniqueness(["l_orderkey", "l_linenumber"])], 2),
+    (SCAN + [QUANTILE], 1),  # no collect pass below the cap (was 2)
+    (FLAG_QUANTILES + [hq.Size()], 1),  # one scan for every group (was 4)
+    (SCAN, 1),
+], ids=["perfbench", "scan+quantile", "where_quantiles+scan", "scan"])
+def test_verification_suite_executions(ray_session, executions, suite, limit):
+    ds = _lineitem()
+    executions.clear()
+    ctx = do_analysis_run(ds, suite)
+    assert all(m.value.isSuccess for m in ctx.metric_map.values())
+    assert 1 <= len(executions) <= limit
