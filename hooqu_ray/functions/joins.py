@@ -4,13 +4,10 @@ The reference has no join surface at all (SURVEY §2.3 "Joins / lookups:
 none"); a large-scale pipeline needs at least the filter-joins.  Ray 2.49's
 ``Dataset.join`` is unusable in hot paths (its hash partitioner is a per-row
 Python loop and it crashes on empty partitions — see CLAUDE.md), so the
-small-side joins are expressed as a broadcast key set + a streaming
-``pc.is_in`` filter: the set ships once via ``ray.put`` and every batch is
-probed by a vectorized C hash lookup.
-
-The small side must fit in a worker's heap; at larger key cardinality shard
-the set by hash range and union the per-shard passes (or fall back to a
-bucketed groupby join).
+small-side joins are expressed as a ``broadcast.BroadcastSet`` + a
+streaming membership filter: the set ships once via ``ray.put`` (in
+hash-range shards past ``broadcast.ROWS_PER_SHARD`` keys) and every batch
+is probed by a vectorized C hash lookup.
 """
 
 from __future__ import annotations
@@ -20,49 +17,40 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import BroadcastIsInFilter
+from .broadcast import BroadcastSet
 
 
-def _key_array(keys, key_col: Optional[str]) -> pa.Array:
-    """Normalize the small side to a deduplicated Arrow array of keys."""
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    if isinstance(keys, pa.Array):
-        return pc.unique(keys)
+def _key_set(keys, col: str, key_col: Optional[str] = None) -> BroadcastSet:
+    """Normalize the small side to a broadcast set of its distinct keys,
+    named ``col``."""
     if isinstance(keys, pa.Table):
         if key_col is None:
             raise ValueError("key_col is required when keys is a Table")
-        return pc.unique(keys.column(key_col).combine_chunks())
-    if hasattr(keys, "to_arrow_refs"):  # ray.data.Dataset small side
+        keys = keys.column(key_col)
+    elif hasattr(keys, "to_arrow_refs"):  # ray.data.Dataset small side
         from ..util import collect_arrow
 
         tbl = collect_arrow(keys)
-        if tbl is None:
-            return pa.array([])
-        col = key_col or tbl.column_names[0]
-        return pc.unique(tbl.column(col).combine_chunks())
-    return pc.unique(pa.array(list(keys)))
+        keys = (pa.array([]) if tbl is None
+                else tbl.column(key_col or tbl.column_names[0]))
+    elif not isinstance(keys, (pa.Array, pa.ChunkedArray)):
+        keys = pa.array(list(keys))
+    return BroadcastSet.put(pa.table({col: pc.unique(keys)}), col)
 
 
 def semi_join(ds, keys, col: str, key_col: Optional[str] = None):
-    """Rows of ``ds`` whose ``col`` appears in the (small) key side.
+    """Rows of ``ds`` whose ``col`` appears in the (small) key side (SQL
+    ``IN``: null keys drop).
 
     ``keys``: an Arrow array/table, a Python iterable, or a small
     ``ray.data.Dataset`` (collected to a compact key array)."""
-    import ray
-
-    ref = ray.put(_key_array(keys, key_col))
-    return ds.map_batches(BroadcastIsInFilter(ref, col), batch_format="pyarrow")
+    return _key_set(keys, col, key_col).semi(ds, col)
 
 
 def anti_join(ds, keys, col: str, key_col: Optional[str] = None):
-    """Rows of ``ds`` whose ``col`` does NOT appear in the (small) key side."""
-    import ray
-
-    ref = ray.put(_key_array(keys, key_col))
-    return ds.map_batches(
-        BroadcastIsInFilter(ref, col, invert=True), batch_format="pyarrow"
-    )
+    """Rows of ``ds`` whose ``col`` does NOT appear in the (small) key side
+    (SQL ``NOT IN``: null keys drop)."""
+    return _key_set(keys, col, key_col).anti(ds, col)
 
 
 def _dim_table(dim, dim_key: str, cols) -> pa.Table:
@@ -155,38 +143,21 @@ def referential_integrity(child_ds, parent_ds, fk: str, pk: str) -> float:
     """Fraction of child rows whose foreign key exists in the parent's key
     set (a null foreign key is a violation, matching SQL ``EXISTS``).
 
-    The parent key set is collected once as a deduplicated Arrow array and
-    broadcast; the child streams through one counting pass (per-batch
-    ``isin_mask`` + two int partials summed on the driver) — no shuffle of
-    either table.  Returns NaN for an empty child."""
-    import ray
+    The parent key set is collected once as a deduplicated broadcast set;
+    the child streams through one counting pass (per-batch ``isin`` + two
+    int partials summed on the driver) — no shuffle of either table.
+    Returns NaN for an empty child."""
+    from ..util import collect_arrow
 
-    from ..util import collect_arrow, isin_mask
+    parent = _key_set(parent_ds, fk, pk)
 
-    keys = _key_array(parent_ds, pk)
-    ref = ray.put(keys)
-
-    class _CountMatches:
-        def __init__(self, values_ref):
-            self.values_ref = values_ref
-            self._values = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._values is None:
-                obj = self.values_ref
-                self._values = obj if isinstance(obj, pa.Array) else ray.get(obj)
-            mask = isin_mask(t.column(fk), self._values)
-            matched = pc.sum(pc.cast(pc.fill_null(mask, False), pa.int64())).as_py() or 0
-            return pa.table(
-                {
-                    "matched": pa.array([matched], pa.int64()),
-                    "total": pa.array([len(t)], pa.int64()),
-                }
-            )
+    def count_matches(t: pa.Table) -> pa.Table:
+        matched = pc.sum(pc.cast(parent.isin(t.column(fk)), pa.int64()))
+        return pa.table({"matched": pa.array([matched.as_py() or 0], pa.int64()),
+                         "total": pa.array([len(t)], pa.int64())})
 
     counts = collect_arrow(
-        child_ds.map_batches(_CountMatches(ref), batch_format="pyarrow")
-    )
+        child_ds.map_batches(count_matches, batch_format="pyarrow"))
     if counts is None:
         return float("nan")
     total = pc.sum(counts.column("total")).as_py() or 0

@@ -283,25 +283,24 @@ def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
        two-column (id, score) projection — the corpus never shuffles.
     3. :func:`~hooqu_ray.pipelines.relational.grouped_top_k` (k=1) picks
        each cluster's winner; everyone else becomes a loser id.
-    4. Loser ids broadcast in hash-range shards
-       (``util.sharded_value_refs``) and one chained anti-membership
-       filter per shard streams over the full corpus.
+    4. Loser ids (the collected component table minus the winners) ship
+       as one broadcast set (``functions.broadcast``, hash-range shards
+       past ``rows_per_shard``) and one anti-membership filter streams
+       over the full corpus.
 
     Returns the filtered docs Dataset (all original columns).  Documents in
     no pair are untouched; a cluster's members missing from ``docs`` simply
     can't win.  Null scores sort below any real score (pandas sort puts
     NaN last at every tier of the top-k merge)."""
-    import ray
-
+    from ..functions.broadcast import BroadcastSet
     from ..functions.joins import enrich_join
-    from ..util import BroadcastIsInFilter, collect_arrow, sharded_value_refs
+    from ..util import collect_arrow
     from .relational import grouped_top_k
 
-    comp = connected_components(
+    comp_tbl = collect_arrow(connected_components(
         pairs, id_a, id_b, id_type=id_type, max_iters=max_iters,
         n_buckets=n_buckets,
-    ).materialize()
-    comp_tbl = collect_arrow(comp)
+    ))
     if comp_tbl is None or len(comp_tbl) == 0:
         return docs
 
@@ -321,16 +320,13 @@ def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
         else pa.array([], comp_tbl.column("node").type)
     )
 
-    losers = comp.map_batches(
-        BroadcastIsInFilter(ray.put(win_ids), "node", invert=True),
-        batch_format="pyarrow",
-    )
-    out = docs
-    for ref in sharded_value_refs(losers, "node", rows_per_shard):
-        out = out.map_batches(
-            BroadcastIsInFilter(ref, id_col, invert=True), batch_format="pyarrow"
-        )
-    return out
+    # the component table is already on the driver: losers need no pass
+    node = comp_tbl.column("node")
+    lost = pc.and_(pc.invert(pc.is_in(node, value_set=win_ids)),
+                   pc.is_valid(node))
+    losers = BroadcastSet.put(comp_tbl.select(["node"]).filter(lost), "node",
+                              rows_per_shard)
+    return losers.anti(docs, id_col)
 
 
 def split_by_cluster(docs, pairs, id_col: str = "doc_id", *,

@@ -37,6 +37,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.broadcast import ROWS_PER_SHARD, BroadcastSet
+from ..functions.joins import _key_set
+from ..util import collect_arrow
+
 _MERSENNE = (1 << 61) - 1
 
 
@@ -172,97 +176,40 @@ class _AddContentHash:
         return batch.append_column("__content_hash", pa.array(h, pa.int64()))
 
 
-# Above this many duplicate-winner rows (one per duplicate GROUP, two int64
-# columns ≈ 16 B/row → ~64 MB) the winner table is hash-range sharded: the
-# driver collects and broadcasts one shard at a time instead of the whole
-# table, so adversarial duplicate cardinality cannot OOM the driver or exceed
-# a single plasma object.
-_WINNER_SHARD_ROWS = 4_000_000
-
-
 def _broadcast_dup_winners(groups, key_col: str, min_col: str, out_col: str,
-                           rows_per_shard: int = _WINNER_SHARD_ROWS,
-                           count_col: str = "sum(__pcount)"):
+                           rows_per_shard: int = ROWS_PER_SHARD,
+                           count_col: str = "sum(__pcount)") -> BroadcastSet:
     """Winners of duplicate groups (count > 1) from a
-    ``(key, min(...), count)`` grouped fold, broadcast via
-    ``ray.put`` as a LIST of hash-range shards (one element when the table
-    fits ``rows_per_shard`` — the common case; filter stages AND the per-shard
-    keep masks, and a key lives in exactly one shard, so the union of shard
-    passes equals the unsharded semantics).  The int64-typed empty
-    placeholder is only ever consumed through the filter stages'
-    ``len() == 0`` short-circuit, so its winner type is never consulted."""
-    empty = pa.table(
-        {key_col: pa.array([], pa.int64()), out_col: pa.array([], pa.int64())}
-    )
+    ``(key, min(...), count)`` grouped fold, as a broadcast set of
+    ``(key, out_col)`` rows in hash-range shards of the key (one shard when
+    the table fits ``rows_per_shard`` — the common case)."""
 
     def dup_only(t: pa.Table) -> pa.Table:
         kept = t.filter(pc.greater(t.column(count_col), 1))
         return kept.select([key_col, min_col]).rename_columns([key_col, out_col])
 
-    dups = groups.map_batches(dup_only, batch_format="pyarrow").materialize()
-    return _sharded_refs(dups, key_col, rows_per_shard, empty)
-
-
-def _sharded_refs(ds, key_col: str, rows_per_shard: int, empty: pa.Table):
-    """Collect a MATERIALIZED slim dataset to the driver in key-hash-range
-    shards and ``ray.put`` each shard — the standard escape hatch for any
-    broadcast set that could outgrow the driver (a key lives in exactly one
-    shard, so consumers AND the per-shard masks)."""
-    import ray
-
-    from ..util import ShardFilter
-
-    n = ds.count()
-    if n <= rows_per_shard:
-        tbl = _collect_arrow(ds)
-        if tbl is None:
-            tbl = empty
-        return [ray.put(tbl.combine_chunks())]
-    n_shards = -(-n // rows_per_shard)
-    refs = []
-    for s in range(n_shards):
-        tbl = _collect_arrow(
-            ds.map_batches(
-                ShardFilter(key_col, n_shards, s), batch_format="pyarrow"
-            )
-        )
-        if tbl is not None and len(tbl):
-            refs.append(ray.put(tbl.combine_chunks()))
-    return refs or [ray.put(empty)]
+    return BroadcastSet.collect(
+        groups.map_batches(dup_only, batch_format="pyarrow"), key_col,
+        rows_per_shard)
 
 
 class _DedupFilter:
     """Per-batch semi-join against the broadcast duplicate-winner shards:
     a row survives unless its content hash belongs to a duplicate group AND
     the row is not that group's min-id winner.  The in-batch join is Arrow
-    Acero (vectorized C++); each winner shard ships ONCE via ``ray.put``
-    (zero-copy plasma read per node) and the shards together are
-    O(#duplicate groups) — singleton hashes (the vast majority) never appear
-    in them.  A hash lives in exactly one shard, so ANDing the per-shard
-    keep masks reproduces the single-table semantics while each probe only
-    materializes one shard at a time."""
+    Acero (vectorized C++); the winner set (``functions.broadcast``) ships
+    ONCE via ``ray.put`` and its shards together are O(#duplicate groups) —
+    singleton hashes (the vast majority) never appear in them.  A hash
+    lives in exactly one shard, so ANDing the per-shard keep masks
+    reproduces the single-table semantics while each probe only joins one
+    shard at a time."""
 
-    def __init__(self, winner_refs, id_col: str):
-        # accept a single ref/table for backward compatibility
-        if not isinstance(winner_refs, (list, tuple)):
-            winner_refs = [winner_refs]
-        self.winner_refs = list(winner_refs)
+    def __init__(self, winners: BroadcastSet, id_col: str):
+        self.winners = winners
         self.id_col = id_col
-        self._w: Optional[List[pa.Table]] = None
-
-    def _shards(self) -> List[pa.Table]:
-        if self._w is None:
-            import ray
-
-            self._w = [
-                w if isinstance(w, pa.Table) else ray.get(w)
-                for w in self.winner_refs
-            ]
-            self._w = [w for w in self._w if len(w)]
-        return self._w
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        shards = self._shards()
+        shards = self.winners.tables()
         out_cols = [c for c in batch.column_names if c != "__content_hash"]
         if not shards:
             return batch.select(out_cols)
@@ -290,7 +237,7 @@ class _DedupFilter:
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
-                winner_rows_per_shard: int = _WINNER_SHARD_ROWS):
+                winner_rows_per_shard: int = ROWS_PER_SHARD):
     """Keep one row per distinct text (deterministic representative: min id).
 
     Fully vectorized — no per-group Python (the round-1 ``map_groups`` paid
@@ -329,11 +276,11 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     groups = tree_group_sum(partials, ["__content_hash"],
                             ["__winner_id", "__pcount"],
                             funcs=["min", "sum"])
-    winner_refs = _broadcast_dup_winners(
+    winners = _broadcast_dup_winners(
         groups, "__content_hash", "__winner_id", "__winner_id",
         rows_per_shard=winner_rows_per_shard, count_col="__pcount",
     )
-    return hashed.map_batches(_DedupFilter(winner_refs, id_col), batch_format="pyarrow")
+    return hashed.map_batches(_DedupFilter(winners, id_col), batch_format="pyarrow")
 
 
 
@@ -442,30 +389,16 @@ class _LineRebuild:
     aggregate saw); a line hash lives in exactly one shard, so ANDing the
     per-shard masks equals the single-table semantics."""
 
-    def __init__(self, winner_refs, text_col: str, id_col: str, min_chars: int,
-                 delimiter: str = "\n"):
-        if not isinstance(winner_refs, (list, tuple)):
-            winner_refs = [winner_refs]
-        self.winner_refs = list(winner_refs)
+    def __init__(self, winners: BroadcastSet, text_col: str, id_col: str,
+                 min_chars: int, delimiter: str = "\n"):
+        self.winners = winners
         self.text_col = text_col
         self.id_col = id_col
         self.min_chars = min_chars
         self.delimiter = delimiter
-        self._w: Optional[List[pa.Table]] = None
-
-    def _shards(self) -> List[pa.Table]:
-        if self._w is None:
-            import ray
-
-            self._w = [
-                w if isinstance(w, pa.Table) else ray.get(w)
-                for w in self.winner_refs
-            ]
-            self._w = [w for w in self._w if len(w)]
-        return self._w
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        shards = self._shards()
+        shards = self.winners.tables()
         n = len(batch)
         texts = batch.column(self.text_col)
         if isinstance(texts, pa.ChunkedArray):
@@ -523,7 +456,7 @@ class _LineRebuild:
 
 def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                min_line_chars: int = 10, delimiter: str = "\n",
-               winner_rows_per_shard: int = _WINNER_SHARD_ROWS):
+               winner_rows_per_shard: int = ROWS_PER_SHARD):
     """C4/CCNet-style corpus-wide LINE dedup: every line of at least
     ``min_line_chars`` characters is kept only at its FIRST occurrence in
     (doc_id, line_idx) order; later exact copies anywhere in the corpus are
@@ -544,12 +477,12 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     groups = tree_group_sum(partials, ["__line_hash"],
                             ["__winner_pos", "__pcount"],
                             funcs=["min", "sum"])
-    winner_refs = _broadcast_dup_winners(
+    winners = _broadcast_dup_winners(
         groups, "__line_hash", "__winner_pos", "__winner_pos",
         rows_per_shard=winner_rows_per_shard, count_col="__pcount",
     )
     return ds.map_batches(
-        _LineRebuild(winner_refs, text_col, id_col, min_line_chars, delimiter),
+        _LineRebuild(winners, text_col, id_col, min_line_chars, delimiter),
         batch_format="pyarrow",
     )
 
@@ -557,7 +490,7 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 def line_filter_frequent(ds, text_col: str = "text", id_col: str = "doc_id",
                          min_count: int = 2, min_line_chars: int = 10,
                          delimiter: str = "\n",
-                         rows_per_shard: int = _WINNER_SHARD_ROWS):
+                         rows_per_shard: int = ROWS_PER_SHARD):
     """Boilerplate-line REMOVAL (the CCNet/RefinedWeb companion of
     :func:`line_dedup`): every line of at least ``min_line_chars``
     characters that occurs at least ``min_count`` times corpus-wide is
@@ -584,11 +517,6 @@ def line_filter_frequent(ds, text_col: str = "text", id_col: str = "doc_id",
     )
     groups = tree_group_sum(partials, ["__line_hash"], ["__pcount"])
 
-    empty = pa.table(
-        {"__line_hash": pa.array([], pa.int64()),
-         "__winner_pos": pa.array([], pa.int64())}
-    )
-
     def hot_only(t: pa.Table) -> pa.Table:
         kept = t.filter(
             pc.greater_equal(t.column("__pcount"), min_count)
@@ -601,10 +529,11 @@ def line_filter_frequent(ds, text_col: str = "text", id_col: str = "doc_id",
             }
         )
 
-    hot = groups.map_batches(hot_only, batch_format="pyarrow").materialize()
-    refs = _sharded_refs(hot, "__line_hash", rows_per_shard, empty)
+    hot = BroadcastSet.collect(
+        groups.map_batches(hot_only, batch_format="pyarrow"), "__line_hash",
+        rows_per_shard)
     return ds.map_batches(
-        _LineRebuild(refs, text_col, id_col, min_line_chars, delimiter),
+        _LineRebuild(hot, text_col, id_col, min_line_chars, delimiter),
         batch_format="pyarrow",
     )
 
@@ -832,12 +761,6 @@ class _BucketPairsBlock:
         return result(out_a, out_b, out_e, flag_key, flag_rows)
 
 
-def _collect_arrow(ds) -> Optional[pa.Table]:
-    from ..util import collect_arrow
-
-    return collect_arrow(ds)
-
-
 # Above this many (doc × band) rows the hot-bucket scan switches from a
 # driver-side numpy pass to a distributed count shuffle.
 _DRIVER_BANDS_MAX = 5_000_000
@@ -867,13 +790,11 @@ def _hot_survivor_shards(sigs_ds, band_stage, est_band_rows: int,
     signatures, so the union of per-shard pair sets equals the unsharded
     result.  Costs one extra ``band_stage`` pass over the (materialized,
     ~1%-of-text) signature dataset per shard."""
-    import ray
-
     from ..functions.shuffle import bucketed_group_fold
-    from ..util import BroadcastIsInFilter, ShardFilter
+    from ..util import ShardFilter
 
     if est_band_rows <= driver_bands_max:
-        band_tbl = _collect_arrow(sigs_ds.map_batches(band_stage, batch_format="pyarrow"))
+        band_tbl = collect_arrow(sigs_ds.map_batches(band_stage, batch_format="pyarrow"))
         if band_tbl is None:
             return
         keys = band_tbl.column(key_col).to_numpy(zero_copy_only=False)
@@ -906,19 +827,15 @@ def _hot_survivor_shards(sigs_ds, band_stage, est_band_rows: int,
         hot_shard = hot if n_shards == 1 else hot.map_batches(
             ShardFilter(key_col, n_shards, s), batch_format="pyarrow"
         )
-        hot_tbl = _collect_arrow(
+        hot_tbl = collect_arrow(
             hot_shard.map_batches(
                 lambda t, _k=key_col: t.select([_k]), batch_format="pyarrow"
             )
         )
         if hot_tbl is None or len(hot_tbl) == 0:
             continue
-        hot_keys_ref = ray.put(hot_tbl.column(key_col).combine_chunks())
-        survivors = _collect_arrow(
-            sigs_ds.map_batches(band_stage, batch_format="pyarrow").map_batches(
-                BroadcastIsInFilter(hot_keys_ref, key_col), batch_format="pyarrow"
-            )
-        )
+        survivors = collect_arrow(BroadcastSet.put(hot_tbl, key_col).semi(
+            sigs_ds.map_batches(band_stage, batch_format="pyarrow"), key_col))
         if survivors is None or len(survivors) == 0:
             continue
         keys = survivors.column(key_col).to_numpy(zero_copy_only=False)
@@ -970,7 +887,6 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     import pandas as pd
 
     from ..functions.shuffle import _cluster_cpus
-    from ..util import BroadcastIsInFilter
 
     empty = pd.DataFrame({"id_a": [], "id_b": [], "est_jaccard": []})
     n_parts = _cluster_cpus()
@@ -995,13 +911,9 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         driver_bands_max=driver_bands_max,
         surv_rows_per_shard=surv_rows_per_shard,
     ):
-        survivor_ids_ref = ray.put(pc.unique(sorted_surv.column(id_col)))
         # re-attach signatures to this shard's (tiny) survivor set only
-        sig_tbl = _collect_arrow(
-            sigs.map_batches(
-                BroadcastIsInFilter(survivor_ids_ref, id_col), batch_format="pyarrow"
-            )
-        )
+        sig_tbl = collect_arrow(
+            _key_set(sorted_surv.column(id_col), id_col).semi(sigs, id_col))
         index = {v: i for i, v in enumerate(sig_tbl.column(id_col).to_pylist())}
         matrix = _sig_matrix(sig_tbl.column("signature"), num_perm).copy()
         sig_lookup_ref = ray.put((index, matrix))
@@ -1110,7 +1022,6 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
     import warnings
 
     import pandas as pd
-    import ray
     import ray.data as rd
 
     from ..util import ShardFilter
@@ -1172,27 +1083,18 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
         )
         return pa.table({"join_id": u})
 
-    class _TextsSide:
-        def __init__(self, ref, id_type):
-            self.ref = ref
-            self.id_type = id_type
-            self._w = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._w is None:
-                obj = self.ref
-                self._w = obj if isinstance(obj, pa.Array) else ray.get(obj)
-            kept = t.filter(pc.is_in(t.column(id_col), value_set=self._w))
-            n = len(kept)
-            return pa.table(
-                {
-                    "join_id": kept.column(id_col),
-                    "id_a": pa.nulls(n, self.id_type),
-                    "id_b": pa.nulls(n, self.id_type),
-                    "slot": pa.array([-1] * n, pa.int32()),
-                    "text": kept.column(text_col),
-                }
-            )
+    def texts_side(t: pa.Table, wanted: BroadcastSet, id_type) -> pa.Table:
+        kept = t.filter(wanted.isin(t.column(id_col)))
+        n = len(kept)
+        return pa.table(
+            {
+                "join_id": kept.column(id_col),
+                "id_a": pa.nulls(n, id_type),
+                "id_b": pa.nulls(n, id_type),
+                "slot": pa.array([-1] * n, pa.int32()),
+                "text": kept.column(text_col),
+            }
+        )
 
     att = _VerifyAttachText()
     vj = _VerifyJaccard(shingle_w, threshold)
@@ -1201,18 +1103,19 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
         pairs_s = clean_pairs if n_shards == 1 else clean_pairs.map_batches(
             ShardFilter("id_a", n_shards, s), batch_format="pyarrow"
         )
-        wanted_tbl = _collect_arrow(
+        wanted_tbl = collect_arrow(
             pairs_s.map_batches(uniq_ids, batch_format="pyarrow")
         )
         if wanted_tbl is None or len(wanted_tbl) == 0:
             continue
-        wanted = pc.unique(wanted_tbl.column("join_id").combine_chunks())
-        wanted_ref = ray.put(wanted)
-        texts_side = ds.map_batches(
-            _TextsSide(wanted_ref, wanted.type), batch_format="pyarrow"
+        wanted = _key_set(wanted_tbl.column("join_id"), "join_id")
+        texts = ds.map_batches(
+            lambda t, _w=wanted, _ty=wanted_tbl.column("join_id").type:
+            texts_side(t, _w, _ty),
+            batch_format="pyarrow",
         )
         slots_side = pairs_s.map_batches(explode_slots, batch_format="pyarrow")
-        attached = texts_side.union(slots_side).groupby("join_id").map_groups(
+        attached = texts.union(slots_side).groupby("join_id").map_groups(
             lambda g, _a=att: _a(g), batch_format="pandas"
         )
         shard_outputs.append(
@@ -1588,14 +1491,12 @@ def embedding_cosine_pairs(ds, threshold: float = 0.9, dim: int = 64,
     ``max_bucket_rows`` yields a flag row (``__oversized_bucket``,
     ``__bucket_rows``) instead of O(n²) work in one reducer; downstream
     decides (resplit with more planes, sample, or drop)."""
-    import ray
-
     from ..functions.shuffle import tree_group_sum
 
     bucketed = ds.map_batches(
         _HyperplaneBucket(dim, emb_col=emb_col, id_col=id_col), batch_format="pyarrow"
     )
-    counts = _collect_arrow(tree_group_sum(
+    counts = collect_arrow(tree_group_sum(
         bucketed.map_batches(
             lambda t: t.select(["bucket"]).append_column(
                 "__n", pa.array(np.ones(len(t), np.int64))),
@@ -1608,12 +1509,8 @@ def embedding_cosine_pairs(ds, threshold: float = 0.9, dim: int = 64,
         import ray.data as rd
 
         return rd.from_pandas(pd.DataFrame({"id_a": [], "id_b": [], "cosine": []}))
-    hot_ref = ray.put(hot_tbl.column("bucket").combine_chunks())
-    from ..util import BroadcastIsInFilter
-
-    hot = bucketed.map_batches(
-        BroadcastIsInFilter(hot_ref, "bucket"), batch_format="pyarrow"
-    )
+    hot = BroadcastSet.put(hot_tbl.select(["bucket"]), "bucket").semi(
+        bucketed, "bucket")
     bucket_pairs = _BucketCosinePairs(threshold, emb_col, id_col, max_bucket_rows)
     return hot.groupby("bucket").map_groups(
         lambda g, _bp=bucket_pairs: _bp(g), batch_format="pandas"
@@ -1887,7 +1784,7 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
     import ray.data as rd
 
     from ..functions.shuffle import _cluster_cpus
-    from ..util import BroadcastIsInFilter, ShardFilter
+    from ..util import ShardFilter
 
     n_parts = _cluster_cpus()
     new_sigs = new_ds.map_batches(
@@ -1906,15 +1803,12 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
             new_bands_ds = new_bands_ds.map_batches(
                 ShardFilter("band_key", n_shards, s), batch_format="pyarrow"
             )
-        new_band_tbl = _collect_arrow(new_bands_ds)
+        new_band_tbl = collect_arrow(new_bands_ds)
         if new_band_tbl is None or len(new_band_tbl) == 0:
             continue
-        keys_ref = ray.put(pc.unique(new_band_tbl.column("band_key").combine_chunks()))
-        old_hits = _collect_arrow(
-            rd.read_parquet(f"{path}/bands").map_batches(
-                BroadcastIsInFilter(keys_ref, "band_key"), batch_format="pyarrow"
-            )
-        )
+        old_hits = collect_arrow(
+            _key_set(new_band_tbl.column("band_key"), "band_key").semi(
+                rd.read_parquet(f"{path}/bands"), "band_key"))
         if old_hits is None or len(old_hits) == 0:
             continue
         # restrict the new side to keys the index actually collided on
@@ -1925,18 +1819,12 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
         if len(new_hits) == 0:
             continue
         # signatures for both sides of this shard's collisions
-        old_ids_ref = ray.put(pc.unique(old_hits.column(id_col).combine_chunks()))
-        old_sig_tbl = _collect_arrow(
-            rd.read_parquet(f"{path}/signatures").map_batches(
-                BroadcastIsInFilter(old_ids_ref, id_col), batch_format="pyarrow"
-            )
-        )
-        new_ids_ref = ray.put(pc.unique(new_hits.column(id_col).combine_chunks()))
-        new_sig_tbl = _collect_arrow(
-            new_sigs.map_batches(
-                BroadcastIsInFilter(new_ids_ref, id_col), batch_format="pyarrow"
-            )
-        )
+        old_sig_tbl = collect_arrow(
+            _key_set(old_hits.column(id_col), id_col).semi(
+                rd.read_parquet(f"{path}/signatures"), id_col))
+        new_sig_tbl = collect_arrow(
+            _key_set(new_hits.column(id_col), id_col).semi(
+                new_sigs, id_col))
         if old_sig_tbl is None or new_sig_tbl is None:
             continue  # collisions without signatures: nothing to estimate
         index = {

@@ -695,12 +695,9 @@ def vocab_stats(ds, text_col: str = "text", group_col: str = "source"):
     groups whose texts have no tokens are absent, as in SQL GROUP BY over
     the exploded token table."""
 
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
 
-    in_schema = dataset_arrow_schema(ds)
-    grp_type = (in_schema.field(group_col).type
-                if in_schema is not None and group_col in in_schema.names
-                else pa.string())
+    grp_type = column_type(ds, group_col, pa.string())
 
     def token_partials(t: pa.Table) -> pa.Table:
         sub = t.select([group_col, text_col]).filter(
@@ -830,7 +827,7 @@ def bm25_scores_multi(ds, queries, *, text_col: str = "text",
     import ray.data as rd
 
     from ..functions.shuffle import tree_group_sum
-    from ..util import collect_arrow, dataset_arrow_schema
+    from ..util import collect_arrow, column_type
 
     if not isinstance(queries, dict):
         queries = dict(queries)
@@ -854,9 +851,7 @@ def bm25_scores_multi(ds, queries, *, text_col: str = "text",
                      [term_pos[t] for t in per_query[qid]])
         for qid in q_ids}
 
-    in_schema = dataset_arrow_schema(ds)
-    id_type = (in_schema.field(id_col).type if in_schema is not None
-               and id_col in in_schema.names else pa.int64())
+    id_type = column_type(ds, id_col, pa.int64())
     typed_out_empty = pa.table({"query_id": pa.array([], pa.string()),
                                 id_col: pa.array([], id_type),
                                 "score": pa.array([], pa.float64())})

@@ -855,9 +855,9 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
        ``combine`` sees every pair of a hash in one bucket, counts the
        distinct conversations and keeps the hashes with at least
        ``min_convs``.
-    3. The hot-hash set — O(#boilerplate texts) — collects in hash-range
-       shards (``util.sharded_value_refs``) and the filter pass chains one
-       broadcast NOT-IN probe per shard.
+    3. The hot-hash set — O(#boilerplate texts) — collects into one
+       broadcast set (``functions.broadcast``) and one filter pass drops
+       the eligible turns whose hash is in it.
 
     The per-block cap is exact: a block that hits it for a hash alone
     holds ``min_convs`` distinct conversations of that hash, so the hash
@@ -865,11 +865,10 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
     block sent all its pairs and the count is exact.  A hot text therefore
     moves at most ``min_convs`` × #blocks rows (FP-Hadoop's hot-key
     bound).  Turns shorter than ``min_chars`` (or with a null text/conv)
-    are never candidates and always survive: they take the ``-1`` sentinel
-    hash, which the 63-bit (non-negative) hash sets cannot contain."""
+    are never candidates and always survive."""
     from .dedup import _text_hash63
+    from ..functions.broadcast import BroadcastSet
     from ..functions.shuffle import bucketed_group_fold
-    from ..util import BroadcastIsInFilter, sharded_value_refs
 
     if min_convs < 1:
         raise ValueError(
@@ -903,26 +902,17 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
         hot = pc.greater_equal(vc.field("counts"), pa.scalar(min_convs))
         return pa.table({"__th": vc.field("values").filter(hot)})
 
-    hot = bucketed_group_fold(
+    hot = BroadcastSet.collect(bucketed_group_fold(
         ds.map_batches(capped_pairs, batch_format="pyarrow"),
-        ["__th"], [conv_col], combine=hot_hashes)
-    refs = sharded_value_refs(hot, "__th", rows_per_shard)
-    if not refs:  # no text spans min_convs conversations
+        ["__th"], [conv_col], combine=hot_hashes), "__th", rows_per_shard)
+    if not hot:  # no text spans min_convs conversations
         return ds
 
-    def add_hash(t: pa.Table) -> pa.Table:
-        h = np.asarray(_text_hash63(t.column(text_col)))
-        elig = _eligible_mask(t).to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__th", pa.array(np.where(elig, h, np.int64(-1)), pa.int64()))
+    def drop_hot(t: pa.Table) -> pa.Table:
+        th = pa.array(_text_hash63(t.column(text_col)), pa.int64())
+        return t.filter(pc.invert(pc.and_(_eligible_mask(t), hot.isin(th))))
 
-    out = ds.map_batches(add_hash, batch_format="pyarrow")
-    for ref in refs:
-        out = out.map_batches(
-            BroadcastIsInFilter(ref, "__th", invert=True),
-            batch_format="pyarrow")
-    return out.map_batches(lambda t: t.drop_columns(["__th"]),
-                           batch_format="pyarrow")
+    return ds.map_batches(drop_hot, batch_format="pyarrow")
 
 
 def _merge_runs_table(t: pa.Table, conv_col: str, idx_col: str, role_col: str,
@@ -1203,88 +1193,40 @@ def dedup_conversations(ds, *, conv_col: str = "conv_id",
        same hash-collision class every 63-bit dedup op here documents.
     3. a min/count fold per fingerprint (``_fp_group_table``) finds
        duplicate groups; the winner table — O(#duplicate groups) —
-       broadcasts in hash-range shards (``dedup._sharded_refs``), losers
-       are extracted per batch (``index_in`` + winner compare), and the
-       loser conv set drives one NOT-IN pass over the original turns.
+       broadcasts (``functions.broadcast``), losers are extracted per batch
+       (a keyed lookup + winner compare), and the loser conv set drives one
+       NOT-IN pass over the original turns.
        Rows with a null conv are never candidates and always survive."""
-    import ray
+    from ..functions.broadcast import BroadcastSet
+    from ..util import column_type
 
-    from .dedup import _sharded_refs, _text_hash63
-    from ..util import (dataset_arrow_schema, isin_mask, sharded_value_refs,
-                        splitmix64)
-
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
 
     fp_rows = _conversation_fingerprints(
         ds, conv_col, idx_col, text_col, conv_type
     ).materialize()  # consumed by winners AND loser probe
 
-    dups = _fp_group_table(fp_rows, conv_col, conv_type).map_batches(
-        lambda t: t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
-        .select(["__fp", "__w"]),
-        batch_format="pyarrow")
-    empty = pa.table({"__fp": pa.array([], pa.int64()),
-                      "__w": pa.array([], conv_type)})
-    win_refs = _sharded_refs(dups.materialize(), "__fp", rows_per_shard, empty)
-
-    class _LoserProbe:
-        """Per-batch: conv loses if its fingerprint is in a duplicate group
-        whose winner is a DIFFERENT conv (shards partition fp space)."""
-
-        def __init__(self, refs):
-            self.refs = refs
-            self._tbls = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._tbls is None:
-                self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
-                              for r in self.refs]
-            lose = np.zeros(len(t), dtype=bool)
-            fp = t.column("__fp")
-            conv = t.column(conv_col)
-            for w in self._tbls:
-                if len(w) == 0:
-                    continue
-                pos = pc.index_in(fp, value_set=w.column("__fp"))
-                hit = pc.is_valid(pos).to_numpy(zero_copy_only=False)
-                if not hit.any():
-                    continue
-                winner = w.column("__w").take(
-                    pc.fill_null(pos, 0))
-                ne = pc.not_equal(conv, winner).to_numpy(
-                    zero_copy_only=False)
-                lose |= hit & ne
-            return t.filter(pa.array(lose)).select([conv_col])
-
-    losers = fp_rows.map_batches(_LoserProbe(win_refs),
-                                 batch_format="pyarrow")
-    loser_refs = sharded_value_refs(losers, conv_col, rows_per_shard)
-    if not loser_refs:
+    winners = BroadcastSet.collect(
+        _fp_group_table(fp_rows, conv_col, conv_type).map_batches(
+            lambda t: t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
+            .select(["__fp", "__w"]),
+            batch_format="pyarrow"), "__fp", rows_per_shard)
+    if not winners:  # no duplicate conversations
         return ds
 
-    class _KeepFilter:
-        """NOT-IN over the loser conv set, null convs kept."""
+    def losing_convs(t: pa.Table) -> pa.Table:
+        # a conv loses if its fingerprint's group has a DIFFERENT winner
+        hit = winners.lookup(t, "__fp", ["__w"])
+        return hit.filter(pc.not_equal(hit.column(conv_col),
+                                       hit.column("__w"))).select([conv_col])
 
-        def __init__(self, ref):
-            self.ref = ref
-            self._vals = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._vals is None:
-                obj = self.ref
-                self._vals = obj if isinstance(obj, pa.Array) else ray.get(obj)
-            col = t.column(conv_col)
-            drop = isin_mask(col, self._vals)
-            return t.filter(pc.or_kleene(pc.invert(drop),
-                                         pc.is_null(col)))
-
-    out = ds
-    for ref in loser_refs:
-        out = out.map_batches(_KeepFilter(ref), batch_format="pyarrow")
-    return out
+    losers = BroadcastSet.collect(
+        fp_rows.map_batches(losing_convs, batch_format="pyarrow"), conv_col,
+        rows_per_shard)
+    # NOT IN over the losers; a null conv is in no set and survives
+    return ds.map_batches(
+        lambda t: t.filter(pc.invert(losers.isin(t.column(conv_col)))),
+        batch_format="pyarrow")
 
 
 def conversation_texts(ds, *, conv_col: str = "conv_id",
@@ -1819,24 +1761,21 @@ def conversation_fork_groups(ds, prefix_turns: int, *,
     parallel), then the shared order-sensitive fingerprint fold
     (:func:`_conversation_fingerprints` — slim hash partials, text never
     shuffles), a min/count fold per fingerprint finds groups, and
-    the O(#fork groups) winner table broadcasts in hash-range shards for
-    a per-batch membership stamp.  Conversations with FEWER than
+    the O(#fork groups) winner table broadcasts (``functions.broadcast``)
+    for a per-batch keyed stamp.  Conversations with FEWER than
     ``prefix_turns`` turns key on their full (shorter) sequence — two
     3-turn twins still group under ``prefix_turns=5``; a 3-turn
     conversation never groups with a 5-turn one sharing those 3 turns
     (n_turns mixes into the fingerprint)."""
-    import ray
+    import ray.data as rd
 
-    from ..util import dataset_arrow_schema
-    from .dedup import _sharded_refs
+    from ..functions.broadcast import BroadcastSet
+    from ..util import column_type
 
     if prefix_turns < 1:
         raise ValueError(
             f"prefix_turns must be >= 1, got {prefix_turns}")
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
 
     def prefix_only(t: pa.Table) -> pa.Table:
         return t.filter(pc.less(pc.cast(t.column(idx_col), pa.int64()),
@@ -1847,56 +1786,23 @@ def conversation_fork_groups(ds, prefix_turns: int, *,
         conv_col, idx_col, text_col, conv_type,
     ).materialize()  # consumed by the group table AND the stamp probe
 
-    groups = _fp_group_table(fp_rows, conv_col, conv_type)
-
     def keep_groups(t: pa.Table) -> pa.Table:
         sub = t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
         return pa.table({"__fp": sub.column("__fp"),
-                         "__win": sub.column("__w"),
-                         "__size": sub.column("__c")})
+                         "fork_group": sub.column("__w"),
+                         "n_convs": sub.column("__c")})
 
-    empty = pa.table({"__fp": pa.array([], pa.int64()),
-                      "__win": pa.array([], conv_type),
-                      "__size": pa.array([], pa.int64())})
-    refs = _sharded_refs(
-        groups.map_batches(keep_groups, batch_format="pyarrow")
-        .materialize(), "__fp", rows_per_shard, empty)
-
-    class _GroupStamp:
-        """Per-batch: stamp each conv's fork group + size, drop singletons
-        (fp space is hash-range partitioned across the shards)."""
-
-        def __init__(self, refs):
-            self.refs = refs
-            self._tbls = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._tbls is None:
-                self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
-                              for r in self.refs]
-            out = []
-            fp = t.column("__fp")
-            for w in self._tbls:
-                if len(w) == 0:
-                    continue
-                pos = pc.index_in(fp, value_set=w.column("__fp"))
-                hit = pc.is_valid(pos)
-                if not pc.any(hit).as_py():
-                    continue
-                sub = t.filter(hit)
-                pos_h = pos.filter(hit)
-                out.append(pa.table({
-                    conv_col: sub.column(conv_col),
-                    "fork_group": w.column("__win").take(pos_h),
-                    "n_convs": w.column("__size").take(pos_h),
-                }))
-            if not out:
-                return pa.table({conv_col: pa.array([], conv_type),
-                                 "fork_group": pa.array([], conv_type),
-                                 "n_convs": pa.array([], pa.int64())})
-            return pa.concat_tables(out)
-
-    return fp_rows.map_batches(_GroupStamp(refs), batch_format="pyarrow")
+    groups = BroadcastSet.collect(
+        _fp_group_table(fp_rows, conv_col, conv_type).map_batches(
+            keep_groups, batch_format="pyarrow"), "__fp", rows_per_shard)
+    out_cols = [conv_col, "fork_group", "n_convs"]
+    if not groups:  # no fork group
+        return rd.from_arrow(pa.schema([
+            (conv_col, conv_type), ("fork_group", conv_type),
+            ("n_convs", pa.int64())]).empty_table())
+    return fp_rows.map_batches(
+        lambda t: groups.lookup(t, "__fp", out_cols[1:]).select(out_cols),
+        batch_format="pyarrow")
 
 
 def _fp_group_table(fp_rows, conv_col: str, conv_type,
@@ -1964,19 +1870,16 @@ def preference_pairs(ds, prefix_turns: int, *,
        chosen table broadcasts back for the final emit.
 
     Driver peak is one ``rows_per_shard`` shard, same escape hatch as
-    every winner broadcast (``dedup._sharded_refs``)."""
-    import ray
+    every broadcast set (``functions.broadcast``)."""
     import ray.data as rd
 
-    from ..util import dataset_arrow_schema, splitmix64
-    from .dedup import _sharded_refs, _text_hash63
+    from ..functions.broadcast import BroadcastSet
+    from ..util import column_type, splitmix64
+    from .dedup import _text_hash63
 
     if prefix_turns < 1:
         raise ValueError(f"prefix_turns must be >= 1, got {prefix_turns}")
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
 
     out_schema = pa.schema([
         ("fork_group", conv_type), ("chosen_conv", conv_type),
@@ -2062,70 +1965,23 @@ def preference_pairs(ds, prefix_turns: int, *,
     fp_rows = folded.map_batches(
         fp_score, batch_format="pyarrow").materialize()  # stamp + emit
 
-    groups = _fp_group_table(fp_rows, conv_col, conv_type,
-                             max_col="__score")
-    group_empty = pa.table({
-        "__fp": pa.array([], pa.int64()),
-        "__win": pa.array([], conv_type),
-        "__size": pa.array([], pa.int64()),
-        "__gmax": pa.array([], pa.int64()),
-    })
-
     def keep_groups(t: pa.Table) -> pa.Table:
         sub = t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
         return pa.table({"__fp": sub.column("__fp"),
-                         "__win": sub.column("__w"),
-                         "__size": sub.column("__c"),
+                         "fork_group": sub.column("__w"),
+                         "n_convs": sub.column("__c"),
                          "__gmax": pc.cast(sub.column("__m"), pa.int64())})
 
-    group_refs = _sharded_refs(
-        groups.map_batches(keep_groups, batch_format="pyarrow")
-        .materialize(), "__fp", rows_per_shard, group_empty)
+    groups = BroadcastSet.collect(
+        _fp_group_table(fp_rows, conv_col, conv_type, max_col="__score")
+        .map_batches(keep_groups, batch_format="pyarrow"), "__fp",
+        rows_per_shard)
+    if not groups:  # no fork group, no pair
+        return rd.from_arrow(out_schema.empty_table())
 
-    score_schema = pa.schema([
-        (conv_col, conv_type), ("__fp", pa.int64()),
-        ("fork_group", conv_type), ("n_convs", pa.int64()),
-        ("__score", pa.int64()), ("__gmax", pa.int64()),
-    ])
-
-    class _StampMembers:
-        """Per-batch: attach (fork_group, n_convs, gmax) to each member's
-        fingerprint row; non-members (singleton fps) drop here, so only
-        O(#forked convs) rows flow on."""
-
-        def __init__(self, refs):
-            self.refs = refs
-            self._tbls = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._tbls is None:
-                self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
-                              for r in self.refs]
-            fp = t.column("__fp")
-            out = []
-            for w in self._tbls:
-                if len(w) == 0:
-                    continue
-                pos = pc.index_in(fp, value_set=w.column("__fp"))
-                hit = pc.is_valid(pos)
-                if not pc.any(hit).as_py():
-                    continue
-                sub = t.filter(hit)
-                pos_h = pos.filter(hit)
-                out.append(pa.table({
-                    conv_col: sub.column(conv_col),
-                    "__fp": sub.column("__fp"),
-                    "fork_group": w.column("__win").take(pos_h),
-                    "n_convs": w.column("__size").take(pos_h),
-                    "__score": sub.column("__score"),
-                    "__gmax": w.column("__gmax").take(pos_h),
-                }))
-            if not out:
-                return score_schema.empty_table()
-            return pa.concat_tables(out)
-
+    # members only (singleton fps drop): O(#forked convs) rows flow on
     scores = fp_rows.map_batches(
-        _StampMembers(group_refs),
+        lambda t: groups.lookup(t, "__fp", ["fork_group", "n_convs", "__gmax"]),
         batch_format="pyarrow").materialize()  # consumed twice
 
     # tie-break: min conv id among max-score members — an aggregate over
@@ -2133,65 +1989,29 @@ def preference_pairs(ds, prefix_turns: int, *,
     def candidates(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t.column("__score"), t.column("__gmax")))
 
-    chosen = tree_group_sum(
+    chosen = BroadcastSet.collect(tree_group_sum(
         scores.map_batches(candidates, batch_format="pyarrow")
         .map_batches(lambda t: t.select(["__fp", conv_col]),
                      batch_format="pyarrow"),
-        ["__fp"], [conv_col], funcs=["min"])
-    chosen_empty = pa.table({
-        "__fp": pa.array([], pa.int64()),
-        "__chosen": pa.array([], conv_type),
-    })
+        ["__fp"], [conv_col], funcs=["min"]).map_batches(
+        lambda t: pa.table({"__fp": t.column("__fp"),
+                            "__chosen": t.column(conv_col)}),
+        batch_format="pyarrow"), "__fp", rows_per_shard)
 
-    def chosen_rows(t: pa.Table) -> pa.Table:
+    def emit_pairs(t: pa.Table) -> pa.Table:
+        hit = chosen.lookup(t, "__fp", ["__chosen"])
+        rej = hit.filter(pc.not_equal(hit.column(conv_col),
+                                      hit.column("__chosen")))
         return pa.table({
-            "__fp": t.column("__fp"),
-            "__chosen": t.column(conv_col),
+            "fork_group": rej.column("fork_group"),
+            "chosen_conv": rej.column("__chosen"),
+            "rejected_conv": rej.column(conv_col),
+            "chosen_score": rej.column("__gmax"),
+            "rejected_score": rej.column("__score"),
+            "n_convs": rej.column("n_convs"),
         })
 
-    chosen_refs = _sharded_refs(
-        chosen.map_batches(chosen_rows, batch_format="pyarrow").materialize(),
-        "__fp", rows_per_shard, chosen_empty)
-
-    class _EmitPairs:
-        def __init__(self, refs):
-            self.refs = refs
-            self._tbls = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._tbls is None:
-                self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
-                              for r in self.refs]
-            fp = t.column("__fp")
-            out = []
-            for w in self._tbls:
-                if len(w) == 0:
-                    continue
-                pos = pc.index_in(fp, value_set=w.column("__fp"))
-                hit = pc.is_valid(pos)
-                if not pc.any(hit).as_py():
-                    continue
-                sub = t.filter(hit)
-                pos_h = pos.filter(hit)
-                cconv = w.column("__chosen").take(pos_h)
-                keep = pc.invert(pc.equal(sub.column(conv_col), cconv))
-                sub2 = sub.filter(keep)
-                if len(sub2) == 0:
-                    continue
-                out.append(pa.table({
-                    "fork_group": sub2.column("fork_group"),
-                    "chosen_conv": cconv.filter(keep),
-                    "rejected_conv": sub2.column(conv_col),
-                    "chosen_score": sub2.column("__gmax"),
-                    "rejected_score": sub2.column("__score"),
-                    "n_convs": sub2.column("n_convs"),
-                }))
-            if not out:
-                return out_schema.empty_table()
-            return pa.concat_tables(out)
-
-    return scores.map_batches(_EmitPairs(chosen_refs),
-                              batch_format="pyarrow").union(
+    return scores.map_batches(emit_pairs, batch_format="pyarrow").union(
         rd.from_arrow(out_schema.empty_table()))  # schema anchor
 
 
@@ -2264,13 +2084,10 @@ def assistant_loop_stats(ds, min_run: int = 2, *,
     if min_run < 1:
         raise ValueError(f"min_run must be >= 1, got {min_run}")
 
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
     from .dedup import _text_hash63
 
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
     out_schema = pa.schema([
         (conv_col, conv_type), ("max_run", pa.int64()),
         ("n_loops", pa.int64()), ("n_role_turns", pa.int64()),
@@ -2370,16 +2187,13 @@ def filter_conversations(ds, *, rows_per_shard: int = 4_000_000, **rules):
     (they belong to no conversation — SQL ``NOT IN`` semantics).
 
     Scale shape: the dropped-conversation id set is O(#dropped convs),
-    collected in hash-range shards (``sharded_value_refs``) and applied as
-    chained per-batch anti-join filters — the turn table itself never
+    collected into one broadcast set (``functions.broadcast``) and applied
+    as one per-batch anti-join filter — the turn table itself never
     shuffles."""
-    from ..util import (BroadcastIsInFilter, dataset_arrow_schema,
-                        sharded_value_refs)
+    from ..functions.broadcast import BroadcastSet
+    from ..util import column_type
 
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field("conv_id").type
-                 if in_schema is not None and "conv_id" in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, "conv_id", pa.string())
 
     rep = conversation_filter_report(ds, **rules)
 
@@ -2390,18 +2204,10 @@ def filter_conversations(ds, *, rows_per_shard: int = 4_000_000, **rules):
         # set probed against int64 keys would match nothing)
         return pa.table({"conv_id": pc.cast(ids, conv_type)})
 
-    dropped = rep.map_batches(dropped_ids, batch_format="pyarrow")
-    refs = sharded_value_refs(dropped, "conv_id", rows_per_shard)
-    out = ds
-    if not refs:
-        # nothing dropped: still enforce the non-null conv id contract
-        return out.map_batches(
-            lambda t: t.filter(pc.is_valid(t.column("conv_id"))),
-            batch_format="pyarrow")
-    for r in refs:
-        out = out.map_batches(BroadcastIsInFilter(r, "conv_id", invert=True),
-                              batch_format="pyarrow")
-    return out
+    dropped = BroadcastSet.collect(
+        rep.map_batches(dropped_ids, batch_format="pyarrow"), "conv_id",
+        rows_per_shard)
+    return dropped.anti(ds, "conv_id")
 
 
 def echo_stats(ds, *, conv_col: str = "conv_id",
@@ -2424,13 +2230,10 @@ def echo_stats(ds, *, conv_col: str = "conv_id",
     all-to-all moves (conv, idx, role, int64, bool) rows, never text
     bytes.  Same output up to the 2⁻⁶³ hash-collision class every
     hash-keyed dedup op here documents."""
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
     from .dedup import _text_hash63
 
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
     out_schema = pa.schema([
         (conv_col, conv_type), ("n_echoes", pa.int64()),
         ("n_pairs", pa.int64()),
@@ -2562,12 +2365,9 @@ def role_balance_stats(ds, *, conv_col: str = "conv_id",
     partials (one row per conversation per block), then a slim
     ``groupby(conv).sum`` fold; the text never shuffles."""
 
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
 
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
     part_cols = [conv_col] + _ROLE_BALANCE_COLS
     empty = pa.table(
         {conv_col: pa.array([], conv_type),
@@ -2812,13 +2612,10 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
 
     import ray.data as rd
 
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
     from .dedup import _text_hash63
 
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
     need_hash = "loop" in which or "echo" in which
     need_chars = "role_balance" in which
     need_tool = "tool_transitions" in which
@@ -3038,15 +2835,13 @@ def split_by_fork_group(ds, prefix_turns: int,
     otherwise; ``split`` uses the engine-standard md5-percentile bucket
     (``relational.split_assign`` rule, SQL-reproducible).
 
-    Scale shape: the fork-member table (O(#forked convs)) broadcasts in
-    hash-range shards; the distinct-conversation list folds through a slim
-    ``groupby(conv)``; everything else is an embarrassingly parallel
+    Scale shape: the fork-member table (O(#forked convs)) broadcasts
+    (``functions.broadcast``); the distinct-conversation list folds through
+    a slim ``groupby(conv)``; everything else is an embarrassingly parallel
     per-batch stamp — the md5 decision hash runs once per CONVERSATION,
     never per turn."""
-    import ray
-
-    from ..util import dataset_arrow_schema
-    from .dedup import _sharded_refs
+    from ..functions.broadcast import BroadcastSet
+    from ..util import column_type
     from .relational import split_assign
 
     # split_assign validates the same way, but only after the expensive
@@ -3054,21 +2849,12 @@ def split_by_fork_group(ds, prefix_turns: int,
     if sum(int(s[1]) for s in splits) > 100:
         raise ValueError("split weights must sum to <= 100")
 
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
 
-    members = conversation_fork_groups(
+    members = BroadcastSet.collect(conversation_fork_groups(
         ds, prefix_turns, conv_col=conv_col, idx_col=idx_col,
-        text_col=text_col, rows_per_shard=rows_per_shard).materialize()
-    member_empty = pa.table({conv_col: pa.array([], conv_type),
-                             "fork_group": pa.array([], conv_type)})
-    refs = _sharded_refs(
-        members.map_batches(
-            lambda t: t.select([conv_col, "fork_group"]),
-            batch_format="pyarrow"),
-        conv_col, rows_per_shard, member_empty)
+        text_col=text_col, rows_per_shard=rows_per_shard).select_columns(
+        [conv_col, "fork_group"]), conv_col, rows_per_shard)
 
     def conv_partials(t: pa.Table) -> pa.Table:
         conv = t.column(conv_col)
@@ -3088,32 +2874,17 @@ def split_by_fork_group(ds, prefix_turns: int,
         (conv_col, conv_type), ("group_id", conv_type),
     ])
 
-    class _StampGroup:
-        def __init__(self, refs):
-            self.refs = refs
-            self._tbls = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._tbls is None:
-                self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
-                              for r in self.refs]
-            conv = t.column(conv_col).combine_chunks()
-            group = np.asarray(conv, dtype=object).copy()
-            for w in self._tbls:
-                if len(w) == 0:
-                    continue
-                # inverted probe: hash the block's conv set, scan the shard
-                pos = pc.index_in(w.column(conv_col), value_set=conv)
-                hit = pc.is_valid(pos)
-                if not pc.any(hit).as_py():
-                    continue
-                idxs = np.asarray(pos.filter(hit), dtype=np.int64)
-                group[idxs] = np.asarray(
-                    w.column("fork_group").filter(hit), dtype=object)
-            return pa.table({
-                conv_col: conv,
-                "group_id": pa.array(group, conv_type),
-            })
+    def stamp_group(t: pa.Table) -> pa.Table:
+        # a member takes its fork group; any other conv is its own group
+        conv = t.column(conv_col).combine_chunks()
+        rows = pa.table({conv_col: conv,
+                         "__row": pa.array(np.arange(len(conv)))})
+        hit = members.lookup(rows, conv_col, ["fork_group"])
+        group = np.asarray(conv, dtype=object).copy()
+        group[np.asarray(hit.column("__row"))] = np.asarray(
+            hit.column("fork_group"), dtype=object)
+        return pa.table({conv_col: conv,
+                         "group_id": pa.array(group, conv_type)})
 
     import ray.data as rd
 
@@ -3121,7 +2892,7 @@ def split_by_fork_group(ds, prefix_turns: int,
     # — one source of truth for the md5-percentile rule, so 'same key →
     # same split' holds across both APIs by construction
     grouped = convs.map_batches(
-        _StampGroup(refs), batch_format="pyarrow").union(
+        stamp_group, batch_format="pyarrow").union(
         rd.from_arrow(grouped_schema.empty_table()))  # schema anchor
     return split_assign(grouped, "group_id", splits)
 
@@ -3193,15 +2964,12 @@ def conversation_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
     ONE bucketed exchange.  Equal sequences ⇒ equal fingerprints; a
     spurious 'unchanged' requires a 63-bit hash collision (the same
     collision class every dedup op here documents)."""
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
     from .dedup import snapshot_diff
 
-    conv_type = pa.string()
-    for side in (old_ds, new_ds):
-        schema = dataset_arrow_schema(side)
-        if schema is not None and conv_col in schema.names:
-            conv_type = schema.field(conv_col).type
-            break
+    conv_type = column_type(old_ds, conv_col)
+    if conv_type is None:
+        conv_type = column_type(new_ds, conv_col, pa.string())
 
     old_fp = _conversation_fingerprints(
         old_ds, conv_col, idx_col, text_col, conv_type)
@@ -3224,15 +2992,12 @@ def fork_index_write(ds, prefix_turns: int, path: str, *,
     ``prefix_turns`` turns).  A streaming multi-file ``write_parquet``
     sink; fingerprints are deterministic (seeded polars hash), so any
     later run with the same ``prefix_turns`` compares exactly."""
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
 
     if prefix_turns < 1:
         raise ValueError(f"prefix_turns must be >= 1, got {prefix_turns}")
     _require_fresh_sink(path, "prefixes")
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
 
     def prefix_only(t: pa.Table) -> pa.Table:
         return t.filter(pc.less(pc.cast(t.column(idx_col), pa.int64()),
@@ -3259,23 +3024,19 @@ def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
     typical retry rates the output is a small fraction of the shard.
 
     Scale shape: the new shard folds to slim ``(conv, fp)`` rows; the
-    NEW fp set (usually ≪ index) broadcasts in hash-range shards and the
-    index scans ONCE against it with pruned columns; matches reduce via
+    NEW fp set (usually ≪ index) broadcasts (``functions.broadcast``) and
+    the index scans ONCE against it with pruned columns; matches reduce via
     ``groupby(fp).Min`` and the O(#matched prefixes) witness table
     broadcasts back for the final stamp — the index is never collected
     whole."""
-    import ray
     import ray.data as rd
 
-    from ..util import dataset_arrow_schema, sharded_value_refs
-    from .dedup import _sharded_refs
+    from ..functions.broadcast import BroadcastSet
+    from ..util import column_type
 
     if prefix_turns < 1:
         raise ValueError(f"prefix_turns must be >= 1, got {prefix_turns}")
-    in_schema = dataset_arrow_schema(new_ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(new_ds, conv_col, pa.string())
 
     def prefix_only(t: pa.Table) -> pa.Table:
         return t.filter(pc.less(pc.cast(t.column(idx_col), pa.int64()),
@@ -3296,66 +3057,33 @@ def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
     wit_type = pads.dataset(f"{path}/prefixes").schema.field(conv_col).type
     out_schema = pa.schema([(conv_col, conv_type),
                             ("matched_conv", wit_type)])
-    fp_refs = sharded_value_refs(new_fp, "__fp", rows_per_shard)
-    if not fp_refs:
-        return rd.from_arrow(out_schema.empty_table())
+    empty = rd.from_arrow(out_schema.empty_table())
+    new_fps = BroadcastSet.collect(new_fp, "__fp", rows_per_shard)
+    if not new_fps:
+        return empty
 
-    # ONE semi-filter stage that ORs the per-shard membership masks — a
-    # fp lives in exactly ONE hash-range shard, so CHAINED keep filters
-    # (shard-0 pass AND shard-1 pass) would intersect to nothing the
-    # moment a second shard exists
-    index = rd.read_parquet(f"{path}/prefixes").map_batches(
-        _MembershipAny(fp_refs, "__fp"), batch_format="pyarrow")
     from ..functions.shuffle import tree_group_sum
 
     witness = tree_group_sum(
-        index.map_batches(lambda t: t.select(["__fp", conv_col]),
-                          batch_format="pyarrow"),
+        new_fps.semi(rd.read_parquet(f"{path}/prefixes"), "__fp")
+        .select_columns(["__fp", conv_col]),
         ["__fp"], [conv_col], funcs=["min"])
-    wit_empty = pa.table({"__fp": pa.array([], pa.int64()),
-                          "__wit": pa.array([], wit_type)})
 
     def wit_rows(t: pa.Table) -> pa.Table:
         return pa.table({
             "__fp": t.column("__fp"),
-            "__wit": pc.cast(t.column(conv_col), wit_type),
+            "matched_conv": pc.cast(t.column(conv_col), wit_type),
         })
 
-    wit_refs = _sharded_refs(
-        witness.map_batches(wit_rows, batch_format="pyarrow").materialize(),
-        "__fp", rows_per_shard, wit_empty)
-
-    class _StampMatch:
-        def __init__(self, refs):
-            self.refs = refs
-            self._tbls = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._tbls is None:
-                self._tbls = [r if isinstance(r, pa.Table) else ray.get(r)
-                              for r in self.refs]
-            fp = t.column("__fp")
-            out = []
-            for w in self._tbls:
-                if len(w) == 0:
-                    continue
-                pos = pc.index_in(fp, value_set=w.column("__fp"))
-                hit = pc.is_valid(pos)
-                if not pc.any(hit).as_py():
-                    continue
-                sub = t.filter(hit)
-                out.append(pa.table({
-                    conv_col: sub.column(conv_col),
-                    "matched_conv": w.column("__wit").take(
-                        pos.filter(hit)),
-                }))
-            if not out:
-                return out_schema.empty_table()
-            return pa.concat_tables(out)
-
-    return new_fp.map_batches(_StampMatch(wit_refs),
-                              batch_format="pyarrow").union(
-        rd.from_arrow(out_schema.empty_table()))  # schema anchor
+    witnesses = BroadcastSet.collect(
+        witness.map_batches(wit_rows, batch_format="pyarrow"), "__fp",
+        rows_per_shard)
+    if not witnesses:
+        return empty
+    return new_fp.map_batches(
+        lambda t: witnesses.lookup(t, "__fp", ["matched_conv"])
+        .select([conv_col, "matched_conv"]),
+        batch_format="pyarrow").union(empty)  # schema anchor
 
 
 def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
@@ -3372,9 +3100,10 @@ def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
     by hash rank, so at most ``#blocks × n`` slim rows reach the driver
     merge (guarded by ``driver_max_rows`` — for subsets too large for
     that bound use :func:`relational.split_assign` rates instead); the
-    selected id set broadcasts in hash-range shards for the final
+    selected id set broadcasts (``functions.broadcast``) for the final
     per-batch semi-join."""
-    from ..util import dataset_arrow_schema
+    from ..functions.broadcast import BroadcastSet
+    from ..util import collect_arrow, dataset_arrow_schema
     from .relational import md5_bucket
 
     if n < 1:
@@ -3400,7 +3129,6 @@ def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
 
     partials = ds.map_batches(
         block_candidates, batch_format="pyarrow").materialize()
-    from .dedup import _collect_arrow
 
     # gate BEFORE the driver collect — counting the materialized partials
     # is free, and collecting first would be the OOM the gate exists for
@@ -3410,7 +3138,7 @@ def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
             f"candidate merge would hold {n_cand} rows on the driver "
             f"(> {driver_max_rows}); for subsets this large use "
             "relational.split_assign with a rate instead of an exact n")
-    cand = _collect_arrow(partials)
+    cand = collect_arrow(partials)
     if cand is None or len(cand) == 0:
         import ray.data as rd
 
@@ -3419,17 +3147,8 @@ def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
             else pa.table({conv_col: pa.array([], conv_type)}))
     df = cand.to_pandas().drop_duplicates(conv_col)
     df = df.sort_values(["__rank", conv_col], kind="mergesort").head(n)
-    keep = pa.array(df[conv_col].to_numpy(), conv_type)
-
-    import ray
-
-    # a key lives in exactly one shard of the keep set; the shared
-    # _MembershipAny ORs the per-shard masks in ONE filter stage
-    n_shards = max(1, -(-len(keep) // rows_per_shard))
-    refs = [ray.put(keep.slice(s * rows_per_shard, rows_per_shard))
-            for s in range(n_shards)]
-    return ds.map_batches(_MembershipAny(refs, conv_col),
-                          batch_format="pyarrow")
+    keep = pa.table({conv_col: pa.array(df[conv_col].to_numpy(), conv_type)})
+    return BroadcastSet.put(keep, conv_col, rows_per_shard).semi(ds, conv_col)
 
 
 def filter_pii_conversations(ds, max_matches: int = 0, *,
@@ -3445,19 +3164,16 @@ def filter_pii_conversations(ds, max_matches: int = 0, *,
     semantics, same contract as :func:`filter_conversations`).
 
     Scale shape: the report is already O(match-bearing conversations);
-    the over-threshold id set is a further subset, collected in
-    hash-range shards and applied as chained per-batch anti-joins — the
-    turn table never shuffles."""
-    from ..util import (BroadcastIsInFilter, dataset_arrow_schema,
-                        sharded_value_refs)
+    the over-threshold id set is a further subset, collected into one
+    broadcast set (``functions.broadcast``) and applied as one per-batch
+    anti-join — the turn table never shuffles."""
+    from ..functions.broadcast import BroadcastSet
+    from ..util import column_type
 
     if max_matches < 0:
         raise ValueError(f"max_matches must be >= 0, got {max_matches}")
 
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
 
     rep = pii_stats(ds, conv_col=conv_col, text_col=text_col)
 
@@ -3468,17 +3184,10 @@ def filter_pii_conversations(ds, max_matches: int = 0, *,
         return pa.table({conv_col: pc.cast(kept.column(conv_col),
                                            conv_type)})
 
-    dropped = rep.map_batches(over, batch_format="pyarrow")
-    refs = sharded_value_refs(dropped, conv_col, rows_per_shard)
-    if not refs:
-        return ds.map_batches(
-            lambda t: t.filter(pc.is_valid(t.column(conv_col))),
-            batch_format="pyarrow")
-    out = ds
-    for r in refs:
-        out = out.map_batches(BroadcastIsInFilter(r, conv_col, invert=True),
-                              batch_format="pyarrow")
-    return out
+    dropped = BroadcastSet.collect(
+        rep.map_batches(over, batch_format="pyarrow"), conv_col,
+        rows_per_shard)
+    return dropped.anti(ds, conv_col)
 
 
 def conversation_index_write(ds, path: str, *,
@@ -3492,13 +3201,10 @@ def conversation_index_write(ds, path: str, *,
     without ever re-reading this corpus.  The full-sequence sibling of
     :func:`fork_index_write`'s prefix index; streaming multi-file
     ``write_parquet`` sink, deterministic seeded hashes."""
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
 
     _require_fresh_sink(path, "fingerprints")
-    in_schema = dataset_arrow_schema(ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(ds, conv_col, pa.string())
     _conversation_fingerprints(
         ds, conv_col, idx_col, text_col, conv_type,
     ).write_parquet(f"{path}/fingerprints")
@@ -3523,13 +3229,10 @@ def conversation_diff_against_index(new_ds, path: str, *,
     exchange."""
     import ray.data as rd
 
-    from ..util import dataset_arrow_schema
+    from ..util import column_type
     from .dedup import snapshot_diff
 
-    in_schema = dataset_arrow_schema(new_ds)
-    conv_type = (in_schema.field(conv_col).type
-                 if in_schema is not None and conv_col in in_schema.names
-                 else pa.string())
+    conv_type = column_type(new_ds, conv_col, pa.string())
 
     old_fp = rd.read_parquet(f"{path}/fingerprints",
                              columns=[conv_col, "__fp"])
@@ -3592,39 +3295,6 @@ def turn_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
 
     return diff.map_batches(split_key, batch_format="pyarrow").union(
         rd.from_arrow(out_schema.empty_table()))  # schema anchor
-
-
-class _MembershipAny:
-    """``map_batches`` semi-filter: keep rows whose ``col`` value belongs
-    to ANY of the broadcast hash-range value shards — the per-shard masks
-    OR together (a value lives in exactly ONE shard, so chaining one keep
-    filter per shard would AND the masks to the empty intersection).
-    Probes via :func:`util.isin_mask` (inverted-probe path above 64k
-    values, no per-batch hash rebuild of a huge set); null keys drop."""
-
-    def __init__(self, refs, col: str):
-        self.refs = refs
-        self.col = col
-        self._vals = None
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import ray
-
-        from ..util import isin_mask
-
-        if self._vals is None:
-            self._vals = [r if isinstance(r, pa.Array) else ray.get(r)
-                          for r in self.refs]
-        col = t.column(self.col)
-        mask = None
-        for v in self._vals:
-            if v is None or len(v) == 0:
-                continue
-            m = isin_mask(col, v)
-            mask = m if mask is None else pc.or_(mask, m)
-        if mask is None:
-            return t.slice(0, 0)
-        return t.filter(pc.fill_null(mask, False))
 
 
 def _require_fresh_sink(path: str, sub: str) -> None:

@@ -32,6 +32,15 @@ def dataset_arrow_schema(ds) -> "Optional[object]":
     return pa.schema(fields)
 
 
+def column_type(ds, col: str, default=None):
+    """Arrow type of ``col`` in ``ds``'s schema, or ``default`` when the
+    dataset has no schema or no such column."""
+    schema = dataset_arrow_schema(ds)
+    if schema is None or col not in schema.names:
+        return default
+    return schema.field(col).type
+
+
 # Below this many values a direct pc.is_in hash-set build per call is
 # cheaper than the inverted probe.
 _DIRECT_ISIN_MAX = 65_536
@@ -56,38 +65,6 @@ def isin_mask(col, values, direct_max: int = _DIRECT_ISIN_MAX):
     )
     present = values.filter(pc.is_in(values, value_set=uniq))
     return pc.is_in(col, value_set=present)
-
-
-class BroadcastIsInFilter:
-    """``map_batches`` stage: keep rows whose ``col`` value is in a broadcast
-    Arrow value set (``invert=True`` keeps the complement — an anti-join;
-    null keys are dropped either way, matching SQL ``IN`` / ``NOT IN``
-    three-valued semantics).  The set ships ONCE via ``ray.put`` (zero-copy
-    plasma read per worker, not re-serialized per task) and the membership
-    probe is ``isin_mask`` — vectorized C, with the inverted-probe path for
-    large sets."""
-
-    def __init__(self, values_ref, col: str, invert: bool = False):
-        self.values_ref = values_ref
-        self.col = col
-        self.invert = invert
-        self._values = None
-
-    def __call__(self, t):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        if self._values is None:
-            import ray
-
-            obj = self.values_ref
-            self._values = obj if isinstance(obj, pa.Array) else ray.get(obj)
-        col = t.column(self.col)
-        mask = isin_mask(col, self._values)
-        if self.invert:
-            # NOT IN: a null key is neither in nor not-in — drop it
-            mask = pc.and_(pc.invert(mask), pc.is_valid(col))
-        return t.filter(mask)
 
 
 def collect_arrow(ds):
@@ -275,37 +252,6 @@ def tree_reduce(rows, combine, fanout: int = 64):
     if tbl is None or len(tbl) == 0:
         return None
     return combine(tbl)
-
-
-def sharded_value_refs(ds, col: str, rows_per_shard: int = 4_000_000):
-    """Collect ONE column of a slim dataset to the driver in key-hash-range
-    shards and ``ray.put`` each shard's Arrow array — the value-set variant
-    of the winner-table sharding (``pipelines/dedup._sharded_refs``).
-    Consumers chain one ``BroadcastIsInFilter`` per shard: a value lives in
-    exactly one shard, so chained keep-masks AND to the unsharded
-    semantics.  Returns a possibly-empty list of object refs."""
-    import pyarrow as pa
-    import ray
-
-    ds = ds.materialize()
-    n = ds.count()
-
-    def _arr(d):
-        tbl = collect_arrow(d)
-        if tbl is None or len(tbl) == 0:
-            return None
-        return tbl.column(col).combine_chunks()
-
-    if n <= rows_per_shard:
-        a = _arr(ds)
-        return [ray.put(a)] if a is not None else []
-    n_shards = -(-n // rows_per_shard)
-    refs = []
-    for s in range(n_shards):
-        a = _arr(ds.map_batches(ShardFilter(col, n_shards, s), batch_format="pyarrow"))
-        if a is not None:
-            refs.append(ray.put(a))
-    return refs
 
 
 def global_stream_offsets(sorted_ds, id_col: str, token_cols):

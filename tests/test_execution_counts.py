@@ -123,3 +123,48 @@ def test_verification_suite_executions(ray_session, executions, suite, limit):
     ctx = do_analysis_run(ds, suite)
     assert all(m.value.isSuccess for m in ctx.metric_map.values())
     assert 1 <= len(executions) <= limit
+
+
+def _forked_dataset(blocks=4):
+    """40 conversations of 3-6 turns: convs equal mod 7 share every turn
+    text (fork groups), equal mod 28 are whole duplicates, and the
+    shorter ones fail ``min_turns=5``."""
+    import ray.data as rd
+
+    conv, idx, role, text = [], [], [], []
+    for c in range(40):
+        for i in range(3 + c % 4):
+            conv.append(f"c{c:03d}")
+            idx.append(i)
+            role.append("user" if i % 2 == 0 else "assistant")
+            text.append(f"turn {c % 7}-{i} " + "w " * (c % 7 + i))
+    t = pa.table({"conv_id": conv, "turn_idx": pa.array(idx, pa.int64()),
+                  "role": role, "text": text})
+    return rd.from_arrow(t).repartition(blocks).materialize()
+
+
+# Counts at the commit that moved these ops onto functions.broadcast, with
+# the consumer's collect included; each op must keep finding something.
+@pytest.mark.parametrize("op, limit", [
+    (lambda ds: tp.dedup_conversations(ds), 7),
+    (lambda ds: tp.conversation_fork_groups(ds, 2), 6),
+    (lambda ds: tp.filter_conversations(ds, min_turns=5), 4),
+], ids=["dedup_conversations", "conversation_fork_groups",
+        "filter_conversations"])
+def test_broadcast_op_executions(ray_session, executions, op, limit):
+    ds = _forked_dataset()
+    n_in = ds.count()
+    executions.clear()
+    out = collect_arrow(op(ds))
+    assert 0 < len(out) < n_in
+    assert len(executions) <= limit
+
+
+def test_fork_index_probe_executions(ray_session, executions, tmp_path):
+    ds = _forked_dataset()
+    path = str(tmp_path / "idx")
+    tp.fork_index_write(ds, 2, path)
+    executions.clear()
+    out = collect_arrow(tp.fork_index_probe(ds, path, 2))
+    assert len(out) == 40  # every conv's prefix is in the index
+    assert len(executions) <= 7
