@@ -28,6 +28,51 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+# Narrow integer keys pyarrow 16.1 groups correctly only once widened.
+_WIDEN = {pa.int8(): pa.int32(), pa.int16(): pa.int32(),
+          pa.uint8(): pa.uint32(), pa.uint16(): pa.uint32()}
+
+
+def _key_rank(typ: pa.DataType):
+    """Sort rank of a key column for :func:`group_by`: wider fixed-width
+    types first, then variable-width, then boolean."""
+    if pa.types.is_boolean(typ):
+        return (2, 0)
+    if pa.types.is_dictionary(typ):
+        typ = typ.index_type
+    try:
+        return (0, -typ.bit_width)
+    except ValueError:  # variable width: string, binary, lists
+        return (1, 0)
+
+
+def group_by(t: pa.Table, keys: Sequence[str], aggs, *,
+             use_threads: bool = False) -> pa.Table:
+    """``t.group_by(keys).aggregate(aggs)``, with the groups SQL and pandas
+    ``dropna=False`` give.  With several keys and nulls, pyarrow 16.1 splits
+    one group into many (up to one per null row) when a key precedes a wider
+    fixed-width one (``[string, int64]``, ``[int32, int64]``), a boolean
+    precedes any other, or an 8/16-bit integer meets a string.  Grouping
+    with narrow integers widened and the keys in :func:`_key_rank` order
+    gives the right groups; the result has the key columns back in ``keys``
+    order and types, then the aggregates."""
+    keys = list(keys)
+    if len(keys) < 2:
+        return t.group_by(keys, use_threads=use_threads).aggregate(aggs)
+    narrow = {k: t.schema.field(k).type for k in keys
+              if t.schema.field(k).type in _WIDEN}
+    for k, typ in narrow.items():
+        t = t.set_column(t.column_names.index(k), k, t.column(k).cast(_WIDEN[typ]))
+    order = sorted(keys, key=lambda k: _key_rank(t.schema.field(k).type))
+    out = t.group_by(order, use_threads=use_threads).aggregate(aggs)
+    out = out.select([order.index(k) for k in keys]
+                     + list(range(len(keys), out.num_columns)))
+    for k, typ in narrow.items():
+        i = keys.index(k)
+        out = out.set_column(i, k, out.column(i).cast(typ))
+    return out
+
+
 def _tree_combine_factory(keys: Sequence[str], agg_cols: Sequence[str],
                           funcs: Sequence[str], drop_null_keys: bool):
     """Per-block ``group_by(keys).aggregate`` that preserves the input
@@ -50,7 +95,7 @@ def _tree_combine_factory(keys: Sequence[str], agg_cols: Sequence[str],
             for k in keys[1:]:
                 mask = pc.and_(mask, pc.is_valid(t.column(k)))
             t = t.filter(mask)
-        return t.group_by(keys).aggregate(spec).rename_columns(proj)
+        return group_by(t, keys, spec, use_threads=True).rename_columns(proj)
 
     return combine
 

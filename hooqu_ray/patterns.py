@@ -4,8 +4,9 @@
 - EMAIL: the general email regex from http://emailregex.com
 - URL: the Stephen Hay variant from https://mathiasbynens.be/demo/url-regex
 - CREDITCARD: Visa/MasterCard/AMEX/Diners with space/dash tolerance from
-  http://www.richardsramblings.com/regex/credit-card-numbers/ (uses
-  backreferences → Python ``re`` only, not RE2)
+  http://www.richardsramblings.com/regex/credit-card-numbers/.  It uses
+  backreferences, which RE2 lacks; ``CREDITCARD_RE2_EXACT`` is the same
+  language written without them, ``CREDITCARD_RE2`` a looser detector.
 """
 
 import re
@@ -35,4 +36,15 @@ CREDITCARD = re.compile(
 CREDITCARD_RE2 = (
     r"\b(?:3[47]\d{2}[ \-]?\d{6}[ \-]?\d"
     r"|(?:(?:4\d|5[1-5]|65)\d{2}|6011)(?:[ \-]?\d{4}){2}[ \-]?)\d{4}\b"
+)
+
+
+# Exact RE2 form of CREDITCARD: the backrefs \1/\2 only force ONE separator
+# throughout, so each separator (space, dash, none — the greedy order of
+# ``[\ \-]?``) becomes its own alternative.  On ASCII text it matches what
+# CREDITCARD matches under Python ``re`` (the scrub relies on this).
+CREDITCARD_RE2_EXACT = r"\b(?:%s)\d{4}\b" % "|".join(
+    r"3[47]\d{2}{sep}\d{6}{sep}\d"
+    r"|(?:(?:4\d|5[1-5]|65)\d{2}|6011){sep}\d{4}{sep}\d{4}{sep}".replace("{sep}", sep)
+    for sep in (" ", "-", "")
 )

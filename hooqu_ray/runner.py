@@ -50,6 +50,7 @@ from .analyzers.quantile import (
     select_nearest,
 )
 from .functions.expr import compile_predicate
+from .functions.shuffle import group_by
 from .metrics import DoubleMetric
 from .states import FailedState, FrequenciesAndNumRows, merge_states
 
@@ -207,7 +208,7 @@ class LocalRunner:
         table = _drop_all_null_keys(table.select(list(columns)), columns)
         if len(table) == 0:
             return []
-        freq = table.group_by(list(columns), use_threads=False).aggregate([([], "count_all")])
+        freq = group_by(table, columns, [([], "count_all")])
         cols = [freq.column(c).to_pylist() for c in columns]
         counts = freq.column("count_all").to_pylist()
         return [(tuple(vals), c) for *vals, c in zip(*cols, counts)]
@@ -221,7 +222,7 @@ class LocalRunner:
         table = _drop_all_null_keys(table.select(list(columns)), columns)
         if len(table) == 0:
             return FrequenciesAndNumRows(0, 0, 0, 0.0)
-        freq = table.group_by(list(columns), use_threads=False).aggregate([([], "count_all")])
+        freq = group_by(table, columns, [([], "count_all")])
         return _reduce_frequency_block(freq, "count_all")
 
 
@@ -335,8 +336,7 @@ class RayRunner:
                     state = pickle.dumps(plan.fold_pickled(
                         t.filter(is_state).column("__state").to_pylist()))
                     t = t.filter(pc.invert(is_state))
-                f = _reduce_frequency_block(t.group_by(cols, use_threads=False)
-                                            .aggregate([("__pcount", "sum")]),
+                f = _reduce_frequency_block(group_by(t, cols, [("__pcount", "sum")]),
                                             "__pcount_sum")
             f = f or FrequenciesAndNumRows(0, 0, 0, 0.0)
             return pa.table({"__n": [f.num_rows], "__g": [f.num_groups],
@@ -434,12 +434,11 @@ class _ProjectKeys:
         if n > 256:
             idx = np.linspace(0, n - 1, min(self._PROBE_ROWS, n)).astype(np.int64)
             sample = keys.take(pa.array(idx))
-            n_groups = len(
-                sample.group_by(self.columns, use_threads=False).aggregate([]))
+            n_groups = len(group_by(sample, self.columns, []))
             if n_groups > self._SHRINK_RATIO * len(sample):
                 return keys.append_column(
                     "__pcount", pa.array(np.ones(n, dtype=np.int64)))
-        out = keys.group_by(self.columns, use_threads=False).aggregate([([], "count_all")])
+        out = group_by(keys, self.columns, [([], "count_all")])
         return out.rename_columns(self.columns + ["__pcount"])
 
 

@@ -2,11 +2,10 @@
 
 One stateless ``map_batches`` stage (Arrow in / Arrow out) computes every
 Gopher/C4-style feature the keep/drop rules need, plus the scrubbed text.
-Everything except the 2-gram repetition statistic and the regex substitution
-is a vectorized Arrow kernel; the scrub is compiled-``re`` per process
-(module level), applied per row — exactly the execution shape the reference
-uses for PatternMatch (``hooqu/dataframe.py:57-65``) and what the north_star
-prescribes for the scrub pass.
+Everything except the 2-gram repetition statistic is a vectorized Arrow
+kernel.  The scrub runs three RE2 ``replace_substring_regex`` passes over
+every row; only non-ASCII rows, where RE2 and Python ``re`` can disagree,
+go through the Python ``re`` ``scrub_text`` and are spliced back.
 
 Feature definitions are frozen in ``spec`` (shared with the test oracle).
 """
@@ -20,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import patterns
 from . import spec
 
 # ASCII-pinned classes so RE2 (engine) and Python re (oracle) agree exactly
@@ -33,16 +33,14 @@ _SCRUB_RULES = (
     (spec.TOXIC_RE, spec.TOX_TOKEN),
 )
 
-# Conservative RE2 prefilter for the TOXIC_RE scrub (which runs with Python
-# re.IGNORECASE = full Unicode case folding, unlike RE2's (?i) simple ASCII
-# folding).  Leg 1: RE2 (?i) word match.  Leg 2: any character Python's
-# IGNORECASE folds into the pattern's letters but RE2 does not — exhaustively
-# enumerated over all of Unicode for TOXIC_WORDS' alphabet: İ (U+0130),
-# ı (U+0131), K (U+212A Kelvin), ſ (U+017F long s).  Union is a strict
-# superset of every Python-re match, so the prefilter can never skip a row
-# the scrub would rewrite.
-_TOX_PREFILTER_RE2 = r"(?i)\b(?:%s)\b" % "|".join(spec.TOXIC_WORDS)
-_TOX_FOLD_TRICKY = "[İıKſ]"
+# The same rules as RE2 patterns.  On ASCII text RE2's \d, \b and (?i)
+# match exactly what Python re's Unicode forms match, so these passes are
+# byte-equal to scrub_text there; CREDITCARD needs its backref-free form.
+_SCRUB_RE2 = (
+    (spec.EMAIL.pattern, spec.EMAIL_TOKEN),
+    (patterns.CREDITCARD_RE2_EXACT, spec.CC_TOKEN),
+    ("(?i)" + spec.TOXIC_RE.pattern, spec.TOX_TOKEN),
+)
 
 
 def scrub_text(text: Optional[str]) -> Optional[str]:
@@ -170,30 +168,17 @@ def compute_features(batch: pa.Table) -> pa.Table:
     dup2 = _dup_2gram_from_tokens(tok_hash, tok_parent, n, n_words)
 
     has_toxic = pc.fill_null(
-        pc.match_substring_regex(lower, pattern=r"\b(?:%s)\b" % "|".join(spec.TOXIC_WORDS)),
-        False,
-    )
+        pc.match_substring_regex(lower, pattern=spec.TOXIC_RE.pattern), False)
 
-    # Scrub with vectorized RE2 prefilters: Python `re` substitution only
-    # runs on rows that can possibly match (EMAIL needs '@'; every CREDITCARD
-    # match contains 4 consecutive digits; toxicity prefilter is a
-    # conservative superset of TOXIC_RE's Unicode-folded matches — see
-    # _TOX_PREFILTER_RE2/_TOX_FOLD_TRICKY).  Typical corpora: ~90% of rows
-    # skip the Python path entirely.
-    may_email = pc.match_substring(text, "@")
-    may_cc = pc.match_substring_regex(text, pattern=r"[0-9]{4}")
-    may_tox = pc.or_(
-        pc.match_substring_regex(text, pattern=_TOX_PREFILTER_RE2),
-        pc.match_substring_regex(text, pattern=_TOX_FOLD_TRICKY),
-    )
-    needs = pc.fill_null(pc.or_(pc.or_(may_email, may_cc), may_tox), False)
-    if pc.any(needs).as_py():
-        # only the candidate rows go through Python; they are spliced back
-        # in order, every other row keeps its Arrow buffers
-        fixed = [scrub_text(t) for t in text.filter(needs).to_pylist()]
-        scrubbed = pc.replace_with_mask(text, needs, pa.array(fixed, text.type))
-    else:
-        scrubbed = text  # no row can match: zero-copy passthrough
+    scrubbed = text
+    for pattern, token in _SCRUB_RE2:
+        scrubbed = pc.replace_substring_regex(scrubbed, pattern=pattern, replacement=token)
+    # non-ASCII rows (Unicode \d, \b and case folding) take Python re and
+    # are spliced back in order; every other row keeps its RE2 result
+    non_ascii = pc.invert(pc.fill_null(pc.string_is_ascii(text), True))
+    if pc.any(non_ascii).as_py():
+        fixed = [scrub_text(t) for t in text.filter(non_ascii).to_pylist()]
+        scrubbed = pc.replace_with_mask(scrubbed, non_ascii, pa.array(fixed, text.type))
 
     return batch.append_column("n_chars", pa.array(n_chars, pa.int64())) \
         .append_column("n_words", pa.array(n_words, pa.int64())) \

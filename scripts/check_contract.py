@@ -4,10 +4,11 @@ its oracle_sql() DuckDB result.  Usage:
 python scripts/check_contract.py [sf_dir] [only_query1,only_query2,...]"""
 
 import hashlib
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def norm_table(obj):

@@ -429,9 +429,6 @@ class TestQuantileInfinities:
         np.testing.assert_equal(m.value.get() + 0.0, expected + 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "open defect: pyarrow 16.1 group_by on [string, nullable int64] keys "
-    "splits the null group into many groups (ROADMAP carried item)"))
 def test_uniqueness_partial_null_multi_key_groups_like_sql():
     rng = np.random.default_rng(0)
     k2 = [None if rng.random() < 0.5 else int(x) for x in rng.integers(0, 3, 200)]

@@ -1,7 +1,9 @@
-"""Grouped-fold hot-key test + conversation sequence feature tests."""
+"""Grouped-fold tests (hot key, the null-safe ``group_by`` helper) +
+conversation sequence feature tests."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 
@@ -94,3 +96,58 @@ def test_conversation_features_matches_pandas_reference(ray_session):
         )
         pd.testing.assert_frame_equal(got, expect[got.columns],
                                       check_dtype=False)
+
+
+def _key_column(kind, rng, n):
+    vals = [None if rng.random() < 0.4 else int(v) for v in rng.integers(0, 3, n)]
+    if kind == "s":
+        return pa.array([None if v is None else f"k{v}" for v in vals], pa.string())
+    if kind == "f":
+        return pa.array([None if v is None else v / 2 for v in vals], pa.float64())
+    if kind == "B":
+        return pa.array([None if v is None else v == 1 for v in vals], pa.bool_())
+    return pa.array(vals, {"i": pa.int64(), "I": pa.int32(), "h": pa.int16()}[kind])
+
+
+@pytest.mark.parametrize("kinds", ["si", "sf", "ssi", "sis", "isi", "Ii", "Bs", "hs"])
+def test_group_by_null_keys_like_pandas(kinds):
+    """``shuffle.group_by`` groups nullable multi-column keys the way pandas
+    ``dropna=False`` does, whatever the key order, and returns the keys in
+    the caller's order and types (plain pyarrow 16.1 splits the null group
+    for each of these orders)."""
+    from hooqu_ray.functions.shuffle import group_by
+
+    rng = np.random.default_rng(len(kinds) * 100 + sum(map(ord, kinds)))
+    keys = [f"k{j}" for j in range(len(kinds))]
+    t = pa.table({k: _key_column(kind, rng, 300) for k, kind in zip(keys, kinds)}
+                 | {"v": pa.array(rng.integers(0, 10, 300))})
+    out = group_by(t, keys, [("v", "sum"), ([], "count_all")])
+    assert out.column_names == keys + ["v_sum", "count_all"]
+    assert out.schema.types[:len(keys)] == t.schema.types[:len(keys)]
+
+    def norm(row):
+        return tuple(None if pd.isna(v) else v for v in row)
+
+    pdf = t.to_pandas()
+    exp = pdf.groupby(keys, dropna=False).agg(v_sum=("v", "sum"), n=("v", "size"))
+    expected = {norm(k): (s, c) for k, s, c in zip(exp.index, exp["v_sum"], exp["n"])}
+    got = {norm(row[:-2]): (row[-2], row[-1])
+           for row in zip(*[c.to_pylist() for c in out.columns])}
+    assert got == expected
+
+
+def test_tree_group_sum_string_int_null_keys(ray_session):
+    """The per-block combine groups through ``shuffle.group_by``: a
+    ``[string, int64]`` key with nulls folds to the SQL GROUP BY groups."""
+    import ray.data as rd
+
+    from hooqu_ray.functions.shuffle import tree_group_sum
+
+    rng = np.random.default_rng(5)
+    t = pa.table({"s": _key_column("s", rng, 2000), "i": _key_column("i", rng, 2000),
+                  "v": pa.array(np.ones(2000, dtype=np.int64))})
+    res = tree_group_sum(rd.from_arrow(t).repartition(4), ["s", "i"], ["v"],
+                         drop_null_keys=False).to_pandas()
+    exp = t.to_pandas().groupby(["s", "i"], dropna=False)["v"].sum()
+    assert len(res) == len(exp)
+    assert sorted(res["v"].tolist()) == sorted(exp.tolist())
