@@ -813,8 +813,6 @@ def _mode_value_by_type(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     out = grouped_mode(ds, "event_type", "user_id")
-    # grouped_top_k returns an Arrow table under the driver gate, a
-    # Dataset above it — both expose to_pandas()
     return out.to_pandas().sort_values("event_type", ignore_index=True)
 
 
@@ -1312,13 +1310,10 @@ def _session_stats_events(sf_dir: str):
 def _top3_events_per_type(sf_dir: str):
     from hooqu_ray.pipelines.relational import grouped_top_k
 
-    import pyarrow.compute as pc
-
     ds = _read(sf_dir, "events", ["event_type", "event_id", "value"])
-    t = grouped_top_k(ds, "event_type", "value", 3, "event_id")
-    return t.set_column(
-        t.column_names.index("value"), "value", pc.round(t.column("value"), 6)
-    )
+    df = grouped_top_k(ds, "event_type", "value", 3, "event_id").to_pandas()
+    df["value"] = df["value"].round(6)
+    return df
 
 
 def _hash_sample_events(sf_dir: str):
@@ -1452,8 +1447,7 @@ def _grouped_quantile_by_flag(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
     approx = grouped_approx_quantile(ds, "l_returnflag", "l_extendedprice", 0.5)
-    approx_df = (approx.to_pandas() if not hasattr(approx, "to_arrow_refs")
-                 else approx.to_pandas())
+    approx_df = approx.to_pandas()
     groups = sorted(approx_df["l_returnflag"])
     analyzers = [
         hq.Quantile("l_extendedprice", 0.5, where=f"l_returnflag == '{g}'")
@@ -2131,15 +2125,13 @@ def _conv_majority_lang(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     tr = tp.transcripts_from_documents(docs)
-    top = tp.conversation_majority_lang(tr)
-    if not isinstance(top, pa.Table):
-        top = pa.Table.from_pylist(top.take_all())
+    top = tp.conversation_majority_lang(tr).to_pandas()
     counts = tp.transcripts_from_documents(docs).map_batches(
         lambda t: pa.Table.from_arrays(
             [t.column("conv_id")], names=["conv_id"]),
         batch_format="pyarrow",
     ).groupby("conv_id").count().to_pandas()
-    top_df = top.to_pandas().merge(
+    top_df = top.merge(
         counts.rename(columns={"count()": "n_turns"}), on="conv_id")
     langs = set(TrigramLangID().langs)
     ok_pigeon = bool(
@@ -5737,7 +5729,7 @@ def _grouped_weighted_sample_events(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
     out = grouped_weighted_sample(ds, "event_type", "event_id", "value", 50)
-    df = out.to_pandas()  # pa.Table (driver merge) and Dataset both have it
+    df = out.to_pandas()
     df["value"] = df["value"].round(6)
     df["event_id"] = df["event_id"].astype("int64")
     return df.sort_values(["event_type", "event_id"], ignore_index=True)

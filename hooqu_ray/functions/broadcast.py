@@ -38,6 +38,21 @@ from .. import util
 ROWS_PER_SHARD = 4_000_000
 
 
+def hash_shards(ds, key: str, n_rows: int, rows_per_shard: int):
+    """The members of ``ds`` as a UNION ALL of ``stable_hash64`` ranges of
+    ``key`` holding about ``rows_per_shard`` of its ``n_rows`` rows each:
+    ``ds`` itself when one shard is enough (no extra stage), else one
+    ``util.ShardFilter`` view per shard.  A key lives in exactly one
+    shard, so a per-shard result set is disjoint from every other's."""
+    n_shards = max(1, -(-int(n_rows) // rows_per_shard))
+    if n_shards == 1:
+        yield ds
+        return
+    for s in range(n_shards):
+        yield ds.map_batches(util.ShardFilter(key, n_shards, s),
+                             batch_format="pyarrow")
+
+
 class BroadcastSet:
     """A key table broadcast as hash-range shards of ``key`` (module
     docstring).  Build it with :meth:`collect` (a dataset) or :meth:`put`
@@ -51,30 +66,24 @@ class BroadcastSet:
         self._tables = None
 
     @classmethod
-    def collect(cls, ds, key: str, rows_per_shard: int = ROWS_PER_SHARD):
-        """Materialize ``ds`` once and count it.  Up to ``rows_per_shard``
+    def collect(cls, ds, key: str):
+        """Materialize ``ds`` once and count it.  Up to ``ROWS_PER_SHARD``
         rows collect as one shard with no further execution; above it, one
         ``stable_hash64`` shard of ``key`` is collected at a time."""
         import ray
 
         ds = ds.materialize()
-        n_shards = -(-ds.count() // rows_per_shard)
-        if n_shards <= 1:
-            parts = [util.collect_arrow(ds)]
-        else:
-            parts = (util.collect_arrow(ds.map_batches(
-                util.ShardFilter(key, n_shards, s), batch_format="pyarrow"))
-                for s in range(n_shards))
+        parts = (util.collect_arrow(shard) for shard in
+                 hash_shards(ds, key, ds.count(), ROWS_PER_SHARD))
         return cls([ray.put(t) for t in parts if t is not None and len(t)],
                    key)
 
     @classmethod
-    def put(cls, table: pa.Table, key: str,
-            rows_per_shard: int = ROWS_PER_SHARD):
+    def put(cls, table: pa.Table, key: str):
         """The same set from a table already on the driver."""
         import ray
 
-        n_shards = -(-len(table) // rows_per_shard)
+        n_shards = -(-len(table) // ROWS_PER_SHARD)
         parts = [table]
         if n_shards > 1:
             codes = util.shard_codes(table.column(key), n_shards)
@@ -103,8 +112,7 @@ class BroadcastSet:
         hits ORed; a null key is False."""
         mask = pa.array(np.zeros(len(col), bool))
         for w in self.tables():
-            mask = pc.or_(mask, util.isin_mask(col, w.column(self.key),
-                                               util._DIRECT_ISIN_MAX))
+            mask = pc.or_(mask, util.isin_mask(col, w.column(self.key)))
         return pc.and_(mask, pc.is_valid(col))
 
     def lookup(self, t: pa.Table, key: str, cols: Sequence[str]) -> pa.Table:

@@ -145,10 +145,8 @@ class _StampBucket:
 
 def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
                         *, drop_null_keys: bool = False,
-                        num_buckets: Optional[int] = None,
                         finalize: Optional[Callable[[pa.Table], pa.Table]] = None,
-                        combine: Optional[Callable[[pa.Table], pa.Table]] = None,
-                        rows_per_bucket: int = 250_000):
+                        combine: Optional[Callable[[pa.Table], pa.Table]] = None):
     """Corpus-cardinality ``groupby(keys).agg(cols)`` via a BUCKETED hash
     exchange — the replacement for Ray's sort-based groupby when the key
     count scales with the corpus (near-unique ids, content hashes).
@@ -167,8 +165,9 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     (21.1 s → 2.1 s) and 157× on raw uncombined rows (365 s → 2.3 s);
     see BASELINE.md.
 
-    At 100 TB: ``B`` grows with the partial row count (``rows_per_bucket``)
-    up to 4096, each bucket is a bounded independent task, and only slim
+    At 100 TB: ``B`` grows with the partial row count
+    (:func:`_default_buckets`, 250k rows each) up to 4096,
+    each bucket is a bounded independent task, and only slim
     ``keys + cols`` rows ride the exchange (payload columns are projected
     away before the shuffle).  Skew note: one bucket holds ~1/B of the KEY
     SPACE, not of the rows — a single mega-HOT key still lands in one
@@ -212,8 +211,7 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
         out = combine(pa.table({}))
         return rd.from_arrow(finalize(out) if finalize is not None else out)
 
-    if num_buckets is None:
-        num_buckets = _default_buckets(n, rows_per_bucket)
+    num_buckets = _default_buckets(n)
     stamped = ds.map_batches(_StampBucket(keys, cols, num_buckets),
                              batch_format="pyarrow")
     # Ray's sort-based exchange inherits reduce parallelism from the input
@@ -242,27 +240,31 @@ def _cluster_cpus() -> int:
     return 4
 
 
-def _default_buckets(n_rows: int, rows_per_bucket: int) -> int:
+# The tree fold's final block holds at most TREE_MAX_FOLD_ROWS × TREE_FANIN
+# distinct keys; above it the partials take the bucketed exchange.
+TREE_MAX_FOLD_ROWS = 4_000_000
+TREE_FANIN = 8
+
+
+def _default_buckets(n_rows: int) -> int:
     """#buckets: enough for cluster parallelism, growing with the partial
-    row count so one bucket's fold stays a bounded task, capped at 4096
-    (beyond that per-group scheduling overhead dominates)."""
-    return int(min(4096, max(_cluster_cpus(), 16,
-                             -(-n_rows // max(1, rows_per_bucket)))))
+    row count (250k rows each) so one bucket's fold stays a bounded task,
+    capped at 4096 (beyond that per-group scheduling overhead dominates)."""
+    return int(min(4096, max(_cluster_cpus(), 16, -(-n_rows // 250_000))))
 
 
 def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
-                   max_fold_rows: int = 4_000_000, fanin: int = 8,
                    drop_null_keys: bool = True):
     """``groupby(keys).sum(sum_cols)`` with NO key exchange: per-block
     Arrow combine, then log-depth coalesce-and-combine rounds
-    (``repartition(n // fanin)`` moves whole blocks, never keyed rows)
+    (``repartition(n // TREE_FANIN)`` moves whole blocks, never keyed rows)
     until one block holds every distinct key.  Measured ~20× faster than
     the sort-based ``Dataset.groupby`` at 3.2M rows / 30k keys on 32 CPUs.
 
     VALID ONLY when the distinct-key count fits one block: after the first
     combine the partials are counted, and if they still exceed
-    ``max_fold_rows`` × ``fanin`` (combining did not shrink — unbounded
-    key cardinality) the partials fall back to
+    ``TREE_MAX_FOLD_ROWS`` × ``TREE_FANIN`` (combining did not shrink —
+    unbounded key cardinality) the partials fall back to
     :func:`bucketed_group_fold`'s keyed exchange, so at 100 TB a
     near-unique key degrades gracefully instead of OOMing the final fold
     task.
@@ -289,7 +291,7 @@ def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
 
     partials = ds.map_batches(combine, batch_format="pyarrow").materialize()
     n = partials.count()
-    if n > max_fold_rows * fanin:
+    if n > TREE_MAX_FOLD_ROWS * TREE_FANIN:
         # key cardinality is corpus-like — the tree's final block would not
         # fit; fold through the bucketed hash exchange instead (partials
         # already shrank the input as far as per-block combining can;
@@ -301,7 +303,7 @@ def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
             partials, keys, sum_cols, funcs,
             drop_null_keys=drop_null_keys).materialize()
 
-    return _tree_fold(partials, combine, fanin)
+    return _tree_fold(partials, combine, TREE_FANIN)
 
 
 def _tree_fold(partials, combine, fanin: int,
@@ -326,8 +328,7 @@ def _tree_fold(partials, combine, fanin: int,
     return partials
 
 
-def tree_distinct(ds, cols, *, max_fold_rows: int = 4_000_000,
-                  fanin: int = 8):
+def tree_distinct(ds, cols):
     """DISTINCT ``cols`` tuples via the tree fold: per-block Arrow
     ``group_by(cols)`` dedupe, coalesce-and-combine rounds, adaptive
     bucketed-exchange fallback — the shared helper behind the "distinct set +
@@ -342,7 +343,6 @@ def tree_distinct(ds, cols, *, max_fold_rows: int = 4_000_000,
             "__one", pa.array(np.ones(len(sub), np.int64)))
 
     out = tree_group_sum(ds.map_batches(ones, batch_format="pyarrow"),
-                         cols, ["__one"],
-                         max_fold_rows=max_fold_rows, fanin=fanin)
+                         cols, ["__one"])
     return out.map_batches(lambda t: t.drop_columns(["__one"]),
                            batch_format="pyarrow")

@@ -263,8 +263,7 @@ def cluster_representatives(components):
 def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
                     score_col: str = "score", id_a: str = "id_a",
                     id_b: str = "id_b", id_type: Optional[pa.DataType] = None,
-                    rows_per_shard: int = 4_000_000, max_iters: int = 25,
-                    n_buckets: int = 64):
+                    max_iters: int = 25, n_buckets: int = 64):
     """End-to-end near-dup cluster collapse: given a document corpus and its
     verified near-duplicate PAIRS (``verify_pairs`` / ``simhash_near_pairs``
     output), keep only the highest-``score_col`` member of every connected
@@ -285,8 +284,8 @@ def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
        each cluster's winner; everyone else becomes a loser id.
     4. Loser ids (the collected component table minus the winners) ship
        as one broadcast set (``functions.broadcast``, hash-range shards
-       past ``rows_per_shard``) and one anti-membership filter streams
-       over the full corpus.
+       past ``broadcast.ROWS_PER_SHARD``) and one anti-membership filter
+       streams over the full corpus.
 
     Returns the filtered docs Dataset (all original columns).  Documents in
     no pair are untouched; a cluster's members missing from ``docs`` simply
@@ -311,9 +310,8 @@ def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
         proj, comp_tbl.rename_columns([id_col, "label"]),
         on=id_col, dim_key=id_col, cols=["label"], how="inner",
     )
-    winners = grouped_top_k(labeled, "label", score_col, 1, tie_col=id_col)
-    if not isinstance(winners, pa.Table):  # distributed-merge tail
-        winners = collect_arrow(winners)
+    winners = collect_arrow(
+        grouped_top_k(labeled, "label", score_col, 1, tie_col=id_col))
     win_ids = (
         winners.column(id_col).combine_chunks()
         if winners is not None and len(winners)
@@ -324,8 +322,7 @@ def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
     node = comp_tbl.column("node")
     lost = pc.and_(pc.invert(pc.is_in(node, value_set=win_ids)),
                    pc.is_valid(node))
-    losers = BroadcastSet.put(comp_tbl.select(["node"]).filter(lost), "node",
-                              rows_per_shard)
+    losers = BroadcastSet.put(comp_tbl.select(["node"]).filter(lost), "node")
     return losers.anti(docs, id_col)
 
 

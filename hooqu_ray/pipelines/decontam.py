@@ -252,26 +252,20 @@ def decontaminate(ds, bench_ds, text_col: str = "text",
 _DRIVER_HOT_GRAMS_MAX = 2_000_000
 
 
-def _hot_gram_shards(hot_ds, driver_max: int):
+def _hot_gram_shards(hot_ds):
     """Yield sorted uint64 hash arrays of the hot n-gram set, one hash-range
-    shard at a time; the driver never holds more than ~driver_max rows."""
-    from ..util import ShardFilter, collect_arrow
+    shard at a time; the driver never holds more than
+    ~``_DRIVER_HOT_GRAMS_MAX`` rows."""
+    from ..functions.broadcast import hash_shards
+    from ..util import collect_arrow
 
     hot = hot_ds.materialize()
-    total = hot.count()
-    if total == 0:
-        return
-    n_shards = max(1, -(-total // driver_max))
-    for s in range(n_shards):
-        shard = hot if n_shards == 1 else hot.map_batches(
-            ShardFilter("gram", n_shards, s), batch_format="pyarrow"
-        )
+    for shard in hash_shards(hot, "gram", hot.count(), _DRIVER_HOT_GRAMS_MAX):
         tbl = collect_arrow(shard)
         if tbl is None or len(tbl) == 0:
             continue
         yield np.sort(
-            tbl.column("gram").to_numpy(zero_copy_only=False).view(np.uint64)
-        ), n_shards
+            tbl.column("gram").to_numpy(zero_copy_only=False).view(np.uint64))
 
 
 def _hot_gram_ds(ds, text_col: str, n: int, min_count: int):
@@ -300,8 +294,7 @@ def _hot_gram_ds(ds, text_col: str, n: int, min_count: int):
 
 
 def dup_ngram_stats(ds, text_col: str = "text", id_col: str = "doc_id",
-                    n: int = 5, min_count: int = 2,
-                    driver_hot_grams_max: int = _DRIVER_HOT_GRAMS_MAX):
+                    n: int = 5, min_count: int = 2):
     """Per-document corpus-wide duplicated n-gram fractions.
 
     Output: ``n_ngrams``, ``n_dup`` (positions whose n-gram occurs
@@ -315,7 +308,7 @@ def dup_ngram_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     pays ~5 µs/row on; token volume never shuffles) with the hot-set
     filter (count ≥ ``min_count``) fused into the per-bucket finalize →
     broadcast probe.  The hot set is processed one hash-range shard at a
-    time above ``driver_hot_grams_max`` rows: each shard's probe emits
+    time above ``_DRIVER_HOT_GRAMS_MAX`` rows: each shard's probe emits
     per-doc partial hit counts (totals only in the first), folded by one
     bucketed exchange over doc ids — the driver and workers hold one
     shard, never the whole duplicated-gram universe."""
@@ -327,9 +320,7 @@ def dup_ngram_stats(ds, text_col: str = "text", id_col: str = "doc_id",
 
     shard_outs = []
     first = True
-    n_shards_seen = 1
-    for grams, n_shards in _hot_gram_shards(hot, driver_hot_grams_max):
-        n_shards_seen = n_shards
+    for grams in _hot_gram_shards(hot):
         probe = _NgramProbe(ray.put(grams), text_col, id_col, n, totals=first)
         shard_outs.append(ds.map_batches(probe, batch_format="pyarrow"))
         first = False
@@ -341,7 +332,7 @@ def dup_ngram_stats(ds, text_col: str = "text", id_col: str = "doc_id",
         return ds.map_batches(probe, batch_format="pyarrow").map_batches(
             finish, batch_format="pyarrow"
         )
-    if n_shards_seen == 1:
+    if len(shard_outs) == 1:
         return shard_outs[0].map_batches(finish, batch_format="pyarrow")
     # doc ids are corpus-cardinality keys too — fold the shard partials
     # with the same bucketed exchange (column names/types preserved)
@@ -426,8 +417,7 @@ class _SpanScrubber:
 
 
 def scrub_dup_ngrams(ds, text_col: str = "text", n: int = 5,
-                     min_count: int = 2,
-                     driver_hot_grams_max: int = _DRIVER_HOT_GRAMS_MAX):
+                     min_count: int = 2):
     """Corpus-self duplicated-SPAN removal (the n-gram-bucket approximation
     of suffix-array substring dedup, "Deduplicating Training Data Makes
     Language Models Better", Lee et al. 2022): drop every token position
@@ -456,15 +446,13 @@ def scrub_dup_ngrams(ds, text_col: str = "text", n: int = 5,
         raise ValueError(f"min_count must be >= 2, got {min_count}")
 
     hot = _hot_gram_ds(ds, text_col, n, min_count)
-    shard_refs = [ray.put(grams)
-                  for grams, _ in _hot_gram_shards(hot, driver_hot_grams_max)]
+    shard_refs = [ray.put(grams) for grams in _hot_gram_shards(hot)]
     return ds.map_batches(_SpanScrubber(shard_refs, text_col, n),
                           batch_format="pyarrow")
 
 
 def cross_source_overlap(ds, text_col: str = "text",
-                         source_col: str = "source", n: int = 5,
-                         num_buckets: Optional[int] = None):
+                         source_col: str = "source", n: int = 5):
     """Cross-source duplication matrix: for every unordered source pair
     ``(a < b)``, the number of DISTINCT word ``n``-grams both sources
     contain — the "which corpora copy from each other" triage report
@@ -559,8 +547,7 @@ def cross_source_overlap(ds, text_col: str = "text",
     # count repartition guard a hand-rolled groupby would lose)
     partials = bucketed_group_fold(
         ds.map_batches(block_pairs, batch_format="pyarrow"),
-        ["gram"], [source_col], combine=bucket_pairs,
-        num_buckets=num_buckets)
+        ["gram"], [source_col], combine=bucket_pairs)
     out = tree_group_sum(partials, ["source_a", "source_b"], ["n_shared"])
     import ray.data as rd
 

@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.broadcast import ROWS_PER_SHARD, BroadcastSet
+from ..functions.broadcast import BroadcastSet
 from ..functions.joins import _key_set
 from ..util import collect_arrow
 
@@ -177,20 +177,18 @@ class _AddContentHash:
 
 
 def _broadcast_dup_winners(groups, key_col: str, min_col: str, out_col: str,
-                           rows_per_shard: int = ROWS_PER_SHARD,
                            count_col: str = "sum(__pcount)") -> BroadcastSet:
     """Winners of duplicate groups (count > 1) from a
     ``(key, min(...), count)`` grouped fold, as a broadcast set of
     ``(key, out_col)`` rows in hash-range shards of the key (one shard when
-    the table fits ``rows_per_shard`` — the common case)."""
+    the table fits ``broadcast.ROWS_PER_SHARD`` — the common case)."""
 
     def dup_only(t: pa.Table) -> pa.Table:
         kept = t.filter(pc.greater(t.column(count_col), 1))
         return kept.select([key_col, min_col]).rename_columns([key_col, out_col])
 
     return BroadcastSet.collect(
-        groups.map_batches(dup_only, batch_format="pyarrow"), key_col,
-        rows_per_shard)
+        groups.map_batches(dup_only, batch_format="pyarrow"), key_col)
 
 
 class _DedupFilter:
@@ -236,8 +234,7 @@ class _DedupFilter:
         return batch.filter(pa.array(keep_all)).select(out_cols)
 
 
-def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
-                winner_rows_per_shard: int = ROWS_PER_SHARD):
+def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Keep one row per distinct text (deterministic representative: min id).
 
     Fully vectorized — no per-group Python (the round-1 ``map_groups`` paid
@@ -249,12 +246,12 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
        never the text.
     3. Winners of duplicate groups only (count > 1) are collected as compact
        Arrow hash-range shards, each broadcast once via ``ray.put``
-       (``winner_rows_per_shard`` caps what the driver ever holds — one
+       (``broadcast.ROWS_PER_SHARD`` caps what the driver ever holds — one
        shard); a second streaming pass keeps each row unless it lost its
        duplicate group in ANY shard (per-batch Acero left join per shard —
        vectorized semi-join, no driver loop).
 
-    Driver peak is O(min(#duplicate groups, winner_rows_per_shard)), not
+    Driver peak is O(min(#duplicate groups, ROWS_PER_SHARD)), not
     O(#rows).  The input is read twice (hash is recomputed for the filter
     pass) — both reads stream and prune to the needed columns.
     """
@@ -278,7 +275,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                             funcs=["min", "sum"])
     winners = _broadcast_dup_winners(
         groups, "__content_hash", "__winner_id", "__winner_id",
-        rows_per_shard=winner_rows_per_shard, count_col="__pcount",
+        count_col="__pcount",
     )
     return hashed.map_batches(_DedupFilter(winners, id_col), batch_format="pyarrow")
 
@@ -455,8 +452,7 @@ class _LineRebuild:
 
 
 def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
-               min_line_chars: int = 10, delimiter: str = "\n",
-               winner_rows_per_shard: int = ROWS_PER_SHARD):
+               min_line_chars: int = 10, delimiter: str = "\n"):
     """C4/CCNet-style corpus-wide LINE dedup: every line of at least
     ``min_line_chars`` characters is kept only at its FIRST occurrence in
     (doc_id, line_idx) order; later exact copies anywhere in the corpus are
@@ -479,7 +475,7 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                             funcs=["min", "sum"])
     winners = _broadcast_dup_winners(
         groups, "__line_hash", "__winner_pos", "__winner_pos",
-        rows_per_shard=winner_rows_per_shard, count_col="__pcount",
+        count_col="__pcount",
     )
     return ds.map_batches(
         _LineRebuild(winners, text_col, id_col, min_line_chars, delimiter),
@@ -489,8 +485,7 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
 def line_filter_frequent(ds, text_col: str = "text", id_col: str = "doc_id",
                          min_count: int = 2, min_line_chars: int = 10,
-                         delimiter: str = "\n",
-                         rows_per_shard: int = ROWS_PER_SHARD):
+                         delimiter: str = "\n"):
     """Boilerplate-line REMOVAL (the CCNet/RefinedWeb companion of
     :func:`line_dedup`): every line of at least ``min_line_chars``
     characters that occurs at least ``min_count`` times corpus-wide is
@@ -505,7 +500,7 @@ def line_filter_frequent(ds, text_col: str = "text", id_col: str = "doc_id",
     listed and you are not its winner) removes every occurrence without a
     second code path.  Hot lines are O(#boilerplate lines) — far smaller
     than the duplicate-winner set — and shard by hash range past
-    ``rows_per_shard`` like every other broadcast."""
+    ``broadcast.ROWS_PER_SHARD`` like every other broadcast."""
     from ..functions.shuffle import tree_group_sum
 
     if min_count < 1:
@@ -530,8 +525,7 @@ def line_filter_frequent(ds, text_col: str = "text", id_col: str = "doc_id",
         )
 
     hot = BroadcastSet.collect(
-        groups.map_batches(hot_only, batch_format="pyarrow"), "__line_hash",
-        rows_per_shard)
+        groups.map_batches(hot_only, batch_format="pyarrow"), "__line_hash")
     return ds.map_batches(
         _LineRebuild(hot, text_col, id_col, min_line_chars, delimiter),
         batch_format="pyarrow",
@@ -764,18 +758,23 @@ class _BucketPairsBlock:
 # Above this many (doc × band) rows the hot-bucket scan switches from a
 # driver-side numpy pass to a distributed count shuffle.
 _DRIVER_BANDS_MAX = 5_000_000
-
+# Survivor band rows the driver holds per hot-bucket shard.  A MinHash
+# survivor carries a num_perm-wide signature, a SimHash one 16 bytes.
+MINHASH_SURVIVOR_ROWS_PER_SHARD = 1_000_000
+SIMHASH_SURVIVOR_ROWS_PER_SHARD = 5_000_000
+# Candidate pairs verify_pairs verifies per id_a shard.
+VERIFY_PAIRS_PER_SHARD = 2_000_000
+# New-document band rows minhash_probe_index holds per shard.
+PROBE_NEW_ROWS_PER_SHARD = 1_000_000
 
 
 def _hot_survivor_shards(sigs_ds, band_stage, est_band_rows: int,
-                         key_col: str = "band_key",
-                         driver_bands_max: int = _DRIVER_BANDS_MAX,
-                         surv_rows_per_shard: int = _DRIVER_BANDS_MAX):
+                         surv_rows_per_shard: int, key_col: str = "band_key"):
     """Band rows belonging to buckets with >= 2 members, yielded to the
     driver SORTED by bucket key, ONE hash-range shard of the bucket-key
     space at a time: ``(survivors_table, keys_np)`` pairs.
 
-    Adaptive like ``runner.frequencies``: below ``driver_bands_max`` rows
+    Adaptive like ``runner.frequencies``: below ``_DRIVER_BANDS_MAX`` rows
     the whole slim band table is collected and scanned with one numpy
     dup-run pass (an order of magnitude cheaper than two distributed
     shuffles' fixed costs — one shard).  Above it, a bucketed count fold
@@ -790,10 +789,10 @@ def _hot_survivor_shards(sigs_ds, band_stage, est_band_rows: int,
     signatures, so the union of per-shard pair sets equals the unsharded
     result.  Costs one extra ``band_stage`` pass over the (materialized,
     ~1%-of-text) signature dataset per shard."""
+    from ..functions.broadcast import hash_shards
     from ..functions.shuffle import bucketed_group_fold
-    from ..util import ShardFilter
 
-    if est_band_rows <= driver_bands_max:
+    if est_band_rows <= _DRIVER_BANDS_MAX:
         band_tbl = collect_arrow(sigs_ds.map_batches(band_stage, batch_format="pyarrow"))
         if band_tbl is None:
             return
@@ -822,11 +821,8 @@ def _hot_survivor_shards(sigs_ds, band_stage, est_band_rows: int,
     total_hot_rows = hot.sum("__n") or 0
     if total_hot_rows == 0:
         return
-    n_shards = max(1, -(-int(total_hot_rows) // surv_rows_per_shard))
-    for s in range(n_shards):
-        hot_shard = hot if n_shards == 1 else hot.map_batches(
-            ShardFilter(key_col, n_shards, s), batch_format="pyarrow"
-        )
+    for hot_shard in hash_shards(hot, key_col, total_hot_rows,
+                                 surv_rows_per_shard):
         hot_tbl = collect_arrow(
             hot_shard.map_batches(
                 lambda t, _k=key_col: t.select([_k]), batch_format="pyarrow"
@@ -862,24 +858,23 @@ def _bucket_aligned_blocks(sorted_surv: pa.Table, skeys: np.ndarray, n_parts: in
 def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                       num_perm: int = 128, bands: int = 32,
                       threshold: float = 0.5,
-                      max_bucket_rows: int = 4096,
-                      driver_bands_max: int = _DRIVER_BANDS_MAX,
-                      surv_rows_per_shard: int = 1_000_000):
+                      max_bucket_rows: int = 4096):
     """Near-duplicate candidate pairs via MinHash+LSH.
 
     shingle→minhash (task, fully vectorized) → slim (band, band_key,
     id) rows — the signature itself never enters a shuffle — → hot-bucket
-    scan (driver numpy below ``driver_bands_max`` rows, distributed count
+    scan (driver numpy below ``_DRIVER_BANDS_MAX`` rows, distributed count
     shuffle above, processed one bucket-key hash shard at a time: the driver
-    holds at most ~``surv_rows_per_shard`` survivor band rows plus that
-    shard's signature lookup at once, so a duplicate-heavy crawl cannot
-    materialize O(#near-duplicates) on the driver) → only each shard's
-    hot-bucket survivors get signatures re-attached from a broadcast lookup
-    (≤ ``surv_rows_per_shard`` × num_perm × 8 B per shard) → within-bucket
-    pair estimation.  Each pair is emitted ONLY by its first colliding band
-    (checked locally from the two signatures, independent of which buckets
-    the shard contains), so no cross-band dedupe shuffle is needed and the
-    union of per-shard outputs is exactly the global pair set.  Broadcast
+    holds at most ~``MINHASH_SURVIVOR_ROWS_PER_SHARD`` survivor band rows
+    plus that shard's signature lookup at once, so a duplicate-heavy crawl
+    cannot materialize O(#near-duplicates) on the driver) → only each
+    shard's hot-bucket survivors get signatures re-attached from a
+    broadcast lookup (≤ ``MINHASH_SURVIVOR_ROWS_PER_SHARD`` × num_perm ×
+    8 B per shard) → within-bucket pair estimation.  Each pair is emitted
+    ONLY by its first colliding band (checked locally from the two
+    signatures, independent of which buckets the shard contains), so no
+    cross-band dedupe shuffle is needed and the union of per-shard outputs
+    is exactly the global pair set.  Broadcast
     ``is_in`` replaces a Dataset join throughout: Ray 2.49's hash-join
     partitioner is a per-row Python loop and breaks on empty partitions."""
     import ray
@@ -907,9 +902,7 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     # overhead otherwise).
     shard_outputs = []
     for sorted_surv, skeys in _hot_survivor_shards(
-        sigs, band_stage, n_docs * bands,
-        driver_bands_max=driver_bands_max,
-        surv_rows_per_shard=surv_rows_per_shard,
+        sigs, band_stage, n_docs * bands, MINHASH_SURVIVOR_ROWS_PER_SHARD,
     ):
         # re-attach signatures to this shard's (tiny) survivor set only
         sig_tbl = collect_arrow(
@@ -992,8 +985,7 @@ class _VerifyJaccard:
 
 
 def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
-                 shingle_w: int = 3, threshold: float = 0.0,
-                 pairs_per_shard: int = 2_000_000):
+                 shingle_w: int = 3, threshold: float = 0.0):
     """Exact n-gram Jaccard verification of LSH candidate pairs — fully
     distributed; neither candidate TEXTS nor the candidate-pair table ever
     touch the driver (round 1 collected a driver dict of every candidate
@@ -1007,7 +999,7 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
     ``max_bucket_rows`` rather than silently proceed.
 
     The pair set is processed one ``id_a`` hash shard at a time
-    (``pairs_per_shard`` pairs per shard), per shard:
+    (``VERIFY_PAIRS_PER_SHARD`` pairs per shard), per shard:
 
     1. Only that shard's candidate-id SET (compact Arrow ints/strings,
        deduplicated distributively per block) is collected and broadcast;
@@ -1024,7 +1016,7 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
     import pandas as pd
     import ray.data as rd
 
-    from ..util import ShardFilter
+    from ..functions.broadcast import hash_shards
 
     empty = pd.DataFrame({"id_a": [], "id_b": [], "jaccard": []})
     pairs_mat = pairs.materialize()
@@ -1057,7 +1049,6 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
     n_pairs = clean_pairs.count()
     if n_pairs == 0:
         return rd.from_pandas(empty)
-    n_shards = max(1, -(-n_pairs // pairs_per_shard))
 
     def explode_slots(t: pa.Table) -> pa.Table:
         a, b = t.column("id_a"), t.column("id_b")
@@ -1099,10 +1090,8 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
     att = _VerifyAttachText()
     vj = _VerifyJaccard(shingle_w, threshold)
     shard_outputs = []
-    for s in range(n_shards):
-        pairs_s = clean_pairs if n_shards == 1 else clean_pairs.map_batches(
-            ShardFilter("id_a", n_shards, s), batch_format="pyarrow"
-        )
+    for pairs_s in hash_shards(clean_pairs, "id_a", n_pairs,
+                               VERIFY_PAIRS_PER_SHARD):
         wanted_tbl = collect_arrow(
             pairs_s.map_batches(uniq_ids, batch_format="pyarrow")
         )
@@ -1358,14 +1347,12 @@ class _SimhashBucketPairsBlock:
 
 def simhash_near_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                        max_hamming: int = 3,
-                       max_bucket_rows: int = 4096,
-                       driver_bands_max: int = _DRIVER_BANDS_MAX,
-                       surv_rows_per_shard: int = _DRIVER_BANDS_MAX):
+                       max_bucket_rows: int = 4096):
     """SimHash near-duplicate pairs: signatures → slim band_key rows →
     adaptive hot-bucket scan (driver numpy / distributed count, one
     bucket-key hash shard at a time — shared machinery with MinHash, so the
-    driver never holds more than ~``surv_rows_per_shard`` survivor rows) →
-    bucket-aligned Hamming verification ≤ max_hamming with
+    driver never holds more than ~``SIMHASH_SURVIVOR_ROWS_PER_SHARD``
+    survivor rows) → bucket-aligned Hamming verification ≤ max_hamming with
     first-colliding-band pair ownership (decided locally from the two
     simhashes, so the union of per-shard outputs is the global dedup'd pair
     set — no dedupe shuffle).
@@ -1391,8 +1378,7 @@ def simhash_near_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     shard_outputs = []
     for sorted_surv, skeys in _hot_survivor_shards(
         sigs, _SimhashBands(id_col, n_bands), n_docs * n_bands,
-        driver_bands_max=driver_bands_max,
-        surv_rows_per_shard=surv_rows_per_shard,
+        SIMHASH_SURVIVOR_ROWS_PER_SHARD,
     ):
         surv_blocks = _bucket_aligned_blocks(sorted_surv, skeys, n_parts)
         shard_outputs.append(
@@ -1760,8 +1746,7 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
                         id_col: str = "doc_id", num_perm: int = 128,
                         bands: int = 32, shingle_w: int = 3,
                         threshold: float = 0.5,
-                        max_bucket_rows: int = 4096,
-                        new_rows_per_shard: int = 1_000_000):
+                        max_bucket_rows: int = 4096):
     """Probe a NEW document shard against a persisted
     :func:`minhash_index_write` index: pairs ``(new_id, old_id,
     est_jaccard)`` where a new document near-duplicates an already-indexed
@@ -1773,8 +1758,8 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
 
     Scale shape: the new shard (a crawl increment — small relative to the
     index) is minhashed once and its slim band rows are processed one
-    hash-range shard at a time (≤ ``new_rows_per_shard`` band rows on the
-    driver); per shard, the shard's band keys broadcast and the INDEX
+    hash-range shard at a time (≤ ``PROBE_NEW_ROWS_PER_SHARD`` band rows on
+    the driver); per shard, the shard's band keys broadcast and the INDEX
     band table is semi-filtered in one streaming pruned scan — the index
     never loads, only its colliding rows come back.  Signatures re-attach
     from broadcast lookups bounded by that shard's collisions, and pair
@@ -1783,8 +1768,8 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
     import ray
     import ray.data as rd
 
+    from ..functions.broadcast import hash_shards
     from ..functions.shuffle import _cluster_cpus
-    from ..util import ShardFilter
 
     n_parts = _cluster_cpus()
     new_sigs = new_ds.map_batches(
@@ -1793,16 +1778,10 @@ def minhash_probe_index(new_ds, path: str, text_col: str = "text",
         batch_format="pyarrow",
     ).repartition(n_parts).materialize()
     band_stage = _BandKeys(num_perm, bands, id_col)
-    n_new_rows = new_sigs.count() * bands
-    n_shards = max(1, -(-int(n_new_rows) // new_rows_per_shard))
-
     shard_outputs = []
-    for s in range(n_shards):
-        new_bands_ds = new_sigs.map_batches(band_stage, batch_format="pyarrow")
-        if n_shards > 1:
-            new_bands_ds = new_bands_ds.map_batches(
-                ShardFilter("band_key", n_shards, s), batch_format="pyarrow"
-            )
+    for new_bands_ds in hash_shards(
+            new_sigs.map_batches(band_stage, batch_format="pyarrow"),
+            "band_key", new_sigs.count() * bands, PROBE_NEW_ROWS_PER_SHARD):
         new_band_tbl = collect_arrow(new_bands_ds)
         if new_band_tbl is None or len(new_band_tbl) == 0:
             continue

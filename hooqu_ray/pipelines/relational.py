@@ -15,9 +15,35 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# Above this many combiner partial rows grouped_top_k merges distributed.
+TOPK_DRIVER_MAX_ROWS = 2_000_000
+# Above this many partial digest rows grouped_approx_quantile merges
+# distributed.
+QUANTILE_DRIVER_MAX_GROUPS = 1_000_000
+# Above this many cohort keys cohort_retention stamps cohorts with a
+# distributed hash join instead of a broadcast.
+COHORT_BROADCAST_MAX_KEYS = 5_000_000
+
+
+def _from_driver_table(t: Optional[pa.Table], cols, ds, types=None):
+    """A driver-merged result as a Dataset, so both arms of a gated op
+    return one type.  With no rows, ``cols`` take ``types``, else the
+    input's types (an empty combiner output is schema-less), else null."""
+    import ray.data as rd
+
+    from ..util import dataset_arrow_schema
+
+    if t is None or len(t) == 0:
+        schema = dataset_arrow_schema(ds)
+        known = {**({} if schema is None else
+                    {f.name: f.type for f in schema}), **(types or {})}
+        t = pa.schema([(c, known.get(c, pa.null())) for c in cols]
+                      ).empty_table()
+    return rd.from_arrow(t)
+
 
 def grouped_top_k(ds, group_col: str, order_col: str, k: int,
-                  tie_col: str, extra_cols=(), driver_max_rows: int = 2_000_000):
+                  tie_col: str, extra_cols=()):
     """Top-k rows per group by ``order_col`` DESC (ties broken by ascending
     ``tie_col``) — the ``row_number() OVER (PARTITION BY ... ORDER BY ...)``
     shape.
@@ -25,13 +51,14 @@ def grouped_top_k(ds, group_col: str, order_col: str, k: int,
     Per-block combiner: each block reduces to its LOCAL top-k per group
     (vectorized pandas sort + grouped head), so at most
     ``#blocks × #groups × k`` tiny rows leave the scan.  When the partials
-    fit under ``driver_max_rows`` the final merge is one driver-side pandas
-    pass (returns an Arrow table sorted by (group, rank order)).  Above the
-    gate — the million-group tail — the merge stays DISTRIBUTED: one range
-    sort of the partials + a vectorized per-block head-k for interior
-    groups + a tiny boundary merge touching at most the first/last group of
-    each block (the sessionization pattern), returning a Ray Dataset the
-    driver never materializes."""
+    fit under ``TOPK_DRIVER_MAX_ROWS`` the final merge is one driver-side
+    pandas pass, sorted by (group, rank order).  Above the gate — the
+    million-group tail — the merge stays DISTRIBUTED: one range sort of the
+    partials + a vectorized per-block head-k for interior groups + a tiny
+    boundary merge touching at most the first/last group of each block
+    (the sessionization pattern), never materialized on the driver.  Both
+    arms return a Ray Dataset of ``[group_col, order_col, tie_col,
+    *extra_cols]``; an empty one keeps the input's column types."""
     cols = [group_col, order_col, tie_col, *extra_cols]
     # dict keeps order, drops duplicates (e.g. tie_col listed in extra_cols)
     cols = list(dict.fromkeys(cols))
@@ -50,21 +77,19 @@ def grouped_top_k(ds, group_col: str, order_col: str, k: int,
     partials = ds.map_batches(
         block_topk, batch_format="pyarrow", batch_size=None
     ).materialize()  # partials are combiner-bounded; count() is then free
-    if partials.count() <= driver_max_rows:
-        from ..util import collect_arrow
+    if partials.count() > TOPK_DRIVER_MAX_ROWS:
+        return _distributed_topk_merge(
+            partials, group_col, sort_cols, ascending, k, cols)
+    from ..util import collect_arrow
 
-        collected = collect_arrow(partials)
-        if collected is None:
-            return pa.table({c: pa.array([]) for c in cols})
-        merged = collected.to_pandas()
-        merged = merged.sort_values(
+    top = collect_arrow(partials)
+    if top is not None:
+        merged = top.to_pandas().sort_values(
             sort_cols, ascending=ascending, kind="mergesort", ignore_index=True
         )
-        top = merged.groupby(group_col, sort=False).head(k)
-        return pa.Table.from_pandas(top, preserve_index=False)
-    return _distributed_topk_merge(
-        partials, group_col, sort_cols, ascending, k, cols
-    )
+        top = pa.Table.from_pandas(merged.groupby(group_col, sort=False)
+                                   .head(k), preserve_index=False)
+    return _from_driver_table(top, cols, ds)
 
 
 def _distributed_topk_merge(partials, group_col, sort_cols, ascending, k, cols):
@@ -217,8 +242,7 @@ def stratified_sample(ds, strata_col: str, id_col: str, rates: dict,
 
 
 def grouped_approx_quantile(ds, group_col: str, value_col: str, q: float,
-                            compression: int = 200,
-                            driver_max_groups: int = 1_000_000):
+                            compression: int = 200):
     """Per-group quantile via mergeable t-digests — the grouped counterpart
     of the ``ApproxQuantile`` analyzer (``analyzers/sketches.py``).
 
@@ -231,12 +255,14 @@ def grouped_approx_quantile(ds, group_col: str, value_col: str, q: float,
     (~0.1–1% at compression 200) — the driver gate oracles it against the
     exact SQL value with a 1% bound.
 
-    Below ``driver_max_groups`` partial-digest rows the merge is one driver
-    pass; above it the merge stays distributed (``groupby(group)`` over the
-    slim digest rows — null groups are dropped there by Ray's groupby, so
-    they are dropped on the driver path too, matching SQL ``GROUP BY``
-    which would keep them; documented divergence shared with the other
-    grouped ops)."""
+    Below ``QUANTILE_DRIVER_MAX_GROUPS`` partial-digest rows the merge is
+    one driver pass; above it the merge stays distributed
+    (``groupby(group)`` over the slim digest rows — null groups are
+    dropped there by Ray's groupby, so they are dropped on the driver path
+    too, matching SQL ``GROUP BY`` which would keep them; documented
+    divergence shared with the other grouped ops).  Both arms return a Ray
+    Dataset of ``[group_col, q_value]``; an empty one keeps the input's
+    group type."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile q must be in [0, 1], got {q}")
 
@@ -373,22 +399,27 @@ def grouped_approx_quantile(ds, group_col: str, value_col: str, q: float,
     partials = ds.map_batches(
         block_digests, batch_format="pyarrow", batch_size=None
     ).materialize()  # combiner-bounded; consumed once below
-    if partials.count() <= driver_max_groups:
+    if partials.count() <= QUANTILE_DRIVER_MAX_GROUPS:
         from ..util import collect_arrow
 
-        collected = collect_arrow(partials)
-        if collected is None:
-            return pa.table(
-                {group_col: pa.array([]), "q_value": pa.array([], pa.float64())}
-            )
-        out = digest_quantiles(collected)
-        return out.take(pc.sort_indices(out, sort_keys=[(group_col, "ascending")]))
-    # distributed: bucket by group hash (corpus-cardinality keys — Ray's
-    # per-group map_groups would pay ~100 µs/group), then the SAME
-    # vectorized multi-group kernel folds each bucket in one task
+        out = collect_arrow(partials)
+        if out is not None:
+            out = digest_quantiles(out)
+            out = out.take(pc.sort_indices(
+                out, sort_keys=[(group_col, "ascending")]))
+        return _from_driver_table(out, [group_col, "q_value"], ds,
+                                  {"q_value": pa.float64()})
+    return _distributed_quantile_merge(partials, group_col, digest_quantiles)
+
+
+def _distributed_quantile_merge(partials, group_col, digest_quantiles):
+    """Bucket the digest rows by group hash (corpus-cardinality keys — Ray's
+    per-group map_groups would pay ~100 µs/group), then the SAME
+    vectorized multi-group ``digest_quantiles`` kernel folds each bucket in
+    one task."""
     from ..functions.shuffle import _default_buckets, _row_hash64
 
-    num_buckets = _default_buckets(partials.count(), 250_000)
+    num_buckets = _default_buckets(partials.count())
 
     def stamp(t: pa.Table) -> pa.Table:
         b = (_row_hash64(t, [group_col]) % np.uint64(num_buckets)).astype(np.int32)
@@ -417,14 +448,11 @@ def reservoir_sample(ds, group_col: str, id_col: str, k: int, extra_cols=()):
             "__rank", pa.array(-md5_bucket(t.column(id_col)), type=pa.int64())
         )
 
-    ranked = ds.map_batches(add_rank, batch_format="pyarrow")
-    out = grouped_top_k(
-        ranked, group_col, "__rank", k, tie_col=id_col, extra_cols=extra_cols
-    )
-    if isinstance(out, pa.Table):
-        return out.drop_columns(["__rank"])
-    return out.map_batches(
-        lambda t: t.drop_columns(["__rank"]), batch_format="pyarrow")
+    from ..util import map_typed
+
+    return map_typed(grouped_top_k(
+        map_typed(ds, add_rank), group_col, "__rank", k, tie_col=id_col,
+        extra_cols=extra_cols), lambda t: t.drop_columns(["__rank"]))
 
 
 def _corpus_tdigest(ds, value_col: str, compression: int = 200):
@@ -1212,7 +1240,7 @@ def rollup_agg(ds, group_cols, value_col: str, sentinel: str = "ALL"):
 
 
 def cohort_retention(ds, key_col: str, ts_col: str, unit: str = "month",
-                     fmt: str = "%Y-%m", broadcast_max_keys: int = 5_000_000):
+                     fmt: str = "%Y-%m"):
     """Cohort retention matrix: distinct active keys per (first-seen
     period, activity period) — the training-corpus freshness/retention
     report (``cohort``, ``period``, ``n_users``).  ``unit`` is any
@@ -1229,8 +1257,8 @@ def cohort_retention(ds, key_col: str, ts_col: str, unit: str = "month",
     epoch value and formatted once at the end.
 
     The cohort stamp is size-gated: the cohort table is one row per KEY
-    (unbounded on a web corpus), so at ≤ ``broadcast_max_keys`` rows it
-    ships once as a broadcast enrichment join, and above the gate it
+    (unbounded on a web corpus), so at ≤ ``COHORT_BROADCAST_MAX_KEYS`` rows
+    it ships once as a broadcast enrichment join, and above the gate it
     switches to the fully distributed bucketed ``hash_join`` — nothing
     key-shaped is collected to the driver on the scale path."""
     from ..functions.joins import enrich_join
@@ -1271,7 +1299,7 @@ def cohort_retention(ds, key_col: str, ts_col: str, unit: str = "month",
         pairs, [key_col], ["__per"], funcs=["min"], drop_null_keys=True,
     ).map_batches(lambda t: t.rename_columns([key_col, "__coh"]),
                   batch_format="pyarrow").materialize()
-    if cohort_ds.count() <= broadcast_max_keys:
+    if cohort_ds.count() <= COHORT_BROADCAST_MAX_KEYS:
         stamped = enrich_join(
             pairs, cohort_ds, on=key_col, dim_key=key_col,
             cols=["__coh"], how="inner",
@@ -1317,18 +1345,17 @@ def grouped_mode(ds, group_col: str, value_col: str, *,
     each group's winner with its own driver-gated/distributed merge.
     Null values are not counted (SQL mode ignores nulls); null groups
     drop (the grouped-op convention); groups with only null values are
-    absent.  Returns an Arrow table or Dataset — whatever
-    ``grouped_top_k`` returns — with columns (group, out_col, n)."""
+    absent.  Returns a Dataset with columns (group, out_col, n)."""
     import ray.data as rd
 
     from ..functions.shuffle import tree_group_sum
-    from ..util import dataset_arrow_schema
+    from ..util import dataset_arrow_schema, map_typed
 
     in_schema = dataset_arrow_schema(ds)
     if in_schema is None:  # zero-block input: nothing to rank
-        return pa.table({group_col: pa.array([]),
-                         out_col: pa.array([]),
-                         "n": pa.array([], pa.int64())})
+        return rd.from_arrow(pa.table({group_col: pa.array([]),
+                                       out_col: pa.array([]),
+                                       "n": pa.array([], pa.int64())}))
     anchor = pa.table({
         group_col: pa.array([], in_schema.field(group_col).type),
         value_col: pa.array([], in_schema.field(value_col).type),
@@ -1348,17 +1375,10 @@ def grouped_mode(ds, group_col: str, value_col: str, *,
         ds.map_batches(pair_partials, batch_format="pyarrow"),
         [group_col, value_col], ["__n"]).union(rd.from_arrow(anchor))
 
-    top = grouped_top_k(counts, group_col, "__n", 1, value_col)
-
-    def rename(t: pa.Table) -> pa.Table:
-        if isinstance(t, pa.Table):
-            return t.rename_columns([group_col, "n", out_col]).select(
-                [group_col, out_col, "n"])
-        return t
-
-    if isinstance(top, pa.Table):
-        return rename(top)
-    return top.map_batches(rename, batch_format="pyarrow")
+    return map_typed(
+        grouped_top_k(counts, group_col, "__n", 1, value_col),
+        lambda t: t.rename_columns([group_col, "n", out_col]).select(
+            [group_col, out_col, "n"]))
 
 
 def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
@@ -1572,22 +1592,7 @@ def grouped_weighted_sample(ds, group_col: str, key_col: str,
         raise ValueError(
             "group_col, key_col and weight_col must be distinct, got "
             f"{(group_col, key_col, weight_col)}")
-    from ..util import dataset_arrow_schema
-
-    in_schema = dataset_arrow_schema(ds)
-    # typed empty anchor carrying the INPUT dtypes (CLAUDE.md gotcha:
-    # hardcoded types make mixed-schema unions for non-string groups)
-    if in_schema is not None and {group_col, key_col, weight_col}.issubset(
-            in_schema.names):
-        empty = pa.schema(
-            [in_schema.field(c) for c in (group_col, key_col, weight_col)]
-        ).empty_table().append_column("__q", pa.array([], pa.float64()))
-    else:
-        empty = pa.table({
-            group_col: pa.array([], pa.string()),
-            key_col: pa.array([], pa.int64()),
-            weight_col: pa.array([], pa.float64()),
-            "__q": pa.array([], pa.float64())})
+    from ..util import map_typed
 
     def stamp(t: pa.Table) -> pa.Table:
         w = pc.cast(t.column(weight_col), pa.float64()).to_numpy(
@@ -1603,17 +1608,10 @@ def grouped_weighted_sample(ds, group_col: str, key_col: str,
         q = w[ok] / u
         return t.append_column("__q", pa.array(q, pa.float64()))
 
-    stamped = ds.map_batches(stamp, batch_format="pyarrow")
-    out = grouped_top_k(stamped, group_col, "__q", k, tie_col=key_col,
-                        extra_cols=[weight_col])
-    if isinstance(out, pa.Table):
-        if len(out) == 0:
-            # grouped_top_k's driver path loses the schema on an empty
-            # result — re-anchor the input dtypes (CLAUDE.md gotcha)
-            return empty.drop_columns(["__q"])
-        return out.drop_columns(["__q"])
-    return out.map_batches(lambda t: t.drop_columns(["__q"]),
-                           batch_format="pyarrow")
+    return map_typed(
+        grouped_top_k(map_typed(ds, stamp), group_col, "__q", k,
+                      tie_col=key_col, extra_cols=[weight_col]),
+        lambda t: t.drop_columns(["__q"]))
 
 
 def grouped_robust_stats(ds, group_col: str, value_col: str,

@@ -836,8 +836,7 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
 
 
 def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
-                           text_col: str = "text", min_chars: int = 10,
-                           rows_per_shard: int = 4_000_000):
+                           text_col: str = "text", min_chars: int = 10):
     """Cross-conversation boilerplate-turn removal: every turn whose exact
     text (of at least ``min_chars`` characters) appears in at least
     ``min_convs`` DISTINCT conversations is dropped from ALL of them —
@@ -904,7 +903,7 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
 
     hot = BroadcastSet.collect(bucketed_group_fold(
         ds.map_batches(capped_pairs, batch_format="pyarrow"),
-        ["__th"], [conv_col], combine=hot_hashes), "__th", rows_per_shard)
+        ["__th"], [conv_col], combine=hot_hashes), "__th")
     if not hot:  # no text spans min_convs conversations
         return ds
 
@@ -1173,8 +1172,7 @@ def _conversation_fingerprints(ds, conv_col: str, idx_col: str,
 
 
 def dedup_conversations(ds, *, conv_col: str = "conv_id",
-                        idx_col: str = "turn_idx", text_col: str = "text",
-                        rows_per_shard: int = 4_000_000):
+                        idx_col: str = "turn_idx", text_col: str = "text"):
     """Drop duplicate CONVERSATIONS: when two or more conversations have the
     identical (turn_idx, text) sequence, only the one with the minimum conv
     id keeps its turns — whole-transcript exact dedup, the conversation
@@ -1210,7 +1208,7 @@ def dedup_conversations(ds, *, conv_col: str = "conv_id",
         _fp_group_table(fp_rows, conv_col, conv_type).map_batches(
             lambda t: t.filter(pc.greater(t.column("__c"), pa.scalar(1)))
             .select(["__fp", "__w"]),
-            batch_format="pyarrow"), "__fp", rows_per_shard)
+            batch_format="pyarrow"), "__fp")
     if not winners:  # no duplicate conversations
         return ds
 
@@ -1221,8 +1219,7 @@ def dedup_conversations(ds, *, conv_col: str = "conv_id",
                                        hit.column("__w"))).select([conv_col])
 
     losers = BroadcastSet.collect(
-        fp_rows.map_batches(losing_convs, batch_format="pyarrow"), conv_col,
-        rows_per_shard)
+        fp_rows.map_batches(losing_convs, batch_format="pyarrow"), conv_col)
     # NOT IN over the losers; a null conv is in no set and survives
     return ds.map_batches(
         lambda t: t.filter(pc.invert(losers.isin(t.column(conv_col)))),
@@ -1637,10 +1634,12 @@ def conversation_majority_lang(ds, *, conv_col: str = "conv_id",
 
     Mixed-language detection composes without new machinery:
     ``tool_usage_stats(scored, tool_col='pred_lang')`` yields per-conv
-    distinct-language counts.  Returns whatever ``grouped_top_k``
-    returns (Arrow table under the driver gate, Dataset above it) with
-    columns renamed."""
+    distinct-language counts.  Returns a Dataset of ``(conv,
+    major_lang, n_major_turns)``."""
 
+    import ray.data as rd
+
+    from ..util import column_type, map_typed
     from .relational import grouped_top_k
     from .textstats import LangIdStage
 
@@ -1664,8 +1663,14 @@ def conversation_majority_lang(ds, *, conv_col: str = "conv_id",
                          "pred_lang": t.column("pred_lang"),
                          "__n": pc.cast(t.column("__n"), pa.int64())})
 
+    # typed anchor: an input with no counted turn keeps its conv type
+    anchor = pa.table({conv_col: pa.array([], column_type(ds, conv_col,
+                                                          pa.string())),
+                       "pred_lang": pa.array([], pa.string()),
+                       "__n": pa.array([], pa.int64())})
     top = grouped_top_k(
-        pairs.map_batches(proj, batch_format="pyarrow"),
+        pairs.map_batches(proj, batch_format="pyarrow").union(
+            rd.from_arrow(anchor)),
         conv_col, "__n", 1, tie_col="pred_lang",
     )
     out_names = {conv_col: conv_col, "pred_lang": "major_lang",
@@ -1675,9 +1680,7 @@ def conversation_majority_lang(ds, *, conv_col: str = "conv_id",
         return pa.table({out_names[c]: t.column(c)
                          for c in [conv_col, "pred_lang", "__n"]})
 
-    if isinstance(top, pa.Table):
-        return rename(top)
-    return top.map_batches(rename, batch_format="pyarrow")
+    return map_typed(top, rename)
 
 
 def turn_gap_stats(ds, *, conv_col: str = "conv_id", ts_col: str = "ts",
@@ -1747,8 +1750,7 @@ def turn_gap_stats(ds, *, conv_col: str = "conv_id", ts_col: str = "ts",
 def conversation_fork_groups(ds, prefix_turns: int, *,
                              conv_col: str = "conv_id",
                              idx_col: str = "turn_idx",
-                             text_col: str = "text",
-                             rows_per_shard: int = 4_000_000):
+                             text_col: str = "text"):
     """Retry/fork detection over agent transcripts: conversations sharing
     an IDENTICAL first-``prefix_turns`` (turn_idx, text) sequence — the
     signature of a retried or branched agent run (same task prompt and
@@ -1794,7 +1796,7 @@ def conversation_fork_groups(ds, prefix_turns: int, *,
 
     groups = BroadcastSet.collect(
         _fp_group_table(fp_rows, conv_col, conv_type).map_batches(
-            keep_groups, batch_format="pyarrow"), "__fp", rows_per_shard)
+            keep_groups, batch_format="pyarrow"), "__fp")
     out_cols = [conv_col, "fork_group", "n_convs"]
     if not groups:  # no fork group
         return rd.from_arrow(pa.schema([
@@ -1838,8 +1840,7 @@ def preference_pairs(ds, prefix_turns: int, *,
                      idx_col: str = "turn_idx",
                      role_col: str = "role",
                      text_col: str = "text",
-                     chosen_role: str = "assistant",
-                     rows_per_shard: int = 4_000_000):
+                     chosen_role: str = "assistant"):
     """DPO-style preference-pair extraction from retry-fork groups: for
     each group of conversations sharing an identical first-``prefix_turns``
     prefix (same grouping rule as :func:`conversation_fork_groups` —
@@ -1869,8 +1870,8 @@ def preference_pairs(ds, prefix_turns: int, *,
        runs over max-score candidates only (≈ #groups rows), and the
        chosen table broadcasts back for the final emit.
 
-    Driver peak is one ``rows_per_shard`` shard, same escape hatch as
-    every broadcast set (``functions.broadcast``)."""
+    Driver peak is one ``broadcast.ROWS_PER_SHARD`` shard, same escape
+    hatch as every broadcast set (``functions.broadcast``)."""
     import ray.data as rd
 
     from ..functions.broadcast import BroadcastSet
@@ -1974,8 +1975,7 @@ def preference_pairs(ds, prefix_turns: int, *,
 
     groups = BroadcastSet.collect(
         _fp_group_table(fp_rows, conv_col, conv_type, max_col="__score")
-        .map_batches(keep_groups, batch_format="pyarrow"), "__fp",
-        rows_per_shard)
+        .map_batches(keep_groups, batch_format="pyarrow"), "__fp")
     if not groups:  # no fork group, no pair
         return rd.from_arrow(out_schema.empty_table())
 
@@ -1996,7 +1996,7 @@ def preference_pairs(ds, prefix_turns: int, *,
         ["__fp"], [conv_col], funcs=["min"]).map_batches(
         lambda t: pa.table({"__fp": t.column("__fp"),
                             "__chosen": t.column(conv_col)}),
-        batch_format="pyarrow"), "__fp", rows_per_shard)
+        batch_format="pyarrow"), "__fp")
 
     def emit_pairs(t: pa.Table) -> pa.Table:
         hit = chosen.lookup(t, "__fp", ["__chosen"])
@@ -2180,7 +2180,7 @@ def conversation_filter_report(ds, *, min_turns: int = 2,
         rd.from_arrow(out_schema.empty_table()))
 
 
-def filter_conversations(ds, *, rows_per_shard: int = 4_000_000, **rules):
+def filter_conversations(ds, **rules):
     """Drop WHOLE conversations failing the structural rules of
     :func:`conversation_filter_report` and return the surviving turn rows
     (all columns, order preserved).  Rows with a null conv id are dropped
@@ -2205,8 +2205,7 @@ def filter_conversations(ds, *, rows_per_shard: int = 4_000_000, **rules):
         return pa.table({"conv_id": pc.cast(ids, conv_type)})
 
     dropped = BroadcastSet.collect(
-        rep.map_batches(dropped_ids, batch_format="pyarrow"), "conv_id",
-        rows_per_shard)
+        rep.map_batches(dropped_ids, batch_format="pyarrow"), "conv_id")
     return dropped.anti(ds, "conv_id")
 
 
@@ -2797,8 +2796,7 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
     return out
 
 
-def curate_conversations(ds, *, clip_tokens: int | None = None,
-                         rows_per_shard: int = 4_000_000, **rules):
+def curate_conversations(ds, *, clip_tokens: int | None = None, **rules):
     """Composed conversation-curation DAG — the transcript analogue of
     :func:`sft_prepare`: structural keep/drop filter
     (:func:`filter_conversations`, whole conversations dropped with
@@ -2813,8 +2811,8 @@ def curate_conversations(ds, *, clip_tokens: int | None = None,
     NOT-IN pass), so the filter's anti-join probes execute twice — cheap
     per batch, and at 100 TB the alternative (materializing the filtered
     corpus) costs more than the second pruned pass."""
-    out = filter_conversations(ds, rows_per_shard=rows_per_shard, **rules)
-    out = dedup_conversations(out, rows_per_shard=rows_per_shard)
+    out = filter_conversations(ds, **rules)
+    out = dedup_conversations(out)
     if clip_tokens is not None:
         out = clip_turn_texts(out, clip_tokens)
     return out
@@ -2824,8 +2822,7 @@ def split_by_fork_group(ds, prefix_turns: int,
                         splits=(("train", 80), ("val", 10), ("test", 10)),
                         *, conv_col: str = "conv_id",
                         idx_col: str = "turn_idx",
-                        text_col: str = "text",
-                        rows_per_shard: int = 4_000_000):
+                        text_col: str = "text"):
     """Leakage-safe train/val/test split for agent transcripts: retried /
     forked conversations (identical first-``prefix_turns`` prefix — see
     :func:`conversation_fork_groups`) always land in the SAME split, so a
@@ -2853,8 +2850,8 @@ def split_by_fork_group(ds, prefix_turns: int,
 
     members = BroadcastSet.collect(conversation_fork_groups(
         ds, prefix_turns, conv_col=conv_col, idx_col=idx_col,
-        text_col=text_col, rows_per_shard=rows_per_shard).select_columns(
-        [conv_col, "fork_group"]), conv_col, rows_per_shard)
+        text_col=text_col).select_columns(
+        [conv_col, "fork_group"]), conv_col)
 
     def conv_partials(t: pa.Table) -> pa.Table:
         conv = t.column(conv_col)
@@ -3013,8 +3010,7 @@ def fork_index_write(ds, prefix_turns: int, path: str, *,
 def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
                      conv_col: str = "conv_id",
                      idx_col: str = "turn_idx",
-                     text_col: str = "text",
-                     rows_per_shard: int = 4_000_000):
+                     text_col: str = "text"):
     """Which NEW conversations retry an ALREADY-COLLECTED task?  Probe a
     new transcript shard against a persisted fork-prefix index
     (:func:`fork_index_write`): returns one ``(conv, matched_conv)`` row
@@ -3058,7 +3054,7 @@ def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
     out_schema = pa.schema([(conv_col, conv_type),
                             ("matched_conv", wit_type)])
     empty = rd.from_arrow(out_schema.empty_table())
-    new_fps = BroadcastSet.collect(new_fp, "__fp", rows_per_shard)
+    new_fps = BroadcastSet.collect(new_fp, "__fp")
     if not new_fps:
         return empty
 
@@ -3076,8 +3072,7 @@ def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
         })
 
     witnesses = BroadcastSet.collect(
-        witness.map_batches(wit_rows, batch_format="pyarrow"), "__fp",
-        rows_per_shard)
+        witness.map_batches(wit_rows, batch_format="pyarrow"), "__fp")
     if not witnesses:
         return empty
     return new_fp.map_batches(
@@ -3086,9 +3081,12 @@ def fork_index_probe(new_ds, path: str, prefix_turns: int, *,
         batch_format="pyarrow").union(empty)  # schema anchor
 
 
-def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
-                         driver_max_rows: int = 2_000_000,
-                         rows_per_shard: int = 4_000_000):
+# Most candidate rows sample_conversations merges on the driver; above it
+# the op raises instead of collecting.
+SAMPLE_DRIVER_MAX_ROWS = 2_000_000
+
+
+def sample_conversations(ds, n: int, *, conv_col: str = "conv_id"):
     """Reproducible fixed-size corpus subset at CONVERSATION granularity:
     keep the ``n`` conversations with the smallest ``(md5_bucket(conv),
     conv)`` rank — a pure function of the ids, so the same subset comes
@@ -3098,7 +3096,7 @@ def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
 
     Scale shape: per-block distinct convs reduce to a LOCAL top-``n``
     by hash rank, so at most ``#blocks × n`` slim rows reach the driver
-    merge (guarded by ``driver_max_rows`` — for subsets too large for
+    merge (guarded by ``SAMPLE_DRIVER_MAX_ROWS`` — for subsets too large for
     that bound use :func:`relational.split_assign` rates instead); the
     selected id set broadcasts (``functions.broadcast``) for the final
     per-batch semi-join."""
@@ -3133,10 +3131,10 @@ def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
     # gate BEFORE the driver collect — counting the materialized partials
     # is free, and collecting first would be the OOM the gate exists for
     n_cand = partials.count()
-    if n_cand > driver_max_rows:
+    if n_cand > SAMPLE_DRIVER_MAX_ROWS:
         raise ValueError(
             f"candidate merge would hold {n_cand} rows on the driver "
-            f"(> {driver_max_rows}); for subsets this large use "
+            f"(> {SAMPLE_DRIVER_MAX_ROWS}); for subsets this large use "
             "relational.split_assign with a rate instead of an exact n")
     cand = collect_arrow(partials)
     if cand is None or len(cand) == 0:
@@ -3148,13 +3146,12 @@ def sample_conversations(ds, n: int, *, conv_col: str = "conv_id",
     df = cand.to_pandas().drop_duplicates(conv_col)
     df = df.sort_values(["__rank", conv_col], kind="mergesort").head(n)
     keep = pa.table({conv_col: pa.array(df[conv_col].to_numpy(), conv_type)})
-    return BroadcastSet.put(keep, conv_col, rows_per_shard).semi(ds, conv_col)
+    return BroadcastSet.put(keep, conv_col).semi(ds, conv_col)
 
 
 def filter_pii_conversations(ds, max_matches: int = 0, *,
                              conv_col: str = "conv_id",
-                             text_col: str = "text",
-                             rows_per_shard: int = 4_000_000):
+                             text_col: str = "text"):
     """Drop WHOLE conversations whose total PII match count (emails +
     URLs + credit cards, :func:`pii_stats`) exceeds ``max_matches`` and
     return the surviving turn rows — the conversation-granularity policy
@@ -3185,8 +3182,7 @@ def filter_pii_conversations(ds, max_matches: int = 0, *,
                                            conv_type)})
 
     dropped = BroadcastSet.collect(
-        rep.map_batches(over, batch_format="pyarrow"), conv_col,
-        rows_per_shard)
+        rep.map_batches(over, batch_format="pyarrow"), conv_col)
     return dropped.anti(ds, conv_col)
 
 

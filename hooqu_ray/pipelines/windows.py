@@ -619,8 +619,7 @@ def _first_last_combine(key: str):
     return combine
 
 
-def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str,
-                       *, max_fold_rows: int = 4_000_000, fanin: int = 8):
+def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str):
     """Per-key FIRST_VALUE / LAST_VALUE in ``(ts, tie)`` order — SQL
     ``FIRST_VALUE(v) OVER (PARTITION BY key ORDER BY ts, tie)`` /
     ``LAST_VALUE(v) OVER (... ROWS BETWEEN UNBOUNDED PRECEDING AND
@@ -631,6 +630,8 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str,
     coalesce rounds, and when the key count is corpus-like the partials
     fall back to the bucketed hash exchange (int32 bucket key, one
     vectorized combine per bucket) — never Ray's per-key sort groupby.
+    Both arms and their threshold are ``tree_group_sum``'s
+    (``shuffle.TREE_MAX_FOLD_ROWS`` × ``shuffle.TREE_FANIN``).
 
     ``value_col`` keeps its input dtype (selection, not arithmetic), and
     a null value at the boundary row is returned as-is (SQL parity).
@@ -638,7 +639,7 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str,
     key.  Returns ``[key, first_value, last_value]``, one row per key."""
     import ray.data as rd
 
-    from ..functions.shuffle import _tree_fold, bucketed_group_fold
+    from ..functions import shuffle
     from ..util import dataset_arrow_schema
 
     combine = _first_last_combine(key)
@@ -686,15 +687,15 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str,
     def finalize(t: pa.Table) -> pa.Table:
         return t.select([key, "first_value", "last_value"])
 
-    if n <= max_fold_rows * fanin:
-        folded = _tree_fold(partials, combine, fanin)
+    if n <= shuffle.TREE_MAX_FOLD_ROWS * shuffle.TREE_FANIN:
+        folded = shuffle._tree_fold(partials, combine, shuffle.TREE_FANIN)
         return folded.map_batches(finalize, batch_format="pyarrow")
 
     # corpus-cardinality keys: the shared bucketed hash exchange (int32
     # bucket key, custom first/last combine per bucket — keeps one
     # maintained exchange implementation incl. its low-block-count
     # repartition guard)
-    return bucketed_group_fold(
+    return shuffle.bucketed_group_fold(
         partials, [key],
         ["__f_ts", "__f_tie", "first_value", "__l_ts", "__l_tie",
          "last_value"],

@@ -8,7 +8,8 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def norm_table(obj):
@@ -35,8 +36,15 @@ def main(sf_dir: str = "/root/testdata/sf0.01", only: str = ""):
     import duckdb
     import ray
 
+    sf_dir = os.path.abspath(sf_dir)
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, log_to_driver=False)
+        # the workers import the package too: the driver's sys.path insert
+        # does not reach them when run from outside the checkout root
+        pythonpath = os.pathsep.join(
+            p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+        ray.init(address="local", num_cpus=8, include_dashboard=False,
+                 log_to_driver=False,
+                 runtime_env={"env_vars": {"PYTHONPATH": pythonpath}})
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()

@@ -115,3 +115,54 @@ def executions(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     return calls
+
+
+@pytest.fixture
+def shard_counts(monkeypatch):
+    """Shard count of every ``BroadcastSet`` built while the test runs."""
+    from hooqu_ray.functions.broadcast import BroadcastSet
+
+    counts = []
+    init = BroadcastSet.__init__
+
+    def spy(self, refs, key):
+        init(self, refs, key)
+        counts.append(len(self.refs))
+
+    monkeypatch.setattr(BroadcastSet, "__init__", spy)
+    return counts
+
+
+@pytest.fixture
+def hash_shard_counts(monkeypatch):
+    """Shards yielded by every ``broadcast.hash_shards`` call while the test
+    runs: a test that forces a shard arm asserts ``max(...) >= 2``."""
+    from hooqu_ray.functions import broadcast
+
+    counts = []
+    hash_shards = broadcast.hash_shards
+
+    def spy(*args):
+        shards = list(hash_shards(*args))
+        counts.append(len(shards))
+        return iter(shards)
+
+    monkeypatch.setattr(broadcast, "hash_shards", spy)
+    return counts
+
+
+@pytest.fixture
+def bucketed_folds(monkeypatch):
+    """Calls of ``shuffle.bucketed_group_fold`` while the test runs: the
+    tree folds' corpus-cardinality fallback arm."""
+    from hooqu_ray.functions import shuffle
+
+    calls = []
+    fold = shuffle.bucketed_group_fold
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(shuffle, "bucketed_group_fold", spy)
+    return calls

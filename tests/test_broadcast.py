@@ -11,6 +11,7 @@ import pyarrow.compute as pc
 import pytest
 
 from hooqu_ray import util
+from hooqu_ray.functions import broadcast
 from hooqu_ray.functions.broadcast import BroadcastSet
 from hooqu_ray.pipelines import transcripts as tp
 
@@ -30,20 +31,6 @@ def _probe_table(seed=4) -> pa.Table:
     return pa.concat_tables([t.slice(0, 700), t.slice(700)])  # 2 chunks
 
 
-@pytest.fixture
-def shard_counts(monkeypatch):
-    """Shard count of every BroadcastSet built while the test runs."""
-    counts = []
-    init = BroadcastSet.__init__
-
-    def spy(self, refs, key):
-        init(self, refs, key)
-        counts.append(len(self.refs))
-
-    monkeypatch.setattr(BroadcastSet, "__init__", spy)
-    return counts
-
-
 @pytest.mark.parametrize("direct_max", [1, 1 << 30],
                          ids=["inverted", "direct"])
 @pytest.mark.parametrize("rows_per_shard, n_shards", [(600, 1), (200, 3)],
@@ -51,8 +38,9 @@ def shard_counts(monkeypatch):
 def test_probes_match_direct_index_in(ray_session, monkeypatch, direct_max,
                                       rows_per_shard, n_shards):
     monkeypatch.setattr(util, "_DIRECT_ISIN_MAX", direct_max)
+    monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", rows_per_shard)
     keys, t = _key_table(), _probe_table()
-    bs = BroadcastSet.put(keys, "k", rows_per_shard)
+    bs = BroadcastSet.put(keys, "k")
     assert len(bs.refs) == n_shards
     col = t.column("k")
     assert bs.isin(col).to_pylist() == pc.is_in(
@@ -75,13 +63,14 @@ def test_empty_set_matches_nothing(ray_session):
     assert len(got) == 0 and got.column_names == ["k", "row", "v"]
 
 
-def test_collect_shards_by_key_hash(ray_session):
+def test_collect_shards_by_key_hash(ray_session, monkeypatch):
     import ray.data as rd
 
     keys = _key_table()
     ds = rd.from_arrow(keys).repartition(4)
     one = BroadcastSet.collect(ds, "k")
-    three = BroadcastSet.collect(ds, "k", rows_per_shard=200)
+    monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 200)
+    three = BroadcastSet.collect(ds, "k")
     assert (len(one.refs), len(three.refs)) == (1, 3)
     for bs in (one, three):
         got = pa.concat_tables(bs.tables()).sort_by("k")
@@ -126,17 +115,19 @@ def _rows(ds):
 
 
 @pytest.mark.parametrize("op", [
-    lambda ds, **kw: tp.split_by_fork_group(ds, 1, **kw),
-    lambda ds, **kw: tp.filter_pii_conversations(ds, 0, **kw),
-    lambda ds, **kw: tp.sample_conversations(ds, 7, **kw),
+    lambda ds: tp.split_by_fork_group(ds, 1),
+    lambda ds: tp.filter_pii_conversations(ds, 0),
+    lambda ds: tp.sample_conversations(ds, 7),
 ], ids=["split_by_fork_group", "filter_pii_conversations",
         "sample_conversations"])
-def test_one_shard_per_key_equals_default(ray_session, shard_counts, op):
+def test_one_shard_per_key_equals_default(ray_session, monkeypatch,
+                                          shard_counts, op):
     ds = _corpus()
     default = _rows(op(ds))
     assert max(shard_counts) == 1
     shard_counts.clear()
-    forced = _rows(op(ds, rows_per_shard=1))
+    monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 1)
+    forced = _rows(op(ds))
     assert max(shard_counts) >= 2
     assert len(default) > 0
     assert forced.equals(default)

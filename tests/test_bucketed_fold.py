@@ -14,6 +14,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from hooqu_ray.functions import shuffle
 from hooqu_ray.functions.shuffle import (
     _row_hash64,
     bucketed_group_fold,
@@ -120,14 +121,16 @@ def test_row_hash_deterministic_and_block_invariant():
     assert h1[0] != h1[1]
 
 
-def test_explicit_bucket_counts_agree(ray_session):
+def test_explicit_bucket_counts_agree(ray_session, monkeypatch):
     df = pd.DataFrame({"k": [f"x{i % 777}" for i in range(10_000)],
                        "v": np.arange(10_000, dtype=np.int64)})
     ds = rd.from_pandas(df).repartition(8).materialize()
-    base = None
+    base, used = None, []
     for b in (1, 7, 64):
-        out = bucketed_group_fold(ds, ["k"], ["v"], ["sum"],
-                                  num_buckets=b).to_pandas()
+        monkeypatch.setattr(shuffle, "_default_buckets",
+                            lambda n, _b=b: used.append(_b) or _b)
+        out = bucketed_group_fold(ds, ["k"], ["v"], ["sum"]).to_pandas()
+        assert used[-1] == b
         out = out.sort_values("k").reset_index(drop=True)
         if base is None:
             base = out
@@ -135,7 +138,8 @@ def test_explicit_bucket_counts_agree(ray_session):
             pd.testing.assert_frame_equal(out, base)
 
 
-def test_tree_fallback_rides_bucketed_exchange(ray_session):
+def test_tree_fallback_rides_bucketed_exchange(ray_session, monkeypatch,
+                                               bucketed_folds):
     # force the fallback arm (max_fold_rows tiny) on corpus-like keys and
     # check exactness — this is the VERDICT #1 "fallback exercises the
     # bucketed exchange" pin
@@ -144,8 +148,10 @@ def test_tree_fallback_rides_bucketed_exchange(ray_session):
     df = pd.DataFrame({"k": [f"u{i}" for i in rng.integers(0, 25_000, n)],
                        "v": np.ones(n, np.int64)})
     ds = rd.from_pandas(df).repartition(16)
-    out = tree_group_sum(ds, ["k"], ["v"], max_fold_rows=10,
-                         fanin=2).to_pandas()
+    monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", 10)
+    monkeypatch.setattr(shuffle, "TREE_FANIN", 2)
+    out = tree_group_sum(ds, ["k"], ["v"]).to_pandas()
+    assert bucketed_folds == [1]
     exp = df.groupby("k", as_index=False).v.sum()
     pd.testing.assert_frame_equal(
         out.sort_values("k").reset_index(drop=True),

@@ -125,7 +125,9 @@ class TestDupNgrams:
         assert got["n_ngrams"].tolist() == exp_tot
         assert got["n_dup"].tolist() == exp_hits
 
-    def test_sharded_path_matches_single(self, docs_ds):
+    def test_sharded_path_matches_single(self, monkeypatch,
+                                         hash_shard_counts, docs_ds):
+        from hooqu_ray.pipelines import decontam
         from hooqu_ray.pipelines.decontam import dup_ngram_stats
 
         one = (
@@ -135,11 +137,14 @@ class TestDupNgrams:
         )
         # ~1184 hot 5-grams at sf0.001 → gate 400 forces 3 shards without
         # paying hundreds of per-shard corpus passes
+        monkeypatch.setattr(decontam, "_DRIVER_HOT_GRAMS_MAX", 400)
+        hash_shard_counts.clear()
         many = (
-            dup_ngram_stats(docs_ds, n=5, driver_hot_grams_max=400)
+            dup_ngram_stats(docs_ds, n=5)
             .to_pandas()
             .sort_values("doc_id", ignore_index=True)
         )
+        assert max(hash_shard_counts) >= 2
         pd.testing.assert_frame_equal(
             one[["doc_id", "n_ngrams", "n_dup", "dup_ngram_frac"]],
             many[["doc_id", "n_ngrams", "n_dup", "dup_ngram_frac"]],
@@ -385,16 +390,22 @@ class TestScrubDupNgrams:
         with pytest.raises(ValueError, match="n must"):
             scrub_dup_ngrams(ds, n=0)
 
-    def test_multi_shard_hot_set_matches_single(self, docs_ds, docs_pdf):
+    def test_multi_shard_hot_set_matches_single(self, monkeypatch,
+                                                hash_shard_counts, docs_ds,
+                                                docs_pdf):
         """Force the hash-range-sharded hot-set path (tiny driver gate):
         the cross-shard membership OR-union in _SpanScrubber must scrub
         exactly what the single-shard run scrubs."""
+        from hooqu_ray.pipelines import decontam
         from hooqu_ray.pipelines.decontam import scrub_dup_ngrams
 
         single = (scrub_dup_ngrams(docs_ds, n=5).to_pandas()
                   .sort_values("doc_id", ignore_index=True))
-        sharded = (scrub_dup_ngrams(docs_ds, n=5, driver_hot_grams_max=40)
+        monkeypatch.setattr(decontam, "_DRIVER_HOT_GRAMS_MAX", 40)
+        hash_shard_counts.clear()
+        sharded = (scrub_dup_ngrams(docs_ds, n=5)
                    .to_pandas().sort_values("doc_id", ignore_index=True))
+        assert max(hash_shard_counts) >= 2
         pd.testing.assert_frame_equal(sharded, single, check_like=True)
         assert (single.n_removed > 0).any()  # the corpus has real dups
 

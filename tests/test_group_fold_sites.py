@@ -264,11 +264,21 @@ def _quality_ref(df):
 
 
 def _lsh_run(ds, table):
-    from hooqu_ray.pipelines.dedup import minhash_lsh_pairs
+    from hooqu_ray.functions import shuffle
+    from hooqu_ray.pipelines import dedup
 
-    # driver_bands_max=0 forces the distributed bucketed band-key count
-    return minhash_lsh_pairs(ds, "text", "doc_id", num_perm=32, bands=8,
-                             driver_bands_max=0)
+    # _DRIVER_BANDS_MAX=0 forces the distributed bucketed band-key count,
+    # witnessed by its bucketed_group_fold call
+    folds = []
+    fold = shuffle.bucketed_group_fold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dedup, "_DRIVER_BANDS_MAX", 0)
+        mp.setattr(shuffle, "bucketed_group_fold",
+                   lambda *a, **kw: folds.append(1) or fold(*a, **kw))
+        out = dedup.minhash_lsh_pairs(ds, "text", "doc_id", num_perm=32,
+                                      bands=8)
+    assert bool(folds) == (len(table) > 0)
+    return out
 
 
 def _lsh_ref(df):
@@ -548,12 +558,13 @@ def test_fixture_has_null_and_hot_keys_in_every_block():
         assert DF["grp"].iloc[a:b].isna().any()
 
 
-def test_map_batches_udf_never_sees_an_empty_block(ray_session):
+def test_map_batches_udf_never_sees_an_empty_block(ray_session, monkeypatch):
     """Ray 2.49 passes 0-row pyarrow blocks straight through without calling
     the UDF — including the schema-less empty blocks an exchange emits.
     The engine's fold consumers rely on this instead of per-UDF guards."""
     import ray.data as rd
 
+    from hooqu_ray.functions import shuffle
     from hooqu_ray.functions.shuffle import bucketed_group_fold
 
     def spy(t: pa.Table) -> pa.Table:
@@ -568,7 +579,8 @@ def test_map_batches_udf_never_sees_an_empty_block(ray_session):
     assert rd.from_arrow(t.slice(0, 0)).map_batches(
         spy, batch_format="pyarrow").count() == 0
     # a bucketed fold of 2 keys over many buckets leaves most outputs empty
-    folded = bucketed_group_fold(mixed, ["k"], ["v"], num_buckets=16)
+    monkeypatch.setattr(shuffle, "_default_buckets", lambda n: 16)
+    folded = bucketed_group_fold(mixed, ["k"], ["v"])
     out = folded.map_batches(spy, batch_format="pyarrow").to_pandas()
     assert sorted(zip(out["k"], out["v"])) == [("a", 8), ("b", 4)]
 

@@ -82,8 +82,11 @@ class TestMinhashProbe:
             pairs = pairs[pairs["new_id"].notna()]
         assert len(pairs) == 0
 
-    def test_sharded_matches_unsharded(self, ray_session, docs_pdf, index_path):
+    def test_sharded_matches_unsharded(self, ray_session, monkeypatch,
+                                       hash_shard_counts, docs_pdf,
+                                       index_path):
         import ray.data as rd
+        from hooqu_ray.pipelines import dedup
         from hooqu_ray.pipelines.dedup import minhash_probe_index
 
         planted = docs_pdf[docs_pdf.doc_id % 7 != 0].head(20).copy()
@@ -91,9 +94,11 @@ class TestMinhashProbe:
         planted["text"] = planted["text"].str.replace("data", "datum")
         new_ds = rd.from_pandas(planted)
         one = minhash_probe_index(new_ds, index_path, threshold=0.3).to_pandas()
-        many = minhash_probe_index(
-            new_ds, index_path, threshold=0.3, new_rows_per_shard=100
-        ).to_pandas()
+        assert hash_shard_counts == [1]
+        monkeypatch.setattr(dedup, "PROBE_NEW_ROWS_PER_SHARD", 100)
+        many = minhash_probe_index(new_ds, index_path,
+                                   threshold=0.3).to_pandas()
+        assert hash_shard_counts[-1] >= 2
         cols = ["new_id", "old_id", "est_jaccard"]
         a = one[one["new_id"].notna()].sort_values(cols[:2], ignore_index=True)[cols]
         b = many[many["new_id"].notna()].sort_values(cols[:2], ignore_index=True)[cols]

@@ -501,7 +501,24 @@ def test_stratified_sample_default_rate_and_null_stratum(ray_session):
 # --------------------------------------------------- grouped approx quantile
 
 
-def test_grouped_approx_quantile_accuracy_and_paths(ray_session):
+def _quantile_gate_arms(monkeypatch):
+    """Run the loop body once per merge arm: the default gate (driver
+    merge), then the gate constant at 0 (distributed merge).  A spy on the
+    distributed merge asserts the arm each pass took."""
+    from hooqu_ray.pipelines import relational
+
+    merges = []
+    merge = relational._distributed_quantile_merge
+    monkeypatch.setattr(relational, "_distributed_quantile_merge",
+                        lambda *a: merges.append(1) or merge(*a))
+    yield
+    assert not merges
+    monkeypatch.setattr(relational, "QUANTILE_DRIVER_MAX_GROUPS", 0)
+    yield
+    assert merges == [1]
+
+
+def test_grouped_approx_quantile_accuracy_and_paths(ray_session, monkeypatch):
     import ray.data as rd
 
     from hooqu_ray.pipelines.relational import grouped_approx_quantile
@@ -514,22 +531,18 @@ def test_grouped_approx_quantile_accuracy_and_paths(ray_session):
         }
     )
     exact = df.groupby("g")["v"].quantile(0.5)
-    for gate in (1_000_000, 0):  # driver path and distributed merge path
+    # driver path and distributed merge path
+    for _ in _quantile_gate_arms(monkeypatch):
         res = grouped_approx_quantile(
-            rd.from_pandas(df).repartition(6), "g", "v", 0.5,
-            driver_max_groups=gate,
-        )
-        out = res.to_pandas() if hasattr(res, "to_pandas") else res
-        if isinstance(out, pa.Table):
-            out = out.to_pandas()
-        out = out.sort_values("g", ignore_index=True)
+            rd.from_pandas(df).repartition(6), "g", "v", 0.5)
+        out = res.to_pandas().sort_values("g", ignore_index=True)
         assert out["g"].tolist() == ["a", "b", "c"]
         for _, row in out.iterrows():
             rel = abs(row.q_value - exact[row.g]) / exact[row.g]
             assert rel < 0.01, (row.g, row.q_value, exact[row.g])
 
 
-def test_grouped_approx_quantile_dense_groups_exact(ray_session):
+def test_grouped_approx_quantile_dense_groups_exact(ray_session, monkeypatch):
     """Round-5 vectorization pin: groups smaller than the digest compression
     keep one centroid per value, so the estimate is EXACT (np.interp
     midpoint semantics) — checked against the same interpolation in pandas,
@@ -553,13 +566,10 @@ def test_grouped_approx_quantile_dense_groups_exact(ray_session):
         return float(np.interp(0.5 * len(v), cum, v))
 
     exact = df.groupby("g")["v"].apply(interp_median)
-    for gate in (1_000_000, 0):
+    for _ in _quantile_gate_arms(monkeypatch):
         res = grouped_approx_quantile(
-            rd.from_pandas(df).repartition(8), "g", "v", 0.5,
-            driver_max_groups=gate)
-        out = res.to_pandas() if hasattr(res, "to_pandas") else res
-        if isinstance(out, pa.Table):
-            out = out.to_pandas()
+            rd.from_pandas(df).repartition(8), "g", "v", 0.5)
+        out = res.to_pandas()
         assert len(out) == exact.size
         got = out.set_index("g")["q_value"]
         # single-block groups (all rows of a group land in one block) are
@@ -569,21 +579,17 @@ def test_grouped_approx_quantile_dense_groups_exact(ray_session):
         assert rel.max() < 0.005, rel.sort_values().tail()
 
 
-def test_grouped_approx_quantile_null_groups_dropped(ray_session):
+def test_grouped_approx_quantile_null_groups_dropped(ray_session, monkeypatch):
     import ray.data as rd
 
     from hooqu_ray.pipelines.relational import grouped_approx_quantile
 
     df = pd.DataFrame({"g": ["a", None, "a", None, "b"],
                        "v": [1.0, 2.0, 3.0, 4.0, 5.0]})
-    for gate in (1_000_000, 0):
+    for _ in _quantile_gate_arms(monkeypatch):
         res = grouped_approx_quantile(
-            rd.from_pandas(df).repartition(2), "g", "v", 0.5,
-            driver_max_groups=gate)
-        out = res.to_pandas() if hasattr(res, "to_pandas") else res
-        if isinstance(out, pa.Table):
-            out = out.to_pandas()
-        assert sorted(out.g) == ["a", "b"]
+            rd.from_pandas(df).repartition(2), "g", "v", 0.5)
+        assert sorted(res.to_pandas().g) == ["a", "b"]
 
 
 class TestHashJoin:

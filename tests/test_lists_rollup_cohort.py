@@ -202,12 +202,19 @@ def test_drift_report_rejects_constant_reference(ray_session):
         drift_report(rd.from_pandas(const), rd.from_pandas(const), "v")
 
 
-def test_cohort_retention_forced_hash_join_gate(ray_session):
-    """broadcast_max_keys=0 forces the distributed hash_join stamp; the
-    matrix must be identical to the broadcast path."""
+def test_cohort_retention_forced_hash_join_gate(ray_session, monkeypatch):
+    """COHORT_BROADCAST_MAX_KEYS=0 forces the distributed hash_join stamp;
+    the matrix must be identical to the broadcast path."""
     import ray.data as rd
 
+    from hooqu_ray.functions import joins
+    from hooqu_ray.pipelines import relational
     from hooqu_ray.pipelines.relational import cohort_retention
+
+    stamps = []
+    hash_join = joins.hash_join
+    monkeypatch.setattr(joins, "hash_join", lambda *a, **kw: (
+        stamps.append(1) or hash_join(*a, **kw)))
 
     base = np.datetime64("2024-01-01T12:00:00", "us")
     wk = np.timedelta64(7, "D")
@@ -220,11 +227,12 @@ def test_cohort_retention_forced_hash_join_gate(ray_session):
         cohort_retention(rd.from_pandas(df), "user_id", "ts", **kw)
         .to_pandas().sort_values(["cohort", "period"], ignore_index=True)
     )
+    assert not stamps  # the default gate broadcasts the cohort table
+    monkeypatch.setattr(relational, "COHORT_BROADCAST_MAX_KEYS", 0)
     b = (
-        cohort_retention(
-            rd.from_pandas(df), "user_id", "ts", broadcast_max_keys=0, **kw
-        )
+        cohort_retention(rd.from_pandas(df), "user_id", "ts", **kw)
         .to_pandas().sort_values(["cohort", "period"], ignore_index=True)
     )
+    assert stamps == [1]
     assert a.equals(b)
     assert a["n_users"].sum() == len(rows)  # every (user, week) distinct here

@@ -456,16 +456,19 @@ class TestJoinNullKeys:
         assert sorted(anti["id"]) == [1, 4]  # null-key row excluded
 
 
-def test_isin_mask_inverted_probe_matches_direct():
+def test_isin_mask_inverted_probe_matches_direct(monkeypatch):
     import pyarrow as pa
 
+    from hooqu_ray import util
     from hooqu_ray.util import isin_mask
 
     rng = np.random.default_rng(2)
     col = pa.array(rng.integers(0, 1000, 5000))
     values = pa.array(np.unique(rng.integers(0, 1000, 700)))
-    direct = isin_mask(col, values, direct_max=1 << 30).to_pylist()
-    inverted = isin_mask(col, values, direct_max=1).to_pylist()
+    monkeypatch.setattr(util, "_DIRECT_ISIN_MAX", 1 << 30)
+    direct = isin_mask(col, values).to_pylist()
+    monkeypatch.setattr(util, "_DIRECT_ISIN_MAX", 1)
+    inverted = isin_mask(col, values).to_pylist()
     assert direct == inverted
 
 

@@ -430,6 +430,8 @@ def test_scrub_dup_ngrams_two_node_cluster(tmp_path):
         assert len([n for n in ray.nodes() if n["Alive"]]) == 2, ray.nodes()
         import pyarrow as pa
         import ray.data as rd
+        from hooqu_ray.functions import broadcast
+        from hooqu_ray.pipelines import decontam
         from hooqu_ray.pipelines.decontam import scrub_dup_ngrams
         span = "alpha beta gamma delta epsilon"
         texts, ids = [], []
@@ -440,10 +442,20 @@ def test_scrub_dup_ngrams_two_node_cluster(tmp_path):
         t = pa.table({"doc_id": pa.array(ids, pa.int64()),
                       "text": pa.array(texts, pa.string())})
         ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 2_000, 100)])
-        # driver_hot_grams_max=1 forces the hot set (2 grams) into TWO
+        # _DRIVER_HOT_GRAMS_MAX=1 forces the hot set (2 grams) into TWO
         # hash-range shards, so the cross-shard OR-union actually runs
-        out = (scrub_dup_ngrams(ds, n=5, driver_hot_grams_max=1)
+        decontam._DRIVER_HOT_GRAMS_MAX = 1
+        shard_counts, hash_shards = [], broadcast.hash_shards
+
+        def spy(*args):
+            shards = list(hash_shards(*args))
+            shard_counts.append(len(shards))
+            return iter(shards)
+
+        broadcast.hash_shards = spy
+        out = (scrub_dup_ngrams(ds, n=5)
                .to_pandas().sort_values("doc_id", ignore_index=True))
+        assert shard_counts == [2], shard_counts
         dup = out[out.doc_id % 3 == 0]
         # "<span> tail {i}": the 5-gram span AND the shifted
         # "beta..epsilon tail" gram are both corpus-hot -> 6 covered

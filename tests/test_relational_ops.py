@@ -144,10 +144,11 @@ def test_grouped_top_k_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got.reset_index(drop=True), expect)
 
 
-def test_grouped_top_k_distributed_fallback(ray_session):
+def test_grouped_top_k_distributed_fallback(ray_session, monkeypatch):
     """Forcing the partials over the driver gate must route through the
     distributed sort + boundary merge and produce the identical result."""
     import ray.data as rd
+    from hooqu_ray.pipelines import relational
     from hooqu_ray.pipelines.relational import grouped_top_k
 
     rng = np.random.default_rng(11)
@@ -159,10 +160,15 @@ def test_grouped_top_k_distributed_fallback(ray_session):
         }
     )
     ds = rd.from_pandas(df).repartition(9)
-    got = grouped_top_k(ds, "g", "v", 3, "id", driver_max_rows=0)
-    import ray.data
-
-    assert isinstance(got, ray.data.Dataset)  # scale path stays distributed
+    merges = []
+    merge = relational._distributed_topk_merge
+    monkeypatch.setattr(relational, "_distributed_topk_merge",
+                        lambda *a: merges.append(1) or merge(*a))
+    grouped_top_k(ds, "g", "v", 3, "id")
+    assert not merges  # the default gate keeps the driver merge
+    monkeypatch.setattr(relational, "TOPK_DRIVER_MAX_ROWS", 0)
+    got = grouped_top_k(ds, "g", "v", 3, "id")
+    assert merges == [1]  # scale path stays distributed
     got = got.to_pandas().sort_values(["g", "v", "id"], ascending=[True, False, True],
                                       ignore_index=True)
     expect = (
@@ -640,7 +646,7 @@ class TestGroupedMode:
         out = grouped_mode(
             rd.from_pandas(df).repartition(6).materialize(), "k", "v")
         got = {r["k"]: (r["mode_value"], r["n"])
-               for r in out.to_pylist()}
+               for r in out.take_all()}
 
         exp = {}
         for k, g in df.groupby("k"):
@@ -657,7 +663,7 @@ class TestGroupedMode:
         df = pd.DataFrame({"k": ["a", "a", "a", None, "b"],
                            "v": [1.0, None, None, 5.0, None]})
         out = grouped_mode(rd.from_pandas(df), "k", "v")
-        rows = out.to_pylist()
+        rows = out.take_all()
         # null values never count; group b (all null) and the null group drop
         assert rows == [{"k": "a", "mode_value": 1.0, "n": 1}]
 
@@ -671,12 +677,12 @@ class TestGroupedMode:
 
         allnull = pd.DataFrame({"k": [None, None], "v": [None, None]})
         out = grouped_mode(rd.from_pandas(allnull), "k", "v")
-        assert len(out.to_pylist()) == 0
+        assert out.count() == 0
 
         typed_empty = pa.table({"k": pa.array([], pa.string()),
                                 "v": pa.array([], pa.int64())})
         out2 = grouped_mode(rd.from_arrow(typed_empty), "k", "v")
-        assert len(out2.to_pylist()) == 0
+        assert out2.count() == 0
 
 
 class TestGroupedCorr:
@@ -945,10 +951,10 @@ class TestLateReviewRegressions:
         df = pd.DataFrame({"g": ["x"], "id": np.array([1], dtype=np.int64),
                            "w": [-1.0]})
         out = grouped_weighted_sample(rd.from_pandas(df), "g", "id", "w", 3)
-        assert isinstance(out, pa.Table)
-        assert len(out) == 0
-        assert out.schema.field("id").type == pa.int64()
-        assert out.schema.field("w").type == pa.float64()
+        assert out.count() == 0
+        schema = out.schema().base_schema
+        assert schema.field("id").type == pa.int64()
+        assert schema.field("w").type == pa.float64()
 
     def test_weighted_sample_alias_columns_raise(self, ray_session):
         import ray.data as rd
@@ -957,3 +963,75 @@ class TestLateReviewRegressions:
         d = rd.from_pandas(pd.DataFrame({"g": ["x"], "w": [1.0]}))
         with pytest.raises(ValueError, match="distinct"):
             grouped_weighted_sample(d, "g", "g", "w", 3)
+
+
+def _typed_input(filtered: bool) -> pa.Table:
+    """Two rows every gated op drops (``filtered``: null group and conv,
+    non-positive null-free weights, null values) or no rows at all."""
+    n = 2 if filtered else 0
+    return pa.table({
+        "g": pa.array([None] * n, pa.int32()),
+        "id": pa.array(range(n), pa.int64()),
+        "v": pa.array([-1.0] * n, pa.float64()),
+        "nv": pa.array([None] * n, pa.float64()),
+        "conv_id": pa.array([None] * n, pa.string()),
+        "text": pa.array(["hello there"] * n, pa.string()),
+    })
+
+
+def _typed_ops():
+    from hooqu_ray.pipelines import relational as rel
+    from hooqu_ray.pipelines import transcripts as tp
+    from hooqu_ray.pipelines.cluster import dedup_keep_best
+
+    def keep_best(ds):  # pairs name docs the corpus lacks (none if empty)
+        import ray.data as rd
+
+        n = 1 if ds.count() else 0
+        pairs = pa.table({"id_a": pa.array([7] * n, pa.int64()),
+                          "id_b": pa.array([8] * n, pa.int64())})
+        return dedup_keep_best(ds, rd.from_arrow(pairs), id_col="id",
+                               score_col="v", id_type=pa.int64(),
+                               n_buckets=8)
+
+    int32, int64, f64 = pa.int32(), pa.int64(), pa.float64()
+    return {
+        "grouped_top_k": (lambda ds: rel.grouped_top_k(ds, "g", "v", 2, "id"),
+                          {"g": int32, "v": f64, "id": int64}),
+        "reservoir_sample": (
+            lambda ds: rel.reservoir_sample(ds, "g", "id", 2,
+                                            extra_cols=("v",)),
+            {"g": int32, "id": int64, "v": f64}),
+        "grouped_mode": (lambda ds: rel.grouped_mode(ds, "g", "nv"),
+                         {"g": int32, "mode_value": f64, "n": int64}),
+        "grouped_weighted_sample": (
+            lambda ds: rel.grouped_weighted_sample(ds, "g", "id", "v", 2),
+            {"g": int32, "id": int64, "v": f64}),
+        "conversation_majority_lang": (
+            tp.conversation_majority_lang, {"conv_id": pa.string()}),
+        "dedup_keep_best": (keep_best, {"id": int64, "v": f64}),
+        "grouped_approx_quantile": (
+            lambda ds: rel.grouped_approx_quantile(ds, "g", "nv", 0.5),
+            {"g": int32, "q_value": f64}),
+    }
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["empty",
+                                                         "all_filtered"])
+@pytest.mark.parametrize("op", sorted(_typed_ops()))
+def test_gated_ops_return_typed_dataset_when_empty(ray_session, op, filtered):
+    """Both arms of the top-k / approx-quantile gates return a Dataset; on
+    the driver arm an empty result keeps the input's key/value dtypes."""
+    import ray.data as rd
+
+    from hooqu_ray.util import dataset_arrow_schema
+
+    run, want = _typed_ops()[op]
+    out = run(rd.from_arrow(_typed_input(filtered)))
+    assert isinstance(out, rd.Dataset)
+    if op == "dedup_keep_best":  # docs pass through: the pair ids miss
+        assert out.count() == len(_typed_input(filtered))
+    else:
+        assert out.count() == 0
+    schema = dataset_arrow_schema(out)
+    assert {c: schema.field(c).type for c in want} == want

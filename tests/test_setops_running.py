@@ -598,17 +598,22 @@ class TestGroupedFirstLast:
         assert np.allclose(got["last_value"].to_numpy(), exp["lv"].to_numpy(),
                            equal_nan=True)
 
-    def test_bucketed_fallback_identical(self, ray_session, events):
+    def test_bucketed_fallback_identical(self, ray_session, monkeypatch,
+                                         bucketed_folds, events):
         import ray.data as rd
+        from hooqu_ray.functions import shuffle
         from hooqu_ray.pipelines.windows import grouped_first_last
 
         src = rd.from_pandas(events).repartition(7)
         tree = grouped_first_last(src, "k", "ts", "id", "v") \
             .to_pandas().sort_values("k", ignore_index=True)
-        # max_fold_rows=1 forces the corpus-cardinality bucketed path
-        bucketed = grouped_first_last(src, "k", "ts", "id", "v",
-                                      max_fold_rows=1, fanin=1) \
+        assert not bucketed_folds
+        # TREE_MAX_FOLD_ROWS=1 forces the corpus-cardinality bucketed path
+        monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", 1)
+        monkeypatch.setattr(shuffle, "TREE_FANIN", 1)
+        bucketed = grouped_first_last(src, "k", "ts", "id", "v") \
             .to_pandas().sort_values("k", ignore_index=True)
+        assert bucketed_folds == [1]
         pd.testing.assert_frame_equal(tree, bucketed)
 
     def test_value_dtype_preserved_and_empty(self, ray_session):
@@ -632,10 +637,12 @@ class TestGroupedFirstLast:
 
 
 class TestKeepBestForcedShards:
-    def test_many_losers_forced_multi_shard(self, ray_session):
-        """Loser broadcast sharded (rows_per_shard below the loser count):
+    def test_many_losers_forced_multi_shard(self, ray_session, monkeypatch,
+                                            shard_counts):
+        """Loser broadcast sharded (ROWS_PER_SHARD below the loser count):
         chained anti-membership filters must equal the one-shot semantics."""
         import ray.data as rd
+        from hooqu_ray.functions import broadcast
         from hooqu_ray.pipelines.cluster import dedup_keep_best
 
         n = 60
@@ -652,18 +659,21 @@ class TestKeepBestForcedShards:
                 "id_b": np.r_[np.arange(1, 30), np.arange(31, 60, 2)].astype(np.int64),
             }
         )
-        kept_sharded = dedup_keep_best(
-            rd.from_pandas(docs).repartition(4),
-            rd.from_pandas(pairs).repartition(3),
-            id_col="doc_id", score_col="score", id_type=pa.int64(),
-            rows_per_shard=5, max_iters=40, n_buckets=8,
-        ).to_pandas()
         kept_one = dedup_keep_best(
             rd.from_pandas(docs).repartition(4),
             rd.from_pandas(pairs).repartition(3),
             id_col="doc_id", score_col="score", id_type=pa.int64(),
             max_iters=40, n_buckets=8,
         ).to_pandas()
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 5)
+        shard_counts.clear()
+        kept_sharded = dedup_keep_best(
+            rd.from_pandas(docs).repartition(4),
+            rd.from_pandas(pairs).repartition(3),
+            id_col="doc_id", score_col="score", id_type=pa.int64(),
+            max_iters=40, n_buckets=8,
+        ).to_pandas()
+        assert max(shard_counts) >= 2
         assert sorted(kept_sharded["doc_id"]) == sorted(kept_one["doc_id"])
         # big cluster keeps exactly one member: max score 6, tie → min id 6
         big = [d for d in kept_sharded["doc_id"] if d < 30]

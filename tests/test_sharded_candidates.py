@@ -8,6 +8,9 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from hooqu_ray.functions import broadcast
+from hooqu_ray.pipelines import dedup
+
 SF_DIR = "/root/testdata/sf0.01"
 
 
@@ -34,23 +37,26 @@ def near_dup_corpus():
 
 
 class TestMinhashSharded:
-    def test_forced_shards_same_pairs(self, ray_session, near_dup_corpus):
+    def test_forced_shards_same_pairs(self, ray_session, monkeypatch,
+                                      hash_shard_counts, near_dup_corpus):
         import ray.data as rd
         from hooqu_ray.pipelines.dedup import minhash_lsh_pairs
 
         ds = rd.from_pandas(near_dup_corpus).repartition(4)
         base = minhash_lsh_pairs(ds, threshold=0.3).to_pandas()
         base = base[base["id_a"].notna()]
-        # driver_bands_max=0 forces the distributed count path;
-        # surv_rows_per_shard tiny forces >= 2 key-range shards
-        sharded = minhash_lsh_pairs(
-            ds, threshold=0.3, driver_bands_max=0, surv_rows_per_shard=300
-        ).to_pandas()
+        # _DRIVER_BANDS_MAX=0 forces the distributed count path;
+        # a tiny shard size forces >= 2 key-range shards
+        monkeypatch.setattr(dedup, "_DRIVER_BANDS_MAX", 0)
+        monkeypatch.setattr(dedup, "MINHASH_SURVIVOR_ROWS_PER_SHARD", 300)
+        sharded = minhash_lsh_pairs(ds, threshold=0.3).to_pandas()
+        assert max(hash_shard_counts) >= 2
         sharded = sharded[sharded["id_a"].notna()]
         assert len(base) > 0
         assert _pair_set(base) == _pair_set(sharded)
 
-    def test_sf001_corpus_sharded_matches(self, ray_session):
+    def test_sf001_corpus_sharded_matches(self, ray_session, monkeypatch,
+                                          hash_shard_counts):
         import ray.data as rd
         from hooqu_ray.pipelines.dedup import minhash_lsh_pairs
 
@@ -60,32 +66,36 @@ class TestMinhashSharded:
         base = minhash_lsh_pairs(ds, threshold=0.4).to_pandas()
         base = base[base["id_a"].notna()]
         # 1353 hot band rows at sf0.01 -> 3 key-range shards
-        sharded = minhash_lsh_pairs(
-            ds, threshold=0.4, driver_bands_max=0, surv_rows_per_shard=500
-        ).to_pandas()
+        monkeypatch.setattr(dedup, "_DRIVER_BANDS_MAX", 0)
+        monkeypatch.setattr(dedup, "MINHASH_SURVIVOR_ROWS_PER_SHARD", 500)
+        sharded = minhash_lsh_pairs(ds, threshold=0.4).to_pandas()
+        assert max(hash_shard_counts) >= 2
         sharded = sharded[sharded["id_a"].notna()]
         assert _pair_set(base) == _pair_set(sharded)
         assert len(base) > 0  # the sf0.01 corpus has planted near-dups
 
 
 class TestSimhashSharded:
-    def test_forced_shards_same_pairs(self, ray_session, near_dup_corpus):
+    def test_forced_shards_same_pairs(self, ray_session, monkeypatch,
+                                      hash_shard_counts, near_dup_corpus):
         import ray.data as rd
         from hooqu_ray.pipelines.dedup import simhash_near_pairs
 
         ds = rd.from_pandas(near_dup_corpus).repartition(4)
         base = simhash_near_pairs(ds, max_hamming=8).to_pandas()
         base = base[base["id_a"].notna()]
-        sharded = simhash_near_pairs(
-            ds, max_hamming=8, driver_bands_max=0, surv_rows_per_shard=40
-        ).to_pandas()
+        monkeypatch.setattr(dedup, "_DRIVER_BANDS_MAX", 0)
+        monkeypatch.setattr(dedup, "SIMHASH_SURVIVOR_ROWS_PER_SHARD", 40)
+        sharded = simhash_near_pairs(ds, max_hamming=8).to_pandas()
+        assert max(hash_shard_counts) >= 2
         sharded = sharded[sharded["id_a"].notna()]
         assert len(base) > 0
         assert _pair_set(base) == _pair_set(sharded)
 
 
 class TestWinnerBroadcastSharded:
-    def test_exact_dedup_forced_shards(self, ray_session):
+    def test_exact_dedup_forced_shards(self, ray_session, monkeypatch,
+                                       hash_shard_counts):
         import ray.data as rd
         from hooqu_ray.pipelines.dedup import exact_dedup
 
@@ -98,13 +108,15 @@ class TestWinnerBroadcastSharded:
         )
         ds = rd.from_pandas(df).repartition(3)
         base = sorted(exact_dedup(ds).to_pandas()["doc_id"])
-        # 5 duplicate groups with rows_per_shard=2 -> 3 winner shards
-        sharded = sorted(
-            exact_dedup(ds, winner_rows_per_shard=2).to_pandas()["doc_id"]
-        )
+        # 5 duplicate groups with ROWS_PER_SHARD=2 -> 3 winner shards
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 2)
+        hash_shard_counts.clear()
+        sharded = sorted(exact_dedup(ds).to_pandas()["doc_id"])
+        assert hash_shard_counts == [3]
         assert base == sharded == [0, 2, 4, 6, 8, 10, 11]
 
-    def test_line_dedup_forced_shards(self, ray_session):
+    def test_line_dedup_forced_shards(self, ray_session, monkeypatch,
+                                      hash_shard_counts):
         import ray.data as rd
         from hooqu_ray.pipelines.dedup import line_dedup
 
@@ -120,18 +132,22 @@ class TestWinnerBroadcastSharded:
         )
         ds = rd.from_pandas(docs).repartition(2)
         base = line_dedup(ds).to_pandas().sort_values("doc_id", ignore_index=True)
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 1)
+        hash_shard_counts.clear()
         sharded = (
-            line_dedup(ds, winner_rows_per_shard=1)
+            line_dedup(ds)
             .to_pandas()
             .sort_values("doc_id", ignore_index=True)
         )
+        assert max(hash_shard_counts) >= 2
         assert list(base["text"]) == list(sharded["text"])
         # first occurrence kept, later copies dropped
         assert base.loc[2, "text"] == "last unique line"
 
 
 class TestVerifyPairsSharded:
-    def test_forced_shards_same_verified(self, ray_session, near_dup_corpus):
+    def test_forced_shards_same_verified(self, ray_session, monkeypatch,
+                                         hash_shard_counts, near_dup_corpus):
         import ray.data as rd
         from hooqu_ray.pipelines.dedup import minhash_lsh_pairs, verify_pairs
 
@@ -139,7 +155,10 @@ class TestVerifyPairsSharded:
         cands = minhash_lsh_pairs(ds, num_perm=128, bands=64, threshold=0.0)
         base = verify_pairs(ds, cands, threshold=0.5).to_pandas()
         cands2 = minhash_lsh_pairs(ds, num_perm=128, bands=64, threshold=0.0)
-        sharded = verify_pairs(ds, cands2, threshold=0.5, pairs_per_shard=3).to_pandas()
+        monkeypatch.setattr(dedup, "VERIFY_PAIRS_PER_SHARD", 3)
+        hash_shard_counts.clear()
+        sharded = verify_pairs(ds, cands2, threshold=0.5).to_pandas()
+        assert max(hash_shard_counts) >= 2
         assert len(base) > 0
         assert _pair_set(base) == _pair_set(sharded)
         j_base = base.sort_values(["id_a", "id_b"])["jaccard"].round(9).tolist()

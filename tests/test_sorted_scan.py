@@ -95,10 +95,6 @@ def _dataset(table, key, case):
 
 def _collect(ds):
     """(schema names or None, rows sorted by every column)."""
-    import ray.data as rd
-
-    if isinstance(ds, pa.Table):  # grouped_top_k's collected-merge path
-        ds = rd.from_arrow(ds)
     ds = ds.materialize()
     schema = ds.schema()
     df = ds.to_pandas()
@@ -272,12 +268,28 @@ def _ops():
     }
 
 
+def _top_k_distributed(ds):
+    """``grouped_top_k`` with its driver gate at 0: every input with a
+    partial row takes the distributed merge, witnessed by a spy."""
+    from hooqu_ray.pipelines import relational
+
+    merges = []
+    merge = relational._distributed_topk_merge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relational, "TOPK_DRIVER_MAX_ROWS", 0)
+        mp.setattr(relational, "_distributed_topk_merge",
+                   lambda *a: merges.append(1) or merge(*a))
+        out = relational.grouped_top_k(ds, "user_id", "value", 3, "event_id")
+    assert bool(merges) == (out.count() > 0)
+    return out
+
+
 def _layout_ops():
     """Migrated ops whose exact outputs other test modules pin against
     references; here they must not depend on the block layout.  The value
     is the typed schema an empty input keeps (None: the op returns a
     schema-less empty dataset)."""
-    from hooqu_ray.pipelines import ranks, relational
+    from hooqu_ray.pipelines import ranks
     from hooqu_ray.pipelines import transcripts as tp
 
     loop = ["conv_id", "max_run", "n_loops", "n_role_turns"]
@@ -316,9 +328,7 @@ def _layout_ops():
             EVENTS, lambda ds: ranks.grouped_string_agg(
                 ds, "user_id", "cat", "ts", "event_id"), None),
         "grouped_top_k_distributed": (
-            EVENTS, lambda ds: relational.grouped_top_k(
-                ds, "user_id", "value", 3, "event_id", driver_max_rows=0),
-            ["user_id", "value", "event_id"]),
+            EVENTS, _top_k_distributed, ["user_id", "value", "event_id"]),
     }
 
 

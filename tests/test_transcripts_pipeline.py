@@ -8,6 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from hooqu_ray.functions import broadcast
 from hooqu_ray.pipelines import transcripts as tp
 from hooqu_ray.pipelines.synth import generate_transcripts
 
@@ -475,7 +476,8 @@ class TestDropBoilerplateTurns:
         got = self._run(rows, min_convs=2, min_chars=10)
         assert len(got) == 5
 
-    def test_forced_sharding_matches_unsharded(self, ray_session):
+    def test_forced_sharding_matches_unsharded(self, ray_session, monkeypatch,
+                                               hash_shard_counts):
         rows = []
         for c in range(6):
             for i in range(4):
@@ -485,7 +487,10 @@ class TestDropBoilerplateTurns:
                        else f"unique text {c}-{i} padded out")
                 rows.append((f"c{c}", i, txt))
         one = self._run(rows, min_convs=2)
-        many = self._run(rows, min_convs=2, rows_per_shard=1)  # >= 2 shards
+        assert max(hash_shard_counts) == 1
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 1)
+        many = self._run(rows, min_convs=2)
+        assert max(hash_shard_counts) >= 2
         import pandas as pd
 
         pd.testing.assert_frame_equal(one, many)
@@ -541,6 +546,7 @@ BOILERPLATE_CASES = {
     "cap": (_boilerplate_rows, dict(min_convs=3)),
     "min_convs_1": (_boilerplate_rows, dict(min_convs=1)),
     "min_convs_11": (_boilerplate_rows, dict(min_convs=11)),
+    # ROWS_PER_SHARD is monkeypatched to the value under "rows_per_shard"
     "sharded": (_boilerplate_rows, dict(min_convs=2, rows_per_shard=1)),
     "all_null_text": (lambda: [(f"c{i % 4}", i, None) for i in range(20)],
                       dict(min_convs=2)),
@@ -550,10 +556,16 @@ BOILERPLATE_CASES = {
 
 @pytest.mark.parametrize("blocks", [1, 7, 64])
 @pytest.mark.parametrize("case", sorted(BOILERPLATE_CASES))
-def test_drop_boilerplate_turns_matches_pandas(ray_session, case, blocks):
+def test_drop_boilerplate_turns_matches_pandas(ray_session, monkeypatch,
+                                               hash_shard_counts, case,
+                                               blocks):
     import ray.data as rd
 
     make, kw = BOILERPLATE_CASES[case]
+    kw = dict(kw)
+    rows_per_shard = kw.pop("rows_per_shard", None)
+    if rows_per_shard is not None:
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", rows_per_shard)
     rows = make()
     rng = np.random.default_rng(blocks)
     rows = [rows[i] for i in rng.permutation(len(rows))]
@@ -566,6 +578,8 @@ def test_drop_boilerplate_turns_matches_pandas(ray_session, case, blocks):
     if blocks > 1:
         ds = ds.repartition(blocks)
     out = tp.drop_boilerplate_turns(ds, **kw).materialize()
+    if rows_per_shard is not None:
+        assert max(hash_shard_counts) >= 2
 
     def names(d):  # an empty input repartitioned to 7+ blocks has none
         schema = d.schema()
@@ -731,7 +745,8 @@ class TestDedupConversations:
         assert got["conv_id"].fillna("~null~").tolist() == [
             "a", "a", "c", "c", "d", "~null~", "~null~"]
 
-    def test_forced_sharding_matches(self, ray_session):
+    def test_forced_sharding_matches(self, ray_session, monkeypatch,
+                                     hash_shard_counts):
         import pandas as pd
 
         rows = []
@@ -740,7 +755,10 @@ class TestDedupConversations:
             for i in range(3):
                 rows.append((f"c{c}", i, f"text {src} {i}"))
         one = self._run(rows)
-        many = self._run(rows, rows_per_shard=1)
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 1)
+        hash_shard_counts.clear()
+        many = self._run(rows)
+        assert max(hash_shard_counts) >= 2
         pd.testing.assert_frame_equal(one, many)
         assert sorted(one["conv_id"].unique().tolist()) == [
             "c0", "c1", "c2", "c3"]
@@ -1212,8 +1230,9 @@ class TestConversationForkGroups:
 
 
 class TestForkGroupsSharded:
-    def test_forced_multi_shard_stamping(self, ray_session):
-        # rows_per_shard=1 forces every fork group into its own broadcast
+    def test_forced_multi_shard_stamping(self, ray_session, monkeypatch,
+                                         hash_shard_counts):
+        # ROWS_PER_SHARD=1 forces every fork group into its own broadcast
         # shard; results must be identical to the single-shard path
         import pyarrow as pa
         import ray.data as rd
@@ -1231,9 +1250,12 @@ class TestForkGroupsSharded:
         base = tp.conversation_fork_groups(
             rd.from_arrow(t), 1).to_pandas().sort_values(
             "conv_id", ignore_index=True)
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 1)
+        hash_shard_counts.clear()
         sharded = tp.conversation_fork_groups(
-            rd.from_arrow(t), 1, rows_per_shard=1).to_pandas().sort_values(
+            rd.from_arrow(t), 1).to_pandas().sort_values(
             "conv_id", ignore_index=True)
+        assert max(hash_shard_counts) >= 2
         assert base.equals(sharded)
         assert base["conv_id"].tolist() == ["a", "b", "c", "d", "e"]
         assert base["n_convs"].tolist() == [2, 2, 3, 3, 3]
@@ -1277,14 +1299,17 @@ class TestPreferencePairs:
         assert out["n_convs"].tolist() == [3, 3, 2]
         assert out["fork_group"].tolist() == ["a", "a", "e"]
 
-    def test_forced_multi_shard_identical(self, ray_session):
+    def test_forced_multi_shard_identical(self, ray_session, monkeypatch,
+                                          hash_shard_counts):
         import ray.data as rd
 
         base = tp.preference_pairs(rd.from_arrow(self._table()), 2) \
             .to_pandas().sort_values("rejected_conv", ignore_index=True)
-        sharded = tp.preference_pairs(
-            rd.from_arrow(self._table()), 2, rows_per_shard=1) \
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 1)
+        hash_shard_counts.clear()
+        sharded = tp.preference_pairs(rd.from_arrow(self._table()), 2) \
             .to_pandas().sort_values("rejected_conv", ignore_index=True)
+        assert max(hash_shard_counts) >= 2
         assert base.equals(sharded)
 
     def test_int_keys_and_null_fields(self, ray_session):
@@ -2140,7 +2165,7 @@ class TestSampleConversations:
         out = tp.sample_conversations(rd.from_arrow(t), 10).to_pandas()
         assert sorted(out["conv_id"]) == ["a", "b"]
 
-    def test_driver_gate(self, ray_session):
+    def test_driver_gate(self, ray_session, monkeypatch):
         import pyarrow as pa
         import ray.data as rd
 
@@ -2149,9 +2174,11 @@ class TestSampleConversations:
             "turn_idx": pa.array([0] * 30, pa.int32()),
             "text": pa.array(["x"] * 30, pa.string()),
         })
+        # the default gate merges on the driver
+        assert tp.sample_conversations(rd.from_arrow(t), 25).count() == 25
+        monkeypatch.setattr(tp, "SAMPLE_DRIVER_MAX_ROWS", 10)
         with pytest.raises(ValueError):
-            tp.sample_conversations(rd.from_arrow(t), 25,
-                                    driver_max_rows=10)
+            tp.sample_conversations(rd.from_arrow(t), 25)
 
 
 class TestFilterPiiConversations:
@@ -2259,9 +2286,10 @@ class TestTurnDiff:
 
 
 class TestThirdReviewRegressions:
-    def test_fork_probe_forced_multi_shard(self, ray_session, tmp_path):
+    def test_fork_probe_forced_multi_shard(self, ray_session, monkeypatch,
+                                           hash_shard_counts, tmp_path):
         """Finding: chained per-shard keep filters AND to nothing.  With
-        rows_per_shard=1 every new fp lands in its own shard; matches
+        ROWS_PER_SHARD=1 every new fp lands in its own shard; matches
         must equal the single-shard result."""
         import pyarrow as pa
         import ray.data as rd
@@ -2281,9 +2309,11 @@ class TestThirdReviewRegressions:
         tp.fork_index_write(rd.from_arrow(old), 1, d)
         one = tp.fork_index_probe(rd.from_arrow(new), d, 1) \
             .to_pandas().sort_values("conv_id", ignore_index=True)
-        sharded = tp.fork_index_probe(rd.from_arrow(new), d, 1,
-                                      rows_per_shard=1) \
+        monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 1)
+        hash_shard_counts.clear()
+        sharded = tp.fork_index_probe(rd.from_arrow(new), d, 1) \
             .to_pandas().sort_values("conv_id", ignore_index=True)
+        assert max(hash_shard_counts) >= 2
         assert one.equals(sharded)
         assert one["conv_id"].tolist() == ["r1", "r2", "r3"]
         assert one["matched_conv"].tolist() == ["t1", "t2", "t3"]
@@ -2318,7 +2348,7 @@ class TestThirdReviewRegressions:
             .to_pandas()
         assert out.values.tolist() == [["c", -1, "changed"]]
 
-    def test_sample_gate_before_collect(self, ray_session):
+    def test_sample_gate_before_collect(self, ray_session, monkeypatch):
         import pyarrow as pa
         import ray.data as rd
 
@@ -2328,9 +2358,9 @@ class TestThirdReviewRegressions:
             "text": pa.array(["x"] * 30, pa.string()),
         })
         # still raises (the gate moved before the collect)
+        monkeypatch.setattr(tp, "SAMPLE_DRIVER_MAX_ROWS", 10)
         with pytest.raises(ValueError):
-            tp.sample_conversations(rd.from_arrow(t), 25,
-                                    driver_max_rows=10)
+            tp.sample_conversations(rd.from_arrow(t), 25)
 
 
 class TestClipDifferential:

@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from hooqu_ray.functions import shuffle
 from hooqu_ray.functions.shuffle import tree_group_sum
 
 
@@ -49,12 +50,14 @@ def test_multi_key_and_min_max(ray_session):
         check_like=True, atol=1e-12)
 
 
-def test_fallback_path_identical(ray_session):
+def test_fallback_path_identical(ray_session, monkeypatch, bucketed_folds):
     # force the sort-based exchange by making the fold threshold tiny
     df = _frame()
     ds = rd.from_pandas(df).repartition(16).materialize()
-    out = tree_group_sum(ds, ["k"], ["v", "w"],
-                         max_fold_rows=5, fanin=2).to_pandas()
+    monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", 5)
+    monkeypatch.setattr(shuffle, "TREE_FANIN", 2)
+    out = tree_group_sum(ds, ["k"], ["v", "w"]).to_pandas()
+    assert bucketed_folds == [1]
     exp = _expect(df, ["k"], {"v": "sum", "w": "sum"})
     pd.testing.assert_frame_equal(
         out.sort_values("k").reset_index(drop=True), exp,
@@ -82,7 +85,8 @@ def test_rejects_non_mergeable_funcs(ray_session):
         tree_group_sum(rd.from_arrow(t), ["k"], ["v"], funcs=["mean"])
 
 
-def test_keep_null_keys_matches_sql_group_by(ray_session):
+def test_keep_null_keys_matches_sql_group_by(ray_session, monkeypatch,
+                                             bucketed_folds):
     # drop_null_keys=False: SQL GROUP BY / Ray-groupby parity — the null
     # key is its own group on BOTH the tree and the fallback path
     df = pd.DataFrame({"k": ["a", None, "a", None], "v": [1, 2, 3, 4]})
@@ -91,14 +95,19 @@ def test_keep_null_keys_matches_sql_group_by(ray_session):
     got = {(None if k is None or k != k else k): v
            for k, v in zip(out.k, out.v)}
     assert got == {"a": 4, None: 6}
+    assert not bucketed_folds  # the default threshold keeps the tree
     # fallback path (forced): the bucketed hash exchange sorts by the int32
     # bucket, never the key columns, so null keys ride it natively — no
     # null-split, and no fold bound to overflow (the old single-block
-    # null-group tree fold is gone, so max_fold_rows=1 must now simply
+    # null-group tree fold is gone, so TREE_MAX_FOLD_ROWS=1 must now simply
     # produce the right answer instead of raising)
+    monkeypatch.setattr(shuffle, "TREE_FANIN", 1)
     for mfr in (2, 1):
-        out2 = tree_group_sum(ds, ["k"], ["v"], drop_null_keys=False,
-                              max_fold_rows=mfr, fanin=1).to_pandas()
+        monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", mfr)
+        bucketed_folds.clear()
+        out2 = tree_group_sum(ds, ["k"], ["v"],
+                              drop_null_keys=False).to_pandas()
+        assert bucketed_folds == [1]
         got2 = {(None if k is None or k != k else k): v
                 for k, v in zip(out2.k, out2.v)}
         assert got2 == got
