@@ -109,7 +109,10 @@ class BroadcastSet:
 
     def isin(self, col) -> pa.Array:
         """Membership mask of ``col``: the per-shard ``util.isin_mask``
-        hits ORed; a null key is False."""
+        hits ORed; a null key is False.  An empty ``col`` fetches no
+        shard."""
+        if len(col) == 0:
+            return pa.array([], pa.bool_())
         mask = pa.array(np.zeros(len(col), bool))
         for w in self.tables():
             mask = pc.or_(mask, util.isin_mask(col, w.column(self.key)))
@@ -148,16 +151,18 @@ class BroadcastSet:
         return out
 
     def semi(self, ds, col: str):
-        """Rows of ``ds`` whose ``col`` is in the set (SQL ``IN``)."""
-        return ds.map_batches(lambda t: t.filter(self.isin(t.column(col))),
-                              batch_format="pyarrow")
+        """Rows of ``ds`` whose ``col`` is in the set (SQL ``IN``), typed
+        like ``ds`` when no row survives (``util.map_typed``)."""
+        return util.map_typed(
+            ds, lambda t: t.filter(self.isin(t.column(col))))
 
     def anti(self, ds, col: str):
         """Rows of ``ds`` whose ``col`` is not in the set (SQL ``NOT IN``:
-        a null key is neither, and drops)."""
+        a null key is neither, and drops), typed like ``ds`` when no row
+        survives (``util.map_typed``)."""
 
         def keep(t: pa.Table) -> pa.Table:
             c = t.column(col)
             return t.filter(pc.and_(pc.invert(self.isin(c)), pc.is_valid(c)))
 
-        return ds.map_batches(keep, batch_format="pyarrow")
+        return util.map_typed(ds, keep)

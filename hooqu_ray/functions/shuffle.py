@@ -1,9 +1,11 @@
-"""The engine's one grouped fold: every keyed aggregate in ``hooqu_ray``
-runs through this module, never through Ray's ``groupby().aggregate``.
+"""The engine's one grouped fold and its one keyed exchange: every keyed
+aggregate in ``hooqu_ray`` runs through this module, never through Ray's
+``groupby().aggregate``.
 
-A ``groupby(key)`` exchange sends every row of a hot key to ONE reducer and
-pays a per-group Python cost in its reduce tasks.  Both folds here combine
-each block first (one vectorized Arrow ``group_by``), so a hot key
+:func:`hash_exchange` is the exchange: Ray core tasks (the only ones in
+the engine) split each block by ``hash64(key tuple) % B`` and fold each
+bucket once, with no Ray Data sort or groupby.  The folds on top of it
+combine each block first (one vectorized Arrow ``group_by``), so a hot key
 contributes at most one partial row per block before anything moves:
 
 - :func:`tree_group_sum` — the default entry point for sum/min/max (count
@@ -11,16 +13,18 @@ contributes at most one partial row per block before anything moves:
   whole-block rounds with no key exchange; it measures the partial count
   and falls back to the bucketed exchange when the keys stay
   corpus-sized.  :func:`tree_distinct` is its de-duplication form.
-- :func:`bucketed_group_fold` — the keyed exchange over an int32 key-hash
-  bucket, called directly only where the keys are corpus-cardinality by
-  construction (near-unique ids, content hashes, full-row set keys).
+- :func:`bucketed_group_fold` — the fold on :func:`hash_exchange`, called
+  directly only where the keys are corpus-cardinality by construction
+  (near-unique ids, content hashes, full-row set keys).
 
 Order-dependent per-key logic (turn-order checks, windows, sessions) runs
-on the range-sorted scan in ``sorted_scan``, not on a per-key group apply.
+on ``sorted_scan``: complete-key kernels on :func:`hash_exchange`,
+hot-key block/merge ops on a range sort.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -127,53 +131,108 @@ def _row_hash64(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
         return out
 
 
-class _StampBucket:
-    """Project a block to ``keys + cols`` and stamp ``__bh = hash64(keys)
-    % num_buckets`` (int32)."""
+def _as_arrow(block) -> pa.Table:
+    """A Ray block as an Arrow table (``from_pandas`` blocks are pandas)."""
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
 
-    def __init__(self, keys, cols, num_buckets):
-        self.proj = list(keys) + list(cols)
-        self.keys = list(keys)
-        self.num_buckets = num_buckets
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        t = t.select(self.proj)
-        b = (_row_hash64(t, self.keys) % np.uint64(self.num_buckets)).astype(
-            np.int32)
-        return t.append_column("__bh", pa.array(b, pa.int32()))
+def _split_block(block, keys, cols, num_buckets):
+    """Split task of :func:`hash_exchange`: the per-bucket row counts, then
+    one table per bucket (``hash64(keys) % num_buckets``), rows in input
+    order within each bucket."""
+    t = _as_arrow(block)
+    if cols is not None:
+        t = t.select(cols)
+    b = _row_hash64(t, keys) % np.uint64(num_buckets)
+    order = np.argsort(b, kind="stable")
+    counts = np.bincount(b.astype(np.int64), minlength=num_buckets)
+    ends = np.cumsum(counts)
+    return (counts, *[t.take(order[e - c:e]) for c, e in zip(counts, ends)])
+
+
+def _fold_bucket(fold, *parts):
+    """Fold task of :func:`hash_exchange`: one bucket's parts, folded once."""
+    return fold(pa.concat_tables(parts, promote_options="permissive"))
+
+
+@functools.lru_cache(maxsize=None)
+def _remote(fn):
+    import ray
+
+    return ray.remote(fn)
+
+
+# A bucket holds at most this many input bytes (Ray Data's default target
+# block size), so a wide-text bucket stays a bounded task.
+BUCKET_MAX_BYTES = 128 << 20
+
+
+def hash_exchange(ds, keys: Sequence[str],
+                  fold: Callable[[pa.Table], pa.Table],
+                  cols: Optional[Sequence[str]] = None):
+    """The engine's one keyed exchange: every row of a key reaches one
+    task, which folds it.  Runs on Ray core tasks over the materialized
+    input, not as a Ray Data plan:
+
+    - one split task per non-empty block (``num_returns`` = B + 1) projects
+      it to ``cols`` (every column when None), hashes the key tuple
+      (:func:`_row_hash64`; null keys hash like any value) and cuts it into
+      B parts with one stable argsort on the bucket;
+    - one fold task per non-empty bucket concatenates that bucket's parts
+      in block order and applies ``fold`` exactly once, so ``fold`` sees
+      complete keys and need not be self-mergeable.
+
+    B is :func:`_default_buckets` of the row count, raised so that no
+    bucket averages more than ``BUCKET_MAX_BYTES`` of input; fold
+    parallelism is B whatever the input's block count.  A bucket holds
+    ~1/B of the key space, not of the rows: a hot key lands whole in one
+    fold, so callers with row-skewed keys pre-combine per block first.
+    The driver drops its refs to the parts once the folds are submitted,
+    so each fold frees its inputs as it finishes.  Returns the fold
+    outputs, one block per non-empty bucket, as a ``MaterializedDataset``
+    (no rows at all: a schema-less one with no blocks)."""
+    import ray
+    import ray.data as rd
+
+    keys = list(keys)
+    cols = None if cols is None else list(cols)
+    ds = ds.materialize()
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    num_buckets = int(min(4096, max(_default_buckets(ds.count()),
+                                    -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
+    split = _remote(_split_block).options(num_returns=num_buckets + 1)
+    splits = [split.remote(ref, keys, cols, num_buckets) for ref in refs]
+    counts = ray.get([s[0] for s in splits])
+    fold_ref = ray.put(fold)
+    folds = [
+        _remote(_fold_bucket).remote(
+            fold_ref, *[s[1 + b] for s, c in zip(splits, counts) if c[b]])
+        for b in range(num_buckets) if any(c[b] for c in counts)]
+    del splits, fold_ref
+    return rd.from_arrow_refs(folds)
 
 
 def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
                         *, drop_null_keys: bool = False,
                         finalize: Optional[Callable[[pa.Table], pa.Table]] = None,
                         combine: Optional[Callable[[pa.Table], pa.Table]] = None):
-    """Corpus-cardinality ``groupby(keys).agg(cols)`` via a BUCKETED hash
-    exchange — the replacement for Ray's sort-based groupby when the key
-    count scales with the corpus (near-unique ids, content hashes).
+    """Corpus-cardinality ``groupby(keys).agg(cols)`` on
+    :func:`hash_exchange`: only the slim ``keys + cols`` projection moves,
+    and each bucket folds with ONE vectorized Arrow ``group_by`` — the
+    replacement for Ray's sort-based groupby, whose reduce tasks pay a
+    per-GROUP Python cost (~5 µs/row at near-unique keys, CLAUDE.md
+    gotcha).  Rows of a key share a bucket (the hash is cross-worker
+    deterministic) and buckets partition the key space, so the per-bucket
+    folds are exact and independent.  No Ray Data sort or groupby runs.
 
-    Ray's ``groupby(keys).aggregate(...)`` pays a per-GROUP Python cost in
-    its reduce tasks (~5 µs/row when keys are near-unique — CLAUDE.md
-    gotcha; the hash-shuffle strategy measured no faster).  Here the
-    exchange key is ``__bh = hash64(key tuple) % B`` — a SMALL int32 with
-    ``B`` ≈ #CPUs..4096 distinct values — so the sort/exchange is over a
-    machine int and the reduce side sees ``B`` groups, not millions; each
-    bucket then folds with ONE vectorized Arrow ``group_by``.  Rows of a
-    key always share a bucket (hash is cross-worker deterministic), buckets
-    partition the key space disjointly, so per-bucket folds are exact and
-    independent.  Measured at 3.2M rows / 600k string keys / 32 CPUs:
-    10.2× vs the sort-based groupby on per-block pre-combined partials
-    (21.1 s → 2.1 s) and 157× on raw uncombined rows (365 s → 2.3 s);
-    see BASELINE.md.
-
-    At 100 TB: ``B`` grows with the partial row count
-    (:func:`_default_buckets`, 250k rows each) up to 4096,
-    each bucket is a bounded independent task, and only slim
-    ``keys + cols`` rows ride the exchange (payload columns are projected
-    away before the shuffle).  Skew note: one bucket holds ~1/B of the KEY
-    SPACE, not of the rows — a single mega-HOT key still lands in one
-    bucket, so callers with row-skewed keys must pre-combine per block
-    first (``_ProjectKeys`` / ``_tree_combine_factory`` pattern), after
-    which a hot key contributes ≤ #blocks rows.
+    Called directly only where the keys are corpus-cardinality by
+    construction (near-unique ids, content hashes, full-row set keys);
+    callers with row-skewed keys pre-combine per block first
+    (``_ProjectKeys`` / ``_tree_combine_factory`` pattern), after which a
+    hot key contributes at most one row per block.
 
     ``funcs`` are the self-mergeable "sum"/"min"/"max" (inputs may already
     be per-block partials).  ``drop_null_keys=False`` (default) keeps null
@@ -181,7 +240,7 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     ``finalize`` (optional) maps each bucket's FOLDED table (columns
     ``keys + cols``, one row per key) to an arbitrary summary table —
     frequency reductions use it to emit one scalar-summary row per bucket
-    so the folded table itself never re-shuffles.  ``combine`` (optional)
+    so the folded table itself never moves again.  ``combine`` (optional)
     replaces the column-wise ``funcs`` fold with a custom per-bucket
     reduction over ``keys + cols`` (e.g. the first/last lexicographic
     selection of ``windows.grouped_first_last``).  It runs EXACTLY ONCE
@@ -189,44 +248,31 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     self-mergeable (``decontam.cross_source_overlap``'s ``bucket_pairs``
     relies on this: re-applied to its own output it would return
     nothing).  ``funcs`` and ``drop_null_keys`` are then ignored — the
-    callable owns its own semantics, including the empty/degenerate-block
-    guard.  Returns an
-    unmaterialized Dataset of the per-bucket outputs."""
+    callable owns its own semantics, including the empty-input guard.
+    Returns a ``MaterializedDataset`` of the per-bucket outputs; an input
+    with no typed key columns gives one block, ``combine`` (then
+    ``finalize``) of an empty table."""
+    import ray.data as rd
+
+    from ..util import dataset_arrow_schema
+
     keys = [keys] if isinstance(keys, str) else list(keys)
     cols = list(cols)
     funcs = list(funcs) if funcs is not None else ["sum"] * len(cols)
     if combine is None:
         combine = _tree_combine_factory(keys, cols, funcs, drop_null_keys)
 
-    ds = ds.materialize()  # need row/block counts to size the exchange
-    n = ds.count()
-    from ..util import dataset_arrow_schema
+    def fold(t: pa.Table) -> pa.Table:
+        folded = combine(t)
+        return finalize(folded) if finalize is not None else folded
 
+    ds = ds.materialize()
     schema = dataset_arrow_schema(ds)
     proj = keys + cols
     if schema is None or not set(proj).issubset(schema.names):
         # no typed block anywhere holds the key columns — nothing to fold
-        import ray.data as rd
-
-        out = combine(pa.table({}))
-        return rd.from_arrow(finalize(out) if finalize is not None else out)
-
-    num_buckets = _default_buckets(n)
-    stamped = ds.map_batches(_StampBucket(keys, cols, num_buckets),
-                             batch_format="pyarrow")
-    # Ray's sort-based exchange inherits reduce parallelism from the input
-    # block count: a near-single-block input would serialize every bucket
-    # into one task (CLAUDE.md gotcha) — spread it first.
-    target_blocks = min(num_buckets, _cluster_cpus() * 2)
-    if n > 65_536 and ds.num_blocks() < target_blocks:
-        stamped = stamped.repartition(target_blocks)
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        folded = combine(t.drop_columns(["__bh"]))
-        return finalize(folded) if finalize is not None else folded
-
-    return stamped.groupby("__bh").map_groups(
-        lambda t: per_bucket(t), batch_format="pyarrow")
+        return rd.from_arrow(fold(pa.table({})))
+    return hash_exchange(ds, keys, fold, proj)
 
 
 def _cluster_cpus() -> int:
@@ -296,12 +342,10 @@ def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
         # fit; fold through the bucketed hash exchange instead (partials
         # already shrank the input as far as per-block combining can;
         # measured ~10× over the old sort-based groupby arm).  Null keys in
-        # drop_null_keys=False parity mode ride the exchange natively: the
-        # sort key is the int32 bucket, never the key columns, so the old
-        # null-split workaround for Ray's None-vs-value sort crash is gone.
-        return bucketed_group_fold(
-            partials, keys, sum_cols, funcs,
-            drop_null_keys=drop_null_keys).materialize()
+        # drop_null_keys=False parity mode ride the exchange natively: they
+        # hash like any value, and no Ray sort ever sees the key columns.
+        return bucketed_group_fold(partials, keys, sum_cols, funcs,
+                                   drop_null_keys=drop_null_keys)
 
     return _tree_fold(partials, combine, TREE_FANIN)
 

@@ -1,39 +1,38 @@
 """The one sorted-scan primitive behind every per-key ordered operator.
 
-Shape: project, drop rows with a null key (or a null in any other column
-the op names), ONE distributed range ``sort([key, *order])``, materialize,
-then two map passes over the sorted blocks and a boundary repair, unioned.
-After a range sort a key interior to a block appears in no other block, so
-only each block's first and last key can straddle a block edge: per-block
-work is final for every interior key and the repair sees at most two keys
-per block (O(#blocks) groups, never O(#keys)).  This is the per-block
-partial state merged across blocks of the Deequ state monoid, with the
-sort making the merge local to block edges.
+Every op first projects its columns and drops rows with a null key (or a
+null in any other column the op names).  This is the per-block partial
+state merged across blocks of the Deequ state monoid; two policies decide
+how the rows of one key meet:
 
-Two boundary policies:
+- **kernel** (complete keys, the default): ``kernel`` maps a table of
+  COMPLETE key groups, sorted on ``[key, *order]``, to output rows.  The
+  rows take the hash exchange on the key (``shuffle.hash_exchange``): each
+  bucket holds whole keys, sorts them with the op's ``descending`` flags
+  and runs ``kernel`` once in its fold task.  No range sort runs and no
+  boundary needs repair.  A key lands whole in one fold, the exposure the
+  range-sort scan's whole-key boundary repair had before it.
+  :func:`partition_by_key` is the same exchange with no kernel, for
+  callers (``conversation_reports``) that map several kernels over one
+  key-partitioned output.  The output is materialized.
+- **custom block/merge**, for ops whose keys can be hot (windows,
+  sessions): ONE distributed range ``sort([key, *order])``, materialized.
+  After a range sort a key interior to a block appears in no other block,
+  so only each block's first and last key can straddle a block edge.
+  ``block(t, emit)`` maps a sorted block to its final rows
+  (``emit="finals"``) or to the bounded boundary state the repair needs
+  (``emit="pend"``: a few context rows, or per-block partials), and
+  ``merge(group)`` turns one key's boundary state into final rows.  A hot
+  key spanning many blocks thus reaches the repair as O(#blocks) bounded
+  partials, never as all of its rows.
 
-- **kernel re-apply** (default): ``kernel`` maps a table of COMPLETE,
-  order-sorted key groups to output rows.  It runs per block on the
-  interior keys, and once more per boundary key over that key's rows from
-  every block it touches.  The repair group is the whole key, so a key
-  holding a meaningful fraction of the corpus lands in one task.
-- **custom block/merge**, for ops whose keys can be hot: ``block(t, emit)``
-  maps a sorted block to its final rows (``emit="finals"``) or to the
-  bounded boundary state the repair needs (``emit="pend"``: a few context
-  rows, or per-block partials), and ``merge(group)`` turns one key's
-  boundary state into final rows.
-
-Two repair arms share each op's ``merge``, so every op gets both with no
-per-op code.  The boundary state materializes once; when its size (block
-metadata, no extra execution) is at most ``DRIVER_REPAIR_MAX_BYTES`` it is
-collected and merged key by key on the driver, and the finals union with
-one ``from_arrow`` block.  Above it, the repair is the distributed
+The block/merge repair has two arms sharing each op's ``merge``.  The
+boundary state materializes once; when its size (block metadata, no extra
+execution) is at most ``DRIVER_REPAIR_MAX_BYTES`` it is collected and
+merged key by key on the driver, and the finals union with one
+``from_arrow`` block.  Above it, the repair is the distributed
 ``groupby(key).map_groups``.  The driver arm saves the groupby exchange,
-which on small inputs costs more than the merge itself.  The bound is in
-bytes, not keys or rows: the state holds O(#blocks) keys, but under kernel
-re-apply a hot key brings ALL of its rows, so only the byte size bounds
-what the driver must hold (the FP-Hadoop hot-key argument); a state that
-large goes to the distributed arm.
+which on small inputs costs more than the merge itself.
 """
 
 from __future__ import annotations
@@ -48,15 +47,10 @@ import pyarrow.compute as pc
 DRIVER_REPAIR_MAX_BYTES = 32 << 20
 
 
-def sort_projection(ds, cols: Optional[Sequence[str]], key: str,
-                    order: Sequence[str], *,
-                    descending: Union[bool, Sequence[bool]] = False,
-                    non_null: Sequence[str] = ()):
-    """Project ``cols`` (every column when None), drop rows whose ``key``
-    or any ``non_null`` column is null, and range-sort on
-    ``[key, *order]`` (``descending``: one flag, or one per sort column).
-    The result is materialized: both block passes and any number of
-    kernels (``conversation_reports``) read it without a second sort."""
+def _projection(ds, cols: Optional[Sequence[str]], key: str,
+                non_null: Sequence[str]):
+    """Project ``cols`` (every column when None) and drop rows whose
+    ``key`` or any ``non_null`` column is null."""
     required = [key, *non_null]
 
     def prep(t: pa.Table) -> pa.Table:
@@ -67,27 +61,31 @@ def sort_projection(ds, cols: Optional[Sequence[str]], key: str,
             mask = pc.and_(mask, pc.is_valid(t.column(c)))
         return t.filter(mask)
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .sort([key, *order], descending=descending)
-        .materialize()
-    )
+    return ds.map_batches(prep, batch_format="pyarrow")
 
 
-def edge_mask(t: pa.Table, key: str):
-    """Rows of the block's first and last key — the only keys of a
-    range-sorted block that can continue in a neighbouring block."""
-    keys = t.column(key)
-    return pc.or_(pc.equal(keys, keys[0]), pc.equal(keys, keys[-1]))
+def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
+                     order: Sequence[str], kernel: Optional[Callable] = None,
+                     *, descending: Union[bool, Sequence[bool]] = False,
+                     non_null: Sequence[str] = ()):
+    """Project ``cols``, drop null ``key``/``non_null`` rows and hash-
+    exchange on ``key``: every output block holds complete keys sorted on
+    ``[key, *order]`` (``descending``: one flag, or one per sort column),
+    mapped through ``kernel`` when given.  Materialized, so any number of
+    ``map_batches(..., batch_size=None)`` kernels read it with no second
+    exchange."""
+    from .shuffle import hash_exchange
 
+    desc = ([descending] * (1 + len(order)) if isinstance(descending, bool)
+            else list(descending))
+    sort_keys = [(c, "descending" if d else "ascending")
+                 for c, d in zip([key, *order], desc)]
 
-def edge_rows(sorted_ds, key: str):
-    """Each block's first/last-key rows as :func:`_repair_input` state: the
-    default repair input, which callers sharing one sorted dataset across
-    kernels build once."""
-    return _repair_input(sorted_ds.map_batches(
-        lambda t: t.filter(edge_mask(t, key)), batch_format="pyarrow",
-        batch_size=None))
+    def fold(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        return t if kernel is None else kernel(t)
+
+    return hash_exchange(_projection(ds, cols, key, non_null), [key], fold)
 
 
 def _repair_input(pend):
@@ -124,51 +122,24 @@ def _repair(pend, key: str, merge: Callable):
     return rd.from_arrow(pa.concat_tables(parts, promote_options="default"))
 
 
-def scan_sorted(sorted_ds, key: str, order: Sequence[str],
-                kernel: Optional[Callable] = None, *,
-                descending: Union[bool, Sequence[bool]] = False,
-                block: Optional[Callable] = None,
-                merge: Optional[Callable] = None, pend=None):
-    """Finals of every block unioned with the boundary-key repair (driver
-    or ``groupby(key)`` arm, see module docstring), over a
-    :func:`sort_projection` output.  Pass ``kernel`` for the kernel
-    re-apply policy (``pend``: precomputed :func:`edge_rows`), or a
-    ``block``/``merge`` pair (see module docstring); ``order``/
-    ``descending`` must match the sort."""
-    if kernel is not None:
-        desc = ([descending] * (1 + len(order))
-                if isinstance(descending, bool) else list(descending))
-        sort_keys = [(c, "descending" if d else "ascending")
-                     for c, d in zip(order, desc[1:])]
-
-        def block(t: pa.Table, emit: str) -> pa.Table:
-            return kernel(t.filter(pc.invert(edge_mask(t, key))))
-
-        def merge(g: pa.Table) -> pa.Table:
-            return kernel(g.sort_by(sort_keys))
-
-        if pend is None:
-            pend = edge_rows(sorted_ds, key)
-    else:
-        pend = _repair_input(sorted_ds.map_batches(
-            lambda t: block(t, "pend"), batch_format="pyarrow",
-            batch_size=None))
-    finals = sorted_ds.map_batches(
-        lambda t: block(t, "finals"), batch_format="pyarrow", batch_size=None)
-    repaired = _repair(pend, key, merge)
-    return finals if repaired is None else finals.union(repaired)
-
-
 def sorted_scan(ds, cols: Optional[Sequence[str]], key: str,
                 order: Sequence[str], kernel: Optional[Callable] = None,
                 *, descending: Union[bool, Sequence[bool]] = False,
                 non_null: Sequence[str] = (),
                 block: Optional[Callable] = None,
                 merge: Optional[Callable] = None):
-    """:func:`sort_projection` then :func:`scan_sorted` — the whole
-    per-key ordered scaffold in one call."""
-    sorted_ds = sort_projection(ds, cols, key, order, descending=descending,
-                                non_null=non_null)
-    return scan_sorted(sorted_ds, key, order, kernel, descending=descending,
-                       block=block, merge=merge)
-
+    """The whole per-key ordered scaffold in one call: ``kernel`` for the
+    complete-key policy (:func:`partition_by_key`), or a ``block``/
+    ``merge`` pair for the range sort with boundary repair (module
+    docstring)."""
+    if kernel is not None:
+        return partition_by_key(ds, cols, key, order, kernel,
+                                descending=descending, non_null=non_null)
+    sorted_ds = (_projection(ds, cols, key, non_null)
+                 .sort([key, *order], descending=descending).materialize())
+    pend = _repair_input(sorted_ds.map_batches(
+        lambda t: block(t, "pend"), batch_format="pyarrow", batch_size=None))
+    finals = sorted_ds.map_batches(
+        lambda t: block(t, "finals"), batch_format="pyarrow", batch_size=None)
+    repaired = _repair(pend, key, merge)
+    return finals if repaired is None else finals.union(repaired)

@@ -543,8 +543,8 @@ def cross_source_overlap(ds, text_col: str = "text",
             "n_shared": pa.array(pcnt.astype(np.int64))})
 
     # the shared bucketed exchange (keys=[gram] — a gram's copies land in
-    # ONE bucket, so bucket-local dedup is global; keeps the low-block-
-    # count repartition guard a hand-rolled groupby would lose)
+    # ONE bucket, so bucket-local dedup is global; B fold tasks whatever
+    # the input's block count)
     partials = bucketed_group_fold(
         ds.map_batches(block_pairs, batch_format="pyarrow"),
         ["gram"], [source_col], combine=bucket_pairs)

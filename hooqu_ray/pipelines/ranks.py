@@ -14,12 +14,10 @@ extension tier, SURVEY.md §8):
   ``relational.grouped_approx_quantile``'s t-digests.
 
 Scale shape: every op here rides the shared sorted scan
-(``functions.sorted_scan``): ONE distributed ``sort(key, v)`` over a slim
-projection, a fully vectorized per-block kernel for key groups interior to
-a block, and the same kernel re-run per boundary key in a ``groupby(key)``
-repair that touches only each block's first/last key (O(#blocks) repair
-groups).  The repair materializes one whole key group per task — the
-documented hot-key caveat of the kernel re-apply policy (a single key
+(``functions.sorted_scan``): ONE hash exchange on the key over a slim
+projection, and a fully vectorized kernel once per bucket of complete,
+``(key, v)``-sorted key groups.  A fold holds whole key groups — the
+documented hot-key caveat of the complete-key policy (a single key
 holding a meaningful fraction of the corpus needs ``sorted_scan``'s
 bounded-state ``block``/``merge`` form instead).
 
@@ -145,7 +143,7 @@ def grouped_ntile(ds, key: str, order_col: str, tie_col: str, n: int, *,
     possible, larger buckets first (the SQL rule: the first ``c % n``
     buckets get ``c // n + 1`` rows).  Unlike RANK, NTILE is tie-UNAWARE —
     the tie column (unique per key) makes the assignment deterministic.
-    Same one-range-sort scaffold and null-drop contract as
+    Same one-exchange scaffold and null-drop contract as
     :func:`grouped_rank`.
 
     Note the scaffold sorts on (key, order) only; within equal
@@ -251,8 +249,8 @@ def grouped_string_agg(ds, key: str, value_col: str, order_col: str,
     ``tie_col`` (unique per key) makes the concatenation deterministic
     where SQL leaves equal-order ties arbitrary.
 
-    Scale shape: the shared one-range-sort scaffold; the kernel builds
-    one zero-copy ListArray over the block's value buffer and joins with
+    Scale shape: the shared one-exchange scaffold; the kernel builds
+    one zero-copy ListArray over the bucket's value buffer and joins with
     ONE vectorized ``binary_join`` — no Python per group.  NOTE the
     joined string materializes one group's full concatenation in a single
     cell: a mega-group yields a mega-cell (same caveat as any SQL

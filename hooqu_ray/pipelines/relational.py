@@ -53,10 +53,10 @@ def grouped_top_k(ds, group_col: str, order_col: str, k: int,
     ``#blocks × #groups × k`` tiny rows leave the scan.  When the partials
     fit under ``TOPK_DRIVER_MAX_ROWS`` the final merge is one driver-side
     pandas pass, sorted by (group, rank order).  Above the gate — the
-    million-group tail — the merge stays DISTRIBUTED: one range sort of the
-    partials + a vectorized per-block head-k for interior groups + a tiny
-    boundary merge touching at most the first/last group of each block
-    (the sessionization pattern), never materialized on the driver.  Both
+    million-group tail — the merge stays DISTRIBUTED: one hash exchange of
+    the partials on the group and a vectorized head-k once per bucket of
+    complete, rank-sorted groups (the complete-key sorted scan), never
+    materialized on the driver.  Both
     arms return a Ray Dataset of ``[group_col, order_col, tie_col,
     *extra_cols]``; an empty one keeps the input's column types."""
     cols = [group_col, order_col, tie_col, *extra_cols]
@@ -93,10 +93,10 @@ def grouped_top_k(ds, group_col: str, order_col: str, k: int,
 
 
 def _distributed_topk_merge(partials, group_col, sort_cols, ascending, k, cols):
-    """Range-sort the combiner partials and keep each group's first ``k``
-    rows per block, re-running that head-k over each block's first/last
-    group (the shared sorted scan, ``functions.sorted_scan``) — #groups × k
-    result rows stay distributed."""
+    """Hash-exchange the combiner partials on the group and keep each
+    group's first ``k`` rows in rank order (the shared complete-key sorted
+    scan, ``functions.sorted_scan``) — #groups × k result rows stay
+    distributed."""
     from ..functions.sorted_scan import sorted_scan
     from .ranks import _key_codes, _segment_starts
 
@@ -441,7 +441,7 @@ def reservoir_sample(ds, group_col: str, id_col: str, k: int, extra_cols=()):
     resumed 100-TB pipeline re-derives the same sample without stored
     state.  Scale shape is inherited from :func:`grouped_top_k`:
     per-block combiner → bounded partials → driver merge below the row
-    gate, distributed range-sort merge above it."""
+    gate, distributed hash-exchange merge above it."""
     def add_rank(t: pa.Table) -> pa.Table:
         # negative ⇒ grouped_top_k's ORDER DESC becomes hash ASC
         return t.append_column(
@@ -1583,8 +1583,8 @@ def grouped_weighted_sample(ds, group_col: str, key_col: str,
     (PARTITION BY g ORDER BY q DESC, key)`` with the bit-identical
     priority).  Scale shape inherited from :func:`grouped_top_k`:
     per-block local top-``k`` per group → combiner-bounded partials →
-    driver merge below the row gate, distributed range-sort merge above
-    it.  Rows with a null group/key or a null/NaN/≤ 0 weight are
+    driver merge below the row gate, distributed hash-exchange merge
+    above it.  Rows with a null group/key or a null/NaN/≤ 0 weight are
     dropped.  Returns ``[group_col, key_col, weight_col]`` rows."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.sorted_scan import edge_mask, sorted_scan
+from ..functions.sorted_scan import sorted_scan
 
 
 def _session_rows(batch: pa.Table, key: str, ts_col: str,
@@ -110,7 +110,10 @@ def session_stats(ds, key: str = "user_id", ts_col: str = "ts",
 
     def block(t: pa.Table, emit: str) -> pa.Table:
         if len(t):
-            edge = edge_mask(t, key)
+            # rows of the block's first and last key: only these can
+            # continue in a neighbouring block of the range sort
+            keys = t.column(key)
+            edge = pc.or_(pc.equal(keys, keys[0]), pc.equal(keys, keys[-1]))
             t = t.filter(edge if emit == "pend" else pc.invert(edge))
         return _session_rows(t, key, ts_col, gap_us)
 

@@ -43,8 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.expr import Predicate
-from ..functions.sorted_scan import (edge_rows, scan_sorted, sort_projection,
-                                     sorted_scan)
+from ..functions.sorted_scan import partition_by_key, sorted_scan
 from ..stages import spec
 from ..stages.heuristics import compute_features
 from ..stages.models import CharBigramLM, TrigramLangID
@@ -680,10 +679,9 @@ def conversation_features(ds):
     timestamp monotonicity.
 
     The shared sorted scan (:mod:`hooqu_ray.functions.sorted_scan`): ONE
-    ``sort(conv_id, turn_idx)`` range shuffle over a FOUR-COLUMN
-    projection (the text never moves), the vectorized
-    :func:`_conv_features_table` kernel per block, and the same kernel
-    re-run per boundary conversation (≤ 2 per block).  Rows with a null
+    hash exchange on ``conv_id`` over a FOUR-COLUMN projection (the text
+    never moves), then the vectorized :func:`_conv_features_table` kernel
+    once per bucket of complete, turn-sorted conversations.  Rows with a null
     conv_id/turn_idx are dropped (SQL GROUP BY semantics, like
     :func:`validate_conversations`)."""
     return sorted_scan(ds, ["conv_id", "turn_idx", "role", "ts"], "conv_id",
@@ -810,16 +808,16 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
     turn before it (its running suffix total already exceeds the budget).
 
     The shared sorted scan (:mod:`hooqu_ray.functions.sorted_scan`): ONE
-    distributed range sort on ``(conv, idx)``, the vectorized
-    :func:`_suffix_truncate_table` kernel per block (a padded cumsum
-    difference — no descending sort), and the same kernel re-run per
-    boundary conversation.  Rows with a null conv id or turn idx are
+    hash exchange on ``conv``, then the vectorized
+    :func:`_suffix_truncate_table` kernel (a padded cumsum difference — no
+    descending sort) once per bucket of complete conversations sorted on
+    ``(conv, idx)``.  Rows with a null conv id or turn idx are
     dropped; ``n_tok`` counts ``\\S+`` runs (``textstats.TOKEN_PATTERN``),
     nulls count 0.
 
     Returns the input columns plus ``suffix_tokens`` (the running
     suffix-token total including the row itself, int64).  Scale note: the
-    sort moves the turn text once (range sort streams + spills).  At
+    exchange moves the turn text once.  At
     extreme scale a slimmer plan projects ``(conv, idx, n_tok)`` only,
     derives one cutoff row per conversation, and stamps it back with the
     size-gated broadcast/hash join used by ``relational.cohort_retention``
@@ -846,11 +844,12 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
     times inside ONE conversation is not boilerplate).
 
     Scale shape: one keyed exchange of slim int pairs (turn text never
-    shuffles), two Ray executions before the filter pass:
+    shuffles), one Ray Data execution before the filter pass:
 
     1. Per block, the distinct ``(text_hash, conv)`` pairs of eligible
        turns, at most ``min_convs`` per hash.
-    2. One ``shuffle.bucketed_group_fold`` keyed on the hash.  Its
+    2. One ``shuffle.bucketed_group_fold`` keyed on the hash (Ray core
+       tasks, materialized output).  Its
        ``combine`` sees every pair of a hash in one bucket, counts the
        distinct conversations and keeps the hashes with at least
        ``min_convs``.
@@ -981,10 +980,10 @@ def merge_consecutive_turns(ds, *, conv_col: str = "conv_id",
     role (they form one run); rows with a null conv or idx are dropped.
 
     The shared sorted scan (:mod:`hooqu_ray.functions.sorted_scan`): one
-    distributed range sort on ``(conv, idx)`` and the vectorized
-    :func:`_merge_runs_table` kernel (dictionary-code break detection,
-    zero-copy ListArray text join) per block, re-run per boundary
-    conversation."""
+    hash exchange on ``conv`` and the vectorized :func:`_merge_runs_table`
+    kernel (dictionary-code break detection, zero-copy ListArray text
+    join) once per bucket of complete, ``(conv, idx)``-sorted
+    conversations."""
     proj = [conv_col, idx_col, role_col, text_col] + ([ts_col] if ts_col else [])
     return sorted_scan(
         ds, proj, conv_col, [idx_col],
@@ -1095,10 +1094,9 @@ def extract_training_examples(ds, max_tokens: int, *,
 
     Output blows up to the sum of window lengths by design (that is what
     SFT extraction produces); everything else follows the
-    :func:`truncate_conversations` discipline — one range sort on
-    ``(conv, idx)``, a vectorized per-block kernel, and a ``groupby(conv)``
-    boundary repair for each block's first/last conversation through the
-    SAME kernel."""
+    :func:`truncate_conversations` discipline — one hash exchange on
+    ``conv`` and a vectorized kernel once per bucket of complete,
+    ``(conv, idx)``-sorted conversations."""
     if max_tokens < 0:
         raise ValueError(
             f"extract_training_examples: max_tokens must be >= 0, got {max_tokens}")
@@ -1458,14 +1456,16 @@ def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
     3. example extraction — one (prompt, target) pair per ``target_role``
        turn within ``example_budget`` tokens.
 
-    Stages 2+3 are FUSED into one kernel over a single range sort
+    Stages 2+3 are FUSED into one kernel over a single hash exchange
     (:func:`_suffix_truncate_table` then :func:`_context_examples_table`
-    inside the same :func:`sorted_scan` pass) — semantically
+    inside the same :func:`sorted_scan` fold) — semantically
     identical to ``extract_training_examples(truncate_conversations(x))``
-    but the corpus text sorts ONCE instead of twice (measured 49 s → the
-    fused cost of one sort at 3.2M turns).  Building the plan runs four
-    Ray executions (stage 1's pair fold and hot-hash collect, the sort, the
-    boundary state); consuming it is the fifth.  Returns the example Dataset
+    but the corpus text moves ONCE instead of twice (measured 49 s → the
+    fused cost of one sort at 3.2M turns, before the exchange replaced the
+    sort).  Building the result runs two Ray Data executions (stage 1's
+    pair map, the scan's input projection) and two hash exchanges on Ray
+    core tasks; the result is materialized, so consuming it runs none.
+    Returns the example Dataset
     (``conv_id, turn_idx, prompt, target, n_context_turns, n_tokens``);
     feed :func:`pack_sft_examples` for the loss-mask packing plan.
     Exact-dedup stages (:func:`dedup_conversations`, :func:`dedup_turns`)
@@ -2071,10 +2071,10 @@ def assistant_loop_stats(ds, min_run: int = 2, *,
 
     Scale shape: role prefilter (embarrassingly parallel, drops ~half the
     rows before the exchange), then the shared
-    :func:`sorted_scan` scaffold — ONE range sort, a fully
-    vectorized run-length kernel per block (``np.maximum.reduceat`` over
-    run breaks, zero Python per conversation), boundary conversations
-    repaired per group.  The kernel only ever tests adjacent-text
+    :func:`sorted_scan` scaffold — ONE hash exchange on the
+    conversation, a fully vectorized run-length kernel per bucket
+    (``np.maximum.reduceat`` over run breaks, zero Python per
+    conversation).  The kernel only ever tests adjacent-text
     EQUALITY, so (like :func:`echo_stats`) the text column is projected
     to an 8-byte content hash (``dedup._text_hash63``; null → ``-1``, a
     value the non-negative 63-bit hash cannot take, so null == null and
@@ -2132,7 +2132,7 @@ def conversation_filter_report(ds, *, min_turns: int = 2,
     ``empty_text`` (``'ok'`` when kept).  Disabled rules never fire.
 
     Scale shape: everything rides on :func:`validate_conversations` (one
-    range sort + vectorized segment pass); the verdict is a per-batch
+    hash exchange + vectorized segment pass); the verdict is a per-batch
     ``np.select`` over the slim per-conversation report."""
     report = validate_conversations(ds)
     # validate_conversations canonicalizes conv ids to STRING for any
@@ -2225,7 +2225,7 @@ def echo_stats(ds, *, conv_col: str = "conv_id",
     Scale shape: the shared :func:`sorted_scan` scaffold,
     but the kernel only ever tests adjacent-text EQUALITY, so the text
     column is projected to an 8-byte content hash (dedup's
-    ``_text_hash63``) + a validity flag BEFORE the range sort — the
+    ``_text_hash63``) + a validity flag BEFORE the exchange — the
     all-to-all moves (conv, idx, role, int64, bool) rows, never text
     bytes.  Same output up to the 2⁻⁶³ hash-collision class every
     hash-keyed dedup op here documents."""
@@ -2579,7 +2579,7 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
     ``role_balance`` (:func:`role_balance_stats`), ``alternation``
     (adjacent-role switch counts — fused-only, no standalone op) and
     ``tool_transitions`` (:func:`tool_transition_counts`) computed from
-    ONE corpus range sort instead of one sort per report.  Returns
+    ONE corpus hash exchange instead of one per report.  Returns
     ``{name: Dataset}`` for the requested ``which``, each row-identical
     to its standalone op (up to the same hash-collision classes those
     ops document).
@@ -2588,16 +2588,17 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
     idx, role, an 8-byte text hash + validity (loop/echo), text char
     length (role_balance) and the tool label (tool_transitions); text
     bytes never shuffle.  Each report is then a vectorized ``map_batches``
-    consumer of the SAME materialized sorted dataset (interior
-    conversations per block + the shared boundary-conversation repair),
-    so adding a report to the family costs map passes, not another sort.
+    consumer (``batch_size=None``) of the SAME materialized
+    key-partitioned output (``sorted_scan.partition_by_key``: every block
+    holds complete, turn-sorted conversations), so adding a report to the
+    family costs map passes, not another exchange.
     Per-report differences from the standalone ops, both immaterial on
     well-formed transcripts: rows with a null ``idx_col`` are dropped for
     every report here (the ordered scaffold needs the index; standalone
     ``role_balance_stats`` keeps them), and when ``echo`` or
     ``role_balance`` is requested the loop/tool role/tool prefilters
     happen after the exchange (those two families need every turn row, so
-    the fused sort moves each row once — cheaper than per-report sorts of
+    the fused exchange moves each row once — cheaper than per-report exchanges of
     overlapping subsets).  When the request is loop/tool_transitions only,
     the subset rows are pruned BEFORE the all-to-all, exactly like the
     standalone ops."""
@@ -2661,7 +2662,9 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
             cols[tool_col] = t.column(tool_col)
         return pa.table(cols)
 
-    sorted_ds = sort_projection(
+    # one hash exchange on the conversation: every block holds complete,
+    # turn-sorted conversations, and each family kernel maps over it
+    parts = partition_by_key(
         ds.map_batches(proj, batch_format="pyarrow"),
         proj_cols, conv_col, [idx_col], non_null=[idx_col])
 
@@ -2737,14 +2740,10 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
             align(base_alt(t), fam_cols["alternation"])
         return pa.table(cols)
 
-    # pend rows (first/last conversation of each block) are built ONCE and
-    # feed every family's boundary repair — they are O(#blocks) convs
-    pend = edge_rows(sorted_ds, conv_col)
-
     out = {}
     if per_conv:
-        wide = scan_sorted(sorted_ds, conv_col, [idx_col], wide_kernel,
-                           pend=pend).union(
+        wide = parts.map_batches(
+            wide_kernel, batch_format="pyarrow", batch_size=None).union(
             rd.from_arrow(wide_schema.empty_table()))
         if len(per_conv) > 1:
             wide = wide.materialize()  # consumed once per family below
@@ -2779,8 +2778,8 @@ def conversation_reports(ds, which=_REPORT_NAMES, *, min_run: int = 2,
         def tool_kernel(t: pa.Table) -> pa.Table:
             return base_tool(t.filter(pc.is_valid(t.column(tool_col))))
 
-        partials = scan_sorted(sorted_ds, conv_col, [idx_col], tool_kernel,
-                               pend=pend)
+        partials = parts.map_batches(tool_kernel, batch_format="pyarrow",
+                                     batch_size=None)
         folded = tree_group_sum(partials, ["tool_from", "tool_to"], ["__n"])
         empty = pa.table({"tool_from": pa.array([], pa.string()),
                           "tool_to": pa.array([], pa.string()),
@@ -3365,10 +3364,10 @@ def split_conversations_by_gap(ds, gap_seconds: float, *,
     see coherent units — ``(conv_col, out_col)`` is the new conversation
     key.
 
-    One range sort via the shared whole-conversation scaffold
-    (:func:`sorted_scan`), a vectorized cumsum kernel per
-    block, and the O(#blocks) boundary-conversation repair.  All input
-    columns ride the sort and come back stamped (the
+    One hash exchange via the shared whole-conversation scaffold
+    (:func:`sorted_scan`) and a vectorized cumsum kernel per bucket of
+    complete conversations.  All input columns ride the exchange and come
+    back stamped (the
     ``truncate_conversations`` discipline).  A null or non-monotone
     timestamp produces no break at that junction (SQL null/compare
     rule); rows with a null conv or idx are dropped."""

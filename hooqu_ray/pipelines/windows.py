@@ -691,10 +691,8 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str):
         folded = shuffle._tree_fold(partials, combine, shuffle.TREE_FANIN)
         return folded.map_batches(finalize, batch_format="pyarrow")
 
-    # corpus-cardinality keys: the shared bucketed hash exchange (int32
-    # bucket key, custom first/last combine per bucket — keeps one
-    # maintained exchange implementation incl. its low-block-count
-    # repartition guard)
+    # corpus-cardinality keys: the shared bucketed hash exchange (custom
+    # first/last combine once per bucket — one maintained exchange)
     return shuffle.bucketed_group_fold(
         partials, [key],
         ["__f_ts", "__f_tie", "first_value", "__l_ts", "__l_tie",

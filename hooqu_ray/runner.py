@@ -276,10 +276,9 @@ class RayRunner:
         cols = list(columns)
         partials = self.ds.map_batches(
             _ProjectKeys(cols, predicate), batch_format="pyarrow")
-        # materialize: the lazy joint table is consumed by three folds; without
-        # this each fold would re-execute the full upstream scan + exchange
-        joint = bucketed_group_fold(
-            partials, cols, ["__pcount"], ["sum"]).materialize()
+        # the joint table is materialized (the exchange's output), so the
+        # three folds below read it without re-running the scan
+        joint = bucketed_group_fold(partials, cols, ["__pcount"], ["sum"])
 
         def fold(freq_ds) -> FrequenciesAndNumRows:
             plan = ScanPlan(

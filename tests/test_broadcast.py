@@ -63,6 +63,34 @@ def test_empty_set_matches_nothing(ray_session):
     assert len(got) == 0 and got.column_names == ["k", "row", "v"]
 
 
+@pytest.mark.parametrize("op", ["semi", "anti"])
+def test_semi_anti_keep_columns_on_empty_input(ray_session, op):
+    import ray.data as rd
+
+    bs = BroadcastSet.put(_key_table(), "k")
+    out = getattr(bs, op)(rd.from_arrow(_probe_table().slice(0, 0)), "k")
+    assert out.count() == 0
+    assert util.dataset_arrow_schema(out) == _probe_table().schema
+
+
+def test_dedup_keep_best_keeps_corpus_columns_when_empty(ray_session):
+    """An empty typed corpus with a non-empty pair table: every pair id is
+    a loser, and the anti filter over no rows keeps the corpus columns."""
+    import ray.data as rd
+
+    from hooqu_ray.pipelines.cluster import dedup_keep_best
+
+    docs = pa.table({"doc_id": pa.array([], pa.int64()),
+                     "score": pa.array([], pa.float64()),
+                     "text": pa.array([], pa.string())})
+    pairs = pa.table({"id_a": pa.array([1, 2], pa.int64()),
+                      "id_b": pa.array([2, 3], pa.int64())})
+    out = dedup_keep_best(rd.from_arrow(docs), rd.from_arrow(pairs),
+                          id_type=pa.int64(), n_buckets=8)
+    assert out.count() == 0
+    assert util.dataset_arrow_schema(out) == docs.schema
+
+
 def test_collect_shards_by_key_hash(ray_session, monkeypatch):
     import ray.data as rd
 

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 
 import hooqu_ray as hq
+from hooqu_ray.functions import shuffle
 from hooqu_ray.functions import sorted_scan as ss
 from hooqu_ray.pipelines import transcripts as tp
 from hooqu_ray.runner import do_analysis_run
@@ -55,11 +56,12 @@ def test_collect_arrow_runs_a_lazy_dataset_once(ray_session, executions):
     assert len(executions) == 1
 
 
-def test_drop_boilerplate_turns_runs_two_executions(ray_session, executions):
+def test_drop_boilerplate_turns_runs_one_execution(ray_session, executions):
     ds = _dataset()
     executions.clear()
     out = tp.drop_boilerplate_turns(ds, 3)
-    assert len(executions) <= 2
+    # the pair map; the hash exchange and the hot-set collect run none
+    assert len(executions) <= 1
     assert "Hello! How can I help you today?" not in set(
         collect_arrow(out).column("text").to_pylist())
 
@@ -69,19 +71,72 @@ def test_sft_prepare_and_collect_executions(ray_session, executions):
     executions.clear()
     out = collect_arrow(tp.sft_prepare(ds, boilerplate_min_convs=3))
     assert len(out) > 0
-    # boilerplate fold 2, range sort 1, boundary state 1, collect 1
-    assert len(executions) <= 5
+    # the pair map and the kernel scan's projection, one each; the two
+    # hash exchanges and both collects run none
+    assert len(executions) <= 2
+
+
+def _events(blocks=4):
+    import ray.data as rd
+
+    rng = np.random.default_rng(2)
+    n = 600
+    ts = np.datetime64("2025-01-01T00:00:00", "us") + np.cumsum(
+        rng.integers(0, 4000, n)).astype("timedelta64[s]")
+    t = pa.table({"user_id": pa.array(rng.integers(0, 5, n), pa.int64()),
+                  "ts": pa.array(rng.permutation(ts))})
+    return rd.from_arrow(t).repartition(blocks).materialize()
 
 
 @pytest.mark.parametrize("driver", [True, False])
 def test_driver_repair_plans_no_groupby(ray_session, monkeypatch, driver):
+    from hooqu_ray.pipelines import sessions
+
     monkeypatch.setattr(ss, "DRIVER_REPAIR_MAX_BYTES",
                         1 << 40 if driver else -1)
-    out = tp.truncate_conversations(_dataset(), 20)
+    out = sessions.session_stats(_events(), "user_id", "ts", 1800.0)
     ops = _plan_ops(out)
     # the range sort is materialized upstream, so any Sort left in the plan
     # is the groupby(key) repair
     assert ("Sort" in ops) is not driver, ops
+
+
+@pytest.fixture
+def executed_ops(monkeypatch):
+    """Names of every physical operator the driver executes while the test
+    runs (``StreamingExecutor.execute`` DAGs, walked to their inputs)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    names = []
+    execute = StreamingExecutor.execute
+
+    def spy(self, dag, *args, **kwargs):
+        stack = [dag]
+        while stack:
+            op = stack.pop()
+            names.append(op.name)
+            stack.extend(op.input_dependencies)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", spy)
+    return names
+
+
+@pytest.mark.parametrize("op", [
+    lambda ds: tp.truncate_conversations(ds, 20),
+    lambda ds: tp.conversation_reports(ds, ["loop", "echo"])["loop"],
+    lambda ds: shuffle.bucketed_group_fold(ds, ["conv_id"], ["turn_idx"]),
+], ids=["kernel_sorted_scan", "conversation_reports", "bucketed_group_fold"])
+def test_hash_exchange_plans_no_sort(ray_session, executed_ops, op):
+    """Kernel-policy scans and the bucketed fold run no Ray Data Sort or
+    Aggregate, neither while building nor in the returned plan."""
+    ds = _dataset()
+    executed_ops.clear()
+    out = op(ds)
+    assert len(collect_arrow(out)) > 0
+    ops = _plan_ops(out) + executed_ops
+    assert not [o for o in ops if "Sort" in o or "Aggregate" in o], ops
 
 
 def _lineitem(n=4000, blocks=8):

@@ -1,0 +1,164 @@
+"""``shuffle.hash_exchange``: the one keyed exchange under the bucketed fold
+and the complete-key sorted scan.
+
+The same rows arrive in 1, 7 and 64 blocks.  Each fold call tags its rows
+with a fresh id, so the tests see which call saw which key: no key may
+reach two calls, and there is exactly one call per non-empty bucket.
+"""
+
+import uuid
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+from hooqu_ray.functions import shuffle
+from hooqu_ray.functions.shuffle import (_row_hash64, bucketed_group_fold,
+                                         hash_exchange)
+from hooqu_ray.functions.sorted_scan import sorted_scan
+
+BLOCKS = (1, 7, 64)
+BUCKETS = 16
+
+
+@pytest.fixture
+def sixteen_buckets(monkeypatch):
+    monkeypatch.setattr(shuffle, "_default_buckets", lambda n: BUCKETS)
+
+
+def _table(n=3000, seed=0) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    k = np.array([f"k{i}" for i in rng.integers(0, 400, n)], dtype=object)
+    k[rng.random(n) < 0.05] = None
+    j = rng.integers(0, 3, n).astype(float)
+    j[rng.random(n) < 0.1] = np.nan
+    return pa.table({
+        "k": pa.array(k, pa.string()),
+        "j": pa.array(j, pa.int64(), from_pandas=True),
+        "v": pa.array(rng.integers(-50, 50, n), pa.int64()),
+        "a": pa.array(rng.integers(0, 5, n), pa.int64()),
+        "b": pa.array(rng.normal(size=n).round(1), pa.float64()),
+    })
+
+
+def _dataset(table, blocks):
+    import ray.data as rd
+
+    return rd.from_arrow(table).repartition(blocks).materialize()
+
+
+def _tagger():
+    """A fold emitting one row per distinct key of its input, tagged with
+    the call (a closure, so the workers unpickle it by value)."""
+    def tag_keys(t: pa.Table) -> pa.Table:
+        keys = t.group_by(["k"]).aggregate([])
+        return keys.append_column(
+            "call", pa.array([uuid.uuid4().hex] * len(keys), pa.string()))
+
+    return tag_keys
+
+
+def _buckets_hit(table, keys) -> set:
+    return set((_row_hash64(table, keys) % np.uint64(BUCKETS)).tolist())
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+def test_each_key_reaches_one_fold_once_per_bucket(ray_session,
+                                                   sixteen_buckets, blocks):
+    table = _table()
+    out = hash_exchange(_dataset(table, blocks), ["k"], _tagger(), ["k"])
+    got = out.to_pandas()
+    per_key = got.groupby("k", dropna=False)["call"].nunique()
+    assert (per_key == 1).all()  # no key in two fold calls
+    assert len(got) == pc.count_distinct(table.column("k"), mode="all").as_py()
+    # one fold call, and one output block, per non-empty bucket
+    n_buckets = len(_buckets_hit(table, ["k"]))
+    assert got["call"].nunique() == n_buckets == out.num_blocks()
+
+
+def test_single_block_fans_out_to_every_bucket(ray_session, sixteen_buckets):
+    table = _table()
+    assert len(_buckets_hit(table, ["k"])) == BUCKETS
+    out = hash_exchange(_dataset(table, 1), ["k"], _tagger(), ["k"])
+    assert out.num_blocks() == BUCKETS
+    assert out.to_pandas()["call"].nunique() == BUCKETS
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+@pytest.mark.parametrize("keys", [["k"], ["k", "j"]], ids=["one", "tuple"])
+def test_fold_equals_pandas_groupby_with_null_keys(ray_session, blocks, keys):
+    """Null keys form one group (``drop_null_keys=False``), also when only
+    one column of a key tuple is null: pandas ``dropna=False``."""
+    table = _table()
+    got = bucketed_group_fold(_dataset(table, blocks), keys, ["v", "a", "b"],
+                              ["sum", "min", "max"]).to_pandas()
+    exp = (table.to_pandas().groupby(keys, dropna=False, as_index=False)
+           .agg(v=("v", "sum"), a=("a", "min"), b=("b", "max")))
+    for df in (got, exp):  # one null marker on both sides
+        df[keys] = df[keys].astype(object).where(df[keys].notna(), None)
+    order = dict(ignore_index=True, na_position="last")
+    pd.testing.assert_frame_equal(
+        got.sort_values(keys, **order), exp.sort_values(keys, **order),
+        check_dtype=False)
+    assert exp[keys].isna().any(axis=1).any()  # the input has null keys
+
+
+def test_pandas_blocks(ray_session, sixteen_buckets):
+    import ray
+
+    ds = _dataset(_table(), 7).map_batches(
+        lambda df: df, batch_format="pandas").materialize()
+    first = next(iter(ds.iter_internal_ref_bundles())).blocks[0][0]
+    assert isinstance(ray.get(first), pd.DataFrame)
+    got = hash_exchange(ds, ["k"], _tagger(), ["k"]).to_pandas()
+    assert (got.groupby("k", dropna=False)["call"].nunique() == 1).all()
+    assert len(got) == pc.count_distinct(_table().column("k"),
+                                         mode="all").as_py()
+
+
+def test_all_empty_input(ray_session):
+    import ray.data as rd
+
+    typed = rd.from_arrow([_table().slice(0, 0)] * 3).materialize()
+    calls = []
+    out = hash_exchange(typed, ["k"], lambda t: calls.append(1) or t)
+    assert out.count() == 0 and out.num_blocks() == 0 and not calls
+    # a fold keeps its own typed empty result for input with no key column
+    empty = pa.table({"k": pa.array([], pa.string()),
+                      "v": pa.array([], pa.int64())})
+    folded = bucketed_group_fold(
+        rd.from_arrow(pa.table({"z": [1, 2]})), ["k"], ["v"],
+        combine=lambda t: empty if "k" not in t.column_names else t)
+    assert folded.count() == 0
+    assert folded.schema().names == ["k", "v"]
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+@pytest.mark.parametrize("descending", [
+    False, [False, True, False], [True, False, True], True])
+def test_sorted_scan_kernel_sees_sorted_complete_keys(ray_session, blocks,
+                                                      descending):
+    """Each kernel call holds whole keys, its rows in ``[key, *order]``
+    order under the ``descending`` flags; rows with a null key drop."""
+    table = _table()
+
+    def kernel(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "call", pa.array([uuid.uuid4().hex] * len(t), pa.string()))
+
+    out = sorted_scan(_dataset(table, blocks), ["k", "a", "b", "v"], "k",
+                      ["a", "b"], kernel, descending=descending)
+    got = out.to_pandas()
+    ref = table.to_pandas().dropna(subset=["k"])
+    assert len(got) == len(ref)
+    assert (got.groupby("k")["call"].nunique() == 1).all()
+    flags = ([descending] * 3 if isinstance(descending, bool)
+             else descending)
+    for _, part in got.groupby("call", sort=False):
+        part = part[["k", "a", "b"]].reset_index(drop=True)
+        exp = part.sort_values(["k", "a", "b"],
+                               ascending=[not d for d in flags],
+                               kind="stable", ignore_index=True)
+        pd.testing.assert_frame_equal(part, exp)

@@ -1,0 +1,55 @@
+"""Structural guard: ``functions/shuffle.py`` is the one place in the engine
+that runs Ray core tasks.
+
+Every keyed exchange goes through ``shuffle.hash_exchange``; a second
+hand-built task graph elsewhere would be a second exchange to keep
+correct (null keys, empty buckets, typed-empty results, ref release).
+So ``ray.remote`` — as an attribute, a decorator or an imported name —
+appears in ``hooqu_ray/`` only in that module."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1] / "hooqu_ray"
+OWNER = "functions/shuffle.py"
+
+
+def _remote_uses(path: pathlib.Path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr == "remote"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "ray"):
+            found.append((node.lineno, "ray.remote"))
+        elif (isinstance(node, ast.ImportFrom) and node.module == "ray"
+                and any(a.name == "remote" for a in node.names)):
+            found.append((node.lineno, "from ray import remote"))
+    return sorted(found)
+
+
+def _scan(root: pathlib.Path):
+    return {rel: hits for p in sorted(root.rglob("*.py"))
+            if (rel := p.relative_to(root).as_posix()) != OWNER
+            and (hits := _remote_uses(p))}
+
+
+def test_ray_remote_only_in_shuffle():
+    assert _scan(ROOT) == {}
+    assert _remote_uses(ROOT / OWNER), "the exchange's tasks live here"
+
+
+def test_structural_check_catches_planted_remote(tmp_path):
+    (tmp_path / "functions").mkdir()
+    (tmp_path / "functions" / "shuffle.py").write_text(
+        "import ray\nsplit = ray.remote(lambda t: t)\n")
+    (tmp_path / "m.py").write_text(
+        "import ray\n"
+        "from ray import remote\n"
+        "@ray.remote\n"
+        "def task(t):\n"
+        "    return t\n"
+        "def run(refs):\n"
+        "    f = ray.remote(num_cpus=1)(task)\n"
+        "    return [task.remote(r) for r in refs]\n")
+    assert _scan(tmp_path) == {"m.py": [
+        (2, "from ray import remote"), (3, "ray.remote"), (7, "ray.remote")]}

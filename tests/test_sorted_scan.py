@@ -9,10 +9,11 @@ all null.  Ops with an independent pandas reference must match it on every
 input; every op must give identical rows in every layout, and an empty
 result keeps the typed schema the op had before the scan was shared.
 
-Both boundary-repair arms run every op: the reference and layout tests
-force the driver arm, and a third test forces the distributed
-``groupby(key)`` arm and requires the driver arm's rows and schema on every
-input.
+Kernel (complete-key) ops ride the hash exchange and have no repair.
+Both boundary-repair arms run every ``block``/``merge`` op: the reference
+and layout tests force the driver arm, and a third test forces the
+distributed ``groupby(key)`` arm and requires the driver arm's rows and
+schema on every input; for the kernel ops it proves no repair runs.
 """
 
 import numpy as np
@@ -344,6 +345,10 @@ LAYOUT_OPS = sorted([
     "reports_tool_transitions", "grouped_exact_quantile", "grouped_ntile",
     "grouped_percent_rank", "grouped_string_agg",
     "grouped_top_k_distributed"])
+# the block/merge ops: range sort plus boundary repair on either arm
+REPAIR_OPS = sorted([
+    "time_window_mean", "rolling_mean", "running_agg", "lag_delta",
+    "lead_delta", "session_stats"])
 
 
 def _force_arm(monkeypatch, driver: bool):
@@ -395,9 +400,15 @@ def test_distributed_repair_matches_driver_repair(ray_session, monkeypatch,
                                                   op):
     """The ``groupby(key)`` arm against the driver arm.  The driver arm's
     p7/p64 rows equal its p1 rows (the tests above), so each partitioned
-    layout is compared with the driver's p1 output."""
+    layout is compared with the driver's p1 output.  Only the block/merge
+    ops reach a repair; a spy proves the kernel ops never do, so the arm
+    constant cannot change their rows."""
     table, run, _ = {**_ops(), **_layout_ops()}[op]
     key = "conv_id" if table is TURNS else "user_id"
+    repairs = []
+    repair = ss._repair
+    monkeypatch.setattr(ss, "_repair",
+                        lambda *a: repairs.append(1) or repair(*a))
 
     def outputs(driver, cases):
         _force_arm(monkeypatch, driver)
@@ -406,6 +417,7 @@ def test_distributed_repair_matches_driver_repair(ray_session, monkeypatch,
 
     dist = outputs(False, CASES)
     drv = outputs(True, ("p1", "empty", "one", "allnull"))
+    assert bool(repairs) == (op in REPAIR_OPS), op
     for case in CASES:
         names, got = drv["p1" if case.startswith("p") else case]
         assert dist[case][0] == names, (op, case)
