@@ -4,7 +4,11 @@ aggregate in ``hooqu_ray`` runs through this module, never through Ray's
 
 :func:`hash_exchange` is the exchange: Ray core tasks (the only ones in
 the engine) split each block by ``hash64(key tuple) % B`` and fold each
-bucket once, with no Ray Data sort or groupby.  The folds on top of it
+bucket once, with no Ray Data sort or groupby.  B follows the cluster and
+the input: one bucket per CPU, more only when a bucket would otherwise
+exceed ``BUCKET_MAX_ROWS`` rows or ``BUCKET_MAX_BYTES`` bytes.  Each bucket
+costs Ray tasks whatever its size, so a small cluster pays for no more
+buckets than it can run at once.  The folds on top of it
 combine each block first (one vectorized Arrow ``group_by``), so a hot key
 contributes at most one partial row per block before anything moves:
 
@@ -165,8 +169,31 @@ def _remote(fn):
 
 
 # A bucket holds at most this many input bytes (Ray Data's default target
-# block size), so a wide-text bucket stays a bounded task.
+# block size) and about this many input rows, so a fold stays a bounded task;
+# past MAX_BUCKETS the per-task scheduling overhead dominates.
 BUCKET_MAX_BYTES = 128 << 20
+BUCKET_MAX_ROWS = 250_000
+MAX_BUCKETS = 4096
+
+
+def _cluster_cpus() -> int:
+    try:
+        import ray
+
+        if ray.is_initialized():
+            return max(1, int(ray.cluster_resources().get("CPU", 4)))
+    except Exception:  # pragma: no cover
+        pass
+    return 4
+
+
+def _default_buckets(n_rows: int) -> int:
+    """#buckets of :func:`hash_exchange` by rows: one per cluster CPU,
+    raised so a bucket averages at most ``BUCKET_MAX_ROWS`` input rows.
+    No fixed floor: each bucket costs a fold task, one split part per
+    block and a metadata task, so buckets beyond the CPU count add Ray
+    overhead and no parallelism."""
+    return max(_cluster_cpus(), -(-int(n_rows) // BUCKET_MAX_ROWS))
 
 
 def hash_exchange(ds, keys: Sequence[str],
@@ -184,11 +211,15 @@ def hash_exchange(ds, keys: Sequence[str],
       in block order and applies ``fold`` exactly once, so ``fold`` sees
       complete keys and need not be self-mergeable.
 
-    B is :func:`_default_buckets` of the row count, raised so that no
-    bucket averages more than ``BUCKET_MAX_BYTES`` of input; fold
-    parallelism is B whatever the input's block count.  A bucket holds
-    ~1/B of the key space, not of the rows: a hot key lands whole in one
-    fold, so callers with row-skewed keys pre-combine per block first.
+    B is :func:`_default_buckets` of the row count (one bucket per cluster
+    CPU, more above ``BUCKET_MAX_ROWS`` rows a bucket), raised so that no
+    bucket averages more than ``BUCKET_MAX_BYTES`` of input, capped at
+    ``MAX_BUCKETS``: a fold's input is bounded by rows and bytes, and no
+    fixed bucket count adds tasks whose Ray overhead exceeds a small
+    bucket's Arrow work.  Fold parallelism is B whatever the input's block
+    count.  A bucket holds ~1/B of the key space, not of the rows: a hot
+    key lands whole in one fold, so callers with row-skewed keys
+    pre-combine per block first.
     The driver drops its refs to the parts once the folds are submitted,
     so each fold frees its inputs as it finishes.  Returns the fold
     outputs, one block per non-empty bucket, as a ``MaterializedDataset``
@@ -201,8 +232,9 @@ def hash_exchange(ds, keys: Sequence[str],
     ds = ds.materialize()
     refs = [ref for bundle in ds.iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows != 0]
-    num_buckets = int(min(4096, max(_default_buckets(ds.count()),
-                                    -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
+    num_buckets = int(min(MAX_BUCKETS, max(
+        _default_buckets(ds.count()),
+        -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
     split = _remote(_split_block).options(num_returns=num_buckets + 1)
     splits = [split.remote(ref, keys, cols, num_buckets) for ref in refs]
     counts = ray.get([s[0] for s in splits])
@@ -227,6 +259,9 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     gotcha).  Rows of a key share a bucket (the hash is cross-worker
     deterministic) and buckets partition the key space, so the per-bucket
     folds are exact and independent.  No Ray Data sort or groupby runs.
+    The exchange sizes B (one bucket per cluster CPU, raised by rows and
+    bytes), so a fold over few rows runs as few tasks as the cluster has
+    CPUs.
 
     Called directly only where the keys are corpus-cardinality by
     construction (near-unique ids, content hashes, full-row set keys);
@@ -275,28 +310,10 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     return hash_exchange(ds, keys, fold, proj)
 
 
-def _cluster_cpus() -> int:
-    try:
-        import ray
-
-        if ray.is_initialized():
-            return max(1, int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:  # pragma: no cover
-        pass
-    return 4
-
-
 # The tree fold's final block holds at most TREE_MAX_FOLD_ROWS × TREE_FANIN
 # distinct keys; above it the partials take the bucketed exchange.
 TREE_MAX_FOLD_ROWS = 4_000_000
 TREE_FANIN = 8
-
-
-def _default_buckets(n_rows: int) -> int:
-    """#buckets: enough for cluster parallelism, growing with the partial
-    row count (250k rows each) so one bucket's fold stays a bounded task,
-    capped at 4096 (beyond that per-group scheduling overhead dominates)."""
-    return int(min(4096, max(_cluster_cpus(), 16, -(-n_rows // 250_000))))
 
 
 def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,

@@ -256,10 +256,10 @@ def grouped_approx_quantile(ds, group_col: str, value_col: str, q: float,
     exact SQL value with a 1% bound.
 
     Below ``QUANTILE_DRIVER_MAX_GROUPS`` partial-digest rows the merge is
-    one driver pass; above it the merge stays distributed
-    (``groupby(group)`` over the slim digest rows — null groups are
-    dropped there by Ray's groupby, so they are dropped on the driver path
-    too, matching SQL ``GROUP BY`` which would keep them; documented
+    one driver pass; above it the merge stays distributed (one
+    ``shuffle.hash_exchange`` of the slim digest rows on the group).  Both
+    arms read the quantiles with the same kernel, which drops null groups
+    (Ray-groupby parity; SQL ``GROUP BY`` would keep them — a documented
     divergence shared with the other grouped ops).  Both arms return a Ray
     Dataset of ``[group_col, q_value]``; an empty one keeps the input's
     group type."""
@@ -413,22 +413,13 @@ def grouped_approx_quantile(ds, group_col: str, value_col: str, q: float,
 
 
 def _distributed_quantile_merge(partials, group_col, digest_quantiles):
-    """Bucket the digest rows by group hash (corpus-cardinality keys — Ray's
-    per-group map_groups would pay ~100 µs/group), then the SAME
-    vectorized multi-group ``digest_quantiles`` kernel folds each bucket in
-    one task."""
-    from ..functions.shuffle import _default_buckets, _row_hash64
+    """Merge the digest rows on ``shuffle.hash_exchange`` keyed on the group
+    (corpus-cardinality keys — Ray's per-group map_groups would pay
+    ~100 µs/group): each fold holds whole groups, and the SAME vectorized
+    multi-group ``digest_quantiles`` kernel folds each bucket once."""
+    from ..functions.shuffle import hash_exchange
 
-    num_buckets = _default_buckets(partials.count())
-
-    def stamp(t: pa.Table) -> pa.Table:
-        b = (_row_hash64(t, [group_col]) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("__bh", pa.array(b, pa.int32()))
-
-    return (partials.map_batches(stamp, batch_format="pyarrow")
-            .groupby("__bh")
-            .map_groups(lambda t: digest_quantiles(t.drop_columns(["__bh"])),
-                        batch_format="pyarrow"))
+    return hash_exchange(partials, [group_col], digest_quantiles)
 
 
 def reservoir_sample(ds, group_col: str, id_col: str, k: int, extra_cols=()):

@@ -60,8 +60,8 @@ def _tagger():
     return tag_keys
 
 
-def _buckets_hit(table, keys) -> set:
-    return set((_row_hash64(table, keys) % np.uint64(BUCKETS)).tolist())
+def _buckets_hit(table, keys, buckets=BUCKETS) -> set:
+    return set((_row_hash64(table, keys) % np.uint64(buckets)).tolist())
 
 
 @pytest.mark.parametrize("blocks", BLOCKS)
@@ -103,6 +103,50 @@ def test_fold_equals_pandas_groupby_with_null_keys(ray_session, blocks, keys):
         got.sort_values(keys, **order), exp.sort_values(keys, **order),
         check_dtype=False)
     assert exp[keys].isna().any(axis=1).any()  # the input has null keys
+
+
+def _calls_per_key(out):
+    """Fold calls of a :func:`_tagger` exchange, after checking that no
+    key reached two of them."""
+    got = out.to_pandas()
+    assert (got.groupby("k", dropna=False)["call"].nunique() == 1).all()
+    return got["call"].nunique()
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_buckets_follow_the_cluster_cpus(ray_session, monkeypatch, blocks,
+                                         cpus):
+    """One fold per non-empty bucket and at most one bucket per CPU for
+    3000 rows, whatever the block count: one CPU folds once."""
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: cpus)
+    table = _table()
+    out = hash_exchange(_dataset(table, blocks), ["k"], _tagger(), ["k"])
+    calls = _calls_per_key(out)
+    assert calls == out.num_blocks() == len(_buckets_hit(table, ["k"], cpus))
+    assert calls <= cpus
+
+
+def test_default_buckets_follow_the_cluster(ray_session, monkeypatch):
+    # no fixed floor: a one-row input gets one bucket per cluster CPU
+    assert shuffle._default_buckets(1) == shuffle._cluster_cpus()
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 2)
+    assert shuffle._default_buckets(1) == 2
+    # above BUCKET_MAX_ROWS a bucket, the row count raises B
+    assert shuffle._default_buckets(600_000) == 3
+
+
+def test_input_bytes_raise_the_bucket_count(ray_session, monkeypatch):
+    """A small ``BUCKET_MAX_BYTES`` still raises B above the CPU count, so
+    a fold's input stays bounded by bytes."""
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 1)
+    table = _table()
+    ds = _dataset(table, 7)
+    buckets = 5
+    monkeypatch.setattr(shuffle, "BUCKET_MAX_BYTES",
+                        -(-ds.size_bytes() // buckets))
+    out = hash_exchange(ds, ["k"], _tagger(), ["k"])
+    assert 1 < _calls_per_key(out) == len(_buckets_hit(table, ["k"], buckets))
 
 
 def test_pandas_blocks(ray_session, sixteen_buckets):
