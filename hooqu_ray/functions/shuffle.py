@@ -3,12 +3,13 @@ aggregate in ``hooqu_ray`` runs through this module, never through Ray's
 ``groupby().aggregate``.
 
 :func:`hash_exchange` is the exchange: Ray core tasks (the only ones in
-the engine) split each block by ``hash64(key tuple) % B`` and fold each
-bucket once, with no Ray Data sort or groupby.  B follows the cluster and
-the input: one bucket per CPU, more only when a bucket would otherwise
-exceed ``BUCKET_MAX_ROWS`` rows or ``BUCKET_MAX_BYTES`` bytes.  Each bucket
-costs Ray tasks whatever its size, so a small cluster pays for no more
-buckets than it can run at once.  The folds on top of it
+the engine) map each block through the caller's per-block ``pre`` step,
+split it by ``hash64(key tuple) % B`` and fold each bucket once, with no
+Ray Data sort or groupby.  B follows the cluster and the input: one bucket
+per CPU, more only when a bucket would otherwise exceed
+``BUCKET_MAX_ROWS`` rows or ``BUCKET_MAX_BYTES`` bytes.  Each bucket costs
+Ray tasks whatever its size, so a small cluster pays for no more buckets
+than it can run at once.  The folds on top of it
 combine each block first (one vectorized Arrow ``group_by``), so a hot key
 contributes at most one partial row per block before anything moves:
 
@@ -142,13 +143,14 @@ def _as_arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
-def _split_block(block, keys, cols, num_buckets):
-    """Split task of :func:`hash_exchange`: the per-bucket row counts, then
-    one table per bucket (``hash64(keys) % num_buckets``), rows in input
-    order within each bucket."""
+def _split_block(block, keys, pre, num_buckets):
+    """Split task of :func:`hash_exchange`: ``pre`` of the block, then the
+    per-bucket row counts and one table per bucket
+    (``hash64(keys) % num_buckets``), rows in input order within each
+    bucket."""
     t = _as_arrow(block)
-    if cols is not None:
-        t = t.select(cols)
+    if pre is not None:
+        t = pre(t)
     b = _row_hash64(t, keys) % np.uint64(num_buckets)
     order = np.argsort(b, kind="stable")
     counts = np.bincount(b.astype(np.int64), minlength=num_buckets)
@@ -198,13 +200,13 @@ def _default_buckets(n_rows: int) -> int:
 
 def hash_exchange(ds, keys: Sequence[str],
                   fold: Callable[[pa.Table], pa.Table],
-                  cols: Optional[Sequence[str]] = None):
+                  pre: Optional[Callable[[pa.Table], pa.Table]] = None):
     """The engine's one keyed exchange: every row of a key reaches one
     task, which folds it.  Runs on Ray core tasks over the materialized
     input, not as a Ray Data plan:
 
-    - one split task per non-empty block (``num_returns`` = B + 1) projects
-      it to ``cols`` (every column when None), hashes the key tuple
+    - one split task per non-empty block (``num_returns`` = B + 1) maps
+      it through ``pre`` (the block as is when None), hashes the key tuple
       (:func:`_row_hash64`; null keys hash like any value) and cuts it into
       B parts with one stable argsort on the bucket;
     - one fold task per non-empty bucket concatenates that bucket's parts
@@ -220,6 +222,14 @@ def hash_exchange(ds, keys: Sequence[str],
     count.  A bucket holds ~1/B of the key space, not of the rows: a hot
     key lands whole in one fold, so callers with row-skewed keys
     pre-combine per block first.
+    ``pre`` is any per-block Arrow → Arrow step that feeds the exchange (a
+    projection ``lambda t: t.select(cols)``, a null-key filter, per-block
+    partials).  Run in the split task it costs no Ray Data execution: a
+    ``map_batches`` in front would cost one (~0.1 s on a small cluster,
+    more than these steps' Arrow work), so on a materialized input the
+    whole exchange runs none.  The price is that the input materializes
+    with every column, and B is sized by the rows and bytes before
+    ``pre``.
     The driver drops its refs to the parts once the folds are submitted,
     so each fold frees its inputs as it finishes.  Returns the fold
     outputs, one block per non-empty bucket, as a ``MaterializedDataset``
@@ -228,7 +238,6 @@ def hash_exchange(ds, keys: Sequence[str],
     import ray.data as rd
 
     keys = list(keys)
-    cols = None if cols is None else list(cols)
     ds = ds.materialize()
     refs = [ref for bundle in ds.iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows != 0]
@@ -236,7 +245,7 @@ def hash_exchange(ds, keys: Sequence[str],
         _default_buckets(ds.count()),
         -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
     split = _remote(_split_block).options(num_returns=num_buckets + 1)
-    splits = [split.remote(ref, keys, cols, num_buckets) for ref in refs]
+    splits = [split.remote(ref, keys, pre, num_buckets) for ref in refs]
     counts = ray.get([s[0] for s in splits])
     fold_ref = ray.put(fold)
     folds = [
@@ -252,7 +261,8 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
                         finalize: Optional[Callable[[pa.Table], pa.Table]] = None,
                         combine: Optional[Callable[[pa.Table], pa.Table]] = None):
     """Corpus-cardinality ``groupby(keys).agg(cols)`` on
-    :func:`hash_exchange`: only the slim ``keys + cols`` projection moves,
+    :func:`hash_exchange`: only the slim ``keys + cols`` projection moves
+    (the exchange's ``pre``, applied in its split tasks),
     and each bucket folds with ONE vectorized Arrow ``group_by`` — the
     replacement for Ray's sort-based groupby, whose reduce tasks pay a
     per-GROUP Python cost (~5 µs/row at near-unique keys, CLAUDE.md
@@ -307,7 +317,7 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     if schema is None or not set(proj).issubset(schema.names):
         # no typed block anywhere holds the key columns — nothing to fold
         return rd.from_arrow(fold(pa.table({})))
-    return hash_exchange(ds, keys, fold, proj)
+    return hash_exchange(ds, keys, fold, pre=lambda t: t.select(proj))
 
 
 # The tree fold's final block holds at most TREE_MAX_FOLD_ROWS × TREE_FANIN

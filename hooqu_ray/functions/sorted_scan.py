@@ -11,10 +11,21 @@ how the rows of one key meet:
   bucket holds whole keys, sorts them with the op's ``descending`` flags
   and runs ``kernel`` once in its fold task.  No range sort runs and no
   boundary needs repair.  A key lands whole in one fold, the exposure the
-  range-sort scan's whole-key boundary repair had before it.
+  range-sort scan's whole-key boundary repair had before it.  The
+  projection and null filter ride the exchange's split tasks (its
+  ``pre``), not a Ray Data map: an op pays one Ray Data execution, the
+  input's materialize, and none on a materialized input.
   :func:`partition_by_key` is the same exchange with no kernel, for
   callers (``conversation_reports``) that map several kernels over one
-  key-partitioned output.  The output is materialized.
+  key-partitioned output.  The output is materialized, and typed when
+  empty (``kernel`` of the typed empty projection).
+
+  Scale bound to watch: the input materializes with ALL its columns,
+  not only the projection, so a wide input holds its unused columns in
+  the object store for the exchange.  Fusing a ``select_columns`` into
+  the read instead costs an extra Ray Data operator (+0.08 s per
+  ``sft_dq`` iteration, 2 Ray CPUs on one core), so it is not done; revisit
+  if the object store, not the execution count, becomes the cost.
 - **custom block/merge**, for ops whose keys can be hot (windows,
   sessions): ONE distributed range ``sort([key, *order])``, materialized.
   After a range sort a key interior to a block appears in no other block,
@@ -47,10 +58,10 @@ import pyarrow.compute as pc
 DRIVER_REPAIR_MAX_BYTES = 32 << 20
 
 
-def _projection(ds, cols: Optional[Sequence[str]], key: str,
-                non_null: Sequence[str]):
-    """Project ``cols`` (every column when None) and drop rows whose
-    ``key`` or any ``non_null`` column is null."""
+def _project(cols: Optional[Sequence[str]], key: str,
+             non_null: Sequence[str]) -> Callable[[pa.Table], pa.Table]:
+    """The Arrow step that projects ``cols`` (every column when None) and
+    drops rows whose ``key`` or any ``non_null`` column is null."""
     required = [key, *non_null]
 
     def prep(t: pa.Table) -> pa.Table:
@@ -61,7 +72,7 @@ def _projection(ds, cols: Optional[Sequence[str]], key: str,
             mask = pc.and_(mask, pc.is_valid(t.column(c)))
         return t.filter(mask)
 
-    return ds.map_batches(prep, batch_format="pyarrow")
+    return prep
 
 
 def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
@@ -71,9 +82,17 @@ def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
     """Project ``cols``, drop null ``key``/``non_null`` rows and hash-
     exchange on ``key``: every output block holds complete keys sorted on
     ``[key, *order]`` (``descending``: one flag, or one per sort column),
-    mapped through ``kernel`` when given.  Materialized, so any number of
-    ``map_batches(..., batch_size=None)`` kernels read it with no second
-    exchange."""
+    mapped through ``kernel`` when given.  The projection and the null
+    filter are the exchange's ``pre``, run in its split tasks, so the only
+    Ray Data execution is materializing ``ds`` (none when it already is).
+    When no row survives, the result is one block: ``kernel`` of the typed
+    empty projection (the columns of ``cols`` that ``ds``'s schema has;
+    none when ``ds`` has no schema), or that projection itself.
+    Materialized, so any number of ``map_batches(..., batch_size=None)``
+    kernels read it with no second exchange."""
+    import ray.data as rd
+
+    from ..util import dataset_arrow_schema
     from .shuffle import hash_exchange
 
     desc = ([descending] * (1 + len(order)) if isinstance(descending, bool)
@@ -85,7 +104,15 @@ def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
         t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
         return t if kernel is None else kernel(t)
 
-    return hash_exchange(_projection(ds, cols, key, non_null), [key], fold)
+    ds = ds.materialize()
+    out = hash_exchange(ds, [key], fold, pre=_project(cols, key, non_null))
+    if out.num_blocks():
+        return out
+    schema = dataset_arrow_schema(ds)
+    empty = pa.table({}) if schema is None else schema.empty_table()
+    if cols is not None:
+        empty = empty.select([c for c in cols if c in empty.column_names])
+    return rd.from_arrow(empty if kernel is None else kernel(empty))
 
 
 def _repair_input(pend):
@@ -135,7 +162,8 @@ def sorted_scan(ds, cols: Optional[Sequence[str]], key: str,
     if kernel is not None:
         return partition_by_key(ds, cols, key, order, kernel,
                                 descending=descending, non_null=non_null)
-    sorted_ds = (_projection(ds, cols, key, non_null)
+    sorted_ds = (ds.map_batches(_project(cols, key, non_null),
+                                batch_format="pyarrow")
                  .sort([key, *order], descending=descending).materialize())
     pend = _repair_input(sorted_ds.map_batches(
         lambda t: block(t, "pend"), batch_format="pyarrow", batch_size=None))

@@ -833,44 +833,22 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
         non_null=[idx_col])
 
 
-def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
-                           text_col: str = "text", min_chars: int = 10):
-    """Cross-conversation boilerplate-turn removal: every turn whose exact
-    text (of at least ``min_chars`` characters) appears in at least
-    ``min_convs`` DISTINCT conversations is dropped from ALL of them —
-    templated greetings, canned tool banners, repeated system blurbs (the
-    turn-granularity analogue of ``dedup.line_filter_frequent``, which
-    counts occurrences; this counts conversations, so a text repeated many
-    times inside ONE conversation is not boilerplate).
-
-    Scale shape: one keyed exchange of slim int pairs (turn text never
-    shuffles), one Ray Data execution before the filter pass:
-
-    1. Per block, the distinct ``(text_hash, conv)`` pairs of eligible
-       turns, at most ``min_convs`` per hash.
-    2. One ``shuffle.bucketed_group_fold`` keyed on the hash (Ray core
-       tasks, materialized output).  Its
-       ``combine`` sees every pair of a hash in one bucket, counts the
-       distinct conversations and keeps the hashes with at least
-       ``min_convs``.
-    3. The hot-hash set — O(#boilerplate texts) — collects into one
-       broadcast set (``functions.broadcast``) and one filter pass drops
-       the eligible turns whose hash is in it.
-
-    The per-block cap is exact: a block that hits it for a hash alone
-    holds ``min_convs`` distinct conversations of that hash, so the hash
-    is hot whatever the other blocks send; if no block hits it, every
-    block sent all its pairs and the count is exact.  A hot text therefore
-    moves at most ``min_convs`` × #blocks rows (FP-Hadoop's hot-key
-    bound).  Turns shorter than ``min_chars`` (or with a null text/conv)
-    are never candidates and always survive."""
+def _boilerplate_drop(ds, min_convs: int, conv_col: str, text_col: str,
+                      min_chars: int):
+    """``(src, drop_hot)``: ``ds`` materialized (its one Ray Data
+    execution; none when it already is) and the boilerplate filter of
+    :func:`drop_boilerplate_turns` over it, an Arrow step dropping the
+    eligible turns whose text hash is hot (None when no text is).  The
+    per-block capped pairs are the hash exchange's ``pre``, and the
+    exchange folds them straight into the hot-hash set."""
     from .dedup import _text_hash63
     from ..functions.broadcast import BroadcastSet
-    from ..functions.shuffle import bucketed_group_fold
+    from ..functions.shuffle import hash_exchange
 
     if min_convs < 1:
         raise ValueError(
             f"drop_boilerplate_turns: min_convs must be >= 1, got {min_convs}")
+    src = ds.materialize()
 
     def _eligible_mask(t: pa.Table):
         ln = pc.fill_null(pc.utf8_length(t.column(text_col)), 0)
@@ -893,24 +871,61 @@ def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
         return pairs.take(pa.array(order[rank < min_convs]))
 
     def hot_hashes(t: pa.Table) -> pa.Table:
-        if "__th" not in t.column_names:  # the fold's empty-input path
-            return pa.table({"__th": pa.array([], pa.int64())})
         vc = pc.value_counts(
             t.group_by(["__th", conv_col]).aggregate([]).column("__th"))
         hot = pc.greater_equal(vc.field("counts"), pa.scalar(min_convs))
         return pa.table({"__th": vc.field("values").filter(hot)})
 
-    hot = BroadcastSet.collect(bucketed_group_fold(
-        ds.map_batches(capped_pairs, batch_format="pyarrow"),
-        ["__th"], [conv_col], combine=hot_hashes), "__th")
+    hot = BroadcastSet.collect(
+        hash_exchange(src, ["__th"], hot_hashes, pre=capped_pairs), "__th")
     if not hot:  # no text spans min_convs conversations
-        return ds
+        return src, None
 
     def drop_hot(t: pa.Table) -> pa.Table:
         th = pa.array(_text_hash63(t.column(text_col)), pa.int64())
         return t.filter(pc.invert(pc.and_(_eligible_mask(t), hot.isin(th))))
 
-    return ds.map_batches(drop_hot, batch_format="pyarrow")
+    return src, drop_hot
+
+
+def drop_boilerplate_turns(ds, min_convs: int = 2, *, conv_col: str = "conv_id",
+                           text_col: str = "text", min_chars: int = 10):
+    """Cross-conversation boilerplate-turn removal: every turn whose exact
+    text (of at least ``min_chars`` characters) appears in at least
+    ``min_convs`` DISTINCT conversations is dropped from ALL of them —
+    templated greetings, canned tool banners, repeated system blurbs (the
+    turn-granularity analogue of ``dedup.line_filter_frequent``, which
+    counts occurrences; this counts conversations, so a text repeated many
+    times inside ONE conversation is not boilerplate).
+
+    Scale shape: the input materializes once (the op's one Ray Data
+    execution before the filter pass; none when it is materialized), then
+    one keyed exchange of slim int pairs (turn text never shuffles):
+
+    1. Per block, in the exchange's split task (``shuffle.hash_exchange``
+       ``pre``), the distinct ``(text_hash, conv)`` pairs of eligible
+       turns, at most ``min_convs`` per hash.
+    2. The exchange keyed on the hash (Ray core tasks): each fold sees
+       every pair of its hashes, counts the distinct conversations and
+       keeps the hashes with at least ``min_convs``.
+    3. The hot-hash set — O(#boilerplate texts) — collects into one
+       broadcast set (``functions.broadcast``) and one filter pass over
+       the materialized input drops the eligible turns whose hash is in
+       it.
+
+    The per-block cap is exact for any partition of the rows into blocks:
+    a block that hits it for a hash alone holds ``min_convs`` distinct
+    conversations of that hash, so the hash is hot whatever the other
+    blocks send; if no block hits it, every block sent all its pairs and
+    the count is exact.  A hot text therefore moves at most ``min_convs`` ×
+    #blocks rows (FP-Hadoop's hot-key bound).  Turns shorter than
+    ``min_chars`` (or with a null text/conv) are never candidates and
+    always survive."""
+    src, drop_hot = _boilerplate_drop(ds, min_convs, conv_col, text_col,
+                                      min_chars)
+    if drop_hot is None:
+        return src
+    return src.map_batches(drop_hot, batch_format="pyarrow")
 
 
 def _merge_runs_table(t: pa.Table, conv_col: str, idx_col: str, role_col: str,
@@ -1456,31 +1471,38 @@ def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
     3. example extraction — one (prompt, target) pair per ``target_role``
        turn within ``example_budget`` tokens.
 
-    Stages 2+3 are FUSED into one kernel over a single hash exchange
-    (:func:`_suffix_truncate_table` then :func:`_context_examples_table`
-    inside the same :func:`sorted_scan` fold) — semantically
-    identical to ``extract_training_examples(truncate_conversations(x))``
-    but the corpus text moves ONCE instead of twice (measured 49 s → the
-    fused cost of one sort at 3.2M turns, before the exchange replaced the
-    sort).  Building the result runs two Ray Data executions (stage 1's
-    pair map, the scan's input projection) and two hash exchanges on Ray
-    core tasks; the result is materialized, so consuming it runs none.
-    Returns the example Dataset
+    All three stages run in ONE kernel over the scan's hash exchange: the
+    hot boilerplate turns drop, then :func:`_suffix_truncate_table` and
+    :func:`_context_examples_table` run inside the same
+    :func:`partition_by_key` fold — semantically identical to
+    ``extract_training_examples(truncate_conversations(
+    drop_boilerplate_turns(x)))`` but the corpus text moves ONCE (measured
+    49 s → the fused cost of one sort at 3.2M turns, before the exchange
+    replaced the sort).  Boilerplate turns cross the exchange and drop in
+    the fold.  Building the result runs ONE Ray Data execution, the
+    input's materialize (none when it is materialized): the boilerplate
+    pairs and the scan's projection are per-block steps inside the two
+    hash exchanges' split tasks on Ray core tasks.  The result is
+    materialized, so consuming it runs none.  Returns the example Dataset
     (``conv_id, turn_idx, prompt, target, n_context_turns, n_tokens``);
     feed :func:`pack_sft_examples` for the loss-mask packing plan.
     Exact-dedup stages (:func:`dedup_conversations`, :func:`dedup_turns`)
     compose in front when the corpus needs them."""
-    clean = drop_boilerplate_turns(ds, boilerplate_min_convs)
+    src, drop_hot = _boilerplate_drop(ds, boilerplate_min_convs,
+                                      conv_col="conv_id", text_col="text",
+                                      min_chars=10)
 
     def kernel(t: pa.Table) -> pa.Table:
+        if drop_hot is not None:
+            t = drop_hot(t)
         kept = _suffix_truncate_table(t, "conv_id", "turn_idx", "text",
                                       context_budget)
         return _context_examples_table(kept, "conv_id", "turn_idx", "role",
                                        "text", target_role, example_budget,
                                        "\n")
 
-    return sorted_scan(
-        clean, ["conv_id", "turn_idx", "role", "text"], "conv_id",
+    return partition_by_key(
+        src, ["conv_id", "turn_idx", "role", "text"], "conv_id",
         ["turn_idx"], kernel, non_null=["turn_idx"])
 
 
@@ -2106,13 +2128,10 @@ def assistant_loop_stats(ds, min_run: int = 2, *,
             "__th": pa.array(np.where(valid, h, np.int64(-1)), pa.int64()),
         })
 
-    import ray.data as rd
-
     return sorted_scan(
         ds.map_batches(role_hash_proj, batch_format="pyarrow"),
         [conv_col, idx_col, "__th"], conv_col, [idx_col], kernel,
-        non_null=[idx_col]).union(
-        rd.from_arrow(out_schema.empty_table()))  # schema anchor
+        non_null=[idx_col])
 
 
 _FILTER_REASONS = ("too_few_turns", "no_user_start", "no_assistant_end",
@@ -2250,13 +2269,10 @@ def echo_stats(ds, *, conv_col: str = "conv_id",
 
     kernel = _make_echo_kernel(conv_col, role_col, out_schema)
 
-    import ray.data as rd
-
     return sorted_scan(
         ds.map_batches(hash_proj, batch_format="pyarrow"),
         [conv_col, idx_col, role_col, "__th", "__tv"], conv_col, [idx_col],
-        kernel, non_null=[idx_col]).union(
-        rd.from_arrow(out_schema.empty_table()))  # schema anchor
+        kernel, non_null=[idx_col])
 
 
 def _make_echo_kernel(conv_col: str, role_col: str, out_schema: pa.Schema):

@@ -56,24 +56,43 @@ def test_collect_arrow_runs_a_lazy_dataset_once(ray_session, executions):
     assert len(executions) == 1
 
 
+def _lazy():
+    """The rows of :func:`_dataset` behind one unexecuted map."""
+    import ray.data as rd
+
+    return rd.from_arrow(_turns()).map_batches(lambda t: t,
+                                               batch_format="pyarrow")
+
+
 def test_drop_boilerplate_turns_runs_one_execution(ray_session, executions):
-    ds = _dataset()
-    executions.clear()
-    out = tp.drop_boilerplate_turns(ds, 3)
-    # the pair map; the hash exchange and the hot-set collect run none
-    assert len(executions) <= 1
+    with pytest.raises(ValueError):
+        tp.drop_boilerplate_turns(_lazy(), 0)
+    assert not executions  # rejected before the input runs
+    out = tp.drop_boilerplate_turns(_lazy(), 3)
+    # the input's materialize; the capped pairs ride the exchange's split
+    # tasks and the hot-set collect runs none
+    assert len(executions) == 1
     assert "Hello! How can I help you today?" not in set(
         collect_arrow(out).column("text").to_pylist())
+
+
+def test_sft_prepare_runs_one_execution_on_a_lazy_input(ray_session,
+                                                         executions):
+    out = tp.sft_prepare(_lazy(), boilerplate_min_convs=3)
+    # the input's materialize; both exchanges' per-block steps (the
+    # boilerplate pairs, the scan's projection) run in their split tasks
+    assert len(executions) == 1
+    assert len(collect_arrow(out)) > 0
+    assert len(executions) == 1  # the collect reads materialized output
 
 
 def test_sft_prepare_and_collect_executions(ray_session, executions):
     ds = _dataset()
     executions.clear()
-    out = collect_arrow(tp.sft_prepare(ds, boilerplate_min_convs=3))
-    assert len(out) > 0
-    # the pair map and the kernel scan's projection, one each; the two
-    # hash exchanges and both collects run none
-    assert len(executions) <= 2
+    out = tp.sft_prepare(ds, boilerplate_min_convs=3)
+    assert len(executions) == 0  # a materialized input runs none
+    assert len(collect_arrow(out)) > 0
+    assert len(executions) == 0
 
 
 @pytest.fixture

@@ -68,7 +68,8 @@ def _buckets_hit(table, keys, buckets=BUCKETS) -> set:
 def test_each_key_reaches_one_fold_once_per_bucket(ray_session,
                                                    sixteen_buckets, blocks):
     table = _table()
-    out = hash_exchange(_dataset(table, blocks), ["k"], _tagger(), ["k"])
+    out = hash_exchange(_dataset(table, blocks), ["k"], _tagger(),
+                        pre=lambda t: t.select(["k"]))
     got = out.to_pandas()
     per_key = got.groupby("k", dropna=False)["call"].nunique()
     assert (per_key == 1).all()  # no key in two fold calls
@@ -81,7 +82,8 @@ def test_each_key_reaches_one_fold_once_per_bucket(ray_session,
 def test_single_block_fans_out_to_every_bucket(ray_session, sixteen_buckets):
     table = _table()
     assert len(_buckets_hit(table, ["k"])) == BUCKETS
-    out = hash_exchange(_dataset(table, 1), ["k"], _tagger(), ["k"])
+    out = hash_exchange(_dataset(table, 1), ["k"], _tagger(),
+                        pre=lambda t: t.select(["k"]))
     assert out.num_blocks() == BUCKETS
     assert out.to_pandas()["call"].nunique() == BUCKETS
 
@@ -121,7 +123,8 @@ def test_buckets_follow_the_cluster_cpus(ray_session, monkeypatch, blocks,
     3000 rows, whatever the block count: one CPU folds once."""
     monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: cpus)
     table = _table()
-    out = hash_exchange(_dataset(table, blocks), ["k"], _tagger(), ["k"])
+    out = hash_exchange(_dataset(table, blocks), ["k"], _tagger(),
+                        pre=lambda t: t.select(["k"]))
     calls = _calls_per_key(out)
     assert calls == out.num_blocks() == len(_buckets_hit(table, ["k"], cpus))
     assert calls <= cpus
@@ -145,7 +148,8 @@ def test_input_bytes_raise_the_bucket_count(ray_session, monkeypatch):
     buckets = 5
     monkeypatch.setattr(shuffle, "BUCKET_MAX_BYTES",
                         -(-ds.size_bytes() // buckets))
-    out = hash_exchange(ds, ["k"], _tagger(), ["k"])
+    out = hash_exchange(ds, ["k"], _tagger(),
+                        pre=lambda t: t.select(["k"]))
     assert 1 < _calls_per_key(out) == len(_buckets_hit(table, ["k"], buckets))
 
 
@@ -156,7 +160,8 @@ def test_pandas_blocks(ray_session, sixteen_buckets):
         lambda df: df, batch_format="pandas").materialize()
     first = next(iter(ds.iter_internal_ref_bundles())).blocks[0][0]
     assert isinstance(ray.get(first), pd.DataFrame)
-    got = hash_exchange(ds, ["k"], _tagger(), ["k"]).to_pandas()
+    got = hash_exchange(ds, ["k"], _tagger(),
+                        pre=lambda t: t.select(["k"])).to_pandas()
     assert (got.groupby("k", dropna=False)["call"].nunique() == 1).all()
     assert len(got) == pc.count_distinct(_table().column("k"),
                                          mode="all").as_py()
@@ -177,6 +182,57 @@ def test_all_empty_input(ray_session):
         combine=lambda t: empty if "k" not in t.column_names else t)
     assert folded.count() == 0
     assert folded.schema().names == ["k", "v"]
+
+
+def _sum_by_k():
+    """A per-key sum/count fold (a closure: the workers unpickle it by
+    value)."""
+    def fold(t: pa.Table) -> pa.Table:
+        return t.group_by(["k"]).aggregate([("v", "sum"), ("v", "count")])
+
+    return fold
+
+
+def _sorted_rows(ds) -> pd.DataFrame:
+    return ds.to_pandas().sort_values(
+        "k", na_position="last", ignore_index=True)
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+def test_pre_runs_in_the_split(ray_session, monkeypatch, blocks):
+    """A ``pre`` that filters rows, emptying every block past the first
+    1000 input rows, folds exactly what the same step run as a
+    ``map_batches`` before the exchange folds.  A ``pre`` that empties
+    every block submits no fold task."""
+    table = _table()
+    table = table.append_column("i", pa.array(np.arange(len(table))))
+    ds = _dataset(table, blocks)
+
+    def step(t: pa.Table) -> pa.Table:
+        return t.filter(pc.and_(pc.less(t.column("i"), 1000),
+                                pc.greater(t.column("v"), 0))).select(
+            ["k", "v"])
+
+    got = hash_exchange(ds, ["k"], _sum_by_k(), pre=step)
+    exp = hash_exchange(ds.map_batches(step, batch_format="pyarrow"), ["k"],
+                        _sum_by_k())
+    pd.testing.assert_frame_equal(_sorted_rows(got), _sorted_rows(exp))
+    assert got.num_blocks() == exp.num_blocks()
+    if blocks > 1:  # the step empties the blocks past row 1000
+        import ray
+
+        assert min(len(step(ray.get(ref)))
+                   for b in ds.iter_internal_ref_bundles()
+                   for ref, _ in b.blocks) == 0
+
+    folds = []
+    remote = shuffle._remote
+    monkeypatch.setattr(shuffle, "_remote", lambda fn: folds.append(
+        fn.__name__) or remote(fn))
+    none = hash_exchange(ds, ["k"], _sum_by_k(),
+                         pre=lambda t: t.filter(pc.less(t.column("v"), -99)))
+    assert none.num_blocks() == 0 and "_fold_bucket" not in folds
+    assert folds.count("_split_block") == 1
 
 
 @pytest.mark.parametrize("blocks", BLOCKS)

@@ -7,7 +7,7 @@ blocks and its boundary repair sees partial state from each of them.  The
 degenerate inputs are an empty table, one row, and a table whose keys are
 all null.  Ops with an independent pandas reference must match it on every
 input; every op must give identical rows in every layout, and an empty
-result keeps the typed schema the op had before the scan was shared.
+result keeps the op's typed schema.
 
 Kernel (complete-key) ops ride the hash exchange and have no repair.
 Both boundary-repair arms run every ``block``/``merge`` op: the reference
@@ -288,27 +288,32 @@ def _top_k_distributed(ds):
 def _layout_ops():
     """Migrated ops whose exact outputs other test modules pin against
     references; here they must not depend on the block layout.  The value
-    is the typed schema an empty input keeps (None: the op returns a
-    schema-less empty dataset)."""
+    is the typed schema an empty input keeps: every op's kernel runs once
+    over the typed empty projection when no row reaches the exchange."""
     from hooqu_ray.pipelines import ranks
     from hooqu_ray.pipelines import transcripts as tp
 
     loop = ["conv_id", "max_run", "n_loops", "n_role_turns"]
     echo = ["conv_id", "n_echoes", "n_pairs"]
     tools = ["tool_from", "tool_to", "n"]
+    example = ["conv_id", "turn_idx", "prompt", "target", "n_context_turns",
+               "n_tokens"]
+    turns = list(TURNS.column_names)
     ev_rank = ("user_id", "value", "event_id")
     return {
         "extract_training_examples": (
-            TURNS, lambda ds: tp.extract_training_examples(ds, 30), None),
+            TURNS, lambda ds: tp.extract_training_examples(ds, 30), example),
         "sft_prepare": (
             TURNS, lambda ds: tp.sft_prepare(ds, boilerplate_min_convs=3),
-            None),
+            example),
         "assistant_loop_stats": (TURNS, tp.assistant_loop_stats, loop),
         "echo_stats": (TURNS, tp.echo_stats, echo),
         "tool_transition_counts": (TURNS, tp.tool_transition_counts, tools),
-        "reindex_turns": (TURNS, tp.reindex_turns, None),
+        "reindex_turns": (TURNS, tp.reindex_turns,
+                          turns + ["orig_turn_idx"]),
         "split_conversations_by_gap": (
-            TURNS, lambda ds: tp.split_conversations_by_gap(ds, 60), None),
+            TURNS, lambda ds: tp.split_conversations_by_gap(ds, 60),
+            turns + ["sub_conv"]),
         "reports_loop": (
             TURNS, lambda ds: tp.conversation_reports(ds)["loop"], loop),
         "reports_alternation": (
@@ -319,15 +324,16 @@ def _layout_ops():
                 ds, ["loop", "tool_transitions"])["tool_transitions"], tools),
         "grouped_exact_quantile": (
             EVENTS, lambda ds: ranks.grouped_exact_quantile(
-                ds, "user_id", "value", 0.5), None),
+                ds, "user_id", "value", 0.5), ["user_id", "q_value"]),
         "grouped_ntile": (
-            EVENTS, lambda ds: ranks.grouped_ntile(ds, *ev_rank, 3), None),
+            EVENTS, lambda ds: ranks.grouped_ntile(ds, *ev_rank, 3),
+            [*ev_rank, "tile"]),
         "grouped_percent_rank": (
             EVENTS, lambda ds: ranks.grouped_percent_rank(ds, *ev_rank),
-            None),
+            [*ev_rank, "pct"]),
         "grouped_string_agg": (
             EVENTS, lambda ds: ranks.grouped_string_agg(
-                ds, "user_id", "cat", "ts", "event_id"), None),
+                ds, "user_id", "cat", "ts", "event_id"), ["user_id", "agg"]),
         "grouped_top_k_distributed": (
             EVENTS, _top_k_distributed, ["user_id", "value", "event_id"]),
     }
