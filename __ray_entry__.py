@@ -1175,7 +1175,7 @@ def _dedup_clusters(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     cands = minhash_lsh_pairs(ds, num_perm=128, bands=64, threshold=0.0)
     ver = verify_pairs(ds, cands, threshold=0.5)
-    comp = connected_components(ver, id_type=pa.int64(), n_buckets=8)
+    comp = connected_components(ver, id_type=pa.int64())
     df = comp.to_pandas()
     if len(df) == 0:  # 0-row to_pandas drops schema
         return pd.DataFrame(
@@ -1653,8 +1653,8 @@ def _snapshot_diff_events(sf_dir: str):
         batch_format="pyarrow",
     )
     new = ds.map_batches(mk_new, batch_format="pyarrow")
-    df = snapshot_diff(old, new, "event_id", ["event_type", "value"],
-                       n_buckets=16).to_pandas()
+    df = snapshot_diff(old, new, "event_id",
+                       ["event_type", "value"]).to_pandas()
     df = df.rename(columns={"key": "event_id"})
     df["event_id"] = df["event_id"].astype("int64")
     return df.sort_values("event_id", ignore_index=True)
@@ -1837,7 +1837,6 @@ def _hash_join_orders_customer(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
     df = hash_join(
         orders, cust, on="o_custkey", right_on="c_custkey", how="inner",
-        n_buckets=16,
     ).to_pandas()
     df["c_acctbal"] = df["c_acctbal"].round(6)
     df["o_orderkey"] = df["o_orderkey"].astype("int64")
@@ -5209,7 +5208,6 @@ def _full_join_orders_customer(sf_dir: str):
     cust_f = cust.map_batches(keep_two_thirds, batch_format="pyarrow")
     df = hash_join(
         orders, cust_f, on="o_custkey", right_on="c_custkey", how="full",
-        n_buckets=16,
     ).to_pandas()
     out = pd.DataFrame(
         {

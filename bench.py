@@ -277,7 +277,7 @@ def main() -> None:
                         columns=["o_orderkey", "o_custkey"]),
         bench_read(f"{sf_dir}/customer.parquet",
                         columns=["c_custkey", "c_acctbal"]),
-        on="o_custkey", right_on="c_custkey", n_buckets=32,
+        on="o_custkey", right_on="c_custkey",
     ).count()
     queries["hash_join"] = round(time.time() - t0, 3)
 
@@ -347,7 +347,7 @@ def main() -> None:
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id"]
     ).map_batches(to_edges, batch_format="pyarrow")
     t0 = time.time()
-    connected_components(edges, n_buckets=32).count()
+    connected_components(edges).count()
     queries["cluster_components"] = round(time.time() - t0, 3)
 
     def ev_shard(t, keep_new):
@@ -463,7 +463,7 @@ def main() -> None:
                           columns=["event_id", "value"])
     t0 = time.time()
     snapshot_diff(ev3, ev3.map_batches(bump, batch_format="pyarrow"),
-                  "event_id", ["value"], n_buckets=32).count()
+                  "event_id", ["value"]).count()
     queries["snapshot_diff"] = round(time.time() - t0, 3)
 
     from hooqu_ray.pipelines.windows import running_agg

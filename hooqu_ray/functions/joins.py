@@ -167,31 +167,8 @@ def referential_integrity(child_ds, parent_ds, fk: str, pk: str) -> float:
     return matched / total
 
 
-def _filler_array(typ: pa.DataType, n: int) -> pa.Array:
-    """Type-preserving filler column for the cross-side slots of the
-    hash-join union (the values are NEVER read — the ``__slot`` tag filters
-    them out before the per-bucket merge).  A plain ``pa.nulls`` would work
-    for Arrow blocks, but Ray's shuffle may represent blocks as pandas, and
-    an ALL-null int64 column silently promotes to float64 there (precision
-    loss above 2^53); a constant non-null filler keeps the dtype exact."""
-    try:
-        if pa.types.is_integer(typ) or pa.types.is_floating(typ):
-            return pa.repeat(pa.scalar(0, typ), n)
-        if pa.types.is_boolean(typ):
-            return pa.repeat(pa.scalar(False, typ), n)
-        if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-            return pa.repeat(pa.scalar("", typ), n)
-        if pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
-            return pa.repeat(pa.scalar(b"", typ), n)
-        if pa.types.is_timestamp(typ) or pa.types.is_date(typ) or pa.types.is_time(typ):
-            return pa.repeat(pa.scalar(0, pa.int64()).cast(typ), n)
-    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):  # pragma: no cover
-        pass
-    return pa.nulls(n, typ)  # exotic types: accept pandas promotion
-
-
 def hash_join(left, right, on: str, right_on: Optional[str] = None,
-              how: str = "inner", suffix: str = "_r", n_buckets: int = 64,
+              how: str = "inner", suffix: str = "_r",
               bloom_prefilter: Optional[str] = None,
               bloom_m_bits: int = 1 << 22,
               salt_keys=None, salt_factor: int = 8):
@@ -200,42 +177,43 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
     ``Dataset.join`` hash-partitions via a per-row Python loop and crashes
     on empty partitions; see CLAUDE.md).
 
-    Both sides are tagged with a deterministic key-hash bucket
-    (``util.shard_codes``), unioned under one schema (each side carries
-    type-preserving filler values for the other side's columns), and
-    ``groupby(bucket)`` brings co-keyed rows together; each bucket then
-    runs one local vectorized pandas merge.  Only the two projected tables
-    shuffle, once each.  ``how``: ``'inner'``, ``'left'``, ``'right'`` or
-    ``'full'``.  Null join keys never match (SQL semantics, including in
-    the outer forms — pandas merge would pair NaN with NaN, so null-key
-    rows are split out of the merge and re-appended unmatched on the
-    retaining side); ``on`` is coalesced across sides (SQL ``USING``), so
-    right-only rows still carry their key.
+    Both sides emit one common join-key column ``__hk`` (the key cast to
+    one type for both sides) and a side tag, union under one schema (each
+    side's columns null on the other side's rows) and take ONE
+    ``shuffle.hash_exchange`` on ``__hk``; each bucket then runs one local
+    Arrow (Acero) join of its left rows against its right rows.  Only the
+    two projected tables move, once each.  ``how``: ``'inner'``,
+    ``'left'``, ``'right'`` or ``'full'``.  Null join keys never match
+    (SQL semantics, including in the outer forms: the retaining side keeps
+    its null-key rows unmatched); ``on`` is coalesced across sides (SQL
+    ``USING``), so right-only rows still carry their key.
 
     The right key column is dropped from the output (SQL ``USING``);
-    other right columns colliding with a left name get ``suffix``.
+    other right columns colliding with a left name get ``suffix``.  Every
+    column keeps its input type (an outer join's unmatched side is null,
+    never a pandas float promotion); ``on`` takes the common key type
+    under ``'right'``/``'full'``, where right keys fill it.
 
     Scale notes — the partitioning assumptions this relies on:
-    - Every row of key *k* lands in bucket ``hash(k) % n_buckets``; one
-      bucket must fit a worker's heap (size ``n_buckets`` to the data).
-      A single SKEWED hot key cannot be split across buckets (join
-      correctness requires co-location): salt-and-replicate it upstream
-      or use :func:`enrich_join` when one side is broadcastable.
-    - Many-to-many keys multiply output rows inside the bucket merge,
+    - Every row of key *k* lands in the bucket of ``hash(k)``; the
+      exchange sizes B from the cluster and the input (rows and bytes
+      per bucket), so no bucket count is set here.  A single SKEWED hot
+      key still lands whole in one bucket (join correctness requires
+      co-location): pass it in ``salt_keys`` (below), or use
+      :func:`enrich_join` when one side is broadcastable.
+    - Many-to-many keys multiply output rows inside the bucket join,
       exactly as in SQL.
-    - Column dtypes with REAL nulls follow pandas block promotion
-      (int64+null → float64), matching a DuckDB ``.df()`` oracle.
 
     ``salt_keys`` + ``salt_factor``: split each listed HOT key across
-    ``salt_factor`` sub-buckets — left rows of a hot key take a
-    deterministic salt in ``[0, S)`` (bucket = key-hash + salt) and the
-    right side REPLICATES its hot-key rows once per salt, so every
-    (key, salt) pair still co-locates and the hot key's work spreads over
-    S buckets instead of melting one task.  Only valid for ``how ∈
-    {inner, left}`` (a replicated right row that found no match would
-    otherwise appear S times); find candidates with
-    :func:`detect_hot_keys` (count-min heavy hitters).  Null keys are
-    never hot.
+    ``salt_factor`` exchange keys — left rows of a hot key take a
+    deterministic salt in ``[0, S)`` and the right side REPLICATES its
+    hot-key rows once per salt; the salt is part of the exchange and join
+    key (``[__hk, __salt]``), so every (key, salt) pair still co-locates
+    and the hot key's work spreads over up to S buckets instead of
+    melting one task.  Only valid for ``how ∈ {inner, left}`` (a
+    replicated right row that found no match would otherwise appear S
+    times); find candidates with :func:`detect_hot_keys` (count-min heavy
+    hitters).  Null keys are never hot.
 
     ``bloom_prefilter`` (``'left'``, ``'right'`` or ``'both'``): before the
     exchange, summarize the OTHER side's keys into a Bloom bitmap
@@ -247,10 +225,12 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
     (left needs ``how ∈ {inner, right}``, right needs ``how ∈ {inner,
     left}`` — violating that raises).  Costs one extra pruned scan of the
     summarized side; off by default."""
+    import numpy as np
     import ray
 
     from ..pipelines.bloom import _probe_positions, _test_bits, build_bloom
-    from ..util import dataset_arrow_schema, shard_codes, stable_hash64
+    from ..util import dataset_arrow_schema, stable_hash64
+    from .shuffle import hash_exchange
 
     if how not in ("inner", "left", "right", "full"):
         raise ValueError(
@@ -266,10 +246,9 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
         raise KeyError(f"hash_join: left key {on!r} not in {lnames}")
     if rkey not in rschema.names:
         raise KeyError(f"hash_join: right key {rkey!r} not in {list(rschema.names)}")
-    # Harmonize the bucket-hash dtype across sides: a pandas-promoted
-    # float64 key must land in the same bucket as its int64 counterpart
-    # (ints ≤ 2^53 are exact in float64; larger keys must arrive as int64
-    # or string on BOTH sides).
+    # One join-key type for both sides: a pandas-promoted float64 key must
+    # meet its int64 counterpart (ints ≤ 2^53 are exact in float64; larger
+    # keys must arrive as int64 or string on BOTH sides).
     ltype, rtype = lschema.field(on).type, rschema.field(rkey).type
     if pa.types.is_floating(ltype) or pa.types.is_floating(rtype):
         hash_cast: Optional[pa.DataType] = pa.float64()
@@ -277,9 +256,8 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
         hash_cast = pa.int64()
     else:
         hash_cast = None  # same-family types (e.g. string/string)
+    key_type = hash_cast or ltype
     if bloom_prefilter is not None:
-        import numpy as np
-
         if bloom_prefilter not in ("left", "right", "both"):
             raise ValueError(
                 "hash_join: bloom_prefilter must be 'left', 'right' or 'both', "
@@ -296,9 +274,7 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
 
         def _key_proj(ds_, keycol):
             def f(t: pa.Table) -> pa.Table:
-                key = t.column(keycol)
-                hk = key.cast(hash_cast) if hash_cast is not None else key
-                return pa.table({"__k": hk})
+                return pa.table({"__k": t.column(keycol).cast(key_type)})
 
             return ds_.map_batches(f, batch_format="pyarrow")
 
@@ -317,9 +293,7 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
                     self._bm = obj if isinstance(obj, np.ndarray) else ray.get(obj)
                 if len(t) == 0:
                     return t
-                key = t.column(self.keycol)
-                hk = key.cast(hash_cast) if hash_cast is not None else key
-                h = stable_hash64(hk)
+                h = stable_hash64(t.column(self.keycol).cast(key_type))
                 maybe = _test_bits(
                     self._bm, _probe_positions(h, bloom_m_bits, 4)
                 )
@@ -341,16 +315,9 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
         if nm == rkey:
             continue
         rout.append((nm, nm + suffix if nm in lnames else nm))
-    combined = (
-        [("__bucket", pa.int64()), ("__slot", pa.int32()), ("__rkey", rschema.field(rkey).type)]
-        + [(nm, lschema.field(nm).type) for nm in lnames]
-        + [(out, rschema.field(src).type) for src, out in rout]
-    )
 
     salt_list = list(salt_keys) if salt_keys is not None else []
     if salt_list:
-        import numpy as np
-
         if salt_factor < 2:
             raise ValueError(
                 f"hash_join: salt_factor must be ≥ 2, got {salt_factor}"
@@ -360,6 +327,7 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
                 "hash_join: salt_keys requires how ∈ {'inner', 'left'} — a "
                 f"replicated unmatched right row would be retained under {how!r}"
             )
+    keys = ["__hk", "__salt"] if salt_list else ["__hk"]
 
     def _hot_mask(hk):
         hot = pa.array(salt_list).cast(hk.type)
@@ -367,116 +335,97 @@ def hash_join(left, right, on: str, right_on: Optional[str] = None,
             zero_copy_only=False
         )
 
-    def _buckets(hk, salt=None):
-        h = stable_hash64(hk)
-        if salt is not None:
-            h = h + salt.astype("uint64")
-        import numpy as _np
-
-        return pa.array((h % _np.uint64(n_buckets)).astype(_np.int64))
-
-    def left_side(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        key = t.column(on)
-        # null keys never match; drop them unless this side is retained
-        if how in ("inner", "right") and key.null_count:
-            t = t.filter(pc.is_valid(key))
-            key = t.column(on)
-        n = len(t)
-        hk = key.cast(hash_cast) if hash_cast is not None else key
-        salt = None
-        if salt_list and n:
-            salt = np.zeros(n, dtype=np.int64)
-            idx = np.flatnonzero(_hot_mask(hk))
-            salt[idx] = np.arange(idx.size) % salt_factor  # even spread
-        cols = {
-            "__bucket": _buckets(hk, salt),
-            "__slot": pa.repeat(pa.scalar(0, pa.int32()), n),
-            "__rkey": _filler_array(rschema.field(rkey).type, n),
-        }
+    def tagged(key, slot: int, salt, lcols, rcols) -> pa.Table:
+        """One side's rows under the union schema: join key, side tag,
+        salt, then every left and right output column (null when the
+        side has none)."""
+        n = len(key)
+        hk = key.cast(key_type)
+        cols = {"__hk": hk,
+                "__slot": pa.repeat(pa.scalar(slot, pa.int32()), n)}
+        if salt_list:
+            if salt is None:
+                salt = np.zeros(n, dtype=np.int64)
+                idx = np.flatnonzero(_hot_mask(hk))
+                salt[idx] = np.arange(idx.size) % salt_factor  # even spread
+            cols["__salt"] = pa.array(salt, pa.int64())
+        cols["__rkey"] = rcols.get("__rkey", pa.nulls(n, rtype))
         for nm in lnames:
-            cols[nm] = t.column(nm)
+            cols[nm] = lcols.get(nm, pa.nulls(n, lschema.field(nm).type))
         for src, out in rout:
-            cols[out] = _filler_array(rschema.field(src).type, n)
+            cols[out] = rcols.get(out, pa.nulls(n, rschema.field(src).type))
         return pa.table(cols)
 
-    def right_side(t: pa.Table) -> pa.Table:
-        import numpy as np
+    def left_side(t: pa.Table) -> pa.Table:
+        # null keys never match; drop them unless this side is retained
+        if how in ("inner", "right") and t.column(on).null_count:
+            t = t.filter(pc.is_valid(t.column(on)))
+        return tagged(t.column(on), 0, None,
+                      {nm: t.column(nm) for nm in lnames}, {})
 
-        key = t.column(rkey)
-        if how in ("inner", "left") and key.null_count:  # null keys never match
-            t = t.filter(pc.is_valid(key))
-            key = t.column(rkey)
-        salt = None
+    def right_side(t: pa.Table) -> pa.Table:
+        if how in ("inner", "left") and t.column(rkey).null_count:
+            t = t.filter(pc.is_valid(t.column(rkey)))
+        salt = np.zeros(len(t), dtype=np.int64) if salt_list else None
         if salt_list and len(t):
-            hk0 = key.cast(hash_cast) if hash_cast is not None else key
-            hot_idx = np.flatnonzero(_hot_mask(hk0))
+            hot_idx = np.flatnonzero(_hot_mask(t.column(rkey).cast(key_type)))
             if hot_idx.size:
                 # replicate each hot row once per extra salt so every
-                # (key, salt) bucket sees the full right side of that key
+                # (key, salt) pair sees the full right side of that key
                 sel = np.r_[
                     np.arange(len(t), dtype=np.int64),
                     np.tile(hot_idx, salt_factor - 1),
                 ]
                 salt = np.r_[
-                    np.zeros(len(t), dtype=np.int64),
+                    salt,
                     np.repeat(
                         np.arange(1, salt_factor, dtype=np.int64), hot_idx.size
                     ),
                 ]
                 t = t.take(pa.array(sel, pa.int64()))
-                key = t.column(rkey)
-        n = len(t)
-        hk = key.cast(hash_cast) if hash_cast is not None else key
-        cols = {
-            "__bucket": _buckets(hk, salt),
-            "__slot": pa.repeat(pa.scalar(1, pa.int32()), n),
-            "__rkey": key,
-        }
-        for nm in lnames:
-            cols[nm] = _filler_array(lschema.field(nm).type, n)
-        for src, out in rout:
-            cols[out] = t.column(src)
-        return pa.table(cols)
+        rcols = {out: t.column(src) for src, out in rout}
+        rcols["__rkey"] = t.column(rkey)
+        return tagged(t.column(rkey), 1, salt, {}, rcols)
 
-    out_names = lnames + [out for _, out in rout]
+    out_key_type = key_type if how in ("right", "full") else ltype
+    out_schema = pa.schema(
+        [(nm, out_key_type if nm == on else lschema.field(nm).type)
+         for nm in lnames]
+        + [(out, rschema.field(src).type) for src, out in rout])
+    join_type = {"inner": "inner", "left": "left outer",
+                 "right": "right outer", "full": "full outer"}[how]
 
-    pd_how = {"full": "outer"}.get(how, how)
+    def bucket_join(t: pa.Table) -> pa.Table:
+        """One bucket: an Acero join of row indices on the join key (nulls
+        never match; an outer side's unmatched rows get a null index),
+        then one ``take`` per side, so every column keeps its type."""
+        if len(t) == 0:  # the exchange's typed empty (may lack columns)
+            return out_schema.empty_table()
+        slot = t.column("__slot")
+        lt = t.filter(pc.equal(slot, 0))
+        rt = t.filter(pc.equal(slot, 1))
 
-    def bucket_merge(g):
-        import pandas as pd
+        def index(side: pa.Table, name: str) -> pa.Table:
+            return side.select(keys).append_column(
+                name, pa.array(np.arange(len(side), dtype=np.int64)))
 
-        l = g[g["__slot"] == 0][lnames]
-        r = g[g["__slot"] == 1][["__rkey"] + [out for _, out in rout]]
-        # Split null-key rows out of the merge: pandas pairs NaN with NaN,
-        # SQL never matches nulls.  The retained sides' null-key rows are
-        # re-appended unmatched below (only the retaining sides can still
-        # carry them — the map stages dropped the rest).
-        l_na = l[on].isna()
-        r_na = r["__rkey"].isna()
-        parts = [
-            l[~l_na].merge(r[~r_na], left_on=on, right_on="__rkey", how=pd_how)
-        ]
-        if l_na.any():
-            parts.append(l[l_na])
-        if r_na.any():
-            parts.append(r[r_na])
-        merged = parts[0] if len(parts) == 1 else pd.concat(
-            parts, ignore_index=True, sort=False
-        )
+        m = index(lt, "__li").join(index(rt, "__ri"), keys=keys,
+                                   join_type=join_type)
+        lt = lt.take(m.column("__li"))
+        rt = rt.take(m.column("__ri"))
+        cols = ([lt.column(nm) for nm in lnames]
+                + [rt.column(out) for _, out in rout])
         if how in ("right", "full"):
-            # SQL USING: coalesce the key across sides so right-only rows
-            # keep their key value
-            merged[on] = merged[on].where(merged[on].notna(), merged["__rkey"])
-        return merged[out_names]
+            # SQL USING: right-only rows keep their key value
+            i = lnames.index(on)
+            cols[i] = pc.coalesce(cols[i].cast(out_key_type),
+                                  rt.column("__rkey").cast(out_key_type))
+        return pa.Table.from_arrays(cols, schema=out_schema)
 
     unioned = left.map_batches(left_side, batch_format="pyarrow").union(
         right.map_batches(right_side, batch_format="pyarrow")
     )
-    return unioned.groupby("__bucket").map_groups(
-        lambda g: bucket_merge(g), batch_format="pandas"
-    )
+    return hash_exchange(unioned, keys, bucket_join)
 
 
 def detect_hot_keys(ds, col: str, n_buckets: int = 64, factor: float = 4.0,

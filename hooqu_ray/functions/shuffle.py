@@ -1,6 +1,7 @@
 """The engine's one grouped fold and its one keyed exchange: every keyed
-aggregate in ``hooqu_ray`` runs through this module, never through Ray's
-``groupby().aggregate``.
+aggregate and every keyed exchange in ``hooqu_ray`` runs through this
+module, never through Ray's ``groupby().aggregate`` or
+``groupby().map_groups``.
 
 :func:`hash_exchange` is the exchange: Ray core tasks (the only ones in
 the engine) map each block through the caller's per-block ``pre`` step,
@@ -9,22 +10,29 @@ Ray Data sort or groupby.  B follows the cluster and the input: one bucket
 per CPU, more only when a bucket would otherwise exceed
 ``BUCKET_MAX_ROWS`` rows or ``BUCKET_MAX_BYTES`` bytes.  Each bucket costs
 Ray tasks whatever its size, so a small cluster pays for no more buckets
-than it can run at once.  The folds on top of it
-combine each block first (one vectorized Arrow ``group_by``), so a hot key
-contributes at most one partial row per block before anything moves:
+than it can run at once.  A fold sees complete keys, so any per-bucket
+merge that is correct on a set of whole keys is a fold (a tagged-union
+join, a set diff, a label join).  The folds on top of it:
 
 - :func:`tree_group_sum` — the default entry point for sum/min/max (count
-  = sum of a ones column).  Partials coalesce through log-depth
+  = sum of a ones column).  Each block combines first (one vectorized
+  Arrow ``group_by``), so a hot key contributes at most one partial row
+  per block before anything moves; partials coalesce through log-depth
   whole-block rounds with no key exchange; it measures the partial count
   and falls back to the bucketed exchange when the keys stay
   corpus-sized.  :func:`tree_distinct` is its de-duplication form.
 - :func:`bucketed_group_fold` — the fold on :func:`hash_exchange`, called
   directly only where the keys are corpus-cardinality by construction
   (near-unique ids, content hashes, full-row set keys).
+- :func:`per_key_fold` — the run-cutting fold for logic that must see
+  exactly one key at a time (a per-LSH-bucket pair scan, one index file
+  per bucket, a boundary repair's ``merge``): sort the bucket by the keys,
+  cut it at key changes, call ``fn`` once per run and concatenate.
 
 Order-dependent per-key logic (turn-order checks, windows, sessions) runs
 on ``sorted_scan``: complete-key kernels on :func:`hash_exchange`,
-hot-key block/merge ops on a range sort.
+hot-key block/merge ops on a range sort whose boundary repair is a
+:func:`per_key_fold`.
 """
 
 from __future__ import annotations
@@ -163,6 +171,44 @@ def _fold_bucket(fold, *parts):
     return fold(pa.concat_tables(parts, promote_options="permissive"))
 
 
+def key_runs(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
+    """Bounds of the runs of equal ``keys`` tuples in a table sorted on
+    them: ``[0, *run starts, len(t)]`` (null equals null); ``[0]`` for no
+    rows, so ``bounds[:-1]`` are the run starts."""
+    n = len(t)
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    new = np.zeros(n - 1, dtype=bool)
+    for k in keys:
+        c = t.column(k).combine_chunks()
+        a, b = c.slice(1), c.slice(0, n - 1)
+        new |= pc.or_(pc.fill_null(pc.not_equal(a, b), False),
+                      pc.not_equal(pc.is_null(a), pc.is_null(b))).to_numpy(
+                          zero_copy_only=False)
+    return np.r_[0, np.flatnonzero(new) + 1, n]
+
+
+def per_key_fold(keys: Sequence[str], fn: Callable[[pa.Table], pa.Table]):
+    """The run-cutting fold: sort a table by ``keys``, cut it at key
+    changes, call ``fn`` once per run (one key's rows) and concatenate.
+    ``fn`` receives a 0-row table as is, once, so an empty input still
+    folds to ``fn``'s typed output.  Used as a :func:`hash_exchange`
+    ``fold`` (complete keys per bucket) or on a driver table directly."""
+    keys = list(keys)
+    sort_keys = [(k, "ascending") for k in keys]
+
+    def fold(t: pa.Table) -> pa.Table:
+        if len(t) == 0:
+            return fn(t)
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        cuts = key_runs(t, keys)
+        return pa.concat_tables(
+            [fn(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])],
+            promote_options="default")
+
+    return fold
+
+
 @functools.lru_cache(maxsize=None)
 def _remote(fn):
     import ray
@@ -232,10 +278,18 @@ def hash_exchange(ds, keys: Sequence[str],
     ``pre``.
     The driver drops its refs to the parts once the folds are submitted,
     so each fold frees its inputs as it finishes.  Returns the fold
-    outputs, one block per non-empty bucket, as a ``MaterializedDataset``
-    (no rows at all: a schema-less one with no blocks)."""
+    outputs, one block per non-empty bucket, as a ``MaterializedDataset``.
+    Every fold output shares one schema: the blocks must concatenate, so
+    a fold casts its output to its op's declared types.  When no row
+    reaches a fold, the result is one block folded on the driver:
+    ``fold(pre(typed empty input))`` when the input has a schema, else
+    ``fold`` of a 0-row table with no columns (a map over all-empty
+    blocks has no schema).  So ``fold`` must accept a 0-row table that
+    may lack columns, and returns its op's typed empty result."""
     import ray
     import ray.data as rd
+
+    from ..util import dataset_arrow_schema
 
     keys = list(keys)
     ds = ds.materialize()
@@ -253,6 +307,12 @@ def hash_exchange(ds, keys: Sequence[str],
             fold_ref, *[s[1 + b] for s, c in zip(splits, counts) if c[b]])
         for b in range(num_buckets) if any(c[b] for c in counts)]
     del splits, fold_ref
+    if not folds:
+        schema = dataset_arrow_schema(ds)
+        if schema is None:  # e.g. a map over all-empty blocks
+            return rd.from_arrow(fold(pa.table({})))
+        empty = schema.empty_table()
+        return rd.from_arrow(fold(empty if pre is None else pre(empty)))
     return rd.from_arrow_refs(folds)
 
 
@@ -295,8 +355,8 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     nothing).  ``funcs`` and ``drop_null_keys`` are then ignored — the
     callable owns its own semantics, including the empty-input guard.
     Returns a ``MaterializedDataset`` of the per-bucket outputs; an input
-    with no typed key columns gives one block, ``combine`` (then
-    ``finalize``) of an empty table."""
+    with no rows gives one block, the fold of the typed empty projection,
+    and one with no typed key columns the fold of an empty table."""
     import ray.data as rd
 
     from ..util import dataset_arrow_schema

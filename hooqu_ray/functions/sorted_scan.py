@@ -37,20 +37,20 @@ how the rows of one key meet:
   key spanning many blocks thus reaches the repair as O(#blocks) bounded
   partials, never as all of its rows.
 
-The block/merge repair has two arms sharing each op's ``merge``.  The
-boundary state materializes once; when its size (block metadata, no extra
-execution) is at most ``DRIVER_REPAIR_MAX_BYTES`` it is collected and
-merged key by key on the driver, and the finals union with one
-``from_arrow`` block.  Above it, the repair is the distributed
-``groupby(key).map_groups``.  The driver arm saves the groupby exchange,
-which on small inputs costs more than the merge itself.
+The block/merge repair has two arms sharing each op's ``merge``, both
+the run-cutting fold ``shuffle.per_key_fold`` (sort by key, merge each
+key's run).  The boundary state materializes once; when its size (block
+metadata, no extra execution) is at most ``DRIVER_REPAIR_MAX_BYTES`` it
+is collected and folded on the driver, and the finals union with one
+``from_arrow`` block.  Above it, the fold runs in the buckets of a hash
+exchange on the key.  The driver arm saves the exchange's tasks, which on
+small inputs cost more than the merge itself.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -85,14 +85,11 @@ def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
     mapped through ``kernel`` when given.  The projection and the null
     filter are the exchange's ``pre``, run in its split tasks, so the only
     Ray Data execution is materializing ``ds`` (none when it already is).
-    When no row survives, the result is one block: ``kernel`` of the typed
-    empty projection (the columns of ``cols`` that ``ds``'s schema has;
-    none when ``ds`` has no schema), or that projection itself.
+    When no row survives, the result is one block (the exchange's typed
+    empty): ``kernel`` of the typed empty projection, or that projection
+    itself; of a 0-row table with no columns when ``ds`` has no schema.
     Materialized, so any number of ``map_batches(..., batch_size=None)``
     kernels read it with no second exchange."""
-    import ray.data as rd
-
-    from ..util import dataset_arrow_schema
     from .shuffle import hash_exchange
 
     desc = ([descending] * (1 + len(order)) if isinstance(descending, bool)
@@ -101,52 +98,44 @@ def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
                  for c, d in zip([key, *order], desc)]
 
     def fold(t: pa.Table) -> pa.Table:
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        if len(t):  # the exchange's typed empty may lack the sort columns
+            t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
         return t if kernel is None else kernel(t)
 
-    ds = ds.materialize()
-    out = hash_exchange(ds, [key], fold, pre=_project(cols, key, non_null))
-    if out.num_blocks():
-        return out
-    schema = dataset_arrow_schema(ds)
-    empty = pa.table({}) if schema is None else schema.empty_table()
-    if cols is not None:
-        empty = empty.select([c for c in cols if c in empty.column_names])
-    return rd.from_arrow(empty if kernel is None else kernel(empty))
+    return hash_exchange(ds, [key], fold, pre=_project(cols, key, non_null))
 
 
 def _repair_input(pend):
-    """Materialize the boundary state ``pend``.  Return it collected as one
-    Arrow table when it fits ``DRIVER_REPAIR_MAX_BYTES`` (driver arm), else
-    the materialized Dataset (distributed arm)."""
+    """Materialize the boundary state ``pend``.  Return None when it holds
+    no rows, the state collected as one Arrow table when it fits
+    ``DRIVER_REPAIR_MAX_BYTES`` (driver arm), else the materialized Dataset
+    (distributed arm)."""
     from ..util import collect_arrow
 
     pend = pend.materialize()
+    if pend.count() == 0:
+        return None
     if pend.size_bytes() > DRIVER_REPAIR_MAX_BYTES:
         return pend
-    t = collect_arrow(pend)
-    return t if t is not None else pa.table({})
+    return collect_arrow(pend)
 
 
 def _repair(pend, key: str, merge: Callable):
-    """``merge`` over each key's boundary rows: ``groupby(key)`` on a
-    Dataset, key runs of the sorted table on the driver.  None when a
-    collected state holds no rows."""
-    if not isinstance(pend, pa.Table):
-        return pend.groupby(key).map_groups(lambda g: merge(g),
-                                            batch_format="pyarrow")
-    if len(pend) == 0:
-        return None
+    """``merge`` over each key's boundary rows, as one run-cutting fold
+    (``shuffle.per_key_fold``: sort by ``key``, cut at key changes, merge
+    each run) on both arms: applied to the collected table on the driver,
+    or as the fold of a hash exchange on ``key`` over a Dataset.  Neither
+    arm plans a Ray Data sort or groupby.  None when there is no state."""
     import ray.data as rd
 
-    pend = pend.take(pc.sort_indices(pend, [(key, "ascending")]))
-    keys = pend.column(key).combine_chunks()
-    n = len(pend)
-    new_key = pc.not_equal(keys.slice(1), keys.slice(0, n - 1)).to_numpy(
-        zero_copy_only=False)
-    cuts = np.r_[0, np.flatnonzero(new_key) + 1, n]
-    parts = [merge(pend.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])]
-    return rd.from_arrow(pa.concat_tables(parts, promote_options="default"))
+    from .shuffle import hash_exchange, per_key_fold
+
+    if pend is None:
+        return None
+    fold = per_key_fold([key], merge)
+    if isinstance(pend, pa.Table):
+        return rd.from_arrow(fold(pend))
+    return hash_exchange(pend, [key], fold)
 
 
 def sorted_scan(ds, cols: Optional[Sequence[str]], key: str,

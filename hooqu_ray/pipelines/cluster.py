@@ -7,33 +7,25 @@ A~B and B~C does not emit (A, C), but all three are one document).
 The reference (``mfcabrera/hooqu``) has no graph operators at all; this
 is engine-extension tier (SURVEY.md §8), built for the 100-TB shape:
 
-- **Distributed min-label propagation ("hash-to-min")** expressed purely
-  in Ray Data — per sweep, each node's label is joined onto its edges
-  through a *bucketed* union + ``groupby(bucket)`` with a local Arrow
-  (Acero) hash join per bucket, then the new label is a ``tree_group_sum``
-  min per node.  Only slim ``(node, label)`` /
-  ``(src, dst)`` integer-or-string rows ever shuffle; neither the edge
-  set nor the label set is EVER collected to the driver or broadcast.
-- No column is ever all-null: Ray's groupby shuffle runs blocks through
-  a PANDAS representation, which silently promotes null-bearing int64
-  columns to float64 (precision loss above 2^53 — fatal for the 63-bit
-  stable hashes used as ids upstream).  Inapplicable slots carry filler
-  values distinguished by the ``slot`` tag instead.
+- **Distributed min-label propagation ("hash-to-min")** — per sweep,
+  each node's label is joined onto its edges through ONE hash exchange
+  (``shuffle.hash_exchange``) of the tagged union of label and edge rows
+  on the source node, with a local Arrow (Acero) join per bucket; the new
+  label is a ``tree_group_sum`` min per node.  Only slim ``(node, label)``
+  / ``(src, dst)`` integer-or-string rows ever move; neither the edge set
+  nor the label set is EVER collected to the driver or broadcast.  The
+  exchange sizes its buckets from the cluster and the input, and its
+  output is one block per bucket, so no sweep compounds the block count.
 - Labels are elementwise non-increasing, so the label MULTISET changes
   iff any label changed (no permutation can preserve the multiset under
   a strict decrease).  Convergence is therefore detected by a per-sweep
   signature — the wrapping sum of ``stable_hash64(label)`` — computed
-  per block and folded with ``Dataset.sum``; no old-vs-new join needed.
+  per block and summed on the driver; no old-vs-new join needed.
 - Plain min-propagation needs O(graph diameter) sweeps.  Dedup graphs
   are unions of near-cliques (LSH buckets) and stars — diameter is
   small in practice; ``max_iters`` bounds the worst case and a
   non-converged exit raises a ``UserWarning`` instead of returning a
   silently-wrong labeling.
-- ``n_buckets`` sizes the per-group join input: a bucket holds
-  ``(V + 2E) / n_buckets`` slim rows, so pick it such that one bucket
-  fits a worker's heap; it also caps the per-sweep Python-group count
-  (the repo-documented ~100 µs/group ``map_groups`` overhead applies to
-  buckets here, not to nodes).
 """
 
 from __future__ import annotations
@@ -56,14 +48,14 @@ def _empty_components(id_type) -> "pa.Table":
 
 
 def _bucket_join(g: pa.Table) -> pa.Table:
-    """One bucket: attach each source node's current label to its outgoing
-    edges with a local Acero hash join, emit label candidates —
-    ``(dst, label(src))`` per edge plus the self candidate
-    ``(node, label)`` per node — then COMBINE locally: one Arrow
-    ``group_by(node).min`` per bucket, so the following global
-    ``groupby(node).Min`` shuffle moves one row per (bucket, node)
-    instead of one per edge endpoint (≈ (V + 2E) → ≤ V·avg-buckets-
-    per-node rows; ~4× slimmer on near-clique dedup graphs)."""
+    """One exchange bucket (complete source nodes): attach each source
+    node's current label to its outgoing edges with a local Acero hash
+    join, emit label candidates — ``(dst, label(src))`` per edge plus the
+    self candidate ``(node, label)`` per node — then COMBINE locally: one
+    Arrow ``group_by(node).min`` per bucket, so the following global min
+    per node folds one row per (bucket, node) instead of one per edge
+    endpoint (≈ (V + 2E) → ≤ V·avg-buckets-per-node rows; ~4× slimmer on
+    near-clique dedup graphs)."""
     lab = g.filter(
         pc.equal(g.column("slot"), _SLOT_LABEL)
     ).select(["node", "lbl"])
@@ -94,16 +86,16 @@ def _bucket_join(g: pa.Table) -> pa.Table:
 
 
 def _label_signature(t: pa.Table) -> pa.Table:
-    """Per-block wrapping hash-sum of the label multiset (int64 bit view of
-    a uint64 sum — deterministic across workers via stable_hash64)."""
+    """Per-block wrapping hash-sum of the label multiset (uint64 —
+    deterministic across workers via stable_hash64)."""
     from ..util import stable_hash64
 
     s = np.uint64(stable_hash64(t.column("label")).sum())
-    return pa.table({"sig": pa.array([int(np.int64(s))], pa.int64())})
+    return pa.table({"sig": pa.array([s], pa.uint64())})
 
 
 def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
-                         max_iters: int = 25, n_buckets: int = 64,
+                         max_iters: int = 25,
                          id_type: Optional[pa.DataType] = None):
     """Label every node of the undirected pair graph with the MINIMUM node
     id reachable from it (its connected component's canonical id).
@@ -123,11 +115,13 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
     any pair: ``(node, cluster_id)``; singleton documents (no pairs) are
     absent, as in the SQL reachability closure.  ``cluster_id`` ==
     component-minimum id, so representatives are ``node == cluster_id``
-    (see :func:`cluster_representatives`)."""
+    (see :func:`cluster_representatives`).  Each sweep is one hash
+    exchange on the source node, one tree min fold and one signature
+    collect (module docstring)."""
     import ray.data as rd
 
-    from ..functions.shuffle import tree_distinct, tree_group_sum
-    from ..util import shard_codes
+    from ..functions.shuffle import hash_exchange, tree_distinct, tree_group_sum
+    from ..util import collect_arrow
 
     def norm(t: pa.Table) -> pa.Table:
         a, b = t.column(id_a), t.column(id_b)
@@ -154,51 +148,31 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
         return pa.table({"node": t.column("node"), "label": t.column("node")})
 
     # Distinct node set via the tree fold; L0(u) = u.
-    # The trailing repartition (in-plan, no shuffle) bounds the label
-    # dataset's BLOCK count: Sort/Aggregate otherwise emit one block per
-    # input block, so each sweep would compound blocks (64 → 128 → 192 →
-    # …) and the per-block fixed costs of the next sweep's all-to-alls
-    # would dominate wall time (measured 6 s → 180+ s per sweep by
-    # sweep 4 on a 100k-edge graph before this cap).
     labels = (
         tree_distinct(
             edges.map_batches(explode_nodes, batch_format="pyarrow"),
             ["node"])
         .map_batches(init_labels, batch_format="pyarrow")
-        .repartition(n_buckets)
         .materialize()
     )
 
+    # Both sides share one schema; the slot tag tells the rows apart, and
+    # the column a side does not use carries its node ids (never read).
     def lab_side(t: pa.Table) -> pa.Table:
         node = t.column("node")
-        n = len(t)
-        return pa.table(
-            {
-                "bucket": pa.array(shard_codes(node, n_buckets)),
-                "node": node,
-                # filler, never read (slot tag distinguishes): an all-null
-                # column would go float64 through the pandas shuffle blocks
-                "peer": node,
-                "lbl": t.column("label"),
-                "slot": pa.array(np.full(n, _SLOT_LABEL, dtype=np.int32)),
-            }
-        )
+        return pa.table({
+            "node": node, "peer": node, "lbl": t.column("label"),
+            "slot": pa.array(np.full(len(t), _SLOT_LABEL, dtype=np.int32)),
+        })
 
     def edge_side(t: pa.Table) -> pa.Table:
         u = t.column("u").combine_chunks()
         v = t.column("v").combine_chunks()
         src = pa.concat_arrays([u, v])
-        dst = pa.concat_arrays([v, u])
-        n = len(src)
-        return pa.table(
-            {
-                "bucket": pa.array(shard_codes(src, n_buckets)),
-                "node": src,
-                "peer": dst,
-                "lbl": src,  # filler, never read
-                "slot": pa.array(np.full(n, _SLOT_EDGE, dtype=np.int32)),
-            }
-        )
+        return pa.table({
+            "node": src, "peer": pa.concat_arrays([v, u]), "lbl": src,
+            "slot": pa.array(np.full(len(src), _SLOT_EDGE, dtype=np.int32)),
+        })
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -206,9 +180,10 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
         )
 
     def signature(lbl_ds) -> int:
-        return lbl_ds.map_batches(
-            _label_signature, batch_format="pyarrow"
-        ).sum("sig") or 0
+        sigs = collect_arrow(
+            lbl_ds.map_batches(_label_signature, batch_format="pyarrow"))
+        return 0 if sigs is None else int(
+            sigs.column("sig").to_numpy().sum(dtype=np.uint64))
 
     sig = signature(labels)
     converged = False
@@ -217,12 +192,9 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
             edges.map_batches(edge_side, batch_format="pyarrow")
         )
         labels = (
-            tree_group_sum(
-                unioned.groupby("bucket")
-                .map_groups(lambda g: _bucket_join(g), batch_format="pyarrow"),
-                ["node"], ["cand"], funcs=["min"])
+            tree_group_sum(hash_exchange(unioned, ["node"], _bucket_join),
+                           ["node"], ["cand"], funcs=["min"])
             .map_batches(finish, batch_format="pyarrow")
-            .repartition(n_buckets)  # cap block growth (see init comment)
             .materialize()  # consumed twice: signature + next sweep
         )
         new_sig = signature(labels)
@@ -263,7 +235,7 @@ def cluster_representatives(components):
 def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
                     score_col: str = "score", id_a: str = "id_a",
                     id_b: str = "id_b", id_type: Optional[pa.DataType] = None,
-                    max_iters: int = 25, n_buckets: int = 64):
+                    max_iters: int = 25):
     """End-to-end near-dup cluster collapse: given a document corpus and its
     verified near-duplicate PAIRS (``verify_pairs`` / ``simhash_near_pairs``
     output), keep only the highest-``score_col`` member of every connected
@@ -297,9 +269,7 @@ def dedup_keep_best(docs, pairs, id_col: str = "doc_id",
     from .relational import grouped_top_k
 
     comp_tbl = collect_arrow(connected_components(
-        pairs, id_a, id_b, id_type=id_type, max_iters=max_iters,
-        n_buckets=n_buckets,
-    ))
+        pairs, id_a, id_b, id_type=id_type, max_iters=max_iters))
     if comp_tbl is None or len(comp_tbl) == 0:
         return docs
 
@@ -330,7 +300,7 @@ def split_by_cluster(docs, pairs, id_col: str = "doc_id", *,
                      splits=(("train", 80), ("val", 10), ("test", 10)),
                      out_col: str = "split",
                      id_type: Optional[pa.DataType] = None,
-                     max_iters: int = 25, n_buckets: int = 64):
+                     max_iters: int = 25):
     """Leakage-safe train/val/test split: near-duplicate documents NEVER
     straddle splits.  Plain content-hash splitting
     (:func:`~hooqu_ray.pipelines.relational.split_assign`) sends a test
@@ -367,8 +337,7 @@ def split_by_cluster(docs, pairs, id_col: str = "doc_id", *,
     names_arr = np.array(names, dtype=object)
 
     comp = connected_components(
-        pairs, id_type=id_type, max_iters=max_iters, n_buckets=n_buckets
-    ).materialize()
+        pairs, id_type=id_type, max_iters=max_iters).materialize()
     comp_tbl = collect_arrow(comp)
     have_clusters = comp_tbl is not None and len(comp_tbl) > 0
     if have_clusters:

@@ -14,7 +14,8 @@ MinHash+LSH banding, SimHash) expressed Ray-Data-first:
                         Jaccard (each pair emitted by its first colliding
                         band only).
 - ``verify_pairs``      distributed exact-Jaccard verification: broadcast
-                        candidate-id semi-filter + union-groupby text join.
+                        candidate-id semi-filter + two hash exchanges
+                        (text join on the doc id, Jaccard on the pair).
 - ``simhash``           64-bit SimHash per doc; near-dups collide on rotated
                         16-bit bands.
 - ``ngram_jaccard``     exact word-n-gram Jaccard for a candidate pair
@@ -929,59 +930,49 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     return out
 
 
-class _VerifyAttachText:
-    """groupby(join_id) stage: fan this doc's text out to its pair slots."""
-
-    def __call__(self, group):
-        import pandas as pd
-
-        empty = pd.DataFrame({"id_a": [], "id_b": [], "slot": [], "text": []})
-        doc = group[group["slot"] < 0]
-        if len(doc) == 0:
-            return empty  # unresolvable id (not in the corpus): must not verify
-        text = doc["text"].iloc[0]
-        if not isinstance(text, str):
-            # null text on a PRESENT doc counts as the empty string (the SQL
-            # oracle's COALESCE(text, '') semantics) — only a missing doc row
-            # disqualifies a pair
-            text = ""
-        slots = group[group["slot"] >= 0]
-        if len(slots) == 0:
-            return empty
-        out = slots[["id_a", "id_b", "slot"]].copy()
-        out["text"] = text
-        return out[["id_a", "id_b", "slot", "text"]]
+def _attach_texts(t: pa.Table) -> pa.Table:
+    """Exchange fold on ``join_id`` (complete ids): each pair slot row
+    (``slot`` 0/1) joins its doc row's text (``slot`` -1).  A slot whose
+    id has no doc row drops (an unresolvable id must not verify); a null
+    text on a PRESENT doc counts as the empty string (the SQL oracle's
+    ``COALESCE(text, '')``)."""
+    is_doc = pc.less(t.column("slot"), 0)
+    docs = t.filter(is_doc).select(["join_id", "text"])
+    slots = t.filter(pc.invert(is_doc)).select(
+        ["join_id", "id_a", "id_b", "slot"])
+    m = slots.join(docs, keys="join_id", join_type="inner")
+    return pa.table({"id_a": m.column("id_a"), "id_b": m.column("id_b"),
+                     "slot": m.column("slot"),
+                     "text": pc.fill_null(m.column("text"), "")})
 
 
-class _VerifyJaccard:
-    """groupby(id_a, id_b) stage: both texts of a pair together → exact
-    word-shingle Jaccard."""
+def _pair_jaccard(shingle_w: int, threshold: float):
+    """Exchange fold on ``(id_a, id_b)`` (complete pairs): both texts of a
+    pair side by side, then the exact word-shingle Jaccard.  The same pair
+    may arrive several times (e.g. a union of candidate sets from several
+    LSH seeds), so each (pair, slot) keeps one row; a pair missing either
+    side does not verify."""
+    from ..functions.shuffle import key_runs
 
-    def __init__(self, shingle_w: int, threshold: float):
-        self.shingle_w = shingle_w
-        self.threshold = threshold
+    keys = ["id_a", "id_b", "slot"]
 
-    def __call__(self, group):
-        import pandas as pd
+    def fold(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+        t = t.take(pa.array(key_runs(t, keys)[:-1], pa.int64()))
+        slot = t.column("slot")
+        a = t.filter(pc.equal(slot, 0)).select(["id_a", "id_b", "text"])
+        b = t.filter(pc.equal(slot, 1)).select(["id_a", "id_b", "text"])
+        m = a.join(b.rename_columns(["id_a", "id_b", "text_b"]),
+                   keys=["id_a", "id_b"], join_type="inner")
+        j = pa.array([ngram_jaccard(x, y, shingle_w) for x, y in zip(
+            m.column("text").to_pylist(), m.column("text_b").to_pylist())],
+            pa.float64())
+        keep = pc.greater_equal(j, threshold)
+        return pa.table({"id_a": m.column("id_a").filter(keep),
+                         "id_b": m.column("id_b").filter(keep),
+                         "jaccard": j.filter(keep)})
 
-        empty = pd.DataFrame({"id_a": [], "id_b": [], "jaccard": []})
-        # the same pair may arrive several times (e.g. a union of candidate
-        # sets from several LSH seeds) — verify the DISTINCT pair once; a
-        # pair missing either side's doc row does not verify
-        g0 = group[group["slot"] == 0]
-        g1 = group[group["slot"] == 1]
-        if len(g0) == 0 or len(g1) == 0:
-            return empty
-        j = ngram_jaccard(g0["text"].iloc[0], g1["text"].iloc[0], self.shingle_w)
-        if j < self.threshold:
-            return empty
-        return pd.DataFrame(
-            {
-                "id_a": [g0["id_a"].iloc[0]],
-                "id_b": [g0["id_b"].iloc[0]],
-                "jaccard": [j],
-            }
-        )
+    return fold
 
 
 def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
@@ -1005,10 +996,12 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
        deduplicated distributively per block) is collected and broadcast;
        the corpus is semi-filtered to candidate rows in one streaming pruned
        scan (one corpus scan per shard — the price of a bounded driver).
-    2. A union + ``groupby(join_id)`` join attaches each candidate text to
-       its pair slots — the shuffle moves candidate-sized data only.
-    3. ``groupby(id_a, id_b)`` brings a pair's two texts together and the
-       Jaccard kernel runs inside the group fn.
+    2. One hash exchange on the doc id (``shuffle.hash_exchange``) of the
+       candidate texts and the pair slots attaches each text to its slots
+       with a vectorized Arrow join per bucket — the exchange moves
+       candidate-sized data only.
+    3. A second exchange on ``(id_a, id_b)`` brings a pair's two texts
+       together and the Jaccard kernel runs per bucket.
 
     Returns (id_a, id_b, jaccard) filtered to ``jaccard >= threshold``."""
     import warnings
@@ -1017,6 +1010,7 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
     import ray.data as rd
 
     from ..functions.broadcast import hash_shards
+    from ..functions.shuffle import hash_exchange
 
     empty = pd.DataFrame({"id_a": [], "id_b": [], "jaccard": []})
     pairs_mat = pairs.materialize()
@@ -1045,7 +1039,9 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
             pc.and_(pc.is_valid(t.column("id_a")), pc.is_valid(t.column("id_b")))
         )
 
-    clean_pairs = pairs_mat.map_batches(clean, batch_format="pyarrow")
+    # materialized: each shard reads it twice (its id set, its slots)
+    clean_pairs = pairs_mat.map_batches(clean, batch_format="pyarrow"
+                                        ).materialize()
     n_pairs = clean_pairs.count()
     if n_pairs == 0:
         return rd.from_pandas(empty)
@@ -1087,8 +1083,7 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
             }
         )
 
-    att = _VerifyAttachText()
-    vj = _VerifyJaccard(shingle_w, threshold)
+    jaccard = _pair_jaccard(shingle_w, threshold)
     shard_outputs = []
     for pairs_s in hash_shards(clean_pairs, "id_a", n_pairs,
                                VERIFY_PAIRS_PER_SHARD):
@@ -1104,14 +1099,10 @@ def verify_pairs(ds, pairs, text_col: str = "text", id_col: str = "doc_id",
             batch_format="pyarrow",
         )
         slots_side = pairs_s.map_batches(explode_slots, batch_format="pyarrow")
-        attached = texts.union(slots_side).groupby("join_id").map_groups(
-            lambda g, _a=att: _a(g), batch_format="pandas"
-        )
+        attached = hash_exchange(texts.union(slots_side), ["join_id"],
+                                 _attach_texts)
         shard_outputs.append(
-            attached.groupby(["id_a", "id_b"]).map_groups(
-                lambda g, _vj=vj: _vj(g), batch_format="pandas"
-            )
-        )
+            hash_exchange(attached, ["id_a", "id_b"], jaccard))
     if not shard_outputs:
         return rd.from_pandas(empty)
     out = shard_outputs[0]
@@ -1426,6 +1417,12 @@ class _HyperplaneBucket:
 
 
 class _BucketCosinePairs:
+    """One hyperplane-LSH bucket (a ``shuffle.per_key_fold`` run): the
+    pairs with cosine ≥ ``threshold``, or a flag row when the bucket holds
+    more than ``max_bucket_rows`` vectors.  Flag columns
+    (``__oversized_bucket``, ``__bucket_rows``) are always present and
+    null on pair rows, so every bucket returns one schema."""
+
     def __init__(self, threshold: float, emb_col: str, id_col: str,
                  max_bucket_rows: int):
         self.threshold = threshold
@@ -1433,33 +1430,34 @@ class _BucketCosinePairs:
         self.id_col = id_col
         self.max_bucket_rows = max_bucket_rows
 
-    def __call__(self, group):
-        import pandas as pd
+    def __call__(self, g: pa.Table) -> pa.Table:
+        from ..util import embedding_matrix
 
-        n = len(group)
+        id_type = g.schema.field(self.id_col).type
+        n = len(g)
+        a, b, cos, flag = [], [], np.empty(0), []
         if n > self.max_bucket_rows:
-            # one dense bucket would do O(n²) work in a single reducer —
+            # one dense bucket would do O(n²) work in a single task —
             # refuse to materialize it and surface a flag row instead
-            return pd.DataFrame(
-                {
-                    "__oversized_bucket": [int(group["bucket"].iloc[0])],
-                    "__bucket_rows": [n],
-                }
-            )
-        if n < 2:
-            return pd.DataFrame({"id_a": [], "id_b": [], "cosine": []})
-        ids = group[self.id_col].tolist()
-        emb = np.stack(group[self.emb_col].tolist()).astype(np.float64)
-        norm = np.linalg.norm(emb, axis=1, keepdims=True)
-        emb = emb / np.maximum(norm, 1e-12)
-        sims = emb @ emb.T
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sims[i, j] >= self.threshold:
-                    a, b = sorted((ids[i], ids[j]))
-                    rows.append((a, b, float(sims[i, j])))
-        return pd.DataFrame(rows, columns=["id_a", "id_b", "cosine"])
+            flag = [g.column("bucket")[0].as_py()]
+        elif n >= 2:
+            ids = g.column(self.id_col).to_pylist()
+            emb = embedding_matrix(g.column(self.emb_col), np.float64)
+            emb = emb / np.maximum(
+                np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
+            sims = emb @ emb.T
+            ii, jj = np.nonzero(np.triu(sims >= self.threshold, k=1))
+            pairs = [sorted((ids[i], ids[j])) for i, j in zip(ii, jj)]
+            a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+            cos = sims[ii, jj]
+        nulls = [None] * len(a)
+        return pa.table({
+            "id_a": pa.array(a + [None] * len(flag), id_type),
+            "id_b": pa.array(b + [None] * len(flag), id_type),
+            "cosine": pa.array(list(cos) + [None] * len(flag), pa.float64()),
+            "__oversized_bucket": pa.array(nulls + flag, pa.int64()),
+            "__bucket_rows": pa.array(nulls + [n] * len(flag), pa.int64()),
+        })
 
 
 def embedding_cosine_pairs(ds, threshold: float = 0.9, dim: int = 64,
@@ -1475,9 +1473,12 @@ def embedding_cosine_pairs(ds, threshold: float = 0.9, dim: int = 64,
     so the embedding-carrying shuffle and the per-bucket UDF only ever see
     actual candidates — and a bucket-size cap: a bucket larger than
     ``max_bucket_rows`` yields a flag row (``__oversized_bucket``,
-    ``__bucket_rows``) instead of O(n²) work in one reducer; downstream
-    decides (resplit with more planes, sample, or drop)."""
-    from ..functions.shuffle import tree_group_sum
+    ``__bucket_rows``; always-present nullable columns) instead of O(n²)
+    work in one task; downstream decides (resplit with more planes,
+    sample, or drop).  The candidates take one hash exchange on the LSH
+    bucket, and each bucket runs the pair scan once per LSH bucket
+    (``shuffle.per_key_fold``)."""
+    from ..functions.shuffle import hash_exchange, per_key_fold, tree_group_sum
 
     bucketed = ds.map_batches(
         _HyperplaneBucket(dim, emb_col=emb_col, id_col=id_col), batch_format="pyarrow"
@@ -1497,14 +1498,12 @@ def embedding_cosine_pairs(ds, threshold: float = 0.9, dim: int = 64,
         return rd.from_pandas(pd.DataFrame({"id_a": [], "id_b": [], "cosine": []}))
     hot = BroadcastSet.put(hot_tbl.select(["bucket"]), "bucket").semi(
         bucketed, "bucket")
-    bucket_pairs = _BucketCosinePairs(threshold, emb_col, id_col, max_bucket_rows)
-    return hot.groupby("bucket").map_groups(
-        lambda g, _bp=bucket_pairs: _bp(g), batch_format="pandas"
-    )
+    return hash_exchange(hot, ["bucket"], per_key_fold(
+        ["bucket"],
+        _BucketCosinePairs(threshold, emb_col, id_col, max_bucket_rows)))
 
 
-def snapshot_diff(old_ds, new_ds, key_col: str, content_cols,
-                  n_buckets: int = 64):
+def snapshot_diff(old_ds, new_ds, key_col: str, content_cols):
     """Delta detection between two corpus snapshots keyed by ``key_col``:
     one row per key that differs — status ``'added'`` (key only in new),
     ``'removed'`` (only in old), ``'changed'`` (present in both, any
@@ -1515,18 +1514,17 @@ def snapshot_diff(old_ds, new_ds, key_col: str, content_cols,
     yesterday's to reprocess only what moved.  Both sides reduce to slim
     ``(key, content_hash, slot)`` rows per block (content hash =
     column-wise ``stable_hash64`` mixed per row — text never shuffles),
-    then ONE bucketed exchange (the ``hash_join`` shape) brings each
-    key's rows together and a local vectorized pandas pass classifies
-    per bucket.  Duplicate keys within a snapshot are an error (a diff
-    by key is ill-defined otherwise).  Null keys are dropped."""
-    import pandas as pd
-
-    from ..util import dataset_arrow_schema, shard_codes, stable_hash64
+    then ONE hash exchange on the key (``shuffle.hash_exchange``) brings
+    each key's rows together and each bucket classifies its keys with one
+    Arrow full outer join.  Returns ``(key, status)``, the key in its
+    input type.  Duplicate keys within a snapshot are an error (a diff by
+    key is ill-defined otherwise).  Null keys are dropped."""
+    from ..functions.shuffle import hash_exchange
+    from ..util import dataset_arrow_schema, stable_hash64
 
     content_cols = list(content_cols)
-    # resolve the key type ONCE so empty-block fallbacks agree with real
-    # blocks (a hardcoded int64 fallback would break string-keyed
-    # snapshots the moment any block comes back empty)
+    # resolve the key type ONCE so every side block and the fold output
+    # agree (a hardcoded int64 would break string-keyed snapshots)
     key_type = pa.int64()
     for side_ds in (old_ds, new_ds):
         schema = dataset_arrow_schema(side_ds)
@@ -1536,27 +1534,10 @@ def snapshot_diff(old_ds, new_ds, key_col: str, content_cols,
 
     def side(slot):
         def f(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "bucket": pa.array([], pa.int64()),
-                    "key": pa.array([], key_type),
-                    "chash": pa.array([], pa.int64()),
-                    "slot": pa.array([], pa.int32()),
-                }
-            )
-            key = t.column(key_col)
-            if isinstance(key, pa.ChunkedArray):
-                key = key.combine_chunks()
-            valid = pc.is_valid(key)
-            t = t.filter(valid)
-            key = t.column(key_col)
-            if len(t) == 0:
-                return empty
+            t = t.filter(pc.is_valid(t.column(key_col)))
             acc = np.zeros(len(t), dtype=np.uint64)
-            for i, c in enumerate(content_cols):
-                col = t.column(c)
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
+            for c in content_cols:
+                col = t.column(c).combine_chunks()
                 h = stable_hash64(col)
                 # stable_hash64 hashes null like the type's zero value —
                 # blend the validity bit so NULL<->''/0.0 transitions are
@@ -1569,8 +1550,7 @@ def snapshot_diff(old_ds, new_ds, key_col: str, content_cols,
                 acc = acc * np.uint64(0x9E3779B97F4A7C15) + h
             return pa.table(
                 {
-                    "bucket": pa.array(shard_codes(key, n_buckets)),
-                    "key": key,
+                    "key": t.column(key_col).cast(key_type),
                     "chash": pa.array(acc.view(np.int64)),
                     "slot": pa.array(np.full(len(t), slot, dtype=np.int32)),
                 }
@@ -1581,30 +1561,30 @@ def snapshot_diff(old_ds, new_ds, key_col: str, content_cols,
         new_ds.map_batches(side(1), batch_format="pyarrow")
     )
 
-    def classify(g):
-        old = g[g["slot"] == 0]
-        new = g[g["slot"] == 1]
-        if old["key"].duplicated().any() or new["key"].duplicated().any():
-            raise ValueError(
-                "snapshot_diff: duplicate keys within a snapshot"
-            )
-        m = old[["key", "chash"]].merge(
-            new[["key", "chash"]], on="key", how="outer",
-            suffixes=("_old", "_new"), indicator=True,
-        )
-        status = np.where(
-            m["_merge"] == "left_only", "removed",
-            np.where(
-                m["_merge"] == "right_only", "added",
-                np.where(m["chash_old"] != m["chash_new"], "changed", ""),
-            ),
-        )
-        out = pd.DataFrame({"key": m["key"], "status": status})
-        return out[out["status"] != ""]
+    def classify(t: pa.Table) -> pa.Table:
+        if len(t) == 0:  # the exchange's typed empty (may lack columns)
+            return pa.table({"key": pa.array([], key_type),
+                             "status": pa.array([], pa.string())})
+        sides = []
+        for slot, name in ((0, "chash_old"), (1, "chash_new")):
+            s = t.filter(pc.equal(t.column("slot"), slot))
+            if len(pc.unique(s.column("key"))) != len(s):
+                raise ValueError(
+                    "snapshot_diff: duplicate keys within a snapshot")
+            sides.append(pa.table({"key": s.column("key"),
+                                   name: s.column("chash")}))
+        m = sides[0].join(sides[1], keys="key", join_type="full outer")
+        old, new = m.column("chash_old"), m.column("chash_new")
+        none = pa.scalar(None, pa.string())
+        status = pc.if_else(
+            pc.is_null(old), "added", pc.if_else(
+                pc.is_null(new), "removed", pc.if_else(
+                    pc.not_equal(old, new), "changed", none)))
+        keep = pc.is_valid(status)
+        return pa.table({"key": m.column("key").filter(keep),
+                         "status": status.filter(keep)})
 
-    return unioned.groupby("bucket").map_groups(
-        lambda g: classify(g), batch_format="pandas"
-    )
+    return hash_exchange(unioned, ["key"], classify)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ Shape:
    arange), cuts at ``seq = index // max_len`` boundaries and joins each
    in-block run with one ``binary_join`` — zero Python per token.  Interior
    sequences are final; only each block's FIRST and LAST sequence can
-   straddle a block edge and go through a ≤ 2-groups-per-block
-   ``groupby(seq_id)`` repair (the sessionization pattern).
+   straddle a block edge.  Those ≤ 2 fragments per block take one hash
+   exchange on ``seq_id`` (``shuffle.hash_exchange``), and each bucket
+   joins its sequences' fragments with one vectorized ``binary_join``.
 
 Null/empty documents contribute no tokens.  Every sequence except the last
 has exactly ``max_len`` tokens; token order is the document order used by
@@ -91,28 +92,22 @@ def _fragments_block(t: pa.Table, text_col: str, max_len: int,
     )
 
 
-class _MergeBoundarySeq:
-    """groupby(seq_id) repair: order one straddling sequence's fragments by
-    global token start and join them — the group holds every fragment of
-    that sequence (each touches a block edge)."""
+def _merge_boundary(t: pa.Table) -> pa.Table:
+    """Exchange fold on ``seq_id`` (complete sequences): order each
+    straddling sequence's fragments by global token start and join them
+    — one ``binary_join`` over the sorted runs, no Python per sequence."""
+    from ..functions.shuffle import key_runs
 
-    def __call__(self, g: pa.Table) -> pa.Table:
-        g = g.sort_by([("frag_start", "ascending")])
-        txt = g.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
-        lists = pa.ListArray.from_arrays(
-            pa.array([0, len(g)], pa.int32()), txt
-        )
-        return pa.table(
-            {
-                "seq_id": g.column("seq_id").slice(0, 1),
-                "n_tokens": pa.array(
-                    [pc.sum(g.column("n_tokens")).as_py() or 0], pa.int64()
-                ),
-                "text": pc.binary_join(lists, " "),
-            }
-        )
+    t = t.sort_by([("seq_id", "ascending"), ("frag_start", "ascending")])
+    cuts = key_runs(t, ["seq_id"])
+    n_tok = t.column("n_tokens").to_numpy(zero_copy_only=False)
+    lists = pa.ListArray.from_arrays(pa.array(cuts, pa.int32()),
+                                     t.column("text").combine_chunks())
+    return pa.table({
+        "seq_id": t.column("seq_id").take(pa.array(cuts[:-1], pa.int64())),
+        "n_tokens": pa.array(np.add.reduceat(n_tok, cuts[:-1]), pa.int64()),
+        "text": pc.binary_join(lists, " "),
+    })
 
 
 def pack_texts(ds, id_col: str, text_col: str, max_len: int):
@@ -120,6 +115,7 @@ def pack_texts(ds, id_col: str, text_col: str, max_len: int):
     whitespace tokens (last one may be shorter): returns a Dataset of
     ``(seq_id, n_tokens, text)``.  See the module docstring for the shape;
     ``id_col`` must be unique and non-null."""
+    from ..functions.shuffle import hash_exchange
     from ..util import collect_arrow
 
     if max_len < 1:
@@ -142,8 +138,10 @@ def pack_texts(ds, id_col: str, text_col: str, max_len: int):
         sorted_ds.map_batches(summary, batch_format="pyarrow", batch_size=None)
     )
     if summ is None or len(summ) == 0:
-        return sorted_ds.map_batches(lambda t: _frag_empty().drop_columns(
-            ["frag_start", "__pending"]), batch_format="pyarrow")
+        import ray.data as rd
+
+        return rd.from_arrow(_frag_empty().drop_columns(
+            ["frag_start", "__pending"]))
     summ = summ.sort_by([("__fid", "ascending")])
     toks = summ.column("__tok").to_numpy(zero_copy_only=False)
     offs = np.concatenate([[0], np.cumsum(toks)[:-1]]).astype(np.int64)
@@ -163,16 +161,10 @@ def pack_texts(ds, id_col: str, text_col: str, max_len: int):
         ).select(_c),
         batch_format="pyarrow",
     )
-    boundary = frags.map_batches(
-        lambda t, _c=["seq_id", "frag_start", "n_tokens", "text"]: t.filter(
-            t.column("__pending")
-        ).select(_c),
-        batch_format="pyarrow",
-    )
-    merge = _MergeBoundarySeq()
-    merged = boundary.groupby("seq_id").map_groups(
-        lambda g, _m=merge: _m(g), batch_format="pyarrow"
-    )
+    merged = hash_exchange(
+        frags, ["seq_id"], _merge_boundary,
+        pre=lambda t, _c=["seq_id", "frag_start", "n_tokens", "text"]:
+        t.filter(t.column("__pending")).select(_c))
     return interior.union(merged)
 
 

@@ -15,6 +15,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.shuffle import group_by
+
 # Above this many combiner partial rows grouped_top_k merges distributed.
 TOPK_DRIVER_MAX_ROWS = 2_000_000
 # Above this many partial digest rows grouped_approx_quantile merges
@@ -953,9 +955,7 @@ def grouped_approx_count_distinct(ds, group_col: str, value_col: str,
         sub = pa.table(
             {group_col: g, "__reg": pa.array(reg), "__rank": pa.array(rank)}
         )
-        return sub.group_by([group_col, "__reg"], use_threads=False).aggregate(
-            [("__rank", "max")]
-        )
+        return group_by(sub, [group_col, "__reg"], [("__rank", "max")])
 
     from ..functions.shuffle import tree_group_sum
 
@@ -1357,9 +1357,8 @@ def grouped_mode(ds, group_col: str, value_col: str, *,
         mask = pc.and_(pc.is_valid(t.column(group_col)),
                        pc.is_valid(t.column(value_col)))
         sub = t.select([group_col, value_col]).filter(mask)
-        return sub.group_by([group_col, value_col]).aggregate(
-            [([], "count_all")]
-        ).rename_columns([group_col, value_col, "__n"])
+        return group_by(sub, [group_col, value_col], [([], "count_all")]
+                        ).rename_columns([group_col, value_col, "__n"])
 
     # typed anchor: an empty/all-null input keeps its schema
     counts = tree_group_sum(

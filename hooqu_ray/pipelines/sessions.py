@@ -15,8 +15,8 @@ run/break detection + ``reduceat``-style segment aggregates — zero Python
 per key) + a boundary merge.  After a range-partitioned sort a key interior
 to a block cannot appear in any other block, so only each block's FIRST and
 LAST key can straddle a block boundary; their per-block session partials
-(O(#sessions), not O(#events) — a hot key stays cheap) go through a tiny
-``groupby(key).map_groups`` merge — at most 2 groups per block.  Rows with
+(O(#sessions), not O(#events) — a hot key stays cheap) go through the
+scan's per-key repair merge — at most 2 keys per block.  Rows with
 a null key or timestamp are dropped.
 """
 
@@ -75,7 +75,7 @@ def _session_rows(batch: pa.Table, key: str, ts_col: str,
 
 
 def _merge_sessions(g: pa.Table, key: str, gap_us: int) -> pa.Table:
-    """groupby(key) merge of one boundary key's per-block session partials:
+    """Repair merge of one boundary key's per-block session partials:
     sort by t_start, fuse adjacent partials whose junction gap is within the
     threshold (within-block sessions already have gap > threshold, so fusing
     is exactly the cross-block repair), then assign final 0-based indices."""

@@ -35,6 +35,8 @@ from typing import Optional, Sequence
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.shuffle import group_by
+
 
 def _common_cols(a, b, cols: Optional[Sequence[str]]):
     from ..util import dataset_arrow_schema
@@ -59,7 +61,7 @@ def _tag_side(cols: list, in_a: bool):
     def fn(t: pa.Table) -> pa.Table:
         d = t.select(cols)
         if len(d):
-            d = d.group_by(cols, use_threads=False).aggregate([])
+            d = group_by(d, cols, [])
         n = len(d)
         one = pa.repeat(pa.scalar(1, pa.int64()), n)
         zero = pa.repeat(pa.scalar(0, pa.int64()), n)

@@ -14,6 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.shuffle import group_by
 from ..stages.heuristics import SYMBOL_PATTERN, STOPWORD_PATTERN
 from ..stages.models import TrigramLangID
 
@@ -709,8 +710,8 @@ def vocab_stats(ds, text_col: str = "text", group_col: str = "source"):
         if len(flat) == 0:
             return empty
         grp = sub.column(group_col).take(pa.array(parent, pa.int64()))
-        agg = pa.table({group_col: grp, "__tk": flat}).group_by(
-            [group_col, "__tk"]).aggregate([([], "count_all")])
+        agg = group_by(pa.table({group_col: grp, "__tk": flat}),
+                       [group_col, "__tk"], [([], "count_all")])
         return agg.rename_columns([group_col, "__tk", "__n"])
 
     from ..functions.shuffle import tree_group_sum

@@ -43,6 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.expr import Predicate
+from ..functions.shuffle import group_by
 from ..functions.sorted_scan import partition_by_key, sorted_scan
 from ..stages import spec
 from ..stages.heuristics import compute_features
@@ -273,14 +274,17 @@ def _write_dropped_index_distributed(partials_dir: str, out_dir: str,
     """Fully distributed dropped-index build for the 10^12-turn path:
     bucketed fold of the conv-stat partials (one row per (block, conv)
     already, so a hot conversation is bounded by #blocks; null convs drop)
-    → per-block verdict filter → ``groupby(cvb)`` with ONE task per bucket
-    sorting and writing its IPC file.  #convs rows never touch the driver;
-    per-task memory is one bucket (dropped/n_buckets)."""
+    → one hash exchange on the index bucket ``cvb`` (the verdict filter
+    is its per-block ``pre``) whose folds sort and write one IPC file per
+    ``cvb`` (``shuffle.per_key_fold``).  #convs rows never touch the
+    driver; per-task memory is one exchange bucket of dropped ids.
+    ``n_buckets`` is the on-disk index layout (``cvb=<b>.arrow`` files the
+    verdict lookup opens), not a parallelism setting."""
     import os
 
     import ray.data as rd
 
-    from ..functions.shuffle import bucketed_group_fold
+    from ..functions.shuffle import bucketed_group_fold, hash_exchange, per_key_fold
     from ..util import stable_hash64
 
     os.makedirs(out_dir, exist_ok=True)
@@ -301,27 +305,22 @@ def _write_dropped_index_distributed(partials_dir: str, out_dir: str,
             }
         )
 
-    def write_bucket(g):
-        import pandas as pd
-
-        b = int(g["cvb"].iloc[0])
+    def write_bucket(g: pa.Table) -> pa.Table:
+        """One ``cvb`` run → its index file; returns the written bucket."""
+        if len(g) == 0:  # the exchange's typed empty (may lack columns)
+            return pa.table({"cvb": pa.array([], pa.int64())})
         _write_bucket_file(
-            out_dir,
-            b,
-            g["h"].to_numpy().astype(np.uint64),
-            pa.array(g["conv_id"].to_numpy(), pa.string()),
-        )
-        return pd.DataFrame({"cvb": [b], "rows": [len(g)]})
+            out_dir, g.column("cvb")[0].as_py(),
+            g.column("h").to_numpy().astype(np.uint64),
+            g.column("conv_id").combine_chunks())
+        return g.select(["cvb"]).slice(0, 1)
 
     stats = bucketed_group_fold(
         rd.read_parquet(partials_dir), ["conv_id"],
         ["kept_partial", "total_partial"], drop_null_keys=True)
-    acks = (
-        stats.map_batches(drop_rows, batch_format="pyarrow")
-        .groupby("cvb")
-        .map_groups(lambda g: write_bucket(g), batch_format="pandas")
-    )
-    acks.count()  # consume the tiny ack rows to execute the write
+    # the folds run (and write) before the exchange returns
+    hash_exchange(stats, ["cvb"], per_key_fold(["cvb"], write_bucket),
+                  pre=drop_rows)
 
 
 @functools.lru_cache(maxsize=1)
@@ -857,10 +856,10 @@ def _boilerplate_drop(ds, min_convs: int, conv_col: str, text_col: str,
 
     def capped_pairs(t: pa.Table) -> pa.Table:
         t = t.filter(_eligible_mask(t))
-        pairs = pa.table({
+        pairs = group_by(pa.table({
             "__th": pa.array(_text_hash63(t.column(text_col)), pa.int64()),
             conv_col: t.column(conv_col),
-        }).group_by(["__th", conv_col]).aggregate([])
+        }), ["__th", conv_col], [])
         th = pairs.column("__th").to_numpy()
         order = np.argsort(th, kind="stable")
         th = th[order]
@@ -871,8 +870,10 @@ def _boilerplate_drop(ds, min_convs: int, conv_col: str, text_col: str,
         return pairs.take(pa.array(order[rank < min_convs]))
 
     def hot_hashes(t: pa.Table) -> pa.Table:
+        if len(t) == 0:  # the exchange's typed empty (may lack columns)
+            return pa.table({"__th": pa.array([], pa.int64())})
         vc = pc.value_counts(
-            t.group_by(["__th", conv_col]).aggregate([]).column("__th"))
+            group_by(t, ["__th", conv_col], []).column("__th"))
         hot = pc.greater_equal(vc.field("counts"), pa.scalar(min_convs))
         return pa.table({"__th": vc.field("values").filter(hot)})
 
@@ -1288,9 +1289,8 @@ def tool_usage_stats(ds, *, conv_col: str = "conv_id",
         mask = pc.and_(pc.is_valid(t.column(conv_col)),
                        pc.is_valid(t.column(tool_col)))
         sub = t.select([conv_col, tool_col]).filter(mask)
-        return sub.group_by([conv_col, tool_col]).aggregate(
-            [([], "count_all")]
-        ).rename_columns([conv_col, tool_col, "__n"])
+        return group_by(sub, [conv_col, tool_col], [([], "count_all")]
+                        ).rename_columns([conv_col, tool_col, "__n"])
 
     from ..functions.shuffle import tree_group_sum
 
@@ -1670,8 +1670,7 @@ def conversation_majority_lang(ds, *, conv_col: str = "conv_id",
     def pair_partials(t: pa.Table) -> pa.Table:
         sub = t.select([conv_col, "pred_lang"]).filter(
             pc.is_valid(t.column(conv_col)))
-        agg = sub.group_by([conv_col, "pred_lang"]).aggregate(
-            [([], "count_all")])
+        agg = group_by(sub, [conv_col, "pred_lang"], [([], "count_all")])
         return agg.rename_columns([conv_col, "pred_lang", "__n"])
 
     from ..functions.shuffle import tree_group_sum
@@ -2451,8 +2450,7 @@ def _make_tool_pairs_kernel(conv_col: str, tool_col: str,
             "tool_from": pa.array(tools[:-1][same], pa.string()),
             "tool_to": pa.array(tools[1:][same], pa.string()),
         })
-        part = pairs.group_by(["tool_from", "tool_to"]).aggregate(
-            [([], "count_all")])
+        part = group_by(pairs, ["tool_from", "tool_to"], [([], "count_all")])
         return part.rename_columns(["tool_from", "tool_to", "__n"])
 
     return kernel
@@ -2960,8 +2958,7 @@ def reindex_turns(ds, *, conv_col: str = "conv_id",
 
 def conversation_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
                       idx_col: str = "turn_idx",
-                      text_col: str = "text",
-                      n_buckets: int = 64):
+                      text_col: str = "text"):
     """Conversation-granularity delta between two transcript snapshots —
     the incremental-ingest primitive for agent logs: one row per conv id
     that differs, status ``'added'`` (only in new), ``'removed'`` (only
@@ -2988,8 +2985,7 @@ def conversation_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
     new_fp = _conversation_fingerprints(
         new_ds, conv_col, idx_col, text_col, conv_type)
     return _diff_output(
-        snapshot_diff(old_fp, new_fp, conv_col, ["__fp"],
-                      n_buckets=n_buckets), conv_type, conv_col)
+        snapshot_diff(old_fp, new_fp, conv_col, ["__fp"]), conv_type, conv_col)
 
 
 def fork_index_write(ds, prefix_turns: int, path: str, *,
@@ -3225,8 +3221,7 @@ def conversation_index_write(ds, path: str, *,
 def conversation_diff_against_index(new_ds, path: str, *,
                                     conv_col: str = "conv_id",
                                     idx_col: str = "turn_idx",
-                                    text_col: str = "text",
-                                    n_buckets: int = 64):
+                                    text_col: str = "text"):
     """Incremental :func:`conversation_diff`: classify a NEW transcript
     snapshot against a PERSISTED fingerprint index
     (:func:`conversation_index_write`) — added / removed / changed per
@@ -3250,13 +3245,11 @@ def conversation_diff_against_index(new_ds, path: str, *,
     new_fp = _conversation_fingerprints(
         new_ds, conv_col, idx_col, text_col, conv_type)
     return _diff_output(
-        snapshot_diff(old_fp, new_fp, conv_col, ["__fp"],
-                      n_buckets=n_buckets), conv_type, conv_col)
+        snapshot_diff(old_fp, new_fp, conv_col, ["__fp"]), conv_type, conv_col)
 
 
 def turn_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
-              idx_col: str = "turn_idx", text_col: str = "text",
-              n_buckets: int = 64):
+              idx_col: str = "turn_idx", text_col: str = "text"):
     """Turn-granular delta between two transcript snapshots — the
     drill-down companion to :func:`conversation_diff`: one row per
     (conv, turn_idx) that differs, status ``'added'`` / ``'removed'`` /
@@ -3286,7 +3279,7 @@ def turn_diff(old_ds, new_ds, *, conv_col: str = "conv_id",
     diff = snapshot_diff(
         old_ds.map_batches(keyed, batch_format="pyarrow"),
         new_ds.map_batches(keyed, batch_format="pyarrow"),
-        "__tk", [text_col], n_buckets=n_buckets)
+        "__tk", [text_col])
 
     out_schema = pa.schema([
         (conv_col, pa.string()), (idx_col, pa.int64()),

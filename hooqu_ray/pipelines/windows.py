@@ -11,8 +11,8 @@ pass — zero Python per row.
 
 Boundary repair: after a range sort only a block's FIRST key can continue
 from an earlier block, so only its first ``w−1`` rows can have windows
-reaching back across the boundary; they are re-computed in a tiny
-``groupby(key)`` merge fed by ≤ ``w−1`` context rows per block (the last
+reaching back across the boundary; they are re-computed in the scan's
+tiny per-key repair merge fed by ≤ ``w−1`` context rows per block (the last
 ``w−1`` rows of each block's LAST key).  Every in-window predecessor of a
 pending row is present in its merge group: in-block predecessors of a
 pending row are themselves pending (they sit even earlier in the first
@@ -166,7 +166,7 @@ def _time_block(t: pa.Table, key: str, ts_col: str, value_col: str,
 
 
 class _MergeBoundaryTime:
-    """groupby(key) repair for the time window: one boundary key's pending +
+    """Per-key boundary repair for the time window: one boundary key's pending +
     context rows, re-windowed over the group (a pending row's every global
     window row is in the group — in-block rows inside its window satisfy the
     pending bound themselves, cross-block rows are inside the adjacent
@@ -217,7 +217,7 @@ def time_window_mean(ds, key: str, ts_col: str, id_col: str, value_col: str,
 
 
 class _MergeBoundaryRolling:
-    """groupby(key) repair: order one boundary key's pending + context rows
+    """Per-key boundary repair: order one boundary key's pending + context rows
     and re-run the window over the group (group-local windows equal global
     ones — see module docstring), emitting only the pending rows."""
 
@@ -399,7 +399,7 @@ def _running_block(t: pa.Table, key: str, value_col: str, emit: str) -> pa.Table
 
 
 class _MergeBoundaryRunning:
-    """groupby(key) repair for the running aggregate: sort one boundary
+    """Per-key boundary repair for the running aggregate: sort one boundary
     key's full row set by (ts, tie) and accumulate — every row is emitted
     (all are pending)."""
 
@@ -433,7 +433,7 @@ def running_agg(ds, key: str, ts_col: str, tie: str, value_col: str):
 
     Same discipline as :func:`rolling_mean`: ONE distributed range
     ``sort(key, ts, tie)`` over a 4-column projection, a fully vectorized
-    per-block padded-cumsum pass, and a ``groupby(key)`` boundary merge
+    per-block padded-cumsum pass, and a per-key boundary merge
     that touches only each block's first/last key (≤ 2 keys per block —
     O(#blocks) groups, NOT O(#keys)).  Null semantics match SQL: null
     values don't advance the sum (an all-null prefix yields null);
@@ -498,7 +498,7 @@ def _lag_block(t: pa.Table, key: str, value_col: str, periods: int,
 
 
 class _MergeBoundaryLag:
-    """groupby(key) repair: order one boundary key's pending + context rows
+    """Per-key boundary repair: order one boundary key's pending + context rows
     and re-resolve the lag (or lead, ``forward=True``) over the group,
     emitting only pending rows."""
 

@@ -305,6 +305,7 @@ class RayRunner:
         and each bucket merges the state rows that hashed to it, so the
         driver folds at most B states (``plan=None``: states are None)."""
         from .functions.shuffle import bucketed_group_fold
+        from .util import collect_arrow
 
         cols = list(columns)
         # PER-BLOCK adaptive combiner (hot-key-proof shuffle): each block
@@ -343,16 +344,18 @@ class RayRunner:
                              "__e": [f.entropy_sum],
                              "__state": pa.array([state], pa.large_binary())})
 
-        rows = bucketed_group_fold(
+        # the exchange output is materialized: collect_arrow reads it with
+        # no Ray Data execution (take_all would run one)
+        rows = collect_arrow(bucketed_group_fold(
             partials, cols, ["__pcount"] + (["__state"] if plan else []),
-            combine=combine).take_all()
-        freq = FrequenciesAndNumRows(
-            int(sum(r["__n"] for r in rows)),
-            int(sum(r["__g"] for r in rows)),
-            int(sum(r["__u"] for r in rows)),
-            float(sum(r["__e"] for r in rows)),
-        )
-        return freq, (plan.fold_pickled(r["__state"] for r in rows)
+            combine=combine))
+
+        def total(c):
+            return pc.sum(rows.column(c)).as_py() or 0
+
+        freq = FrequenciesAndNumRows(int(total("__n")), int(total("__g")),
+                                     int(total("__u")), float(total("__e")))
+        return freq, (plan.fold_pickled(rows.column("__state").to_pylist())
                       if plan else None)
 
 

@@ -86,7 +86,7 @@ def test_dedup_keep_best_keeps_corpus_columns_when_empty(ray_session):
     pairs = pa.table({"id_a": pa.array([1, 2], pa.int64()),
                       "id_b": pa.array([2, 3], pa.int64())})
     out = dedup_keep_best(rd.from_arrow(docs), rd.from_arrow(pairs),
-                          id_type=pa.int64(), n_buckets=8)
+                          id_type=pa.int64())
     assert out.count() == 0
     assert util.dataset_arrow_schema(out) == docs.schema
 

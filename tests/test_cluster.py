@@ -57,7 +57,7 @@ class TestConnectedComponents:
         # path 0-1-2-...-12: diameter 12 exercises multi-sweep propagation
         n = 13
         pairs = pd.DataFrame({"id_a": range(n - 1), "id_b": range(1, n)})
-        got = _components(pairs, ray_session, n_buckets=4)
+        got = _components(pairs, ray_session)
         assert got["node"].tolist() == list(range(n))
         assert set(got["cluster_id"]) == {0}
 
@@ -125,7 +125,7 @@ class TestConnectedComponents:
         a = rng.integers(0, 200, 300)
         off = rng.integers(1, 40, 300)
         pairs = pd.DataFrame({"id_a": a, "id_b": a + off})
-        got = _components(pairs, ray_session, n_buckets=8)
+        got = _components(pairs, ray_session)
         exp = _oracle(pairs)
         assert got["node"].tolist() == exp["node"].tolist()
         assert got["cluster_id"].tolist() == exp["cluster_id"].tolist()

@@ -8,6 +8,7 @@ on the driver).
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import hooqu_ray as hq
@@ -149,7 +150,8 @@ def _events(blocks=4):
 
 
 @pytest.mark.parametrize("driver", [True, False])
-def test_driver_repair_plans_no_groupby(ray_session, monkeypatch, driver):
+def test_driver_repair_plans_no_groupby(ray_session, monkeypatch,
+                                        exchange_tasks, driver):
     from hooqu_ray.pipelines import sessions
 
     monkeypatch.setattr(ss, "DRIVER_REPAIR_MAX_BYTES",
@@ -157,8 +159,11 @@ def test_driver_repair_plans_no_groupby(ray_session, monkeypatch, driver):
     out = sessions.session_stats(_events(), "user_id", "ts", 1800.0)
     ops = _plan_ops(out)
     # the range sort is materialized upstream, so any Sort left in the plan
-    # is the groupby(key) repair
-    assert ("Sort" in ops) is not driver, ops
+    # would be the repair's: neither arm plans one
+    assert "Sort" not in ops, ops
+    assert len(collect_arrow(out)) > 0
+    # the distributed arm's repair is a hash exchange, the driver's none
+    assert exchange_tasks["exchanges"] == (0 if driver else 1), exchange_tasks
 
 
 @pytest.fixture
@@ -183,20 +188,95 @@ def executed_ops(monkeypatch):
     return names
 
 
-@pytest.mark.parametrize("op", [
-    lambda ds: tp.truncate_conversations(ds, 20),
-    lambda ds: tp.conversation_reports(ds, ["loop", "echo"])["loop"],
-    lambda ds: shuffle.bucketed_group_fold(ds, ["conv_id"], ["turn_idx"]),
-], ids=["kernel_sorted_scan", "conversation_reports", "bucketed_group_fold"])
-def test_hash_exchange_plans_no_sort(ray_session, executed_ops, op):
-    """Kernel-policy scans and the bucketed fold run no Ray Data Sort or
-    Aggregate, neither while building nor in the returned plan."""
+def _with_ids(ds, drop_turn=None):
+    """Turns keyed by a unique ``"<conv>:<turn_idx>"`` id ``tid``, without
+    turn ``drop_turn`` (the map functions are closures: Ray workers cannot
+    import this test module)."""
+    def add(t: pa.Table) -> pa.Table:
+        tid = pc.binary_join_element_wise(
+            t.column("conv_id"), pc.cast(t.column("turn_idx"), pa.string()),
+            ":")
+        t = t.append_column("tid", tid)
+        if drop_turn is not None:
+            t = t.filter(pc.not_equal(t.column("turn_idx"), drop_turn))
+        return t
+
+    return ds.map_batches(add, batch_format="pyarrow")
+
+
+def _join(ds):
+    from hooqu_ray.functions.joins import hash_join
+
+    right = ds.map_batches(lambda t: t.select(["conv_id", "turn_idx"])
+                           .rename_columns(["cid", "n"]),
+                           batch_format="pyarrow")
+    return hash_join(ds, right, on="conv_id", right_on="cid", how="left")
+
+
+def _snapshot_diff(ds):
+    from hooqu_ray.pipelines.dedup import snapshot_diff
+
+    return snapshot_diff(_with_ids(ds), _with_ids(ds, drop_turn=2), "tid",
+                         ["text"])
+
+
+def _turn_pairs(ds):
+    """(id_a, id_b) = consecutive turns of a conversation."""
+    def pairs(t: pa.Table) -> pa.Table:
+        conv = t.column("conv_id")
+        idx = t.column("turn_idx")
+        keep = pc.less(idx, 5)
+        return pa.table({
+            "id_a": pc.binary_join_element_wise(
+                conv, pc.cast(idx, pa.string()), ":").filter(keep),
+            "id_b": pc.binary_join_element_wise(
+                conv, pc.cast(pc.add(idx, 1), pa.string()), ":").filter(keep),
+        })
+
+    return ds.map_batches(pairs, batch_format="pyarrow")
+
+
+def _verify_pairs(ds):
+    from hooqu_ray.pipelines.dedup import verify_pairs
+
+    return verify_pairs(_with_ids(ds), _turn_pairs(ds), "text", "tid")
+
+
+def _components(ds):
+    from hooqu_ray.pipelines.cluster import connected_components
+
+    return connected_components(_turn_pairs(ds))
+
+
+def _pack(ds):
+    from hooqu_ray.pipelines.packing import pack_texts
+
+    return pack_texts(_with_ids(ds), "tid", "text", 7)
+
+
+@pytest.mark.parametrize("op, sorts", [
+    (lambda ds: tp.truncate_conversations(ds, 20), 0),
+    (lambda ds: tp.conversation_reports(ds, ["loop", "echo"])["loop"], 0),
+    (lambda ds: shuffle.bucketed_group_fold(ds, ["conv_id"], ["turn_idx"]),
+     0),
+    (_join, 0), (_snapshot_diff, 0), (_verify_pairs, 0), (_components, 0),
+    # the packer's one range sort of the documents by id; its boundary
+    # merge is an exchange
+    (_pack, 1),
+], ids=["kernel_sorted_scan", "conversation_reports", "bucketed_group_fold",
+        "hash_join", "snapshot_diff", "verify_pairs", "connected_components",
+        "pack_texts"])
+def test_hash_exchange_plans_no_sort(ray_session, executed_ops, op, sorts):
+    """Kernel-policy scans, the bucketed fold and the keyed ops on the
+    hash exchange run no Ray Data Sort or Aggregate beyond an op's own
+    range sort, neither while building nor in the returned plan."""
     ds = _dataset()
     executed_ops.clear()
     out = op(ds)
     assert len(collect_arrow(out)) > 0
     ops = _plan_ops(out) + executed_ops
-    assert not [o for o in ops if "Sort" in o or "Aggregate" in o], ops
+    assert not [o for o in ops if "Aggregate" in o], ops
+    assert len([o for o in ops if "Sort" in o]) == sorts, ops
 
 
 def _lineitem(n=4000, blocks=8):
@@ -226,8 +306,9 @@ FLAG_QUANTILES = [hq.Quantile("l_extendedprice", 0.5,
 
 
 @pytest.mark.parametrize("suite, limit", [
-    # the perfbench suite: the scan rides the Uniqueness fold (was 4)
-    (SCAN + [QUANTILE, hq.Uniqueness(["l_orderkey", "l_linenumber"])], 2),
+    # the perfbench suite: the scan rides the Uniqueness fold (was 4), and
+    # the fold's summary rows collect with no execution (was 2)
+    (SCAN + [QUANTILE, hq.Uniqueness(["l_orderkey", "l_linenumber"])], 1),
     (SCAN + [QUANTILE], 1),  # no collect pass below the cap (was 2)
     (FLAG_QUANTILES + [hq.Size()], 1),  # one scan for every group (was 4)
     (SCAN, 1),

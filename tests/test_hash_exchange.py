@@ -170,10 +170,23 @@ def test_pandas_blocks(ray_session, sixteen_buckets):
 def test_all_empty_input(ray_session):
     import ray.data as rd
 
+    from hooqu_ray.util import dataset_arrow_schema
+
     typed = rd.from_arrow([_table().slice(0, 0)] * 3).materialize()
+    # no row reaches a fold: one block, the fold of the typed empty input
+    # (through ``pre``), folded on the driver
     calls = []
-    out = hash_exchange(typed, ["k"], lambda t: calls.append(1) or t)
-    assert out.count() == 0 and out.num_blocks() == 0 and not calls
+    out = hash_exchange(typed, ["k"], lambda t: calls.append(1) or t,
+                        pre=lambda t: t.select(["k", "v"]))
+    assert out.count() == 0 and out.num_blocks() == 1 and calls == [1]
+    assert dataset_arrow_schema(out) == pa.schema(
+        [("k", pa.string()), ("v", pa.int64())])
+    # no schema (a map over all-empty blocks): the fold of a 0-row table
+    # with no columns, not ``pre``
+    schemaless = typed.map_batches(lambda t: t, batch_format="pyarrow")
+    out = hash_exchange(schemaless, ["k"], lambda t: calls.append(2) or t,
+                        pre=lambda t: t.select(["k", "v"]))
+    assert out.count() == 0 and out.num_blocks() == 1 and calls == [1, 2]
     # a fold keeps its own typed empty result for input with no key column
     empty = pa.table({"k": pa.array([], pa.string()),
                       "v": pa.array([], pa.int64())})
@@ -231,7 +244,9 @@ def test_pre_runs_in_the_split(ray_session, monkeypatch, blocks):
         fn.__name__) or remote(fn))
     none = hash_exchange(ds, ["k"], _sum_by_k(),
                          pre=lambda t: t.filter(pc.less(t.column("v"), -99)))
-    assert none.num_blocks() == 0 and "_fold_bucket" not in folds
+    # no fold task: the typed empty result is folded on the driver
+    assert none.count() == 0 and none.num_blocks() == 1
+    assert "_fold_bucket" not in folds
     assert folds.count("_split_block") == 1
 
 
@@ -262,3 +277,85 @@ def test_sorted_scan_kernel_sees_sorted_complete_keys(ray_session, blocks,
                                ascending=[not d for d in flags],
                                kind="stable", ignore_index=True)
         pd.testing.assert_frame_equal(part, exp)
+
+
+def test_per_key_fold_calls_fn_once_per_key():
+    t = _table(400)
+    calls = []
+
+    def fn(g: pa.Table) -> pa.Table:
+        calls.append(len(g))
+        head = g.select(["k", "j"]).slice(0, 1)
+        return head.append_column(
+            "n", pa.array([len(g)] * len(head), pa.int64()))
+
+    out = shuffle.per_key_fold(["k", "j"], fn)(t).to_pandas()
+    exp = t.to_pandas().groupby(["k", "j"], dropna=False).size()
+    assert len(calls) == len(exp) == len(out)
+
+    def norm(k, j):
+        return (None if pd.isna(k) else k, None if pd.isna(j) else int(j))
+
+    assert {norm(k, j): n for k, j, n in zip(out["k"], out["j"], out["n"])} \
+        == {norm(k, j): n for (k, j), n in exp.items()}
+    # a 0-row table reaches fn once, so the fold's result is typed
+    calls.clear()
+    empty = shuffle.per_key_fold(["k"], fn)(t.slice(0, 0))
+    assert calls == [0] and empty.column_names == ["k", "j", "n"]
+
+
+def _moved_ops():
+    """Ops whose keyed step moved onto the exchange: each builds its typed
+    empty inputs in ``n`` blocks and names its output columns."""
+    import ray.data as rd
+
+    from hooqu_ray.functions.joins import hash_join
+    from hooqu_ray.pipelines.cluster import connected_components
+    from hooqu_ray.pipelines.dedup import (embedding_cosine_pairs,
+                                           snapshot_diff, verify_pairs)
+    from hooqu_ray.pipelines.packing import pack_texts
+
+    def empty(n, **cols):
+        return rd.from_arrow([pa.table(cols)] * n).materialize()
+
+    def ids(n):
+        return empty(n, id_a=pa.array([], pa.int64()),
+                     id_b=pa.array([], pa.int64()))
+
+    def docs(n):
+        return empty(n, doc_id=pa.array([], pa.int64()),
+                     text=pa.array([], pa.string()))
+
+    return {
+        "hash_join": (lambda n: hash_join(
+            empty(n, k=pa.array([], pa.string()), lv=pa.array([], pa.int64())),
+            empty(n, rk=pa.array([], pa.string()), rv=pa.array([], pa.int64())),
+            on="k", right_on="rk", how="full"), ["k", "lv", "rv"]),
+        "snapshot_diff": (lambda n: snapshot_diff(docs(n), docs(n), "doc_id",
+                                                  ["text"]),
+                          ["key", "status"]),
+        "connected_components": (lambda n: connected_components(ids(n)),
+                                 ["node", "cluster_id"]),
+        "verify_pairs": (lambda n: verify_pairs(docs(n), ids(n)),
+                         ["id_a", "id_b", "jaccard"]),
+        "embedding_cosine_pairs": (lambda n: embedding_cosine_pairs(
+            empty(n, vec_id=pa.array([], pa.int64()),
+                  embedding=pa.array([], pa.list_(pa.float32()))), dim=4),
+            ["id_a", "id_b", "cosine"]),
+        "pack_texts": (lambda n: pack_texts(docs(n), "doc_id", "text", 4),
+                       ["seq_id", "n_tokens", "text"]),
+    }
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+@pytest.mark.parametrize("op", ["hash_join", "snapshot_diff",
+                                "connected_components", "verify_pairs",
+                                "embedding_cosine_pairs", "pack_texts"])
+def test_moved_ops_typed_on_empty_input(ray_session, op, blocks):
+    from hooqu_ray.util import dataset_arrow_schema
+
+    run, names = _moved_ops()[op]
+    out = run(blocks)
+    assert out.count() == 0
+    schema = dataset_arrow_schema(out)
+    assert schema is not None and schema.names == names, schema

@@ -626,7 +626,7 @@ class TestHashJoin:
         l, r = self._frames()
         got = hash_join(
             rd.from_pandas(l).repartition(5), rd.from_pandas(r).repartition(3),
-            on="k", right_on="rk", how="inner", n_buckets=8,
+            on="k", right_on="rk", how="inner",
         ).to_pandas().sort_values(["k", "lv", "rv"], ignore_index=True)
         exp = duckdb.sql(
             "SELECT l.k, l.lv, r.rv, r.lv AS lv_r FROM l JOIN r ON l.k = r.rk "
@@ -644,7 +644,7 @@ class TestHashJoin:
         l, r = self._frames()
         got = hash_join(
             rd.from_pandas(l).repartition(5), rd.from_pandas(r).repartition(3),
-            on="k", right_on="rk", how="left", n_buckets=8,
+            on="k", right_on="rk", how="left",
         ).to_pandas().sort_values(
             ["k", "lv", "rv"], ignore_index=True, na_position="last"
         )
@@ -669,7 +669,7 @@ class TestHashJoin:
         r = pd.DataFrame({"k": pd.array([1, 2, 4], dtype="int64"),
                           "rv": ["a", "b", "c"]})
         got = hash_join(
-            rd.from_pandas(l), rd.from_pandas(r), on="k", n_buckets=16
+            rd.from_pandas(l), rd.from_pandas(r), on="k"
         ).to_pandas().sort_values("lv", ignore_index=True)
         assert got["rv"].tolist() == ["a", "b"]
 

@@ -3,12 +3,15 @@
 A driver-memory gate or shard size is a module constant read on the driver
 at call time (tests force an arm by monkeypatching it), never a parameter:
 with one value in use, each parameter would only double the configurations
-to cover.  And every loop over ``stable_hash64`` key-range shards is
+to cover.  An exchange's bucket count is no parameter either:
+``shuffle.hash_exchange`` sizes it from the cluster and the input.  And every loop over ``stable_hash64`` key-range shards is
 ``functions.broadcast.hash_shards``, the one place a ``util.ShardFilter``
 is built."""
 
 import ast
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1] / "hooqu_ray"
 
@@ -17,9 +20,15 @@ SIZE_PARAMS = frozenset({
     "max_fold_rows", "fanin", "driver_max_rows", "winner_rows_per_shard",
     "driver_bands_max", "surv_rows_per_shard", "pairs_per_shard",
     "new_rows_per_shard", "driver_hot_grams_max", "driver_max_groups",
-    "broadcast_max_keys"})
+    "broadcast_max_keys", "n_buckets"})
 # hash_shards takes the shard size each caller reads from its constant.
 SIZE_PARAM_OWNERS = {("functions/broadcast.py", "hash_shards")}
+# Same name, not a bucket count of an exchange: a histogram width
+# (quantile_buckets, drift_report) and a skew threshold (detect_hot_keys).
+NOT_SIZE_PARAMS = {
+    ("pipelines/relational.py", "quantile_buckets", "n_buckets"),
+    ("pipelines/drift.py", "drift_report", "n_buckets"),
+    ("functions/joins.py", "detect_hot_keys", "n_buckets")}
 SHARD_FILTER_OWNERS = {("functions/broadcast.py", "hash_shards")}
 
 
@@ -45,7 +54,8 @@ def _size_params(path: pathlib.Path, rel: str):
         a = fn.args
         found += [(fn.lineno, f"{name}({arg.arg}=)")
                   for arg in a.posonlyargs + a.args + a.kwonlyargs
-                  if arg.arg in SIZE_PARAMS]
+                  if arg.arg in SIZE_PARAMS
+                  and (rel, name, arg.arg) not in NOT_SIZE_PARAMS]
     return found
 
 
@@ -80,6 +90,33 @@ def _scan(root: pathlib.Path, check):
 
 def test_no_public_size_parameters():
     assert _scan(ROOT, _size_params) == {}
+
+
+# The exchange bucket counts the keyed ops once took; the check above must
+# flag each of them if it came back.
+REMOVED_BUCKET_KNOBS = [
+    ("functions/joins.py", "hash_join"),
+    ("pipelines/cluster.py", "connected_components"),
+    ("pipelines/cluster.py", "dedup_keep_best"),
+    ("pipelines/cluster.py", "split_by_cluster"),
+    ("pipelines/dedup.py", "snapshot_diff"),
+    ("pipelines/transcripts.py", "conversation_diff"),
+    ("pipelines/transcripts.py", "conversation_diff_against_index"),
+    ("pipelines/transcripts.py", "turn_diff")]
+
+
+@pytest.mark.parametrize("rel, name", REMOVED_BUCKET_KNOBS)
+def test_removed_bucket_knob_would_be_flagged(tmp_path, rel, name):
+    p = tmp_path / "m.py"
+    p.write_text(f"def {name}(ds, key, *, n_buckets=64):\n    return ds\n")
+    assert _size_params(p, rel) == [(1, f"{name}(n_buckets=)")]
+
+
+def test_histogram_and_skew_widths_are_not_bucket_knobs(tmp_path):
+    for rel, name, _ in sorted(NOT_SIZE_PARAMS):
+        p = tmp_path / "m.py"
+        p.write_text(f"def {name}(ds, col, n_buckets=10):\n    return ds\n")
+        assert _size_params(p, rel) == []
 
 
 def test_shard_filter_built_only_by_hash_shards():

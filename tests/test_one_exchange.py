@@ -1,11 +1,14 @@
-"""Structural guard: ``functions/shuffle.py`` is the one place in the engine
-that runs Ray core tasks.
+"""Structural guards: ``functions/shuffle.py`` is the one place in the
+engine that runs Ray core tasks, and ``shuffle.hash_exchange`` is the one
+keyed exchange.
 
 Every keyed exchange goes through ``shuffle.hash_exchange``; a second
 hand-built task graph elsewhere would be a second exchange to keep
 correct (null keys, empty buckets, typed-empty results, ref release).
 So ``ray.remote`` — as an attribute, a decorator or an imported name —
-appears in ``hooqu_ray/`` only in that module."""
+appears in ``hooqu_ray/`` only in that module, and Ray Data's
+``groupby(...).map_groups`` (a range sort of the key plus a Python call
+per group) appears nowhere."""
 
 import ast
 import pathlib
@@ -53,3 +56,25 @@ def test_structural_check_catches_planted_remote(tmp_path):
         "    return [task.remote(r) for r in refs]\n")
     assert _scan(tmp_path) == {"m.py": [
         (2, "from ray import remote"), (3, "ray.remote"), (7, "ray.remote")]}
+
+
+def _map_groups_uses(path: pathlib.Path):
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "map_groups")
+
+
+def test_no_map_groups_in_engine():
+    assert {rel: hits for p in sorted(ROOT.rglob("*.py"))
+            if (hits := _map_groups_uses(p))
+            and (rel := p.relative_to(ROOT).as_posix())} == {}
+
+
+def test_structural_check_catches_planted_map_groups(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("def f(ds, g):\n"
+                 "    # map_groups in a comment is fine\n"
+                 "    out = ds.groupby('k').map_groups(g)\n"
+                 "    fn = ds.groupby(['a', 'b']).map_groups\n"
+                 "    return out, fn\n")
+    assert _map_groups_uses(p) == [3, 4]

@@ -591,7 +591,7 @@ class TestSnapshotDiff:
             snapshot_diff(
                 rd.from_pandas(old).repartition(4),
                 rd.from_pandas(new).repartition(3),
-                "k", ["txt", "v"], n_buckets=8,
+                "k", ["txt", "v"],
             )
             .to_pandas()
             .sort_values("key", ignore_index=True)

@@ -991,8 +991,7 @@ def _typed_ops():
         pairs = pa.table({"id_a": pa.array([7] * n, pa.int64()),
                           "id_b": pa.array([8] * n, pa.int64())})
         return dedup_keep_best(ds, rd.from_arrow(pairs), id_col="id",
-                               score_col="v", id_type=pa.int64(),
-                               n_buckets=8)
+                               score_col="v", id_type=pa.int64())
 
     int32, int64, f64 = pa.int32(), pa.int64(), pa.float64()
     return {

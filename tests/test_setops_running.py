@@ -94,7 +94,7 @@ class TestOuterHashJoin:
         con.register("l", l)
         con.register("r", r)
         for how in ["inner", "left", "right", "full"]:
-            got = hash_join(dl, dr, on="k", how=how, n_buckets=8).to_pandas()
+            got = hash_join(dl, dr, on="k", how=how).to_pandas()
             exp = con.execute(f"SELECT * FROM l {how.upper()} JOIN r USING(k)").df()
             got_r = got.round(9)
             exp_r = exp[got.columns].round(9)
@@ -663,7 +663,7 @@ class TestKeepBestForcedShards:
             rd.from_pandas(docs).repartition(4),
             rd.from_pandas(pairs).repartition(3),
             id_col="doc_id", score_col="score", id_type=pa.int64(),
-            max_iters=40, n_buckets=8,
+            max_iters=40,
         ).to_pandas()
         monkeypatch.setattr(broadcast, "ROWS_PER_SHARD", 5)
         shard_counts.clear()
@@ -671,7 +671,7 @@ class TestKeepBestForcedShards:
             rd.from_pandas(docs).repartition(4),
             rd.from_pandas(pairs).repartition(3),
             id_col="doc_id", score_col="score", id_type=pa.int64(),
-            max_iters=40, n_buckets=8,
+            max_iters=40,
         ).to_pandas()
         assert max(shard_counts) >= 2
         assert sorted(kept_sharded["doc_id"]) == sorted(kept_one["doc_id"])
@@ -844,10 +844,10 @@ class TestBloomPrefilterJoin:
         def key(df):
             return sorted(map(str, df.round(9).itertuples(index=False)))
 
-        base = hash_join(dl, dr, on="k", how="inner", n_buckets=8).to_pandas()
+        base = hash_join(dl, dr, on="k", how="inner").to_pandas()
         for pf in ("left", "both"):
             got = hash_join(
-                dl, dr, on="k", how="inner", n_buckets=8, bloom_prefilter=pf
+                dl, dr, on="k", how="inner", bloom_prefilter=pf
             ).to_pandas()
             assert key(got) == key(base), pf
         # a retained side must not be prefiltered
@@ -879,9 +879,9 @@ class TestSaltedHashJoin:
             return sorted(map(str, df.round(9).itertuples(index=False)))
 
         for how in ("inner", "left"):
-            base = hash_join(dl, dr, on="k", how=how, n_buckets=8).to_pandas()
+            base = hash_join(dl, dr, on="k", how=how).to_pandas()
             salted = hash_join(
-                dl, dr, on="k", how=how, n_buckets=8,
+                dl, dr, on="k", how=how,
                 salt_keys=hot, salt_factor=4,
             ).to_pandas()
             assert key(base) == key(salted), how

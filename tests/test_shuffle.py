@@ -136,6 +136,20 @@ def test_group_by_null_keys_like_pandas(kinds):
     assert got == expected
 
 
+def test_setop_block_distinct_keeps_one_row_per_null_key():
+    """The set ops' per-block DISTINCT (``setops._tag_side``) keeps null
+    keys (SQL DISTINCT): on ``[string, int64]`` columns with nulls it
+    must emit one row per distinct tuple, which plain pyarrow 16.1
+    ``group_by`` does not."""
+    from hooqu_ray.pipelines.setops import _tag_side
+
+    rng = np.random.default_rng(7)
+    t = pa.table({"s": _key_column("s", rng, 300), "i": _key_column("i", rng, 300)})
+    out = _tag_side(["s", "i"], True)(t)
+    assert len(out) == len(t.to_pandas().drop_duplicates())
+    assert out.column_names == ["s", "i", "__in_a", "__in_b"]
+
+
 def test_tree_group_sum_string_int_null_keys(ray_session):
     """The per-block combine groups through ``shuffle.group_by``: a
     ``[string, int64]`` key with nulls folds to the SQL GROUP BY groups."""
