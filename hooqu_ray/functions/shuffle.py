@@ -3,16 +3,18 @@ aggregate and every keyed exchange in ``hooqu_ray`` runs through this
 module, never through Ray's ``groupby().aggregate`` or
 ``groupby().map_groups``.
 
-:func:`hash_exchange` is the exchange: Ray core tasks (the only ones in
-the engine) map each block through the caller's per-block ``pre`` step,
-split it by ``hash64(key tuple) % B`` and fold each bucket once, with no
-Ray Data sort or groupby.  B follows the cluster and the input: one bucket
-per CPU, more only when a bucket would otherwise exceed
-``BUCKET_MAX_ROWS`` rows or ``BUCKET_MAX_BYTES`` bytes.  Each bucket costs
-Ray tasks whatever its size, so a small cluster pays for no more buckets
-than it can run at once.  A fold sees complete keys, so any per-bucket
-merge that is correct on a set of whole keys is a fold (a tagged-union
-join, a set diff, a label join).  The folds on top of it:
+:func:`hash_exchange` is the exchange, on Ray core tasks (the only ones
+in the engine) with no Ray Data sort or groupby: S split tasks, one per
+contiguous run of blocks of about equal bytes, map each block through the
+caller's per-block ``pre`` step and split the run by ``hash64(key tuple)
+% B``; B fold tasks fold each bucket once.  B follows the cluster and the
+input: one bucket per CPU, more only when a bucket would otherwise exceed
+``BUCKET_MAX_ROWS`` rows or ``BUCKET_MAX_BYTES`` bytes.  S is
+min(#non-empty blocks, B).  Each task costs Ray overhead whatever its
+size, so a small cluster pays for no more tasks than it can run at once.
+A fold sees complete keys, so any per-bucket merge that is correct on a
+set of whole keys is a fold (a tagged-union join, a set diff, a label
+join).  The folds on top of it:
 
 - :func:`tree_group_sum` — the default entry point for sum/min/max (count
   = sum of a ones column).  Each block combines first (one vectorized
@@ -151,19 +153,39 @@ def _as_arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
-def _split_block(block, keys, pre, num_buckets):
-    """Split task of :func:`hash_exchange`: ``pre`` of the block, then the
-    per-bucket row counts and one table per bucket
+def _split_block(keys, pre, num_buckets, *blocks):
+    """Split task of :func:`hash_exchange` over a contiguous run of
+    blocks: ``pre`` of each block, the results concatenated in block
+    order, then the per-bucket row counts and one table per bucket
     (``hash64(keys) % num_buckets``), rows in input order within each
     bucket."""
-    t = _as_arrow(block)
+    ts = [_as_arrow(b) for b in blocks]
     if pre is not None:
-        t = pre(t)
+        ts = [pre(t) for t in ts]
+    # a block that ``pre`` empties sends no rows, so its schema never
+    # meets the others (as in the fold, which sees only non-empty parts)
+    t = pa.concat_tables([t for t in ts if len(t)] or ts[:1],
+                         promote_options="permissive")
     b = _row_hash64(t, keys) % np.uint64(num_buckets)
     order = np.argsort(b, kind="stable")
     counts = np.bincount(b.astype(np.int64), minlength=num_buckets)
     ends = np.cumsum(counts)
     return (counts, *[t.take(order[e - c:e]) for c, e in zip(counts, ends)])
+
+
+def _contiguous_runs(sizes, runs: int) -> np.ndarray:
+    """Bounds ``[0, ..., len(sizes)]`` of ``runs`` contiguous runs of
+    blocks, each at least one block, cut so the runs' ``sizes`` sums are
+    about equal; ``[0]`` for no runs."""
+    if runs == 0:
+        return np.zeros(1, dtype=np.int64)
+    n = len(sizes)
+    k = np.arange(1, runs)
+    cum = np.cumsum(sizes)
+    ends = np.searchsorted(cum, cum[-1] * k / runs) + 1
+    # ``ends - k`` non-decreasing within [0, n - runs]: no run is empty
+    ends = np.maximum.accumulate(np.clip(ends - k, 0, n - runs)) + k
+    return np.r_[0, ends, n]
 
 
 def _fold_bucket(fold, *parts):
@@ -238,8 +260,8 @@ def _cluster_cpus() -> int:
 def _default_buckets(n_rows: int) -> int:
     """#buckets of :func:`hash_exchange` by rows: one per cluster CPU,
     raised so a bucket averages at most ``BUCKET_MAX_ROWS`` input rows.
-    No fixed floor: each bucket costs a fold task, one split part per
-    block and a metadata task, so buckets beyond the CPU count add Ray
+    No fixed floor: each bucket costs a fold task, one part per split
+    task and a metadata task, so buckets beyond the CPU count add Ray
     overhead and no parallelism."""
     return max(_cluster_cpus(), -(-int(n_rows) // BUCKET_MAX_ROWS))
 
@@ -251,13 +273,22 @@ def hash_exchange(ds, keys: Sequence[str],
     task, which folds it.  Runs on Ray core tasks over the materialized
     input, not as a Ray Data plan:
 
-    - one split task per non-empty block (``num_returns`` = B + 1) maps
-      it through ``pre`` (the block as is when None), hashes the key tuple
-      (:func:`_row_hash64`; null keys hash like any value) and cuts it into
-      B parts with one stable argsort on the bucket;
+    - S = min(#non-empty blocks, B) split tasks (``num_returns`` = B + 1),
+      each over a contiguous run of blocks cut so the tasks get about
+      equal bytes (:func:`_contiguous_runs`): a task maps each block
+      through ``pre`` (the block as is when None), concatenates them in
+      block order, hashes the key tuple once (:func:`_row_hash64`; null
+      keys hash like any value) and cuts the rows into B parts with one
+      stable argsort on the bucket;
     - one fold task per non-empty bucket concatenates that bucket's parts
-      in block order and applies ``fold`` exactly once, so ``fold`` sees
-      complete keys and need not be self-mergeable.
+      in run order and applies ``fold`` exactly once, so ``fold`` sees
+      complete keys, each bucket's rows in input order, and need not be
+      self-mergeable.
+
+    An exchange costs S + B tasks and S × B parts, not one split task and
+    B parts per block: like a fold, a split task's input averages at
+    most a bucket's bound, and no more split tasks run than the folds
+    that follow, whose count already covers the cluster's CPUs.
 
     B is :func:`_default_buckets` of the row count (one bucket per cluster
     CPU, more above ``BUCKET_MAX_ROWS`` rows a bucket), raised so that no
@@ -265,12 +296,13 @@ def hash_exchange(ds, keys: Sequence[str],
     ``MAX_BUCKETS``: a fold's input is bounded by rows and bytes, and no
     fixed bucket count adds tasks whose Ray overhead exceeds a small
     bucket's Arrow work.  Fold parallelism is B whatever the input's block
-    count.  A bucket holds ~1/B of the key space, not of the rows: a hot
-    key lands whole in one fold, so callers with row-skewed keys
-    pre-combine per block first.
+    count, and split parallelism is S.  A bucket holds ~1/B of the key
+    space, not of the rows: a hot key lands whole in one fold, so callers
+    with row-skewed keys pre-combine per block first.
     ``pre`` is any per-block Arrow → Arrow step that feeds the exchange (a
     projection ``lambda t: t.select(cols)``, a null-key filter, per-block
-    partials).  Run in the split task it costs no Ray Data execution: a
+    partials); it runs once per block, never on a run's concatenation.
+    Run in the split task it costs no Ray Data execution: a
     ``map_batches`` in front would cost one (~0.1 s on a small cluster,
     more than these steps' Arrow work), so on a materialized input the
     whole exchange runs none.  The price is that the input materializes
@@ -293,13 +325,18 @@ def hash_exchange(ds, keys: Sequence[str],
 
     keys = list(keys)
     ds = ds.materialize()
-    refs = [ref for bundle in ds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    blocks = [(ref, meta.size_bytes or 0)
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    refs = [ref for ref, _ in blocks]
     num_buckets = int(min(MAX_BUCKETS, max(
         _default_buckets(ds.count()),
         -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
+    bounds = _contiguous_runs(np.maximum([n for _, n in blocks], 1),
+                              min(len(refs), num_buckets))
     split = _remote(_split_block).options(num_returns=num_buckets + 1)
-    splits = [split.remote(ref, keys, pre, num_buckets) for ref in refs]
+    splits = [split.remote(keys, pre, num_buckets, *refs[a:b])
+              for a, b in zip(bounds[:-1], bounds[1:])]
     counts = ray.get([s[0] for s in splits])
     fold_ref = ray.put(fold)
     folds = [

@@ -1,12 +1,18 @@
-"""Vectorized regex field extraction over a string column — the generic
-cousin of ``jsonx.json_field`` for non-JSON telemetry (log lines, URLs,
-user agents).  The reference has no extraction surface (its PatternMatch
-analyzer only COUNTS matches, ``hooqu/analyzers/pattern_match.py``); at
-scale "parse a field out of every line" is a core map-only ETL step.
+"""String-column kernels: the whitespace-token counter every ``\\S+``
+count in the engine runs on, and vectorized regex field extraction.
 
-Semantics are pinned to DuckDB ``regexp_extract(col, pattern, group)``
-(both sides are RE2, bit-for-bit on the same pattern string — CLAUDE.md):
-no match → ``''`` (empty string, NOT null), null input → null.
+:func:`whitespace_token_counts` counts RE2 ``\\S+`` runs per row in one
+numpy pass over the UTF-8 bytes, several times faster than
+``pc.count_substring_regex(text, r"\\S+")`` and equal to it.
+
+:func:`regex_extract` is the generic cousin of ``jsonx.json_field`` for
+non-JSON telemetry (log lines, URLs, user agents).  The reference has no
+extraction surface (its PatternMatch analyzer only COUNTS matches,
+``hooqu/analyzers/pattern_match.py``); at scale "parse a field out of
+every line" is a core map-only ETL step.  Its semantics are pinned to
+DuckDB ``regexp_extract(col, pattern, group)`` (both sides are RE2,
+bit-for-bit on the same pattern string — CLAUDE.md): no match → ``''``
+(empty string, NOT null), null input → null.
 """
 
 from __future__ import annotations
@@ -14,10 +20,58 @@ from __future__ import annotations
 import re
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 _NAMED_GROUP_RE = re.compile(r"\(\?P<([A-Za-z_][A-Za-z0-9_]*)>")
+
+
+def _token_counts_chunk(arr: pa.Array) -> np.ndarray:
+    n = len(arr)
+    out = np.zeros(n, np.int64)
+    large = pa.types.is_large_string(arr.type)
+    if not (large or pa.types.is_string(arr.type)):
+        raise TypeError(
+            f"whitespace_token_counts needs a string array, got {arr.type}")
+    _, offsets, data = arr.buffers()
+    odt = np.dtype(np.int64 if large else np.int32)
+    off = np.frombuffer(offsets, odt, n + 1, arr.offset * odt.itemsize)
+    base = int(off[0])
+    off = (off - base).astype(np.intp)
+    if off[-1] == 0:
+        return out
+    b = np.frombuffer(data, np.uint8, off[-1], base)
+    c = b - np.uint8(9)  # wraps: RE2 \s is [\t\n\f\r ] = 9, 10, 12, 13, 32
+    space = ((c <= 4) & (c != 2)) | (b == 32)
+    # a token starts at a non-space byte after a space byte or a row start
+    start = np.empty(len(b), np.uint8)
+    start[0] = not space[0]
+    np.greater(space[:-1], space[1:], out=start[1:].view(bool))
+    full = off[1:] > off[:-1]
+    row_starts = off[:-1][full]
+    start[row_starts] = ~space[row_starts]
+    out[full] = np.add.reduceat(start, row_starts, dtype=np.int64)
+    if arr.null_count:
+        out[np.asarray(arr.is_null())] = 0
+    return out
+
+
+def whitespace_token_counts(arr) -> np.ndarray:
+    """Number of RE2 ``\\S+`` runs in each row of a string array, as int64
+    numpy: equal to ``pc.fill_null(pc.count_substring_regex(arr, r"\\S+"),
+    0)``.  RE2's ``\\s`` is the ASCII ``[\\t\\n\\f\\r ]``: ``\\v``, NBSP,
+    U+3000 and every other non-ASCII character are token bytes (Python's
+    ``str.split`` set differs).  UTF-8 continuation bytes are never
+    ASCII, so one pass over the bytes suffices: a token starts at a
+    non-space byte that follows a space byte or a row start.  Null rows
+    count 0; sliced, chunked and ``large_string`` arrays are handled,
+    other types raise ``TypeError``."""
+    if isinstance(arr, pa.ChunkedArray):
+        if arr.num_chunks == 0:
+            return np.zeros(0, np.int64)
+        return np.concatenate([_token_counts_chunk(c) for c in arr.chunks])
+    return _token_counts_chunk(arr)
 
 
 def regex_extract(ds, col: str, pattern: str,

@@ -23,8 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.strings import whitespace_token_counts
 from ..stages.heuristics import STOPWORD_PATTERN, SYMBOL_PATTERN
-from .textstats import TOKEN_PATTERN
 
 DEFAULT_RULES = {
     "min_tokens": 16,
@@ -46,9 +46,7 @@ def quality_filter_stage(batch: pa.Table, text_col: str = "text",
     n = len(batch)
     filled = pc.fill_null(texts, "")
     n_chars = pc.utf8_length(filled).to_numpy(zero_copy_only=False).astype(np.int64)
-    n_tok = pc.count_substring_regex(filled, pattern=TOKEN_PATTERN).to_numpy(
-        zero_copy_only=False
-    ).astype(np.int64)
+    n_tok = whitespace_token_counts(filled)
     n_sym = pc.count_substring_regex(filled, pattern=SYMBOL_PATTERN).to_numpy(
         zero_copy_only=False
     ).astype(np.int64)

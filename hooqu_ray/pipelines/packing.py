@@ -180,13 +180,13 @@ def length_bucket_batches(ds, id_col: str, text_col: str,
     bounded by its bucket width instead of the corpus max length).
 
     Composition of existing scale-shaped stages: a vectorized token-count
-    + bucket pass (RE2 ``count_substring_regex``, ``np.searchsorted``),
+    + bucket pass (``strings.whitespace_token_counts``, ``np.searchsorted``),
     then :func:`~hooqu_ray.pipelines.windows.running_agg` for the
     per-bucket running row number (ONE range sort + boundary merge that
     touches ≤ 2 buckets per block — never a per-group shuffle).  Returns
     ``(id, n_tokens, bucket, batch_idx)``; deterministic across runs and
     data orderings."""
-    from .textstats import TOKEN_PATTERN
+    from ..functions.strings import whitespace_token_counts
     from .windows import running_agg
 
     if batch_size < 1:
@@ -194,10 +194,8 @@ def length_bucket_batches(ds, id_col: str, text_col: str,
     bounds = np.asarray(sorted(boundaries), dtype=np.int64)
 
     def bucketize(t: pa.Table) -> pa.Table:
-        text = pc.fill_null(pc.cast(t.column(text_col), pa.string()), "")
-        n_tok = pc.fill_null(
-            pc.count_substring_regex(text, pattern=TOKEN_PATTERN), 0
-        ).to_numpy(zero_copy_only=False).astype(np.int64)
+        n_tok = whitespace_token_counts(
+            pc.cast(t.column(text_col), pa.string()))
         bucket = np.searchsorted(bounds, n_tok, side="right")
         return pa.table({
             id_col: t.column(id_col),

@@ -29,15 +29,11 @@ import pyarrow.compute as pc
 
 def _token_count(ds, text_col: str) -> int:
     """Total whitespace-token occurrences in a dataset (streaming sum)."""
-    from .textstats import TOKEN_PATTERN
+    from ..functions.strings import whitespace_token_counts
 
     def count(t: pa.Table) -> pa.Table:
-        n = pc.sum(
-            pc.fill_null(
-                pc.count_substring_regex(t.column(text_col), pattern=TOKEN_PATTERN), 0
-            )
-        ).as_py()
-        return pa.table({"n": pa.array([n or 0], pa.int64())})
+        n = int(whitespace_token_counts(t.column(text_col)).sum())
+        return pa.table({"n": pa.array([n], pa.int64())})
 
     return ds.map_batches(count, batch_format="pyarrow").sum("n") or 0
 

@@ -15,9 +15,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.shuffle import group_by
+from ..functions.strings import whitespace_token_counts
 from ..stages.heuristics import SYMBOL_PATTERN, STOPWORD_PATTERN
 from ..stages.models import TrigramLangID
 
+# The whitespace-token definition the SQL oracles mirror with
+# ``regexp_extract_all(text, '\S+')``; the engine counts it with
+# ``strings.whitespace_token_counts``, never a regex.
 TOKEN_PATTERN = r"\S+"
 # BPE-ish pre-tokenizer (the GPT-2 pre-tokenizer shape, public knowledge,
 # minus its `\s+(?!\S)` lookahead — RE2 has no lookahead, and RE2 is what
@@ -29,15 +33,15 @@ BPE_TOKEN_PATTERN = r"'(?:s|t|re|ve|m|ll|d)| ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+
 
 
 def token_count_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Whitespace-word AND BPE-ish pre-tokenizer counts per document — two
-    vectorized RE2 count kernels, no Python per row."""
+    """Whitespace-word AND BPE-ish pre-tokenizer counts per document — a
+    byte-level token counter and an RE2 count kernel, no Python per row."""
     text = batch.column(text_col)
-    n_tok = pc.fill_null(pc.count_substring_regex(text, pattern=TOKEN_PATTERN), 0)
+    n_tok = whitespace_token_counts(text)
     n_bpe = pc.fill_null(
         pc.count_substring_regex(text, pattern=BPE_TOKEN_PATTERN), 0
     )
     return batch.append_column(
-        "n_tokens", pc.cast(n_tok, pa.int64())
+        "n_tokens", pa.array(n_tok)
     ).append_column("n_bpe_tokens", pc.cast(n_bpe, pa.int64()))
 
 
@@ -71,9 +75,7 @@ def quality_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
     n_sym = pc.fill_null(
         pc.count_substring_regex(text, pattern=SYMBOL_PATTERN), 0
     ).to_numpy(zero_copy_only=False)
-    n_tok = pc.fill_null(
-        pc.count_substring_regex(text, pattern=TOKEN_PATTERN), 0
-    ).to_numpy(zero_copy_only=False)
+    n_tok = whitespace_token_counts(text)
     n_stop = pc.fill_null(
         pc.count_substring_regex(pc.utf8_lower(text), pattern=STOPWORD_PATTERN), 0
     ).to_numpy(zero_copy_only=False)
@@ -439,15 +441,13 @@ def quality_by_source(ds, text_col: str = "text", group_col: str = "source"):
 
     def features(t: pa.Table) -> pa.Table:
         q = quality_stage(t, text_col)
-        n_tok = pc.fill_null(
-            pc.count_substring_regex(t.column(text_col), pattern=TOKEN_PATTERN), 0
-        )
+        n_tok = whitespace_token_counts(t.column(text_col))
         return pa.table(
             {
                 group_col: t.column(group_col),
                 "n_docs": pa.array(np.ones(len(t), np.int64)),
                 "n_chars": q.column("q_n_chars"),
-                "n_tokens": pc.cast(n_tok, pa.int64()),
+                "n_tokens": pa.array(n_tok),
                 "symbol_ratio": q.column("q_symbol_ratio"),
                 "stopword_ratio": q.column("q_stopword_ratio"),
             }
@@ -494,15 +494,13 @@ def split_token_budget(ds, key_col: str = "doc_id", source_col: str = "source",
     from .relational import split_assign
 
     def features(t: pa.Table) -> pa.Table:
-        n_tok = pc.fill_null(
-            pc.count_substring_regex(t.column(text_col), pattern=TOKEN_PATTERN), 0
-        )
         return pa.table(
             {
                 "split": t.column("split"),
                 source_col: t.column(source_col),
                 "n_docs": pa.array(np.ones(len(t), np.int64)),
-                "n_tokens": pc.cast(n_tok, pa.int64()),
+                "n_tokens": pa.array(
+                    whitespace_token_counts(t.column(text_col))),
             }
         )
 

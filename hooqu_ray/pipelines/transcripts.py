@@ -45,6 +45,7 @@ import pyarrow.compute as pc
 from ..functions.expr import Predicate
 from ..functions.shuffle import group_by
 from ..functions.sorted_scan import partition_by_key, sorted_scan
+from ..functions.strings import whitespace_token_counts
 from ..stages import spec
 from ..stages.heuristics import compute_features
 from ..stages.models import CharBigramLM, TrigramLangID
@@ -811,8 +812,8 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
     :func:`_suffix_truncate_table` kernel (a padded cumsum difference — no
     descending sort) once per bucket of complete conversations sorted on
     ``(conv, idx)``.  Rows with a null conv id or turn idx are
-    dropped; ``n_tok`` counts ``\\S+`` runs (``textstats.TOKEN_PATTERN``),
-    nulls count 0.
+    dropped; ``n_tok`` counts ``\\S+`` runs
+    (``strings.whitespace_token_counts``), nulls count 0.
 
     Returns the input columns plus ``suffix_tokens`` (the running
     suffix-token total including the row itself, int64).  Scale note: the
@@ -828,7 +829,7 @@ def truncate_conversations(ds, max_tokens: int, *, conv_col: str = "conv_id",
     return sorted_scan(
         ds, None, conv_col, [idx_col],
         lambda t: _suffix_truncate_table(t, conv_col, idx_col, text_col,
-                                         max_tokens),
+                                         max_tokens)[0],
         non_null=[idx_col])
 
 
@@ -1011,7 +1012,8 @@ def merge_consecutive_turns(ds, *, conv_col: str = "conv_id",
 def _context_examples_table(t: pa.Table, conv_col: str, idx_col: str,
                             role_col: str, text_col: str, target_role: str,
                             max_tokens: int, sep: str,
-                            max_context_turns=None) -> pa.Table:
+                            max_context_turns=None,
+                            ntok: Optional[np.ndarray] = None) -> pa.Table:
     """Vectorized SFT-example extraction over a (conv, idx)-sorted table:
     one row per ``target_role`` turn whose own token count fits
     ``max_tokens``; its prompt is the maximal contiguous run of preceding
@@ -1023,9 +1025,9 @@ def _context_examples_table(t: pa.Table, conv_col: str, idx_col: str,
     per-target binary search needs no per-conv loop); prompt joins
     materialize through a gather index + int64-offset ``LargeListArray`` +
     ``binary_join`` — output-sized, never per-row Python, and safe past
-    2^31 total gathered context rows."""
-    from .textstats import TOKEN_PATTERN
-
+    2^31 total gathered context rows.  ``ntok`` is each row's token count
+    when the caller already has it (:func:`whitespace_token_counts` of
+    ``text_col``)."""
     # typed from the input schema so empty blocks union cleanly with real
     # ones whatever the conv/idx types are
     conv_type = (t.schema.field(conv_col).type
@@ -1044,10 +1046,9 @@ def _context_examples_table(t: pa.Table, conv_col: str, idx_col: str,
     text = t.column(text_col)
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
+    if ntok is None:
+        ntok = whitespace_token_counts(text)
     text = pc.fill_null(text, "")
-    ntok = np.asarray(
-        pc.cast(pc.count_substring_regex(text, pattern=TOKEN_PATTERN),
-                pa.int64()))
     conv = t.column(conv_col)
     if isinstance(conv, pa.ChunkedArray):
         conv = conv.combine_chunks()
@@ -1333,7 +1334,6 @@ def pack_sft_examples(ds, max_len: int, *, id_col: str = "example_id",
     range sort of a THREE-column projection, per-block exclusive cumsums,
     a #blocks-row driver prefix sum, broadcast offsets.  ``id_col`` must
     be unique and non-null; null prompts/targets count 0 tokens."""
-    from .textstats import TOKEN_PATTERN
     from ..util import global_stream_offsets
 
     if max_len < 1:
@@ -1342,11 +1342,7 @@ def pack_sft_examples(ds, max_len: int, *, id_col: str = "example_id",
 
     def proj(t: pa.Table) -> pa.Table:
         def toks(col):
-            return pc.cast(
-                pc.fill_null(
-                    pc.count_substring_regex(pc.fill_null(t.column(col), ""),
-                                             pattern=TOKEN_PATTERN), 0),
-                pa.int64())
+            return pa.array(whitespace_token_counts(t.column(col)))
 
         return pa.table({
             id_col: t.column(id_col),
@@ -1424,25 +1420,20 @@ def dedup_turns(ds, *, conv_col: str = "conv_id", idx_col: str = "turn_idx",
 
 
 def _suffix_truncate_table(t: pa.Table, conv_col: str, idx_col: str,
-                           text_col: str, budget: int) -> pa.Table:
+                           text_col: str, budget: int):
     """In-kernel context-window truncation: keep each conversation's
     maximal turn suffix whose whitespace-token total fits ``budget`` and
     append that running suffix total as ``suffix_tokens``.  Requires every
     conversation in ``t`` to be COMPLETE and (conv, idx)-sorted — the
     sorted-scan kernel contract — so the reverse running sum is one padded
-    cumsum difference, no second (descending) sort."""
-    from .textstats import TOKEN_PATTERN
-
+    cumsum difference, no second (descending) sort.  Returns the kept
+    table and the kept rows' token counts, so a kernel downstream does
+    not count them again."""
     n = len(t)
     if n == 0:
-        return t.append_column("suffix_tokens", pa.array([], pa.int64()))
-    text = pc.fill_null(
-        t.column(text_col).combine_chunks()
-        if isinstance(t.column(text_col), pa.ChunkedArray)
-        else t.column(text_col), "")
-    ntok = np.asarray(
-        pc.cast(pc.count_substring_regex(text, pattern=TOKEN_PATTERN),
-                pa.int64()))
+        return (t.append_column("suffix_tokens", pa.array([], pa.int64())),
+                np.zeros(0, np.int64))
+    ntok = whitespace_token_counts(t.column(text_col))
     conv = t.column(conv_col)
     if isinstance(conv, pa.ChunkedArray):
         conv = conv.combine_chunks()
@@ -1455,8 +1446,8 @@ def _suffix_truncate_table(t: pa.Table, conv_col: str, idx_col: str,
     cs = np.r_[0, np.cumsum(ntok)]
     suffix = cs[ends] - cs[np.arange(n)]  # tokens from this row to conv end
     keep = suffix <= budget
-    return t.filter(pa.array(keep)).append_column(
-        "suffix_tokens", pa.array(suffix[keep], pa.int64()))
+    return (t.filter(pa.array(keep)).append_column(
+        "suffix_tokens", pa.array(suffix[keep], pa.int64())), ntok[keep])
 
 
 def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
@@ -1495,11 +1486,11 @@ def sft_prepare(ds, *, boilerplate_min_convs: int = 2,
     def kernel(t: pa.Table) -> pa.Table:
         if drop_hot is not None:
             t = drop_hot(t)
-        kept = _suffix_truncate_table(t, "conv_id", "turn_idx", "text",
-                                      context_budget)
+        kept, ntok = _suffix_truncate_table(t, "conv_id", "turn_idx", "text",
+                                            context_budget)
         return _context_examples_table(kept, "conv_id", "turn_idx", "role",
                                        "text", target_role, example_budget,
-                                       "\n")
+                                       "\n", ntok=ntok)
 
     return partition_by_key(
         src, ["conv_id", "turn_idx", "role", "text"], "conv_id",
@@ -2319,8 +2310,8 @@ def clip_turn_texts(ds, max_tokens: int, *, text_col: str = "text"):
     bool column.  Null text is never clipped.
 
     Scale shape: embarrassingly parallel — one vectorized ``map_batches``
-    (RE2 token count, split/slice/join only on the over-budget subset),
-    no shuffle."""
+    (byte-level token count, split/slice/join only on the over-budget
+    subset), no shuffle."""
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
 
@@ -2328,9 +2319,8 @@ def clip_turn_texts(ds, max_tokens: int, *, text_col: str = "text"):
         text = t.column(text_col)
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
-        ntok = pc.count_substring_regex(text, r"\S+")
-        over = pc.and_(pc.is_valid(text),
-                       pc.greater(pc.fill_null(ntok, 0), max_tokens))
+        # null text counts 0 tokens, so it is never over a budget >= 1
+        over = pa.array(whitespace_token_counts(text) > max_tokens)
         if not pc.any(over).as_py():
             return t.append_column(
                 "clipped", pa.array(np.zeros(len(t), dtype=bool)))

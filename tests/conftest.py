@@ -118,6 +118,38 @@ def executions(monkeypatch):
 
 
 @pytest.fixture
+def exchange_tasks(monkeypatch):
+    """Ray tasks ``shuffle.hash_exchange`` submits on the driver while the
+    test runs, by task function name, plus ``"exchanges"``: one per
+    exchange (each builds its split handle once)."""
+    import collections
+
+    from hooqu_ray.functions import shuffle
+
+    counts = collections.Counter()
+    remote = shuffle._remote
+
+    class Counted:
+        def __init__(self, handle, name):
+            self.handle, self.name = handle, name
+
+        def options(self, **kwargs):
+            return Counted(self.handle.options(**kwargs), self.name)
+
+        def remote(self, *args, **kwargs):
+            counts[self.name] += 1
+            return self.handle.remote(*args, **kwargs)
+
+    def spy(fn):
+        if fn is shuffle._split_block:
+            counts["exchanges"] += 1
+        return Counted(remote(fn), fn.__name__)
+
+    monkeypatch.setattr(shuffle, "_remote", spy)
+    return counts
+
+
+@pytest.fixture
 def shard_counts(monkeypatch):
     """Shard count of every ``BroadcastSet`` built while the test runs."""
     from hooqu_ray.functions.broadcast import BroadcastSet

@@ -96,45 +96,16 @@ def test_sft_prepare_and_collect_executions(ray_session, executions):
     assert len(executions) == 0
 
 
-@pytest.fixture
-def exchange_tasks(monkeypatch):
-    """Ray tasks ``shuffle.hash_exchange`` submits on the driver while the
-    test runs, by task function name, plus ``"exchanges"``: one per
-    exchange (each builds its split handle once)."""
-    import collections
-
-    counts = collections.Counter()
-    remote = shuffle._remote
-
-    class Counted:
-        def __init__(self, handle, name):
-            self.handle, self.name = handle, name
-
-        def options(self, **kwargs):
-            return Counted(self.handle.options(**kwargs), self.name)
-
-        def remote(self, *args, **kwargs):
-            counts[self.name] += 1
-            return self.handle.remote(*args, **kwargs)
-
-    def spy(fn):
-        if fn is shuffle._split_block:
-            counts["exchanges"] += 1
-        return Counted(remote(fn), fn.__name__)
-
-    monkeypatch.setattr(shuffle, "_remote", spy)
-    return counts
-
-
 def test_sft_prepare_fold_tasks_follow_the_cluster(ray_session,
                                                    exchange_tasks):
-    """Each exchange runs at most one fold task per session CPU (4), not
-    a fixed 16 buckets."""
+    """Each exchange runs at most one fold task and one split task per
+    session CPU (4), not a fixed 16 buckets or one split per block."""
     out = collect_arrow(tp.sft_prepare(_dataset(), boilerplate_min_convs=3))
     assert len(out) > 0
     exchanges = exchange_tasks["exchanges"]
     assert exchanges == 2, exchange_tasks
     assert 0 < exchange_tasks["_fold_bucket"] <= exchanges * 4, exchange_tasks
+    assert 0 < exchange_tasks["_split_block"] <= exchanges * 4, exchange_tasks
 
 
 def _events(blocks=4):

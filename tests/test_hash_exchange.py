@@ -117,10 +117,11 @@ def _calls_per_key(out):
 
 @pytest.mark.parametrize("blocks", BLOCKS)
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_buckets_follow_the_cluster_cpus(ray_session, monkeypatch, blocks,
-                                         cpus):
+def test_buckets_follow_the_cluster_cpus(ray_session, monkeypatch,
+                                         exchange_tasks, blocks, cpus):
     """One fold per non-empty bucket and at most one bucket per CPU for
-    3000 rows, whatever the block count: one CPU folds once."""
+    3000 rows, whatever the block count: one CPU folds once.  At most
+    min(non-empty blocks, B) split tasks, not one per block."""
     monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: cpus)
     table = _table()
     out = hash_exchange(_dataset(table, blocks), ["k"], _tagger(),
@@ -128,6 +129,62 @@ def test_buckets_follow_the_cluster_cpus(ray_session, monkeypatch, blocks,
     calls = _calls_per_key(out)
     assert calls == out.num_blocks() == len(_buckets_hit(table, ["k"], cpus))
     assert calls <= cpus
+    assert exchange_tasks["exchanges"] == 1
+    assert 0 < exchange_tasks["_split_block"] <= min(blocks, cpus)
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_fold_sees_each_bucket_in_input_order(ray_session, monkeypatch,
+                                              blocks, cpus):
+    """Split tasks concatenate their runs of blocks in block order, and a
+    fold concatenates the parts in run order: each bucket's rows arrive
+    in input order."""
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: cpus)
+    table = _table()
+    table = table.append_column("i", pa.array(np.arange(len(table))))
+
+    def orders(t: pa.Table) -> pa.Table:
+        i = np.asarray(t.column("i"), dtype=np.int64)
+        return pa.table({"n": [len(i)],
+                         "ordered": [bool((np.diff(i) > 0).all())]})
+
+    got = hash_exchange(_dataset(table, blocks), ["k"], orders,
+                        pre=lambda t: t.select(["k", "i"])).to_pandas()
+    assert got["n"].sum() == len(table)
+    assert got["ordered"].all()
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+def test_pre_runs_per_block(ray_session, monkeypatch, blocks):
+    """A split task over a run of blocks still calls ``pre`` once per
+    block: a ``pre`` that emits one row per call yields one row per
+    block."""
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 3)
+
+    def one_row(t: pa.Table) -> pa.Table:
+        return pa.table({"k": ["x"], "n": [len(t)]})
+
+    got = hash_exchange(_dataset(_table(), blocks), ["k"], lambda t: t,
+                        pre=one_row).to_pandas()
+    assert len(got) == blocks
+    assert got["n"].sum() == len(_table())
+
+
+def test_contiguous_runs():
+    runs = shuffle._contiguous_runs
+    assert runs([], 0).tolist() == [0]
+    assert runs(np.ones(7), 2).tolist() == [0, 4, 7]
+    assert runs([10, 1, 1, 1], 2).tolist() == [0, 1, 4]
+    assert runs([1, 1, 1, 10], 2).tolist() == [0, 3, 4]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(1, 70))
+        r = int(rng.integers(1, n + 1))
+        b = runs(rng.integers(1, 1000, n), r)
+        # r runs, each of at least one block, covering every block once
+        assert len(b) == r + 1 and b[0] == 0 and b[-1] == n
+        assert (np.diff(b) >= 1).all()
 
 
 def test_default_buckets_follow_the_cluster(ray_session, monkeypatch):

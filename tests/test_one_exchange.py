@@ -8,7 +8,11 @@ correct (null keys, empty buckets, typed-empty results, ref release).
 So ``ray.remote`` — as an attribute, a decorator or an imported name —
 appears in ``hooqu_ray/`` only in that module, and Ray Data's
 ``groupby(...).map_groups`` (a range sort of the key plus a Python call
-per group) appears nowhere."""
+per group) appears nowhere.
+
+Likewise every ``\\S+`` token count runs on the one byte-level kernel,
+``functions/strings.whitespace_token_counts``: no engine module counts
+``TOKEN_PATTERN`` with ``count_substring_regex``."""
 
 import ast
 import pathlib
@@ -78,3 +82,46 @@ def test_structural_check_catches_planted_map_groups(tmp_path):
                  "    fn = ds.groupby(['a', 'b']).map_groups\n"
                  "    return out, fn\n")
     assert _map_groups_uses(p) == [3, 4]
+
+
+def _token_regex_counts(path: pathlib.Path):
+    """Lines that count ``\\S+`` tokens with a regex: a
+    ``count_substring_regex`` call whose pattern is ``TOKEN_PATTERN`` or
+    the literal ``\\S+``.  The engine counts them with
+    ``strings.whitespace_token_counts``."""
+    def is_token_pattern(node):
+        return ((isinstance(node, ast.Name) and node.id == "TOKEN_PATTERN")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "TOKEN_PATTERN")
+                or (isinstance(node, ast.Constant) and node.value == r"\S+"))
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+        pats = node.args[1:2] + [k.value for k in node.keywords
+                                 if k.arg == "pattern"]
+        if name == "count_substring_regex" and any(map(is_token_pattern, pats)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_token_regex_counting_in_engine():
+    assert {rel: hits for p in sorted(ROOT.rglob("*.py"))
+            if (hits := _token_regex_counts(p))
+            and (rel := p.relative_to(ROOT).as_posix())} == {}
+
+
+def test_structural_check_catches_planted_token_regex(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("import pyarrow.compute as pc\n"
+                 "from .textstats import TOKEN_PATTERN, textstats\n"
+                 "def f(text):\n"
+                 "    a = pc.count_substring_regex(text, pattern=TOKEN_PATTERN)\n"
+                 "    b = pc.count_substring_regex(text, r'\\S+')\n"
+                 "    c = count_substring_regex(text, textstats.TOKEN_PATTERN)\n"
+                 "    d = pc.count_substring_regex(text, pattern=r'\\s+')\n"
+                 "    return a, b, c, d\n")
+    assert _token_regex_counts(p) == [4, 5, 6]

@@ -1,0 +1,82 @@
+"""``strings.whitespace_token_counts`` against the RE2 count it replaces,
+``pc.fill_null(pc.count_substring_regex(a, r"\\S+"), 0)``.
+
+The text alphabet is ASCII 0–127 (every RE2 ``\\s`` byte, ``\\v`` and
+the other control characters) plus NBSP, U+3000, NEL and an emoji: all
+non-ASCII whitespace that ``\\S+`` treats as token characters.
+"""
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hooqu_ray.functions.strings import whitespace_token_counts
+
+HYPO = settings(max_examples=300, deadline=None)
+
+_ALPHABET = st.sampled_from(
+    [chr(i) for i in range(128)] + [" ", "　", "\u0085", "\U0001f600"])
+_TEXTS = st.lists(st.one_of(st.none(), st.text(_ALPHABET, max_size=12)),
+                  max_size=30)
+
+
+def _regex_counts(a) -> np.ndarray:
+    return np.asarray(pc.fill_null(pc.count_substring_regex(a, r"\S+"), 0),
+                      dtype=np.int64)
+
+
+def _check(a):
+    got = whitespace_token_counts(a)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _regex_counts(a))
+
+
+@HYPO
+@given(_TEXTS, st.sampled_from([pa.string(), pa.large_string()]),
+       st.data())
+@example([], pa.string(), None)
+@example([None, None], pa.string(), None)
+@example(["", " ", "\t\n\f\r", "\v", "a b", "x　y\u0085z"],
+         pa.large_string(), None)
+def test_matches_regex_count(texts, typ, data):
+    a = pa.array(texts, typ)
+    _check(a)
+    if data is None or not texts:
+        return
+    start = data.draw(st.integers(0, len(a)))
+    length = data.draw(st.integers(0, len(a) - start))
+    _check(a.slice(start, length))
+    cut = data.draw(st.integers(0, len(a)))
+    _check(pa.chunked_array([a.slice(0, cut), a.slice(cut)], typ))
+
+
+def test_null_slot_with_bytes_counts_zero():
+    """Arrow lets a null slot span bytes; they are not its tokens."""
+    a = pa.StringArray.from_buffers(
+        3, pa.py_buffer(np.array([0, 3, 7, 9], np.int32).tobytes()),
+        pa.py_buffer(b"a bc d ef g"), pa.py_buffer(bytes([0b101])), 1)
+    assert a.to_pylist() == ["a b", None, "ef"]
+    _check(a)
+    assert whitespace_token_counts(a).tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("a", [
+    pa.chunked_array([], pa.string()),
+    pa.chunked_array([pa.array([], pa.large_string())]),
+], ids=["no-chunks", "empty-chunk"])
+def test_empty_chunked_arrays(a):
+    got = whitespace_token_counts(a)
+    assert got.dtype == np.int64 and len(got) == 0
+
+
+@pytest.mark.parametrize("a", [
+    pa.array([1, 2]), pa.array([None, None]),
+    pa.array(["a b"]).dictionary_encode(),
+], ids=["int", "null-type", "dictionary"])
+def test_rejects_non_string(a):
+    """The types ``count_substring_regex`` has no kernel for either."""
+    with pytest.raises(TypeError):
+        whitespace_token_counts(a)
