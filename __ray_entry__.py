@@ -1281,7 +1281,7 @@ def _histogram_quantity(sf_dir: str):
 
 def _salted_group_sum_events(sf_dir: str):
     """Skew-safe grouped sum: the per-block combine bounds a hot key to
-    ≤ #blocks partial rows before the tree fold
+    ≤ #blocks partial rows before the keyed exchange
     (functions.shuffle.tree_group_sum; the null user keeps its group)."""
     from hooqu_ray.functions.shuffle import tree_group_sum
 

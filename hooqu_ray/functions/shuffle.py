@@ -17,12 +17,11 @@ set of whole keys is a fold (a tagged-union join, a set diff, a label
 join).  The folds on top of it:
 
 - :func:`tree_group_sum` — the default entry point for sum/min/max (count
-  = sum of a ones column).  Each block combines first (one vectorized
-  Arrow ``group_by``), so a hot key contributes at most one partial row
-  per block before anything moves; partials coalesce through log-depth
-  whole-block rounds with no key exchange; it measures the partial count
-  and falls back to the bucketed exchange when the keys stay
-  corpus-sized.  :func:`tree_distinct` is its de-duplication form.
+  = sum of a ones column): the exchange with the same Arrow ``group_by``
+  combine as ``pre`` and ``fold``.  Each block combines in its split
+  task, so a hot key moves as at most one partial row per block, and
+  each bucket combines once.  :func:`tree_distinct` is its
+  de-duplication form (no aggregate).
 - :func:`bucketed_group_fold` — the fold on :func:`hash_exchange`, called
   directly only where the keys are corpus-cardinality by construction
   (near-unique ids, content hashes, full-row set keys).
@@ -384,8 +383,8 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     frequency reductions use it to emit one scalar-summary row per bucket
     so the folded table itself never moves again.  ``combine`` (optional)
     replaces the column-wise ``funcs`` fold with a custom per-bucket
-    reduction over ``keys + cols`` (e.g. the first/last lexicographic
-    selection of ``windows.grouped_first_last``).  It runs EXACTLY ONCE
+    reduction over ``keys + cols`` (e.g. the runner's frequency fold,
+    which also carries serialized states).  It runs EXACTLY ONCE
     per bucket, on that bucket's complete rows, so it need not be
     self-mergeable (``decontam.cross_source_overlap``'s ``bucket_pairs``
     relies on this: re-applied to its own output it would return
@@ -417,27 +416,14 @@ def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,
     return hash_exchange(ds, keys, fold, pre=lambda t: t.select(proj))
 
 
-# The tree fold's final block holds at most TREE_MAX_FOLD_ROWS × TREE_FANIN
-# distinct keys; above it the partials take the bucketed exchange.
-TREE_MAX_FOLD_ROWS = 4_000_000
-TREE_FANIN = 8
-
-
 def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
                    drop_null_keys: bool = True):
-    """``groupby(keys).sum(sum_cols)`` with NO key exchange: per-block
-    Arrow combine, then log-depth coalesce-and-combine rounds
-    (``repartition(n // TREE_FANIN)`` moves whole blocks, never keyed rows)
-    until one block holds every distinct key.  Measured ~20× faster than
-    the sort-based ``Dataset.groupby`` at 3.2M rows / 30k keys on 32 CPUs.
-
-    VALID ONLY when the distinct-key count fits one block: after the first
-    combine the partials are counted, and if they still exceed
-    ``TREE_MAX_FOLD_ROWS`` × ``TREE_FANIN`` (combining did not shrink —
-    unbounded key cardinality) the partials fall back to
-    :func:`bucketed_group_fold`'s keyed exchange, so at 100 TB a
-    near-unique key degrades gracefully instead of OOMing the final fold
-    task.
+    """``groupby(keys).sum(sum_cols)``: one :func:`hash_exchange` whose
+    ``pre`` and ``fold`` are the same per-table Arrow combine
+    (:func:`_tree_combine_factory`).  Each block combines in its split
+    task, so a hot key moves as at most one partial row per block, and
+    each bucket combines its complete keys once.  On a materialized input
+    it runs no Ray Data execution.
 
     ``funcs`` generalizes to per-column "sum"/"min"/"max" (algebraic,
     self-mergeable — a min of mins is the min).  ``drop_null_keys=True``
@@ -445,10 +431,12 @@ def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
     from Ray's ``groupby``, which (like SQL GROUP BY and Arrow's
     ``group_by``) KEEPS null as its own group; it matches the engine's
     grouped ops, whose call sites pre-filter null keys anyway.  Pass
-    ``drop_null_keys=False`` for SQL GROUP BY parity — both the tree and
-    the fallback path then keep the null group.  Output columns keep
-    their INPUT names, one row per distinct key, in no particular order.
-    Returns a (small) materialized Dataset."""
+    ``drop_null_keys=False`` for SQL GROUP BY parity: null keys hash like
+    any value and keep their group.  Output columns keep their INPUT
+    names, one row per distinct key, in no particular order.  Returns a
+    ``MaterializedDataset`` with one block per non-empty bucket (typed
+    when empty, see :func:`hash_exchange`); collect it with
+    ``util.collect_arrow``, which runs no execution."""
     keys = list(keys) if not isinstance(keys, str) else [keys]
     sum_cols = list(sum_cols)
     funcs = list(funcs) if funcs is not None else ["sum"] * len(sum_cols)
@@ -456,61 +444,17 @@ def tree_group_sum(ds, keys, sum_cols, *, funcs: Optional[Sequence[str]] = None,
         raise ValueError("funcs must match sum_cols")
     if any(f not in ("sum", "min", "max") for f in funcs):
         raise ValueError(f"unsupported tree aggregate in {funcs}: only "
-                         "self-mergeable sum/min/max fold through a tree")
+                         "self-mergeable sum/min/max fold")
     combine = _tree_combine_factory(keys, sum_cols, funcs, drop_null_keys)
-
-    partials = ds.map_batches(combine, batch_format="pyarrow").materialize()
-    n = partials.count()
-    if n > TREE_MAX_FOLD_ROWS * TREE_FANIN:
-        # key cardinality is corpus-like — the tree's final block would not
-        # fit; fold through the bucketed hash exchange instead (partials
-        # already shrank the input as far as per-block combining can;
-        # measured ~10× over the old sort-based groupby arm).  Null keys in
-        # drop_null_keys=False parity mode ride the exchange natively: they
-        # hash like any value, and no Ray sort ever sees the key columns.
-        return bucketed_group_fold(partials, keys, sum_cols, funcs,
-                                   drop_null_keys=drop_null_keys)
-
-    return _tree_fold(partials, combine, TREE_FANIN)
-
-
-def _tree_fold(partials, combine, fanin: int,
-               max_final_rows: Optional[int] = None):
-    """Coalesce-and-combine a MATERIALIZED partials dataset down to one
-    block (repartition moves whole blocks, never keyed rows).  With
-    ``max_final_rows``, refuse to build the final single block when the
-    combined rows — the distinct key count — exceed the bound."""
-    nblocks = partials.num_blocks()
-    while nblocks > 1:
-        # min(nblocks - 1, ...) forces progress for any fanin (fanin=1
-        # would otherwise loop on nblocks // 1 == nblocks forever)
-        nblocks = max(1, min(nblocks - 1, nblocks // fanin))
-        if (nblocks == 1 and max_final_rows is not None
-                and partials.count() > max_final_rows):
-            raise ValueError(
-                "tree fold: distinct key combinations exceed the final "
-                "fold bound — pre-split or pre-aggregate upstream")
-        partials = (partials.repartition(nblocks)
-                    .map_batches(combine, batch_format="pyarrow")
-                    .materialize())
-    return partials
+    return hash_exchange(ds, keys, combine, pre=combine)
 
 
 def tree_distinct(ds, cols):
-    """DISTINCT ``cols`` tuples via the tree fold: per-block Arrow
-    ``group_by(cols)`` dedupe, coalesce-and-combine rounds, adaptive
-    bucketed-exchange fallback — the shared helper behind the "distinct set +
-    ones column" pattern (connected-components node init, pivot column
-    scan, document frequency).  Null-key tuples drop (the grouped-op
-    convention).  Returns a materialized Dataset with exactly ``cols``."""
+    """DISTINCT ``cols`` tuples: :func:`tree_group_sum` with no aggregate,
+    since grouping by ``cols`` alone yields the distinct tuples — the
+    shared helper behind the "distinct set" pattern (connected-components
+    node init, pivot column scan, document frequency).  Null-key tuples
+    drop (the grouped-op convention).  Returns a ``MaterializedDataset``
+    with exactly ``cols``, one block per non-empty bucket."""
     cols = list(cols) if not isinstance(cols, str) else [cols]
-
-    def ones(t: pa.Table) -> pa.Table:
-        sub = t.select(cols)
-        return sub.append_column(
-            "__one", pa.array(np.ones(len(sub), np.int64)))
-
-    out = tree_group_sum(ds.map_batches(ones, batch_format="pyarrow"),
-                         cols, ["__one"])
-    return out.map_batches(lambda t: t.drop_columns(["__one"]),
-                           batch_format="pyarrow")
+    return tree_group_sum(ds, cols, [])

@@ -11,7 +11,8 @@ is engine-extension tier (SURVEY.md §8), built for the 100-TB shape:
   each node's label is joined onto its edges through ONE hash exchange
   (``shuffle.hash_exchange``) of the tagged union of label and edge rows
   on the source node, with a local Arrow (Acero) join per bucket; the new
-  label is a ``tree_group_sum`` min per node.  Only slim ``(node, label)``
+  label is a ``tree_group_sum`` min per node (a second exchange, of
+  per-block partial mins).  Only slim ``(node, label)``
   / ``(src, dst)`` integer-or-string rows ever move; neither the edge set
   nor the label set is EVER collected to the driver or broadcast.  The
   exchange sizes its buckets from the cluster and the input, and its

@@ -17,8 +17,6 @@ import pyarrow.compute as pc
 
 from ..functions.shuffle import group_by
 
-# Above this many combiner partial rows grouped_top_k merges distributed.
-TOPK_DRIVER_MAX_ROWS = 2_000_000
 # Above this many partial digest rows grouped_approx_quantile merges
 # distributed.
 QUANTILE_DRIVER_MAX_GROUPS = 1_000_000
@@ -48,68 +46,35 @@ def grouped_top_k(ds, group_col: str, order_col: str, k: int,
                   tie_col: str, extra_cols=()):
     """Top-k rows per group by ``order_col`` DESC (ties broken by ascending
     ``tie_col``) — the ``row_number() OVER (PARTITION BY ... ORDER BY ...)``
-    shape.
+    shape.  Rows with a null group drop.
 
-    Per-block combiner: each block reduces to its LOCAL top-k per group
-    (vectorized pandas sort + grouped head), so at most
-    ``#blocks × #groups × k`` tiny rows leave the scan.  When the partials
-    fit under ``TOPK_DRIVER_MAX_ROWS`` the final merge is one driver-side
-    pandas pass, sorted by (group, rank order).  Above the gate — the
-    million-group tail — the merge stays DISTRIBUTED: one hash exchange of
-    the partials on the group and a vectorized head-k once per bucket of
-    complete, rank-sorted groups (the complete-key sorted scan), never
-    materialized on the driver.  Both
-    arms return a Ray Dataset of ``[group_col, order_col, tie_col,
-    *extra_cols]``; an empty one keeps the input's column types."""
-    cols = [group_col, order_col, tie_col, *extra_cols]
+    One ``shuffle.hash_exchange`` on the group whose ``pre`` and ``fold``
+    are the same Arrow top-k: one ``sort_indices`` over (group asc, order
+    desc, tie asc), then a rank-within-group mask.  Each block keeps its
+    LOCAL top-k per group in its split task, so at most ``#blocks ×
+    #groups × k`` rows move, and each bucket keeps the top k of its
+    complete groups.  On a materialized input it runs no Ray Data
+    execution.  Returns a Ray Dataset of ``[group_col, order_col,
+    tie_col, *extra_cols]``, one block per non-empty bucket, each sorted
+    by (group, rank); an empty one keeps the input's column types (null
+    when the input has none)."""
+    from ..functions.shuffle import hash_exchange, key_runs
+
     # dict keeps order, drops duplicates (e.g. tie_col listed in extra_cols)
-    cols = list(dict.fromkeys(cols))
-    sort_cols = [group_col, order_col, tie_col]
-    ascending = [True, False, True]
+    cols = list(dict.fromkeys([group_col, order_col, tie_col, *extra_cols]))
+    sort_keys = [(group_col, "ascending"), (order_col, "descending"),
+                 (tie_col, "ascending")]
 
-    def block_topk(t: pa.Table) -> pa.Table:
-        df = t.select(cols).to_pandas()
-        df = df.sort_values(
-            sort_cols, ascending=ascending, kind="mergesort", ignore_index=True
-        )
-        return pa.Table.from_pandas(
-            df.groupby(group_col, sort=False).head(k), preserve_index=False
-        )
-
-    partials = ds.map_batches(
-        block_topk, batch_format="pyarrow", batch_size=None
-    ).materialize()  # partials are combiner-bounded; count() is then free
-    if partials.count() > TOPK_DRIVER_MAX_ROWS:
-        return _distributed_topk_merge(
-            partials, group_col, sort_cols, ascending, k, cols)
-    from ..util import collect_arrow
-
-    top = collect_arrow(partials)
-    if top is not None:
-        merged = top.to_pandas().sort_values(
-            sort_cols, ascending=ascending, kind="mergesort", ignore_index=True
-        )
-        top = pa.Table.from_pandas(merged.groupby(group_col, sort=False)
-                                   .head(k), preserve_index=False)
-    return _from_driver_table(top, cols, ds)
-
-
-def _distributed_topk_merge(partials, group_col, sort_cols, ascending, k, cols):
-    """Hash-exchange the combiner partials on the group and keep each
-    group's first ``k`` rows in rank order (the shared complete-key sorted
-    scan, ``functions.sorted_scan``) — #groups × k result rows stay
-    distributed."""
-    from ..functions.sorted_scan import sorted_scan
-    from .ranks import _key_codes, _segment_starts
-
-    def head_k(t: pa.Table) -> pa.Table:
-        first = _segment_starts(_key_codes(t, group_col))
-        idx = np.arange(len(t))
-        rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    def topk(t: pa.Table) -> pa.Table:
+        if not set(cols).issubset(t.column_names):  # a schema-less input
+            return pa.schema([(c, pa.null()) for c in cols]).empty_table()
+        t = t.select(cols).filter(pc.is_valid(t.column(group_col)))
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        runs = key_runs(t, [group_col])
+        rank = np.arange(len(t)) - np.repeat(runs[:-1], np.diff(runs))
         return t.filter(pa.array(rank < k))
 
-    return sorted_scan(partials, cols, group_col, sort_cols[1:], head_k,
-                       descending=[not a for a in ascending])
+    return hash_exchange(ds, [group_col], topk, pre=topk)
 
 
 _HEX_MAX8 = 8
@@ -1162,7 +1127,7 @@ def rollup_agg(ds, group_cols, value_col: str, sentinel: str = "ALL"):
     column (number of grouping columns kept, ROLLUP's ``k - GROUPING(..)``).
 
     Scale shape: the raw data is reduced ONCE — one ``tree_group_sum``
-    (per-block Arrow combine, then coalesce rounds) builds the finest-grain
+    (per-block Arrow combine, then one hash exchange) builds the finest-grain
     aggregate; every coarser level re-folds THAT (sums and counts
     compose), so levels k-1..1 cost folds of the finest aggregate's
     cardinality, never a second pass over the input.  Group columns are
@@ -1329,9 +1294,9 @@ def grouped_mode(ds, group_col: str, value_col: str, *,
     ``row_number() OVER (ORDER BY n DESC, value ASC)`` window.
 
     Composition of existing scale machinery: per-block Arrow
-    ``group_by(group, value).count`` partials fold key-exchange-free
-    through :func:`~hooqu_ray.functions.shuffle.tree_group_sum` (adaptive
-    fallback when the distinct-pair count is corpus-like), then
+    ``group_by(group, value).count`` partials fold through
+    :func:`~hooqu_ray.functions.shuffle.tree_group_sum` (per-block
+    combine, then one hash exchange of the partials), then
     :func:`grouped_top_k` (k=1, order=count DESC, tie=value ASC) picks
     each group's winner with its own driver-gated/distributed merge.
     Null values are not counted (SQL mode ignores nulls); null groups
@@ -1378,12 +1343,11 @@ def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
     length in this slice?") companion to the global ``Correlation``
     analyzer (``analyzers/scan.py``; Deequ has the same operator).
 
-    One data pass, no key exchange: rows where BOTH x and y are valid
+    One data pass, no row exchange: rows where BOTH x and y are valid
     (SQL's pairwise rule) reduce per block to per-group raw co-moment
     sums ``(n, Σx, Σy, Σx², Σy², Σxy)`` that ride
-    :func:`hooqu_ray.functions.shuffle.tree_group_sum` (tree coalesce for
-    bounded group counts, bucketed hash-exchange fallback at corpus
-    cardinality); the final ``r = (nΣxy − ΣxΣy) / √((nΣx² − (Σx)²)(nΣy²
+    :func:`hooqu_ray.functions.shuffle.tree_group_sum` (one hash exchange
+    of the per-block partials); the final ``r = (nΣxy − ΣxΣy) / √((nΣx² − (Σx)²)(nΣy²
     − (Σy)²))`` is one vectorized kernel over the #groups-row fold.
     Sample and population correlation coincide (the (n−1) factors
     cancel), so the value matches DuckDB/PostgreSQL ``corr`` exactly.
@@ -1524,10 +1488,9 @@ def value_histogram(ds, col: str, k: int = 50):
     first (:func:`bucketize` / ``value_deciles``).
 
     Counts ride :func:`hooqu_ray.functions.shuffle.tree_group_sum`
-    (per-block Arrow combine, log-depth coalesce, bucketed-exchange
-    fallback at corpus cardinality); the total is re-read from the
-    MATERIALIZED fold (free second consume), and only the #distinct-row
-    fold enters the final ``sort(count DESC, value ASC).limit(k)``.
+    (per-block Arrow combine, then one hash exchange); the total is
+    re-read from the MATERIALIZED fold (free second consume), and only
+    the #distinct-row fold enters the final ``sort(count DESC, value ASC).limit(k)``.
     Returns ``[value, count, ratio]``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

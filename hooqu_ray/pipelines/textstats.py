@@ -47,16 +47,18 @@ def token_count_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 def _tokenize_block(texts):
     """Whitespace tokens of a text column (the engine's ``\\S+`` oracle
-    convention, null text → no tokens): returns ``(flat, parent)`` — the
-    non-empty tokens as one flat string array plus each token's row index
-    as int64 numpy.  The single implementation behind
+    convention: split on RE2's ``\\s`` = ``[\\t\\n\\f\\r ]`` only, so
+    ``\\v``, NBSP and other Unicode spaces are token characters, as in
+    ``strings.whitespace_token_counts``; null text → no tokens): returns
+    ``(flat, parent)`` — the non-empty tokens as one flat string array
+    plus each token's row index as int64 numpy.  The single implementation behind
     ``doc_frequency`` / ``top_terms`` / ``split_token_budget`` /
     ``inverted_index`` / ``bm25_scores``, so the tokenization can never
     drift between ops (or from the SQL oracles that mirror it with
     ``regexp_extract_all(text, '\\S+')``)."""
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
-    words = pc.utf8_split_whitespace(pc.fill_null(texts, ""))
+    words = pc.split_pattern_regex(pc.fill_null(texts, ""), r"[\t\n\f\r ]+")
     flat = pc.list_flatten(words)
     if isinstance(flat, pa.ChunkedArray):
         flat = flat.combine_chunks()
@@ -68,9 +70,10 @@ def _tokenize_block(texts):
     return flat.filter(pa.array(keep)), parent[keep]
 
 
-def quality_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Per-doc quality features: n_chars, symbol_ratio, stopword_ratio."""
-    text = batch.column(text_col)
+def _quality_features(text):
+    """Per-doc ``(n_chars, n_tokens, symbol_ratio, stopword_ratio)`` as
+    numpy arrays: the ``\\S+`` token count is computed once, for the
+    stopword ratio and for callers that report it."""
     n_chars = pc.fill_null(pc.utf8_length(text), 0).to_numpy(zero_copy_only=False)
     n_sym = pc.fill_null(
         pc.count_substring_regex(text, pattern=SYMBOL_PATTERN), 0
@@ -82,6 +85,13 @@ def quality_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
     with np.errstate(invalid="ignore", divide="ignore"):
         symbol_ratio = np.where(n_chars > 0, n_sym / np.maximum(n_chars, 1), 0.0)
         stopword_ratio = np.where(n_tok > 0, n_stop / np.maximum(n_tok, 1), 0.0)
+    return n_chars, n_tok, symbol_ratio, stopword_ratio
+
+
+def quality_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
+    """Per-doc quality features: n_chars, symbol_ratio, stopword_ratio."""
+    n_chars, _, symbol_ratio, stopword_ratio = _quality_features(
+        batch.column(text_col))
     return (
         batch.append_column("q_n_chars", pa.array(n_chars, pa.int64()))
         .append_column("q_symbol_ratio", pa.array(symbol_ratio, pa.float64()))
@@ -207,28 +217,14 @@ def fingerprint_stage(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def _block_ngram_counts(t: pa.Table, text_col: str, n: int) -> pa.Table:
-    """Per-block combiner: (ngram, n) partial counts.  One Arrow
-    split/flatten pass; n-gram strings built with a single vectorized
-    ``binary_join_element_wise`` over position-shifted token views — no
-    Python per token."""
-    texts = t.column(text_col)
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
+    """Per-block combiner: (ngram, n) partial counts.  One
+    :func:`_tokenize_block` pass; n-gram strings built with a single
+    vectorized ``binary_join_element_wise`` over position-shifted token
+    views — no Python per token."""
     empty = pa.table(
         {"ngram": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
     )
-    if len(texts) == 0:
-        return empty
-    words = pc.utf8_split_whitespace(texts)
-    flat = pc.list_flatten(words)
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
-    if len(flat) == 0:
-        return empty
-    parent = pc.list_parent_indices(words).to_numpy(zero_copy_only=False)
-    keep = pc.invert(pc.equal(flat, "")).to_numpy(zero_copy_only=False)
-    toks = flat.filter(pa.array(keep))
-    tp = parent[keep]
+    toks, tp = _tokenize_block(t.column(text_col))
     if len(toks) < n:
         return empty
     # n-gram start positions whose first and last token share a document
@@ -440,16 +436,16 @@ def quality_by_source(ds, text_col: str = "text", group_col: str = "source"):
     from ..functions.shuffle import tree_group_sum
 
     def features(t: pa.Table) -> pa.Table:
-        q = quality_stage(t, text_col)
-        n_tok = whitespace_token_counts(t.column(text_col))
+        n_chars, n_tok, symbol_ratio, stopword_ratio = _quality_features(
+            t.column(text_col))
         return pa.table(
             {
                 group_col: t.column(group_col),
                 "n_docs": pa.array(np.ones(len(t), np.int64)),
-                "n_chars": q.column("q_n_chars"),
+                "n_chars": pa.array(n_chars, pa.int64()),
                 "n_tokens": pa.array(n_tok),
-                "symbol_ratio": q.column("q_symbol_ratio"),
-                "stopword_ratio": q.column("q_stopword_ratio"),
+                "symbol_ratio": pa.array(symbol_ratio, pa.float64()),
+                "stopword_ratio": pa.array(stopword_ratio, pa.float64()),
             }
         )
 
@@ -684,8 +680,8 @@ def vocab_stats(ds, text_col: str = "text", group_col: str = "source"):
     quality-triage signals next to :func:`quality_by_source`).
 
     Combiner-first, two slim tree folds, token VOLUME never shuffles:
-    each block explodes whitespace tokens vectorized (``utf8_split_
-    whitespace`` + ``list_parent_indices``, zero Python per token) and
+    each block explodes whitespace tokens vectorized (``_tokenize_block``:
+    a ``\\S+`` split + ``list_parent_indices``, zero Python per token) and
     pre-aggregates (group, token, n) with Arrow ``group_by``;
     ``tree_group_sum`` folds vocabulary-sized rows; a per-block
     projection then reduces each vocabulary row to (group, tokens, types,

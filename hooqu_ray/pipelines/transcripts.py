@@ -1168,8 +1168,7 @@ def _conversation_fingerprints(ds, conv_col: str, idx_col: str,
             [("__lo", "sum"), ("__hi", "sum"), ("__n", "sum")]
         ).rename_columns([conv_col, "__lo", "__hi", "__n"])
 
-    # per-(block, conv) partials fold key-exchange-free; a corpus-like
-    # conversation count falls back to the keyed exchange inside
+    # per-(block, conv) partials fold in tree_group_sum's one exchange
     folded = tree_group_sum(
         ds.map_batches(partials, batch_format="pyarrow"),
         [conv_col], ["__lo", "__hi", "__n"])
@@ -1589,8 +1588,8 @@ def _regex_report(ds, pats: "Dict[str, str]", turns_col: str, *,
 
     from ..functions.shuffle import tree_group_sum
 
-    # incidence-bounded partials fold key-exchange-free (corpus-like match
-    # incidence degrades to the keyed exchange inside tree_group_sum)
+    # incidence-bounded partials: tree_group_sum combines them per block,
+    # then folds them in one hash exchange on the conversation
     return tree_group_sum(
         ds.map_batches(block_partials, batch_format="pyarrow"),
         [conv_col], out_cols,

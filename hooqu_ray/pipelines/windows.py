@@ -270,8 +270,8 @@ def hopping_window_agg(ds, key_col: str, ts_col: str, value_col: str,
 
     Embarrassingly parallel combiner: each block ENUMERATES its rows'
     window memberships vectorized (ragged repeat/offset arithmetic, no
-    Python per row) and pre-aggregates per (key, window) BEFORE the one
-    ``tree_group_sum`` fold — it moves at most
+    Python per row) and pre-aggregates per (key, window) BEFORE
+    ``tree_group_sum``'s one hash exchange — it moves at most
     ``#blocks × #keys × #windows-per-block`` slim partial rows, never the
     events.  Null keys/timestamps are dropped (SQL GROUP BY over derived
     keys); null VALUES count toward ``n`` but not the mean (SQL
@@ -589,8 +589,9 @@ def _first_last_combine(key: str):
     """Self-mergeable combine for the FIRST/LAST fold: one row per key
     whose ``(__f_ts, __f_tie, first_value)`` is the lexicographically
     EARLIEST candidate seen and ``(__l_ts, __l_tie, last_value)`` the
-    LATEST — the earlier of two firsts is the first, so candidates reduce
-    through a coalesce tree exactly like ``tree_group_sum`` partials."""
+    LATEST — the earlier of two firsts is the first, so a bucket's
+    per-block candidates reduce in one pass, like ``tree_group_sum``
+    partials."""
     proj = [key, "__f_ts", "__f_tie", "first_value",
             "__l_ts", "__l_tie", "last_value"]
 
@@ -625,20 +626,16 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str):
     ``LAST_VALUE(v) OVER (... ROWS BETWEEN UNBOUNDED PRECEDING AND
     UNBOUNDED FOLLOWING)`` — WITHOUT the corpus range sort the rest of
     the window family pays: first/last selection is an algebraic fold
-    (the earlier of two firsts is the first), so per-block candidates
-    (≤ #keys-in-block rows each) reduce through ``tree_group_sum``-style
-    coalesce rounds, and when the key count is corpus-like the partials
-    fall back to the bucketed hash exchange (int32 bucket key, one
-    vectorized combine per bucket) — never Ray's per-key sort groupby.
-    Both arms and their threshold are ``tree_group_sum``'s
-    (``shuffle.TREE_MAX_FOLD_ROWS`` × ``shuffle.TREE_FANIN``).
+    (the earlier of two firsts is the first), so it is one
+    ``shuffle.hash_exchange`` on the key whose split tasks reduce each
+    block to its candidates (≤ #keys-in-block rows) and whose folds
+    combine each bucket's complete keys once — never Ray's per-key sort
+    groupby.  On a materialized input it runs no Ray Data execution.
 
     ``value_col`` keeps its input dtype (selection, not arithmetic), and
     a null value at the boundary row is returned as-is (SQL parity).
     Rows with a null key or ts are dropped; ``tie`` must be unique per
     key.  Returns ``[key, first_value, last_value]``, one row per key."""
-    import ray.data as rd
-
     from ..functions import shuffle
     from ..util import dataset_arrow_schema
 
@@ -648,20 +645,18 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str):
         # single-sort fast path over the raw corpus block: the first/last
         # orderings coincide here (both are (key, ts, tie)), so one
         # sort_indices yields run starts AND run ends — the generic
-        # two-sort combine is only needed in fold rounds, where the f/l
+        # two-sort combine is only needed in the fold, where the f/l
         # candidate columns genuinely differ
         mask = pc.and_(pc.is_valid(t.column(key)),
                        pc.is_valid(t.column(ts_col)))
-        t = t.filter(mask)
-        if len(t) == 0:
-            return pa.table({})
-        tt = t.take(pc.sort_indices(t, sort_keys=[
-            (key, "ascending"), (ts_col, "ascending"), (tie, "ascending")]))
-        kk = tt.column(key).to_numpy(zero_copy_only=False)
-        starts = np.r_[True, kk[1:] != kk[:-1]]
-        ends = np.r_[kk[1:] != kk[:-1], True]
-        firsts = tt.filter(pa.array(starts))
-        lasts = tt.filter(pa.array(ends))
+        firsts = lasts = t = t.filter(mask)
+        if len(t):
+            tt = t.take(pc.sort_indices(t, sort_keys=[
+                (key, "ascending"), (ts_col, "ascending"),
+                (tie, "ascending")]))
+            kk = tt.column(key).to_numpy(zero_copy_only=False)
+            firsts = tt.filter(pa.array(np.r_[True, kk[1:] != kk[:-1]]))
+            lasts = tt.filter(pa.array(np.r_[kk[1:] != kk[:-1], True]))
         return pa.table({
             key: firsts.column(key),
             "__f_ts": firsts.column(ts_col), "__f_tie": firsts.column(tie),
@@ -670,34 +665,20 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str):
             "last_value": lasts.column(value_col),
         })
 
-    partials = ds.map_batches(
-        prep, batch_format="pyarrow").materialize()
-    n = partials.count()
-    schema = dataset_arrow_schema(partials)
-    if n == 0 or schema is None:
-        in_schema = dataset_arrow_schema(ds)
-        ktype = (in_schema.field(key).type if in_schema is not None
-                 and key in in_schema.names else pa.string())
-        vtype = (in_schema.field(value_col).type if in_schema is not None
-                 and value_col in in_schema.names else pa.float64())
-        return rd.from_arrow(pa.schema(
-            [(key, ktype), ("first_value", vtype),
-             ("last_value", vtype)]).empty_table())
+    ds = ds.materialize()
+    in_schema = dataset_arrow_schema(ds)
 
-    def finalize(t: pa.Table) -> pa.Table:
-        return t.select([key, "first_value", "last_value"])
+    def fold(t: pa.Table) -> pa.Table:
+        if len(t) == 0:
+            ktype = (in_schema.field(key).type if in_schema is not None
+                     and key in in_schema.names else pa.string())
+            vtype = (in_schema.field(value_col).type if in_schema is not None
+                     and value_col in in_schema.names else pa.float64())
+            return pa.schema([(key, ktype), ("first_value", vtype),
+                              ("last_value", vtype)]).empty_table()
+        return combine(t).select([key, "first_value", "last_value"])
 
-    if n <= shuffle.TREE_MAX_FOLD_ROWS * shuffle.TREE_FANIN:
-        folded = shuffle._tree_fold(partials, combine, shuffle.TREE_FANIN)
-        return folded.map_batches(finalize, batch_format="pyarrow")
-
-    # corpus-cardinality keys: the shared bucketed hash exchange (custom
-    # first/last combine once per bucket — one maintained exchange)
-    return shuffle.bucketed_group_fold(
-        partials, [key],
-        ["__f_ts", "__f_tie", "first_value", "__l_ts", "__l_tie",
-         "last_value"],
-        combine=combine, finalize=finalize)
+    return shuffle.hash_exchange(ds, [key], fold, pre=prep)
 
 
 def windowed_count_distinct(ds, ts_col: str, value_col: str,

@@ -135,8 +135,9 @@ def grouped_profile(ds, group_col: str, columns: Sequence[str]):
     bad") that a global profile averages away.
 
     Scale shape: ONE scan computes every column's row/null counts
-    (per-block combiners + :func:`~hooqu_ray.functions.shuffle.
-    tree_group_sum` — never a row shuffle), and each column's exact
+    (:func:`~hooqu_ray.functions.shuffle.tree_group_sum`: per-block
+    partials, then one hash exchange of those — never a row shuffle), and
+    each column's exact
     distinct count reuses :func:`hooqu_ray.pipelines.relational.
     grouped_count_distinct` (block-distinct pairs + the bucketed hash
     exchange), so profiling C columns costs 1 + C streaming passes over

@@ -181,20 +181,3 @@ def hash_shard_counts(monkeypatch):
 
     monkeypatch.setattr(broadcast, "hash_shards", spy)
     return counts
-
-
-@pytest.fixture
-def bucketed_folds(monkeypatch):
-    """Calls of ``shuffle.bucketed_group_fold`` while the test runs: the
-    tree folds' corpus-cardinality fallback arm."""
-    from hooqu_ray.functions import shuffle
-
-    calls = []
-    fold = shuffle.bucketed_group_fold
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return fold(*args, **kwargs)
-
-    monkeypatch.setattr(shuffle, "bucketed_group_fold", spy)
-    return calls

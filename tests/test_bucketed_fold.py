@@ -138,20 +138,15 @@ def test_explicit_bucket_counts_agree(ray_session, monkeypatch):
             pd.testing.assert_frame_equal(out, base)
 
 
-def test_tree_fallback_rides_bucketed_exchange(ray_session, monkeypatch,
-                                               bucketed_folds):
-    # force the fallback arm (max_fold_rows tiny) on corpus-like keys and
-    # check exactness — this is the VERDICT #1 "fallback exercises the
-    # bucketed exchange" pin
+def test_tree_fallback_rides_bucketed_exchange(ray_session, exchange_tasks):
+    # corpus-like keys through tree_group_sum: one hash exchange, exact
     rng = np.random.default_rng(9)
     n = 30_000
     df = pd.DataFrame({"k": [f"u{i}" for i in rng.integers(0, 25_000, n)],
                        "v": np.ones(n, np.int64)})
     ds = rd.from_pandas(df).repartition(16)
-    monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", 10)
-    monkeypatch.setattr(shuffle, "TREE_FANIN", 2)
     out = tree_group_sum(ds, ["k"], ["v"]).to_pandas()
-    assert bucketed_folds == [1]
+    assert exchange_tasks["exchanges"] == 1, exchange_tasks
     exp = df.groupby("k", as_index=False).v.sum()
     pd.testing.assert_frame_equal(
         out.sort_values("k").reset_index(drop=True),

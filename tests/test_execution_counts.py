@@ -108,6 +108,60 @@ def test_sft_prepare_fold_tasks_follow_the_cluster(ray_session,
     assert 0 < exchange_tasks["_split_block"] <= exchanges * 4, exchange_tasks
 
 
+def _grouped_folds():
+    """The grouped folds on one ``hash_exchange`` over :func:`_turns`, each
+    with its output columns as ``(name, input column)``: an empty result
+    takes the input column's type."""
+    from hooqu_ray.pipelines.relational import grouped_top_k
+    from hooqu_ray.pipelines.windows import grouped_first_last
+
+    return {
+        "tree_group_sum": (
+            lambda ds: shuffle.tree_group_sum(ds, ["conv_id"], ["turn_idx"]),
+            [("conv_id", "conv_id"), ("turn_idx", "turn_idx")]),
+        "tree_distinct": (
+            lambda ds: shuffle.tree_distinct(ds, ["conv_id", "role"]),
+            [("conv_id", "conv_id"), ("role", "role")]),
+        "grouped_first_last": (
+            lambda ds: grouped_first_last(ds, "conv_id", "turn_idx",
+                                          "turn_idx", "text"),
+            [("conv_id", "conv_id"), ("first_value", "text"),
+             ("last_value", "text")]),
+        "grouped_top_k": (
+            lambda ds: grouped_top_k(ds, "conv_id", "turn_idx", 2, "text"),
+            [("conv_id", "conv_id"), ("turn_idx", "turn_idx"),
+             ("text", "text")]),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_grouped_folds()))
+def test_grouped_fold_runs_no_execution_on_materialized_input(
+        ray_session, executions, op):
+    ds = _dataset()
+    executions.clear()
+    out = collect_arrow(_grouped_folds()[op][0](ds))
+    assert len(out) > 0
+    assert len(executions) == 0
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+@pytest.mark.parametrize("op", sorted(_grouped_folds()))
+def test_grouped_fold_typed_when_empty(ray_session, op, blocks):
+    import ray.data as rd
+
+    from hooqu_ray.util import dataset_arrow_schema
+
+    full = _turns()
+    ds = rd.from_arrow(full).repartition(blocks).map_batches(
+        lambda t: t.slice(0, 0), batch_format="pyarrow").materialize()
+    assert ds.num_blocks() == blocks
+    run, cols = _grouped_folds()[op]
+    out = run(ds)
+    assert out.count() == 0
+    assert dataset_arrow_schema(out) == pa.schema(
+        [(c, full.schema.field(src).type) for c, src in cols])
+
+
 def _events(blocks=4):
     import ray.data as rd
 

@@ -1,7 +1,10 @@
 """Every keyed aggregate in ``hooqu_ray`` runs through the grouped folds of
 ``hooqu_ray.functions.shuffle`` (``tree_group_sum`` / ``tree_distinct`` /
-``bucketed_group_fold``).  This module checks each op that carries such a
-fold site:
+``bucketed_group_fold``), all on its one ``hash_exchange``: "tree" below
+is ``tree_group_sum`` (a per-block combine in the split tasks, then one
+combine per bucket), "bucketed" is ``bucketed_group_fold`` (a projection,
+then one fold per bucket).  This module checks each op that carries such
+a fold site:
 
 - empty input raises nothing, and an op whose empty result was typed
   keeps that schema;

@@ -8,7 +8,10 @@ correct (null keys, empty buckets, typed-empty results, ref release).
 So ``ray.remote`` — as an attribute, a decorator or an imported name —
 appears in ``hooqu_ray/`` only in that module, and Ray Data's
 ``groupby(...).map_groups`` (a range sort of the key plus a Python call
-per group) appears nowhere.
+per group) appears nowhere.  ``shuffle.py`` itself calls no Ray Data
+``repartition``, ``map_batches``, ``sort`` or ``groupby``: its folds run
+on the exchange's tasks, so a second fold route (a coalesce tree) cannot
+grow back there.
 
 Likewise every ``\\S+`` token count runs on the one byte-level kernel,
 ``functions/strings.whitespace_token_counts``: no engine module counts
@@ -82,6 +85,34 @@ def test_structural_check_catches_planted_map_groups(tmp_path):
                  "    fn = ds.groupby(['a', 'b']).map_groups\n"
                  "    return out, fn\n")
     assert _map_groups_uses(p) == [3, 4]
+
+
+_DATASET_OPS = {"repartition", "map_batches", "sort", "groupby"}
+
+
+def _dataset_op_calls(path: pathlib.Path):
+    """``(line, name)`` of every call of a Ray Data ``repartition``,
+    ``map_batches``, ``sort`` or ``groupby`` method."""
+    return sorted((node.lineno, node.func.attr)
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _DATASET_OPS)
+
+
+def test_shuffle_runs_no_dataset_fold_route():
+    assert _dataset_op_calls(ROOT / OWNER) == []
+
+
+def test_structural_check_catches_planted_dataset_ops(tmp_path):
+    p = tmp_path / "shuffle.py"
+    p.write_text("def fold(ds, combine):\n"
+                 "    # ds.repartition(2) in a comment is fine\n"
+                 "    ds = ds.repartition(2).map_batches(combine)\n"
+                 "    out = ds.sort('k').groupby('k').count()\n"
+                 "    return out, ds.map_batches\n")
+    assert _dataset_op_calls(p) == [
+        (3, "map_batches"), (3, "repartition"), (4, "groupby"), (4, "sort")]
 
 
 def _token_regex_counts(path: pathlib.Path):

@@ -144,11 +144,10 @@ def test_grouped_top_k_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got.reset_index(drop=True), expect)
 
 
-def test_grouped_top_k_distributed_fallback(ray_session, monkeypatch):
-    """Forcing the partials over the driver gate must route through the
-    distributed sort + boundary merge and produce the identical result."""
+def test_grouped_top_k_distributed_fallback(ray_session, exchange_tasks):
+    """Nine blocks merge through one hash exchange on the group and give
+    pandas' result."""
     import ray.data as rd
-    from hooqu_ray.pipelines import relational
     from hooqu_ray.pipelines.relational import grouped_top_k
 
     rng = np.random.default_rng(11)
@@ -160,15 +159,8 @@ def test_grouped_top_k_distributed_fallback(ray_session, monkeypatch):
         }
     )
     ds = rd.from_pandas(df).repartition(9)
-    merges = []
-    merge = relational._distributed_topk_merge
-    monkeypatch.setattr(relational, "_distributed_topk_merge",
-                        lambda *a: merges.append(1) or merge(*a))
-    grouped_top_k(ds, "g", "v", 3, "id")
-    assert not merges  # the default gate keeps the driver merge
-    monkeypatch.setattr(relational, "TOPK_DRIVER_MAX_ROWS", 0)
     got = grouped_top_k(ds, "g", "v", 3, "id")
-    assert merges == [1]  # scale path stays distributed
+    assert exchange_tasks["exchanges"] == 1  # one distributed merge
     got = got.to_pandas().sort_values(["g", "v", "id"], ascending=[True, False, True],
                                       ignore_index=True)
     expect = (

@@ -598,23 +598,20 @@ class TestGroupedFirstLast:
         assert np.allclose(got["last_value"].to_numpy(), exp["lv"].to_numpy(),
                            equal_nan=True)
 
-    def test_bucketed_fallback_identical(self, ray_session, monkeypatch,
-                                         bucketed_folds, events):
+    def test_bucketed_fallback_identical(self, ray_session, exchange_tasks,
+                                         events):
         import ray.data as rd
-        from hooqu_ray.functions import shuffle
         from hooqu_ray.pipelines.windows import grouped_first_last
 
         src = rd.from_pandas(events).repartition(7)
-        tree = grouped_first_last(src, "k", "ts", "id", "v") \
+        whole = grouped_first_last(src.repartition(1), "k", "ts", "id", "v") \
             .to_pandas().sort_values("k", ignore_index=True)
-        assert not bucketed_folds
-        # TREE_MAX_FOLD_ROWS=1 forces the corpus-cardinality bucketed path
-        monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", 1)
-        monkeypatch.setattr(shuffle, "TREE_FANIN", 1)
+        exchange_tasks.clear()
+        # 7 blocks: candidates per block, then ONE hash exchange on the key
         bucketed = grouped_first_last(src, "k", "ts", "id", "v") \
             .to_pandas().sort_values("k", ignore_index=True)
-        assert bucketed_folds == [1]
-        pd.testing.assert_frame_equal(tree, bucketed)
+        assert exchange_tasks["exchanges"] == 1, exchange_tasks
+        pd.testing.assert_frame_equal(whole, bucketed)
 
     def test_value_dtype_preserved_and_empty(self, ray_session):
         import pyarrow as pa

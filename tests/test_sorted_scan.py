@@ -270,18 +270,18 @@ def _ops():
 
 
 def _top_k_distributed(ds):
-    """``grouped_top_k`` with its driver gate at 0: every input with a
-    partial row takes the distributed merge, witnessed by a spy."""
+    """``grouped_top_k``, whose merge is one hash exchange on the group
+    (witnessed by a spy) for every input layout."""
+    from hooqu_ray.functions import shuffle
     from hooqu_ray.pipelines import relational
 
     merges = []
-    merge = relational._distributed_topk_merge
+    exchange = shuffle.hash_exchange
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relational, "TOPK_DRIVER_MAX_ROWS", 0)
-        mp.setattr(relational, "_distributed_topk_merge",
-                   lambda *a: merges.append(1) or merge(*a))
+        mp.setattr(shuffle, "hash_exchange",
+                   lambda *a, **kw: merges.append(1) or exchange(*a, **kw))
         out = relational.grouped_top_k(ds, "user_id", "value", 3, "event_id")
-    assert bool(merges) == (out.count() > 0)
+    assert merges == [1]
     return out
 
 

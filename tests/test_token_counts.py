@@ -80,3 +80,31 @@ def test_rejects_non_string(a):
     """The types ``count_substring_regex`` has no kernel for either."""
     with pytest.raises(TypeError):
         whitespace_token_counts(a)
+
+
+@pytest.mark.parametrize("texts", [
+    ["a\x0bb", "a\u00a0b", "a\u3000b", "a\u0085b", "a\x1cb", None],
+    [" a\tb\n\nc\f\rd ", "", None, "\x0b", "x  y"],
+], ids=["non-re2-space", "re2-space"])
+def test_tokenize_block_splits_on_re2_space_only(texts):
+    """``textstats._tokenize_block`` yields, per row, as many tokens as
+    ``\\S+`` counts: ``\\v``, NBSP, U+3000, NEL and ``\\x1c`` are token
+    characters, and null text has none."""
+    from hooqu_ray.pipelines.textstats import _tokenize_block
+
+    a = pa.array(texts)
+    flat, parent = _tokenize_block(a)
+    assert len(flat) == len(parent)
+    np.testing.assert_array_equal(np.bincount(parent, minlength=len(a)),
+                                  whitespace_token_counts(a))
+
+
+def test_block_ngram_counts_use_re2_tokens():
+    """``top_ngrams``' combiner tokenizes like ``\\S+`` (its SQL oracle):
+    ``\\v`` and NBSP stay inside a token."""
+    from hooqu_ray.pipelines.textstats import _block_ngram_counts
+
+    t = pa.table({"text": ["a\x0bb c", "x\u00a0y z", None, ""]})
+    got = _block_ngram_counts(t, "text", 2).to_pydict()
+    assert dict(zip(got["ngram"], got["n"])) == {"a\x0bb c": 1,
+                                                 "x\u00a0y z": 1}

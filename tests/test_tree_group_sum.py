@@ -1,5 +1,5 @@
-"""tree_group_sum: key-exchange-free grouped aggregation — equivalence vs
-pandas groupby, the sort-based fallback path, null-key drop parity, and
+"""tree_group_sum: per-block combine, then one hash exchange — equivalence
+vs pandas groupby, one exchange per call, null-key drop parity, and
 empty/edge inputs."""
 
 import numpy as np
@@ -8,7 +8,6 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from hooqu_ray.functions import shuffle
 from hooqu_ray.functions.shuffle import tree_group_sum
 
 
@@ -50,14 +49,12 @@ def test_multi_key_and_min_max(ray_session):
         check_like=True, atol=1e-12)
 
 
-def test_fallback_path_identical(ray_session, monkeypatch, bucketed_folds):
-    # force the sort-based exchange by making the fold threshold tiny
+def test_fallback_path_identical(ray_session, exchange_tasks):
+    # 16 blocks fold through exactly one hash exchange
     df = _frame()
     ds = rd.from_pandas(df).repartition(16).materialize()
-    monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", 5)
-    monkeypatch.setattr(shuffle, "TREE_FANIN", 2)
     out = tree_group_sum(ds, ["k"], ["v", "w"]).to_pandas()
-    assert bucketed_folds == [1]
+    assert exchange_tasks["exchanges"] == 1, exchange_tasks
     exp = _expect(df, ["k"], {"v": "sum", "w": "sum"})
     pd.testing.assert_frame_equal(
         out.sort_values("k").reset_index(drop=True), exp,
@@ -85,42 +82,27 @@ def test_rejects_non_mergeable_funcs(ray_session):
         tree_group_sum(rd.from_arrow(t), ["k"], ["v"], funcs=["mean"])
 
 
-def test_keep_null_keys_matches_sql_group_by(ray_session, monkeypatch,
-                                             bucketed_folds):
+def test_keep_null_keys_matches_sql_group_by(ray_session, exchange_tasks):
     # drop_null_keys=False: SQL GROUP BY / Ray-groupby parity — the null
-    # key is its own group on BOTH the tree and the fallback path
+    # key is its own group: it hashes like any value, so it rides the one
+    # exchange natively, with no null-split
     df = pd.DataFrame({"k": ["a", None, "a", None], "v": [1, 2, 3, 4]})
     ds = rd.from_pandas(df).repartition(2).materialize()
     out = tree_group_sum(ds, ["k"], ["v"], drop_null_keys=False).to_pandas()
     got = {(None if k is None or k != k else k): v
            for k, v in zip(out.k, out.v)}
     assert got == {"a": 4, None: 6}
-    assert not bucketed_folds  # the default threshold keeps the tree
-    # fallback path (forced): the bucketed hash exchange sorts by the int32
-    # bucket, never the key columns, so null keys ride it natively — no
-    # null-split, and no fold bound to overflow (the old single-block
-    # null-group tree fold is gone, so TREE_MAX_FOLD_ROWS=1 must now simply
-    # produce the right answer instead of raising)
-    monkeypatch.setattr(shuffle, "TREE_FANIN", 1)
-    for mfr in (2, 1):
-        monkeypatch.setattr(shuffle, "TREE_MAX_FOLD_ROWS", mfr)
-        bucketed_folds.clear()
-        out2 = tree_group_sum(ds, ["k"], ["v"],
-                              drop_null_keys=False).to_pandas()
-        assert bucketed_folds == [1]
-        got2 = {(None if k is None or k != k else k): v
-                for k, v in zip(out2.k, out2.v)}
-        assert got2 == got
+    assert exchange_tasks["exchanges"] == 1, exchange_tasks
 
 
 def test_hot_key_skew_no_reducer_blowup(ray_session):
-    # one mega-key holding 90% of rows: the tree path has NO keyed
-    # exchange, so no reducer ever sees more than a block's combine output
+    # one mega-key holding 90% of rows over 64 blocks: each block combines
+    # before the exchange, so the hot key's fold sees one row per block
     rng = np.random.default_rng(4)
     n = 200_000
     k = np.where(rng.random(n) < 0.9, 7, rng.integers(100, 1100, n))
     df = pd.DataFrame({"k": k.astype(np.int64), "v": np.ones(n, np.int64)})
-    ds = rd.from_pandas(df).repartition(32).materialize()
+    ds = rd.from_pandas(df).repartition(64).materialize()
     out = tree_group_sum(ds, ["k"], ["v"]).to_pandas()
     exp = df.groupby("k", as_index=False).v.sum()
     pd.testing.assert_frame_equal(
