@@ -148,7 +148,7 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b", *,
     def init_labels(t: pa.Table) -> pa.Table:
         return pa.table({"node": t.column("node"), "label": t.column("node")})
 
-    # Distinct node set via the tree fold; L0(u) = u.
+    # Distinct node set via tree_distinct; L0(u) = u.
     labels = (
         tree_distinct(
             edges.map_batches(explode_nodes, batch_format="pyarrow"),

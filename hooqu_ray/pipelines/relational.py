@@ -1298,7 +1298,7 @@ def grouped_mode(ds, group_col: str, value_col: str, *,
     :func:`~hooqu_ray.functions.shuffle.tree_group_sum` (per-block
     combine, then one hash exchange of the partials), then
     :func:`grouped_top_k` (k=1, order=count DESC, tie=value ASC) picks
-    each group's winner with its own driver-gated/distributed merge.
+    each group's winner in its own hash exchange.
     Null values are not counted (SQL mode ignores nulls); null groups
     drop (the grouped-op convention); groups with only null values are
     absent.  Returns a Dataset with columns (group, out_col, n)."""
@@ -1346,9 +1346,10 @@ def grouped_corr(ds, group_col: str, x_col: str, y_col: str,
     One data pass, no row exchange: rows where BOTH x and y are valid
     (SQL's pairwise rule) reduce per block to per-group raw co-moment
     sums ``(n, Σx, Σy, Σx², Σy², Σxy)`` that ride
-    :func:`hooqu_ray.functions.shuffle.tree_group_sum` (one hash exchange
-    of the per-block partials); the final ``r = (nΣxy − ΣxΣy) / √((nΣx² − (Σx)²)(nΣy²
-    − (Σy)²))`` is one vectorized kernel over the #groups-row fold.
+    :func:`hooqu_ray.functions.shuffle.tree_group_sum` (one hash
+    exchange of the per-block partials); the final ``r = (nΣxy − ΣxΣy) /
+    √((nΣx² − (Σx)²)(nΣy² − (Σy)²))`` is one vectorized kernel over the
+    #groups-row fold.
     Sample and population correlation coincide (the (n−1) factors
     cancel), so the value matches DuckDB/PostgreSQL ``corr`` exactly.
 
@@ -1490,7 +1491,8 @@ def value_histogram(ds, col: str, k: int = 50):
     Counts ride :func:`hooqu_ray.functions.shuffle.tree_group_sum`
     (per-block Arrow combine, then one hash exchange); the total is
     re-read from the MATERIALIZED fold (free second consume), and only
-    the #distinct-row fold enters the final ``sort(count DESC, value ASC).limit(k)``.
+    the #distinct-row fold enters the final
+    ``sort(count DESC, value ASC).limit(k)``.
     Returns ``[value, count, ratio]``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -51,7 +51,8 @@ def _tokenize_block(texts):
     ``\\v``, NBSP and other Unicode spaces are token characters, as in
     ``strings.whitespace_token_counts``; null text → no tokens): returns
     ``(flat, parent)`` — the non-empty tokens as one flat string array
-    plus each token's row index as int64 numpy.  The single implementation behind
+    plus each token's row index as int64 numpy.  The single
+    implementation behind
     ``doc_frequency`` / ``top_terms`` / ``split_token_budget`` /
     ``inverted_index`` / ``bm25_scores``, so the tokenization can never
     drift between ops (or from the SQL oracles that mirror it with

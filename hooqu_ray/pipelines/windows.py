@@ -668,14 +668,16 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str):
     ds = ds.materialize()
     in_schema = dataset_arrow_schema(ds)
 
+    ktype = (in_schema.field(key).type if in_schema is not None
+             and key in in_schema.names else pa.string())
+    vtype = (in_schema.field(value_col).type if in_schema is not None
+             and value_col in in_schema.names else pa.float64())
+    empty = pa.schema([(key, ktype), ("first_value", vtype),
+                       ("last_value", vtype)]).empty_table()
+
     def fold(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            ktype = (in_schema.field(key).type if in_schema is not None
-                     and key in in_schema.names else pa.string())
-            vtype = (in_schema.field(value_col).type if in_schema is not None
-                     and value_col in in_schema.names else pa.float64())
-            return pa.schema([(key, ktype), ("first_value", vtype),
-                              ("last_value", vtype)]).empty_table()
+            return empty
         return combine(t).select([key, "first_value", "last_value"])
 
     return shuffle.hash_exchange(ds, [key], fold, pre=prep)

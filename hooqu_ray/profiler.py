@@ -137,8 +137,7 @@ def grouped_profile(ds, group_col: str, columns: Sequence[str]):
     Scale shape: ONE scan computes every column's row/null counts
     (:func:`~hooqu_ray.functions.shuffle.tree_group_sum`: per-block
     partials, then one hash exchange of those — never a row shuffle), and
-    each column's exact
-    distinct count reuses :func:`hooqu_ray.pipelines.relational.
+    each column's exact distinct count reuses :func:`hooqu_ray.pipelines.relational.
     grouped_count_distinct` (block-distinct pairs + the bucketed hash
     exchange), so profiling C columns costs 1 + C streaming passes over
     the input lineage — pass a read-backed Dataset (or pre-materialize a
