@@ -435,11 +435,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
 # -- op implementations ----------------------------------------------------
 
 def _topk_events(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_id", "value"])
-    top = ds.sort(["value", "event_id"], descending=[True, False]).limit(20)
-    t = pa.Table.from_pylist(top.take_all())
-    import pyarrow.compute as pc
+    """Top 20 events by value: a per-block top 20, then the top 20 of
+    those on the driver."""
+    from hooqu_ray.functions.shuffle import top_n
+    from hooqu_ray.util import collect_arrow
 
+    by = [("value", "descending"), ("event_id", "ascending")]
+    ds = _read(sf_dir, "events", ["event_id", "value"])
+    t = top_n(collect_arrow(ds.map_batches(
+        lambda b: top_n(b, by, 20), batch_format="pyarrow",
+        batch_size=None)), by, 20)
     return pa.table(
         {"event_id": t.column("event_id"), "value": pc.round(t.column("value"), 6)}
     )
@@ -1678,8 +1683,8 @@ def _hopping_window_events(sf_dir: str):
 
 
 def _row_number_events(sf_dir: str):
-    """Exact global row_number: one range sort + per-block offset repair
-    (#blocks summary rows to the driver, nothing else)."""
+    """Exact global row_number: one range exchange whose folds number
+    their rows from the row count of the earlier ranges."""
     from hooqu_ray.pipelines.relational import global_row_number
 
     ds = _read(sf_dir, "events", ["event_id", "value"])
@@ -5272,7 +5277,7 @@ def _approx_distinct_users_per_type(sf_dir: str):
 
 def _pack_sequences_documents(sf_dir: str):
     """GPT-style sequence-packing plan over whitespace token counts:
-    global token offsets via #blocks summary rows (never a full collect),
+    global token offsets from one range exchange (never a full collect),
     sequences of 2048 tokens."""
     from hooqu_ray.pipelines.relational import pack_sequences
     from hooqu_ray.pipelines.textstats import token_count_stage

@@ -1,20 +1,24 @@
-"""The engine's one grouped fold and its one keyed exchange: every keyed
-aggregate and every keyed exchange in ``hooqu_ray`` runs through this
-module, never through Ray's ``groupby().aggregate`` or
-``groupby().map_groups``.
+"""The engine's one grouped fold and its two exchanges: every keyed
+aggregate and every keyed or ordered exchange in ``hooqu_ray`` runs
+through this module, never through Ray's ``groupby().aggregate``,
+``groupby().map_groups`` or ``sort``.
 
-:func:`hash_exchange` is the exchange, on Ray core tasks (the only ones
-in the engine) with no Ray Data sort or groupby: S split tasks, one per
-contiguous run of blocks of about equal bytes, map each block through the
-caller's per-block ``pre`` step and split the run by ``hash64(key tuple)
-% B``; B fold tasks fold each bucket once.  B follows the cluster and the
-input: one bucket per CPU, more only when a bucket would otherwise exceed
-``BUCKET_MAX_ROWS`` rows or ``BUCKET_MAX_BYTES`` bytes.  S is
-min(#non-empty blocks, B).  Each task costs Ray overhead whatever its
-size, so a small cluster pays for no more tasks than it can run at once.
-A fold sees complete keys, so any per-bucket merge that is correct on a
-set of whole keys is a fold (a tagged-union join, a set diff, a label
-join).  The folds on top of it:
+:func:`hash_exchange` is the keyed exchange, on Ray core tasks (the only
+ones in the engine): S split tasks, one per contiguous run of blocks of
+about equal bytes, map each block through the caller's per-block ``pre``
+step and split the run by ``hash64(key tuple) % B``; B fold tasks fold
+each bucket once.  B follows the cluster and the input: one bucket per
+CPU, more only when a bucket would otherwise exceed ``BUCKET_MAX_ROWS``
+rows or ``BUCKET_MAX_BYTES`` bytes.  S is min(#non-empty blocks, B).
+Each task costs Ray overhead whatever its size, so a small cluster pays
+for no more tasks than it can run at once.  A fold sees complete keys,
+so any per-bucket merge that is correct on a set of whole keys is a fold
+(a tagged-union join, a set diff, a label join).
+:func:`range_exchange` is the ordered exchange on the same split and
+fold tasks, after one sample wave: bucket b is the b-th range of a sort
+order, each fold sorts its range and also receives the row count (or a
+weight total) of all earlier ranges, so a global row number or stream
+offset is assigned inside the fold.  The folds on top of them:
 
 - :func:`tree_group_sum` — the default entry point for sum/min/max (count
   = sum of a ones column): the exchange with the same Arrow ``group_by``
@@ -32,8 +36,10 @@ join).  The folds on top of it:
 
 Order-dependent per-key logic (turn-order checks, windows, sessions) runs
 on ``sorted_scan``: complete-key kernels on :func:`hash_exchange`,
-hot-key block/merge ops on a range sort whose boundary repair is a
-:func:`per_key_fold`.
+hot-key block/merge ops on :func:`range_exchange` with a boundary repair
+that is a :func:`per_key_fold`.  A top-n needs no exchange:
+:func:`top_n` per block, then once more over the candidates on the
+driver.
 """
 
 from __future__ import annotations
@@ -152,12 +158,58 @@ def _as_arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
-def _split_block(keys, pre, num_buckets, *blocks):
-    """Split task of :func:`hash_exchange` over a contiguous run of
-    blocks: ``pre`` of each block, the results concatenated in block
-    order, then the per-bucket row counts and one table per bucket
-    (``hash64(keys) % num_buckets``), rows in input order within each
-    bucket."""
+def sort_indices(t: pa.Table, sort_keys) -> pa.Array:
+    """``pc.sort_indices(t, sort_keys)`` in SQL order (the DuckDB oracles'):
+    nulls last in either direction, and NaN above every other float, so
+    first when descending (Arrow puts it last both ways).  ``sort_keys``
+    are Arrow ``(column, "ascending" | "descending")`` pairs; the sort is
+    stable."""
+    cols, keys = {}, []
+    for i, (c, order) in enumerate(sort_keys):
+        col = t.column(c)
+        if pa.types.is_floating(col.type):
+            cols[f"nan{i}"] = pc.is_nan(col)
+            keys.append((f"nan{i}", order))
+        cols[f"k{i}"] = col
+        keys.append((f"k{i}", order))
+    return pc.sort_indices(pa.table(cols), sort_keys=keys,
+                           null_placement="at_end")
+
+
+def top_n(t: pa.Table, sort_keys, n: int) -> pa.Table:
+    """The first ``n`` rows of ``t`` in :func:`sort_indices` order."""
+    return t.take(sort_indices(t, sort_keys)[:n])
+
+
+def _hash_route(keys, num_buckets, t: pa.Table) -> np.ndarray:
+    """Bucket of each row for :func:`hash_exchange`: ``hash64(keys) % B``."""
+    return (_row_hash64(t, keys) % np.uint64(num_buckets)).astype(np.int64)
+
+
+def _range_route(sort_keys, bounds: pa.Table, t: pa.Table) -> np.ndarray:
+    """Range of each row for :func:`range_exchange`: the number of
+    boundary tuples at or before the row's ``sort_keys`` tuple, from one
+    :func:`sort_indices` over the rows plus the boundaries (a boundary
+    sorts before the rows equal to it, so equal tuples share a range)."""
+    n = len(t)
+    both = pa.concat_tables([t.select(bounds.column_names), bounds],
+                            promote_options="permissive")
+    both = both.append_column("__row", pa.array(
+        np.r_[np.ones(n, np.int8), np.zeros(len(bounds), np.int8)]))
+    order = sort_indices(both, [*sort_keys, ("__row", "ascending")]).to_numpy()
+    row = order < n
+    out = np.empty(n, dtype=np.int64)
+    out[order[row]] = np.cumsum(~row)[row]
+    return out
+
+
+def _split_block(route, weight, pre, num_buckets, *blocks):
+    """Split task of both exchanges over a contiguous run of blocks:
+    ``pre`` of each block, the results concatenated in block order, then
+    one bucket per row (``route``) and one stable argsort on it.  Returns
+    the per-bucket row counts and ``weight`` column totals (the counts
+    again when ``weight`` is None) as one ``(2, B)`` array, then one table
+    per bucket, rows in input order within each bucket."""
     ts = [_as_arrow(b) for b in blocks]
     if pre is not None:
         ts = [pre(t) for t in ts]
@@ -165,11 +217,54 @@ def _split_block(keys, pre, num_buckets, *blocks):
     # meets the others (as in the fold, which sees only non-empty parts)
     t = pa.concat_tables([t for t in ts if len(t)] or ts[:1],
                          promote_options="permissive")
-    b = _row_hash64(t, keys) % np.uint64(num_buckets)
+    b = route(t)
     order = np.argsort(b, kind="stable")
-    counts = np.bincount(b.astype(np.int64), minlength=num_buckets)
+    counts = np.bincount(b, minlength=num_buckets)
     ends = np.cumsum(counts)
-    return (counts, *[t.take(order[e - c:e]) for c, e in zip(counts, ends)])
+    sums = counts
+    if weight is not None:
+        w = pc.fill_null(t.column(weight), 0).to_numpy()
+        cum = np.r_[0, np.cumsum(w[order], dtype=np.int64)]
+        sums = cum[ends] - cum[ends - counts]
+    return (np.stack([counts, sums]),
+            *[t.take(order[e - c:e]) for c, e in zip(counts, ends)])
+
+
+def _sample_run(cols, pre, size, *blocks):
+    """Sample task of :func:`range_exchange` over a run of blocks: ``pre``
+    of each block, then ``cols`` of up to ``size`` evenly spaced rows, and
+    the run's row count."""
+    ts = [_as_arrow(b) for b in blocks]
+    if pre is not None:
+        ts = [pre(t) for t in ts]
+    t = pa.concat_tables([t.select(cols) for t in ts if len(t)] or
+                         [ts[0].select(cols)], promote_options="permissive")
+    n = len(t)
+    k = min(n, size)
+    return t.take(np.arange(k, dtype=np.int64) * n // max(k, 1)), n
+
+
+def _boundaries(samples, sort_keys, num_buckets: int) -> pa.Table:
+    """B - 1 boundary tuples cutting the sampled rows, each standing for
+    its run's rows over its run's sample size, into B ranges of about
+    equal row counts."""
+    samples = [(s, n) for s, n in samples if len(s)]
+    t = pa.concat_tables([s for s, _ in samples], promote_options="permissive")
+    w = np.concatenate([np.full(len(s), n / len(s)) for s, n in samples])
+    order = sort_indices(t, sort_keys).to_numpy()
+    cum = np.cumsum(w[order])
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, num_buckets) / num_buckets)
+    return t.take(order[np.minimum(cuts, len(order) - 1)])
+
+
+def _sorted_fold(sort_keys, fold, t: pa.Table, before: int) -> pa.Table:
+    """Fold of :func:`range_exchange`: sort the range, then ``fold(t,
+    before)`` (the range itself when ``fold`` is None)."""
+    if len(t):
+        t = t.take(sort_indices(t, sort_keys))
+    elif t.num_columns == 0:  # the input had no schema: no fold
+        return t
+    return t if fold is None else fold(t, before)
 
 
 def _contiguous_runs(sizes, runs: int) -> np.ndarray:
@@ -187,9 +282,11 @@ def _contiguous_runs(sizes, runs: int) -> np.ndarray:
     return np.r_[0, ends, n]
 
 
-def _fold_bucket(fold, *parts):
-    """Fold task of :func:`hash_exchange`: one bucket's parts, folded once."""
-    return fold(pa.concat_tables(parts, promote_options="permissive"))
+def _fold_bucket(fold, before, *parts):
+    """Fold task of both exchanges: one bucket's parts, folded once (with
+    ``before``, the weight of the earlier ranges, unless it is None)."""
+    t = pa.concat_tables(parts, promote_options="permissive")
+    return fold(t) if before is None else fold(t, before)
 
 
 def key_runs(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
@@ -317,39 +414,110 @@ def hash_exchange(ds, keys: Sequence[str],
     ``fold`` of a 0-row table with no columns (a map over all-empty
     blocks has no schema).  So ``fold`` must accept a 0-row table that
     may lack columns, and returns its op's typed empty result."""
+    ds, runs, num_buckets = _plan(ds)
+    route = functools.partial(_hash_route, list(keys), num_buckets)
+    return _exchange(ds, runs, num_buckets, route, fold, pre, None, False)
+
+
+def _plan(ds):
+    """The materialized input, its non-empty blocks cut into S contiguous
+    runs of about equal bytes (lists of block refs), and B."""
+    ds = ds.materialize()
+    blocks = [(ref, meta.size_bytes or 0)
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    num_buckets = int(min(MAX_BUCKETS, max(
+        _default_buckets(ds.count()),
+        -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
+    bounds = _contiguous_runs(np.maximum([n for _, n in blocks], 1),
+                              min(len(blocks), num_buckets))
+    runs = [[ref for ref, _ in blocks[a:b]]
+            for a, b in zip(bounds[:-1], bounds[1:])]
+    return ds, runs, num_buckets
+
+
+def _exchange(ds, runs, num_buckets, route, fold, pre, weight, ranged):
+    """Split each run by ``route`` and fold each non-empty bucket once;
+    when ``ranged``, the fold of bucket b also receives the ``weight``
+    total of buckets < b.
+    Returns the folds in bucket order, or the fold of the typed empty
+    input when no row reaches one (see :func:`hash_exchange`)."""
     import ray
     import ray.data as rd
 
     from ..util import dataset_arrow_schema
 
-    keys = list(keys)
-    ds = ds.materialize()
-    blocks = [(ref, meta.size_bytes or 0)
-              for bundle in ds.iter_internal_ref_bundles()
-              for ref, meta in bundle.blocks if meta.num_rows != 0]
-    refs = [ref for ref, _ in blocks]
-    num_buckets = int(min(MAX_BUCKETS, max(
-        _default_buckets(ds.count()),
-        -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
-    bounds = _contiguous_runs(np.maximum([n for _, n in blocks], 1),
-                              min(len(refs), num_buckets))
     split = _remote(_split_block).options(num_returns=num_buckets + 1)
-    splits = [split.remote(keys, pre, num_buckets, *refs[a:b])
-              for a, b in zip(bounds[:-1], bounds[1:])]
+    splits = [split.remote(route, weight, pre, num_buckets, *run)
+              for run in runs]
     counts = ray.get([s[0] for s in splits])
+    before = np.zeros(num_buckets, dtype=np.int64)
+    if counts and ranged:
+        before[1:] = np.cumsum(np.sum(counts, axis=0)[1])[:-1]
     fold_ref = ray.put(fold)
     folds = [
         _remote(_fold_bucket).remote(
-            fold_ref, *[s[1 + b] for s, c in zip(splits, counts) if c[b]])
-        for b in range(num_buckets) if any(c[b] for c in counts)]
+            fold_ref, int(before[b]) if ranged else None,
+            *[s[1 + b] for s, c in zip(splits, counts) if c[0, b]])
+        for b in range(num_buckets) if any(c[0, b] for c in counts)]
     del splits, fold_ref
     if not folds:
         schema = dataset_arrow_schema(ds)
-        if schema is None:  # e.g. a map over all-empty blocks
-            return rd.from_arrow(fold(pa.table({})))
-        empty = schema.empty_table()
-        return rd.from_arrow(fold(empty if pre is None else pre(empty)))
+        empty = pa.table({})  # no schema: e.g. a map over all-empty blocks
+        if schema is not None:
+            empty = schema.empty_table()
+            empty = empty if pre is None else pre(empty)
+        return rd.from_arrow(_fold_bucket(fold, 0 if ranged else None, empty))
     return rd.from_arrow_refs(folds)
+
+
+def range_exchange(ds, sort_keys, fold=None, *, pre=None,
+                   weight: Optional[str] = None):
+    """The engine's one ordered exchange, on :func:`hash_exchange`'s split
+    and fold tasks: its output blocks are ranges of the ``sort_keys``
+    order (Arrow ``(column, "ascending" | "descending")`` pairs, in
+    :func:`sort_indices` order: nulls last, NaN above every float), in
+    range order, each sorted, which is what ``sort(...).materialize()``
+    returns.
+
+    - a sample wave of S tasks (one per run of blocks, as the split
+      tasks) maps each block through ``pre`` and returns the ``sort_keys``
+      columns of evenly spaced rows with the run's row count; the driver
+      cuts B - 1 boundary tuples (:func:`_boundaries`);
+    - S split tasks route each row to its range with one
+      :func:`sort_indices` over the run plus the boundaries (equal tuples
+      share a range, so a tuple never straddles two ranges) and return
+      beside the row counts each range's total of the ``weight`` column
+      (row counts when None);
+    - one fold task per non-empty range sorts it (stable) and calls
+      ``fold(t, before)``, where ``before`` is the ``weight`` total of all
+      earlier ranges, so a global row number or stream offset is
+      ``before`` plus a local cumsum.  No ``fold`` returns the sorted range.
+
+    Costs S sample + S split + B fold tasks and one ``ray.get`` of about
+    16·B sampled rows, a wave more than :func:`hash_exchange`, and no Ray
+    Data execution on a materialized input; ``pre`` runs twice per block.
+    B, S and the typed empty result (``fold(pre(typed empty), 0)``) are as
+    there, except that an input with no schema gives a 0-row table with no
+    columns, unfolded.  A range holds about 1/B of the rows, except that
+    one tuple's rows stay in one range."""
+    import ray
+
+    ds, runs, num_buckets = _plan(ds)
+    cols = [c for c, _ in sort_keys]
+    # about 16 sampled rows per range in all, whatever S
+    size = -(-16 * num_buckets // max(len(runs), 1))
+    sample = _remote(_sample_run)
+    samples = ray.get([sample.remote(cols, pre, size, *run) for run in runs])
+    route = None
+    if any(len(s) for s, _ in samples):
+        route = functools.partial(_range_route, list(sort_keys),
+                                  _boundaries(samples, sort_keys, num_buckets))
+    else:  # no row survives ``pre``
+        runs = []
+    return _exchange(ds, runs, num_buckets, route,
+                     functools.partial(_sorted_fold, list(sort_keys), fold),
+                     pre, weight, True)
 
 
 def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,

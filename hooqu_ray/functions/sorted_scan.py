@@ -9,9 +9,8 @@ how the rows of one key meet:
   COMPLETE key groups, sorted on ``[key, *order]``, to output rows.  The
   rows take the hash exchange on the key (``shuffle.hash_exchange``): each
   bucket holds whole keys, sorts them with the op's ``descending`` flags
-  and runs ``kernel`` once in its fold task.  No range sort runs and no
-  boundary needs repair.  A key lands whole in one fold, the exposure the
-  range-sort scan's whole-key boundary repair had before it.  The
+  and runs ``kernel`` once in its fold task.  No range exchange runs and
+  no boundary needs repair.  A key lands whole in one fold.  The
   projection and null filter ride the exchange's split tasks (its
   ``pre``), not a Ray Data map: an op pays one Ray Data execution, the
   input's materialize, and none on a materialized input.
@@ -27,9 +26,11 @@ how the rows of one key meet:
   ``sft_dq`` iteration, 2 Ray CPUs on one core), so it is not done; revisit
   if the object store, not the execution count, becomes the cost.
 - **custom block/merge**, for ops whose keys can be hot (windows,
-  sessions): ONE distributed range ``sort([key, *order])``, materialized.
-  After a range sort a key interior to a block appears in no other block,
-  so only each block's first and last key can straddle a block edge.
+  sessions): ONE range exchange on ``[key, *order]``
+  (``shuffle.range_exchange``, the projection and null filter as its
+  ``pre``), whose blocks are sorted ranges in range order.  A key
+  interior to a range appears in no other range, so only each block's
+  first and last key can straddle a block edge.
   ``block(t, emit)`` maps a sorted block to its final rows
   (``emit="finals"``) or to the bounded boundary state the repair needs
   (``emit="pend"``: a few context rows, or per-block partials), and
@@ -75,6 +76,16 @@ def _project(cols: Optional[Sequence[str]], key: str,
     return prep
 
 
+def _sort_keys(key: str, order: Sequence[str],
+               descending: Union[bool, Sequence[bool]]):
+    """Arrow sort keys of ``[key, *order]`` (``descending``: one flag, or
+    one per column)."""
+    desc = ([descending] * (1 + len(order)) if isinstance(descending, bool)
+            else list(descending))
+    return [(c, "descending" if d else "ascending")
+            for c, d in zip([key, *order], desc)]
+
+
 def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
                      order: Sequence[str], kernel: Optional[Callable] = None,
                      *, descending: Union[bool, Sequence[bool]] = False,
@@ -92,10 +103,7 @@ def partition_by_key(ds, cols: Optional[Sequence[str]], key: str,
     kernels read it with no second exchange."""
     from .shuffle import hash_exchange
 
-    desc = ([descending] * (1 + len(order)) if isinstance(descending, bool)
-            else list(descending))
-    sort_keys = [(c, "descending" if d else "ascending")
-                 for c, d in zip([key, *order], desc)]
+    sort_keys = _sort_keys(key, order, descending)
 
     def fold(t: pa.Table) -> pa.Table:
         if len(t):  # the exchange's typed empty may lack the sort columns
@@ -146,14 +154,15 @@ def sorted_scan(ds, cols: Optional[Sequence[str]], key: str,
                 merge: Optional[Callable] = None):
     """The whole per-key ordered scaffold in one call: ``kernel`` for the
     complete-key policy (:func:`partition_by_key`), or a ``block``/
-    ``merge`` pair for the range sort with boundary repair (module
+    ``merge`` pair for the range exchange with boundary repair (module
     docstring)."""
+    from .shuffle import range_exchange
+
     if kernel is not None:
         return partition_by_key(ds, cols, key, order, kernel,
                                 descending=descending, non_null=non_null)
-    sorted_ds = (ds.map_batches(_project(cols, key, non_null),
-                                batch_format="pyarrow")
-                 .sort([key, *order], descending=descending).materialize())
+    sorted_ds = range_exchange(ds, _sort_keys(key, order, descending),
+                               pre=_project(cols, key, non_null))
     pend = _repair_input(sorted_ds.map_batches(
         lambda t: block(t, "pend"), batch_format="pyarrow", batch_size=None))
     finals = sorted_ds.map_batches(

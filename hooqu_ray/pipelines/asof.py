@@ -11,17 +11,18 @@ of the first right payload column; probes with no preceding state row keep
 nulls (LEFT semantics).
 
 Shape — the merge-join discipline used by ``sessions.py``: tag both sides,
-ONE distributed range ``sort(key, ts, side, tie)`` over a slim projection
-(state rows sort BEFORE probes at equal ts, so "at-or-before" is an
-index-before relation), then a fully vectorized per-block
-last-state-carried-forward pass.  After a range sort only each block's
+ONE range exchange on ``(key, ts, side, tie)`` over a slim projection
+(``shuffle.range_exchange``; state rows sort BEFORE probes at equal ts,
+so "at-or-before" is an index-before relation), then a fully vectorized
+per-block last-state-carried-forward pass.  After a range exchange only
+each block's
 FIRST key can have state rows in an earlier block, so the only probes that
 cannot be finished locally are unmatched probes of the first key.
 
 Boundary repair is SKEW-PROOF and shuffle-free: each block contributes at
 most ONE context row (the last state row of its LAST key — the only state
 a block can hand to a later block, because a key that ends mid-block never
-reappears after a range sort).  Those O(#blocks) rows are collected,
+reappears after a range exchange).  Those O(#blocks) rows are collected,
 sorted by (key, ts, tie) and broadcast once via ``ray.put``; a second
 block pass finishes each block's pending probes with one vectorized
 ``searchsorted`` against the context rows of the block's first key.  A
@@ -33,10 +34,9 @@ strictly larger sort position, hence ``ts > probe ts``.  An earlier
 design repaired boundaries with a ``groupby(key)`` merge; one hot key
 whose states are sparse then funnels nearly ALL of its probes into a
 single group task — the broadcast stays O(#blocks) no matter how skewed
-the keys are.  The sorted projection is materialized ONCE (the sort is a
-blocking all-to-all that builds those blocks anyway) and the cheap block
-pass runs over it twice; the one all-to-all is the range sort over
-``key + ts + payload`` columns, never full rows.
+the keys are.  The exchange's output is materialized ONCE and the cheap
+block pass runs over it twice; the one all-to-all is the range exchange
+over ``key + ts + payload`` columns, never full rows.
 
 Nulls: rows with a null key or null timestamp are dropped from BOTH sides
 (a null key matches nothing under SQL equality, and an unordered row has
@@ -138,9 +138,12 @@ def asof_join(left, right, left_on: str, right_on: str, left_ts: str,
     row per key (``right_ts <= left_ts``; ties → largest
     ``right_cols[0]``).  Returns a Dataset with columns
     ``[left_on, left_ts, *left_cols, *right_cols]`` — one row per surviving
-    left row, right columns null when no state precedes the probe."""
+    left row, right columns null when no state precedes the probe.  One
+    range exchange of both tagged sides, then the block passes and the
+    broadcast boundary context (module docstring)."""
     import ray
 
+    from ..functions.shuffle import range_exchange
     from ..util import collect_arrow, dataset_arrow_schema
 
     left_cols = list(left_cols)
@@ -190,11 +193,8 @@ def asof_join(left, right, left_on: str, right_on: str, left_ts: str,
     sort_cols = [key, "__ts", "__side"]
     if rschema is not None:  # a null-typed tie column is unsortable (and moot)
         sort_cols.append(tie)
-    sorted_ds = (
-        lproj.union(rproj)
-        .sort(sort_cols)
-        .materialize()  # the sort builds these blocks anyway; pinning them
-    )                   # lets the block passes below share them
+    sorted_ds = range_exchange(lproj.union(rproj),
+                               [(c, "ascending") for c in sort_cols])
 
     out_cols = [key, "__ts", *left_cols, *right_cols]
 

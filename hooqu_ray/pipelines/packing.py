@@ -6,21 +6,22 @@ moves only token counts; this one actually builds the packed text).
 
 Shape:
 
-1. ONE range ``sort(id)`` of the (id, text) projection.  This is the
-   packer's inherent all-to-all — output sequences interleave document
-   boundaries, so the text must be brought into global order exactly once
-   (a corpus already id-partitioned on disk skips it).
-2. A summary pass reduces each block to ``(first_id, Σtokens)``; the driver
-   prefix-sums #blocks rows and broadcasts the offset table (the
-   ``global_row_number`` discipline — nothing else leaves the cluster).
-3. A fragment pass re-tokenizes each block (vectorized RE2 split, empties
-   filtered), assigns every token its GLOBAL index (block offset + local
-   arange), cuts at ``seq = index // max_len`` boundaries and joins each
-   in-block run with one ``binary_join`` — zero Python per token.  Interior
-   sequences are final; only each block's FIRST and LAST sequence can
-   straddle a block edge.  Those ≤ 2 fragments per block take one hash
-   exchange on ``seq_id`` (``shuffle.hash_exchange``), and each bucket
-   joins its sequences' fragments with one vectorized ``binary_join``.
+1. ONE range exchange on ``id`` of the (id, text) projection
+   (``shuffle.range_exchange``).  This is the packer's inherent
+   all-to-all — output sequences interleave document boundaries, so the
+   text must be brought into global order exactly once.  Its split tasks
+   count each document's tokens (the exchange's ``pre`` and ``weight``),
+   so each range's fold receives the token count of all earlier ranges:
+   its global stream offset.
+2. Each fold tokenizes its range (``textstats._tokenize_block``, the
+   engine's ``\\S+`` split), assigns every token its GLOBAL index (offset
+   + local arange), cuts at ``seq = index // max_len`` boundaries and
+   joins each in-range run with one ``binary_join`` — zero Python per
+   token.  Interior sequences are final; only each range's FIRST and LAST
+   sequence can straddle a range edge.  Those ≤ 2 fragments per range
+   take one hash exchange on ``seq_id`` (``shuffle.hash_exchange``), and
+   each bucket joins its sequences' fragments with one vectorized
+   ``binary_join``.
 
 Null/empty documents contribute no tokens.  Every sequence except the last
 has exactly ``max_len`` tokens; token order is the document order used by
@@ -33,18 +34,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_WS_SPLIT = r"\s+"
-
 
 def _block_tokens(t: pa.Table, text_col: str) -> pa.Array:
-    """Flat array of the block's non-empty whitespace tokens, in document
-    order (documents are id-sorted within the block after the range sort)."""
-    texts = t.column(text_col)
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    lists = pc.split_pattern_regex(pc.fill_null(texts, ""), pattern=_WS_SPLIT)
-    flat = lists.flatten()
-    return flat.filter(pc.not_equal(flat, ""))
+    """Flat array of the table's non-empty whitespace tokens, in document
+    order (``textstats._tokenize_block``)."""
+    from .textstats import _tokenize_block
+
+    return _tokenize_block(t.column(text_col))[0]
 
 
 def _frag_empty() -> pa.Table:
@@ -60,12 +56,13 @@ def _frag_empty() -> pa.Table:
 
 
 def _fragments_block(t: pa.Table, text_col: str, max_len: int,
-                     offsets: dict, id_col: str) -> pa.Table:
+                     base: int) -> pa.Table:
+    """The id-sorted documents of ``t``, whose first token has global
+    index ``base``, cut into sequence fragments."""
     flat = _block_tokens(t, text_col)
     n = len(flat)
     if n == 0:
         return _frag_empty()
-    base = offsets[t.column(id_col)[0].as_py()]
     gidx = base + np.arange(n, dtype=np.int64)
     seq = gidx // max_len
     starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
@@ -73,10 +70,7 @@ def _fragments_block(t: pa.Table, text_col: str, max_len: int,
     off = np.zeros(len(starts) + 1, dtype=np.int32)
     np.cumsum((ends - starts).astype(np.int32), out=off[1:])
     joined = pc.binary_join(
-        pa.ListArray.from_arrays(
-            pa.array(off, pa.int32()),
-            flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat,
-        ),
+        pa.ListArray.from_arrays(pa.array(off, pa.int32()), flat),
         " ",
     )
     seq_ids = seq[starts]
@@ -115,46 +109,25 @@ def pack_texts(ds, id_col: str, text_col: str, max_len: int):
     whitespace tokens (last one may be shorter): returns a Dataset of
     ``(seq_id, n_tokens, text)``.  See the module docstring for the shape;
     ``id_col`` must be unique and non-null."""
-    from ..functions.shuffle import hash_exchange
-    from ..util import collect_arrow
+    import ray.data as rd
+
+    from ..functions.shuffle import hash_exchange, range_exchange
+    from ..functions.strings import whitespace_token_counts
 
     if max_len < 1:
         raise ValueError(f"pack_texts: max_len must be ≥ 1, got {max_len}")
 
-    proj = ds.map_batches(
-        lambda t: t.select([id_col, text_col]), batch_format="pyarrow"
-    )
-    sorted_ds = proj.sort(id_col).materialize()
+    def proj(t: pa.Table) -> pa.Table:
+        return t.select([id_col, text_col]).append_column(
+            "__n", pa.array(whitespace_token_counts(t.column(text_col))))
 
-    def summary(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "__fid": t.column(id_col).slice(0, 1),
-                "__tok": pa.array([len(_block_tokens(t, text_col))], pa.int64()),
-            }
-        )
-
-    summ = collect_arrow(
-        sorted_ds.map_batches(summary, batch_format="pyarrow", batch_size=None)
-    )
-    if summ is None or len(summ) == 0:
-        import ray.data as rd
-
-        return rd.from_arrow(_frag_empty().drop_columns(
-            ["frag_start", "__pending"]))
-    summ = summ.sort_by([("__fid", "ascending")])
-    toks = summ.column("__tok").to_numpy(zero_copy_only=False)
-    offs = np.concatenate([[0], np.cumsum(toks)[:-1]]).astype(np.int64)
-    offsets = {
-        fid: int(off) for fid, off in zip(summ.column("__fid").to_pylist(), offs)
-    }
-
-    frags = sorted_ds.map_batches(
-        lambda t: _fragments_block(t, text_col, max_len, offsets, id_col),
-        batch_format="pyarrow", batch_size=None,
-    ).materialize()  # consumed by the interior and boundary passes below
-
+    frags = range_exchange(
+        ds, [(id_col, "ascending")],
+        lambda t, base: _fragments_block(t, text_col, max_len, base),
+        pre=proj, weight="__n")  # consumed by both passes below
     out_cols = ["seq_id", "n_tokens", "text"]
+    if frags.count() == 0:
+        return rd.from_arrow(_frag_empty().select(out_cols))
     interior = frags.map_batches(
         lambda t, _c=out_cols: t.filter(
             pc.invert(t.column("__pending"))
@@ -182,8 +155,8 @@ def length_bucket_batches(ds, id_col: str, text_col: str,
     Composition of existing scale-shaped stages: a vectorized token-count
     + bucket pass (``strings.whitespace_token_counts``, ``np.searchsorted``),
     then :func:`~hooqu_ray.pipelines.windows.running_agg` for the
-    per-bucket running row number (ONE range sort + boundary merge that
-    touches ≤ 2 buckets per block — never a per-group shuffle).  Returns
+    per-bucket running row number (one hash exchange on the bucket, then
+    a vectorized cumsum over each bucket's id-sorted rows).  Returns
     ``(id, n_tokens, bucket, batch_idx)``; deterministic across runs and
     data orderings."""
     from ..functions.strings import whitespace_token_counts

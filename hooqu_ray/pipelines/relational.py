@@ -160,7 +160,7 @@ def deterministic_shuffle(ds, key_col: str, out_col: str = "shuffle_pos"):
     EXACT position in the order ``(md5_bucket(key), key)`` — statistically
     random with respect to any natural ordering, yet identical across
     runs, engines, and cluster layouts (``random_shuffle`` is none of
-    those).  One range sort + the :func:`global_row_number` offset repair;
+    those).  One :func:`global_row_number` range exchange;
     requires unique keys (ranks are ill-defined otherwise)."""
     def add_bucket(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -703,76 +703,23 @@ def global_row_number(ds, order_col: str, tie_col: str,
     """EXACT global ``row_number() OVER (ORDER BY order_col, tie_col)`` —
     the distributed total-order rank Ray Data has no native form of.
 
-    Shape: one range sort (blocks come back as contiguous key ranges, each
-    block locally ordered), then each block needs only its global OFFSET.
-    Pass 1 reduces every block to one summary row ``(first_order,
-    first_tie, count)``; the driver sorts the summaries (#blocks rows) and
-    prefix-sums the counts; pass 2 broadcasts the tiny offset table and
-    each block finds its own offset by matching its FIRST row — valid
-    because ``tie_col`` must be UNIQUE (ranks would otherwise be
-    ill-defined), making every block's first (order, tie) pair unique.
-    Nothing but #blocks summary rows ever leaves the cluster.  Null
-    ``order_col`` values sort last (Ray's sort), like SQL ``NULLS LAST``."""
-    from ..util import collect_arrow
+    Shape: one range exchange on ``(order_col, tie_col)``
+    (``shuffle.range_exchange``): its blocks are sorted ranges, and each
+    range's fold receives the row count of all earlier ranges, so the
+    rank is that count plus the local row index.  Nothing but the
+    exchange's sample and per-range counts reaches the driver.  Nulls
+    sort last and NaN above every number, in either direction, as in
+    SQL (DuckDB).  ``tie_col`` should be unique: rows equal on both
+    columns get consecutive ranks in input order."""
+    from ..functions.shuffle import range_exchange
 
-    sorted_ds = ds.sort([order_col, tie_col],
-                        descending=[descending, descending]).materialize()
+    order = "descending" if descending else "ascending"
 
-    def summary(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "__fo": t.column(order_col).slice(0, 1),
-                "__ft": t.column(tie_col).slice(0, 1),
-                "__n": pa.array([len(t)], pa.int64()),
-            }
-        )
+    def number(t: pa.Table, before: int) -> pa.Table:
+        return t.append_column(out_col, pa.array(
+            np.arange(before + 1, before + 1 + len(t), dtype=np.int64)))
 
-    summ = collect_arrow(
-        sorted_ds.map_batches(summary, batch_format="pyarrow", batch_size=None)
-    )
-    if summ is None or len(summ) == 0:
-        return sorted_ds
-    # pure-Arrow sort + as_py keys so lookup values are type-identical to
-    # the assign side's as_py (a pandas roundtrip would turn nulls into
-    # NaN and timestamps into pd.Timestamp)
-    direction = "descending" if descending else "ascending"
-    summ = summ.sort_by([("__fo", direction), ("__ft", direction)])
-    counts = summ.column("__n").to_numpy(zero_copy_only=False)
-    offs = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    def _norm(x):
-        # NaN != NaN would make the dict lookup miss a block whose first
-        # order value is NaN; map it to a stable sentinel on both sides
-        if isinstance(x, float) and np.isnan(x):
-            return "__nan__"
-        return x
-
-    offsets = {
-        (_norm(fo), _norm(ft)): int(off)
-        for fo, ft, off in zip(
-            summ.column("__fo").to_pylist(),
-            summ.column("__ft").to_pylist(),
-            offs,
-        )
-    }
-    if len(offsets) != len(summ):
-        raise ValueError(
-            "global_row_number: two blocks share the same first "
-            f"({order_col}, {tie_col}) pair — {tie_col} must be unique for "
-            "ranks to be well-defined"
-        )
-
-    def assign(t: pa.Table) -> pa.Table:
-        key = (
-            _norm(t.column(order_col)[0].as_py()),
-            _norm(t.column(tie_col)[0].as_py()),
-        )
-        off = offsets[key]
-        return t.append_column(
-            out_col, pa.array(np.arange(1, len(t) + 1, dtype=np.int64) + off)
-        )
-
-    return sorted_ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
+    return range_exchange(ds, [(order_col, order), (tie_col, order)], number)
 
 
 def percentile_rank(ds, value_col: str, out_col: str = "pct_rank",
@@ -978,34 +925,20 @@ def pack_sequences(ds, id_col: str, tokens_col: str, max_len: int):
     sequence needs, so sequence shards can be written independently.
 
     Shape = :func:`global_row_number` with token sums instead of row
-    counts: one range ``sort(id)``, each block reduces to ``(first_id,
-    Σtokens, n_rows)``, the driver prefix-sums #blocks summary rows, and a
-    broadcast offset table keyed by each block's first id turns local
-    exclusive cumsums into global offsets.  Nothing but #blocks rows
-    leaves the cluster.  ``id_col`` must be unique and non-null; negative
-    or null token counts are an error upstream (counts come from
-    ``textstats.token_count_stage``)."""
-    from ..util import collect_arrow
+    counts: one range exchange on ``id_col`` whose folds receive the
+    ``tokens_col`` total of all earlier ranges, so a fold's exclusive
+    cumsum plus that total is each document's global offset.  ``id_col``
+    must be unique and non-null; negative or null token counts are an
+    error upstream (counts come from ``textstats.token_count_stage``)."""
+    from ..functions.shuffle import range_exchange
 
     if max_len < 1:
         raise ValueError(f"pack_sequences: max_len must be ≥ 1, got {max_len}")
 
-    proj = ds.map_batches(
-        lambda t: t.select([id_col, tokens_col]), batch_format="pyarrow"
-    )
-    sorted_ds = proj.sort(id_col).materialize()
-
-    from ..util import global_stream_offsets
-
-    offsets = global_stream_offsets(sorted_ds, id_col, [tokens_col])
-    if offsets is None:
-        return sorted_ds
-
-    def assign(t: pa.Table) -> pa.Table:
-        base = offsets[t.column(id_col)[0].as_py()]
+    def assign(t: pa.Table, base: int) -> pa.Table:
         n = t.column(tokens_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        start = base + np.concatenate([[0], np.cumsum(n)[:-1]]).astype(np.int64)
-        end = start + n
+        end = base + np.cumsum(n)
+        start = end - n
         seq_start = start // max_len
         seq_end = np.where(n > 0, (end - 1) // max_len, seq_start)
         return pa.table(
@@ -1019,7 +952,9 @@ def pack_sequences(ds, id_col: str, tokens_col: str, max_len: int):
             }
         )
 
-    return sorted_ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
+    return range_exchange(ds, [(id_col, "ascending")], assign,
+                          pre=lambda t: t.select([id_col, tokens_col]),
+                          weight=tokens_col)
 
 
 def mix_sources(ds, source_col: str, id_col: str, tokens_col: str,
@@ -1032,8 +967,9 @@ def mix_sources(ds, source_col: str, id_col: str, tokens_col: str,
 
     Shape: stamp an ``md5_bucket`` rank (SQL-reproducible, see that
     docstring), then ONE :func:`~hooqu_ray.pipelines.windows.running_agg`
-    (range sort + vectorized block cumsums + O(#blocks) boundary merge)
-    gives each document its inclusive per-source running token count; a
+    (one hash exchange on the source + a vectorized cumsum over each
+    source's rank-sorted rows) gives each document its inclusive
+    per-source running token count; a
     vectorized broadcast-budget filter keeps rows with ``cum ≤ budget``.
     Budgets are a tiny driver-side dict (#sources entries, shipped in the
     task closure); sources absent from ``budgets`` get ``default_budget``
@@ -1432,16 +1368,17 @@ def weighted_sample(ds, key_col: str, weight_col: str, n: int):
 
     Scale shape: ``q`` is stamped per block and each block reduces to
     its exact local top-``n`` by ``(q DESC, key ASC)`` (the global top-n
-    is a subset of the per-block top-ns), so only ≤ ``#blocks × n`` slim
-    candidate rows enter the final distributed ``sort(...).limit(n)`` —
-    the corpus never shuffles.  Rows with a null key, or a null/NaN/≤ 0
+    is a subset of the per-block top-ns), so only ≤ ``#blocks × n``
+    candidate rows reach the driver, which keeps their top ``n`` — the
+    corpus never shuffles.  Rows with a null key, or a null/NaN/≤ 0
     weight, are dropped (weights must be positive).  Returns the
     selected rows with their original columns."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     import ray.data as rd
 
-    from ..util import dataset_arrow_schema
+    from ..functions.shuffle import top_n
+    from ..util import collect_arrow, dataset_arrow_schema
 
     in_schema = dataset_arrow_schema(ds)
     if in_schema is None or not {key_col, weight_col}.issubset(
@@ -1451,9 +1388,7 @@ def weighted_sample(ds, key_col: str, weight_col: str, n: int):
             in_schema.empty_table() if in_schema is not None else pa.table(
                 {key_col: pa.array([], pa.string()),
                  weight_col: pa.array([], pa.float64())}))
-    # a block whose rows all filter out keeps the input dtypes, so the
-    # candidate sort never sees a mixed schema
-    empty_cand = in_schema.append(pa.field("__q", pa.float64())).empty_table()
+    by = [("__q", "descending"), (key_col, "ascending")]
 
     def candidates(t: pa.Table) -> pa.Table:
         w = pc.cast(t.column(weight_col), pa.float64()).to_numpy(
@@ -1462,21 +1397,16 @@ def weighted_sample(ds, key_col: str, weight_col: str, n: int):
         ok = ~np.isnan(w) & (w > 0)
         ok &= pc.is_valid(keys).to_numpy(zero_copy_only=False)
         t = t.filter(pa.array(ok))
-        if len(t) == 0:
-            return empty_cand
-        w = w[ok]
         u = (md5_bucket(t.column(key_col)).astype(np.float64) + 1.0) \
             / 4294967296.0
-        q = w / u
-        kv = t.column(key_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((kv, -q))[:n]  # exact local (q DESC, key ASC)
-        sub = t.take(pa.array(order))
-        return sub.append_column("__q", pa.array(q[order], pa.float64()))
+        q = pa.array(w[ok] / u, pa.float64())
+        return top_n(t.append_column("__q", q), by, n)
 
-    cand = ds.map_batches(candidates, batch_format="pyarrow")
-    out = cand.sort(["__q", key_col], descending=[True, False]).limit(n)
-    return out.map_batches(lambda t: t.drop_columns(["__q"]),
-                           batch_format="pyarrow")
+    cand = collect_arrow(ds.map_batches(candidates, batch_format="pyarrow",
+                                        batch_size=None))
+    if cand is None:
+        return rd.from_arrow(in_schema.empty_table())
+    return rd.from_arrow(top_n(cand, by, n).drop_columns(["__q"]))
 
 
 def value_histogram(ds, col: str, k: int = 50):
@@ -1488,40 +1418,38 @@ def value_histogram(ds, col: str, k: int = 50):
     keyed by their string form, so float columns should be bucketized
     first (:func:`bucketize` / ``value_deciles``).
 
-    Counts ride :func:`hooqu_ray.functions.shuffle.tree_group_sum`
-    (per-block Arrow combine, then one hash exchange); the total is
-    re-read from the MATERIALIZED fold (free second consume), and only
-    the #distinct-row fold enters the final
-    ``sort(count DESC, value ASC).limit(k)``.
-    Returns ``[value, count, ratio]``."""
+    Counts ride :func:`hooqu_ray.functions.shuffle.tree_group_sum`'s
+    shape (per-block Arrow combine in the split tasks, then one hash
+    exchange) with each bucket folding to its top ``k`` by ``(count DESC,
+    value ASC)``; the driver keeps the top ``k`` of those ≤ B·k rows.  The
+    total is the materialized input's row count.  On a materialized input
+    no Ray Data execution runs.  Returns ``[value, count, ratio]``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     import ray.data as rd
 
-    from ..functions.shuffle import tree_group_sum
+    from ..functions.shuffle import _tree_combine_factory, hash_exchange, top_n
+    from ..util import collect_arrow
 
-    empty = pa.table({"value": pa.array([], pa.string()),
-                      "count": pa.array([], pa.int64()),
-                      "ratio": pa.array([], pa.float64())})
+    ds = ds.materialize()
+    total = ds.count()
+    if total == 0:
+        return rd.from_arrow(pa.table({"value": pa.array([], pa.string()),
+                                       "count": pa.array([], pa.int64()),
+                                       "ratio": pa.array([], pa.float64())}))
+    by = [("count", "descending"), ("value", "ascending")]
+    combine = _tree_combine_factory(["value"], ["count"], ["sum"], False)
 
     def prep(t: pa.Table) -> pa.Table:
         s = pc.fill_null(pc.cast(t.column(col), pa.string()), "NullValue")
-        return pa.table({"value": s,
-                         "count": pa.array(np.ones(len(t), np.int64))})
+        return combine(pa.table(
+            {"value": s, "count": pa.array(np.ones(len(t), np.int64))}))
 
-    folded = tree_group_sum(ds.map_batches(prep, batch_format="pyarrow"),
-                            ["value"], ["count"])
-    if folded.count() == 0:
-        return rd.from_arrow(empty)
-    total = folded.sum("count")  # fold is materialized — cheap re-consume
-    top = folded.sort(["count", "value"], descending=[True, False]).limit(k)
-
-    def stamp_ratio(t: pa.Table) -> pa.Table:
-        c = t.column("count").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "ratio", pa.array(c / float(total), pa.float64()))
-
-    return top.map_batches(stamp_ratio, batch_format="pyarrow")
+    top = top_n(collect_arrow(hash_exchange(
+        ds, ["value"], lambda t: top_n(combine(t), by, k), pre=prep)), by, k)
+    c = top.column("count").to_numpy(zero_copy_only=False)
+    return rd.from_arrow(top.append_column(
+        "ratio", pa.array(c / float(total), pa.float64())))
 
 
 def grouped_weighted_sample(ds, group_col: str, key_col: str,

@@ -49,22 +49,14 @@ def _vocab_counts_in(ds, text_col: str, vocab_ref):
     scale that is half the operator's corpus I/O."""
     from ..functions.shuffle import tree_group_sum
     from ..util import collect_arrow
+    from .textstats import _tokenize_block
 
     def block_counts(t: pa.Table) -> pa.Table:
         import ray
 
         obj = vocab_ref
         vocab = obj if isinstance(obj, pa.Array) else ray.get(obj)
-        texts = t.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        words = pc.utf8_split_whitespace(pc.fill_null(texts, ""))
-        flat = pc.list_flatten(words)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        if len(flat):
-            nonempty = pc.invert(pc.equal(flat, ""))
-            flat = flat.filter(nonempty)
+        flat, _ = _tokenize_block(t.column(text_col))
         total_row = pa.table(
             {"token": pa.array([""], pa.string()),
              "n": pa.array([len(flat)], pa.int64())}
@@ -108,6 +100,8 @@ class _LLRScoreBatch:
         self._lr = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
+        from .textstats import _tokenize_block
+
         if self._vocab is None:
             import ray
 
@@ -115,19 +109,8 @@ class _LLRScoreBatch:
             tbl = obj if isinstance(obj, pa.Table) else ray.get(obj)
             self._vocab = tbl.column("token").combine_chunks()
             self._lr = tbl.column("lr").to_numpy(zero_copy_only=False)
-        texts = t.column(self.text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
         n = len(t)
-        words = pc.utf8_split_whitespace(pc.fill_null(texts, ""))
-        flat = pc.list_flatten(words)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        parent = pc.list_parent_indices(words).to_numpy(zero_copy_only=False)
-        if len(flat):  # drop empty split tokens (str.split() word semantics)
-            keep = pc.invert(pc.equal(flat, "")).to_numpy(zero_copy_only=False)
-            flat = flat.filter(pa.array(keep))
-            parent = parent[keep]
+        flat, parent = _tokenize_block(t.column(self.text_col))
         n_tok = np.bincount(parent, minlength=n).astype(np.int64)
         n_iv = np.zeros(n, dtype=np.int64)
         s = np.zeros(n, dtype=np.float64)

@@ -9,10 +9,10 @@ microsecond precision).  Session ids are 0-based per key in time order — the
 same definition DuckDB expresses with ``lag`` + a running ``sum`` window,
 which is the oracle for the driver's correctness gate.
 
-Shape: the shared sorted scan (``functions.sorted_scan``) — ONE
-distributed ``sort(key, ts)`` + a vectorized per-block pass (numpy
+Shape: the shared sorted scan (``functions.sorted_scan``) — ONE range
+exchange on ``(key, ts)`` + a vectorized per-block pass (numpy
 run/break detection + ``reduceat``-style segment aggregates — zero Python
-per key) + a boundary merge.  After a range-partitioned sort a key interior
+per key) + a boundary merge.  After a range exchange a key interior
 to a block cannot appear in any other block, so only each block's FIRST and
 LAST key can straddle a block boundary; their per-block session partials
 (O(#sessions), not O(#events) — a hot key stays cheap) go through the
@@ -102,7 +102,7 @@ def session_stats(ds, key: str = "user_id", ts_col: str = "ts",
                   gap_seconds: float = 3600.0):
     """One row per session: ``(key, session_idx, n_events, t_start, t_end)``.
 
-    ONE ``sort(key, ts)`` range shuffle over a TWO-COLUMN projection (the
+    ONE range exchange on ``(key, ts)`` over a TWO-COLUMN projection (the
     event payload never moves), a fully vectorized per-block pass, and a
     boundary merge of per-block session partials touching ≤ 2 keys per
     block."""
@@ -111,7 +111,7 @@ def session_stats(ds, key: str = "user_id", ts_col: str = "ts",
     def block(t: pa.Table, emit: str) -> pa.Table:
         if len(t):
             # rows of the block's first and last key: only these can
-            # continue in a neighbouring block of the range sort
+            # continue in a neighbouring block of the range exchange
             keys = t.column(key)
             edge = pc.or_(pc.equal(keys, keys[0]), pc.equal(keys, keys[-1]))
             t = t.filter(edge if emit == "pend" else pc.invert(edge))

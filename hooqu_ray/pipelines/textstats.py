@@ -758,9 +758,9 @@ def inverted_index(ds, text_col: str = "text", id_col: str = "doc_id",
 
     Scale shape: per-block DISTINCT (term, doc) pairs via dictionary
     codes (zero Python per token, the :func:`doc_frequency` kernel), then
-    ONE range sort + vectorized per-term running row-number with a
-    boundary merge touching ≤ 2 terms per block
-    (:func:`~hooqu_ray.pipelines.windows.running_agg`) and a cap filter.
+    a vectorized per-term running row-number on one hash exchange on the
+    term (:func:`~hooqu_ray.pipelines.windows.running_agg`) and a cap
+    filter.
     Assumes one document per input row, so block-local distinct pairs are
     globally distinct."""
     from .windows import running_agg

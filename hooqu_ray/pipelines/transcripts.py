@@ -483,11 +483,15 @@ def filter_and_scrub(ds, scorer_concurrency: Optional[Tuple[int, int]] = None,
 
 
 def filtered_output(ds, scorer_concurrency=None, scratch_dir=None):
-    """Kept turns only, scrubbed text as ``text``, stable order
+    """Kept turns only, scrubbed text as ``text``, in ``(conv_id,
+    turn_idx)`` order: one range exchange, materialized
     (``scorer_concurrency`` has no effect)."""
+    from ..functions.shuffle import range_exchange
+
     full = filter_and_scrub(ds, scorer_concurrency, scratch_dir)
     kept = full.map_batches(_SelectKept(), batch_format="pyarrow")
-    return kept.sort(["conv_id", "turn_idx"])
+    return range_exchange(kept, [("conv_id", "ascending"),
+                                 ("turn_idx", "ascending")])
 
 
 class _SidecarPartials:
@@ -1328,47 +1332,32 @@ def pack_sft_examples(ds, max_len: int, *, id_col: str = "example_id",
     target_end, seq_start, seq_end)`` with ``target_*`` absolute offsets in
     the stream (``seq_* = offset // max_len``).
 
-    Same shape as :func:`~hooqu_ray.pipelines.relational.pack_sequences`
-    (its docstring explains the O(#blocks) summary/offset mechanics): one
-    range sort of a THREE-column projection, per-block exclusive cumsums,
-    a #blocks-row driver prefix sum, broadcast offsets.  ``id_col`` must
-    be unique and non-null; null prompts/targets count 0 tokens."""
-    from ..util import global_stream_offsets
+    Same shape as :func:`~hooqu_ray.pipelines.relational.pack_sequences`:
+    one range exchange on ``id_col`` whose split tasks count each
+    example's tokens (its ``pre``) and whose folds get the token total of
+    all earlier ranges, so each fold's exclusive cumsum plus that total is
+    the global stream offset.  ``id_col`` must be unique and non-null;
+    null prompts/targets count 0 tokens."""
+    from ..functions.shuffle import range_exchange
 
     if max_len < 1:
         raise ValueError(
             f"pack_sft_examples: max_len must be >= 1, got {max_len}")
 
     def proj(t: pa.Table) -> pa.Table:
-        def toks(col):
-            return pa.array(whitespace_token_counts(t.column(col)))
-
+        n_prompt = whitespace_token_counts(t.column(prompt_col))
         return pa.table({
             id_col: t.column(id_col),
-            "__np": toks(prompt_col),
-            "__nt": toks(target_col),
+            "n_prompt_tokens": pa.array(n_prompt),
+            "n_tokens": pa.array(
+                n_prompt + whitespace_token_counts(t.column(target_col))),
         })
 
-    sorted_ds = ds.map_batches(proj, batch_format="pyarrow") \
-                  .sort(id_col).materialize()
-
-    offsets = global_stream_offsets(sorted_ds, id_col, ["__np", "__nt"])
-    if offsets is None:
-        e = pa.array([], pa.int64())
-        return sorted_ds.map_batches(
-            lambda t: pa.table({id_col: e, "n_prompt_tokens": e,
-                                "n_tokens": e, "token_start": e,
-                                "target_start": e, "target_end": e,
-                                "seq_start": e, "seq_end": e}),
-            batch_format="pyarrow")
-
-    def assign(t: pa.Table) -> pa.Table:
-        base = offsets[t.column(id_col)[0].as_py()]
-        np_ = np.asarray(t.column("__np"), dtype=np.int64)
-        nt = np.asarray(t.column("__nt"), dtype=np.int64)
-        n = np_ + nt
-        start = base + np.concatenate([[0], np.cumsum(n)[:-1]]).astype(np.int64)
-        end = start + n
+    def assign(t: pa.Table, base: int) -> pa.Table:
+        np_ = np.asarray(t.column("n_prompt_tokens"), dtype=np.int64)
+        n = np.asarray(t.column("n_tokens"), dtype=np.int64)
+        end = base + np.cumsum(n)
+        start = end - n
         seq_start = start // max_len
         seq_end = np.where(n > 0, (end - 1) // max_len, seq_start)
         return pa.table({
@@ -1382,8 +1371,8 @@ def pack_sft_examples(ds, max_len: int, *, id_col: str = "example_id",
             "seq_end": pa.array(seq_end),
         })
 
-    return sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                 batch_size=None)
+    return range_exchange(ds, [(id_col, "ascending")], assign, pre=proj,
+                          weight="n_tokens")
 
 
 def dedup_turns(ds, *, conv_col: str = "conv_id", idx_col: str = "turn_idx",
@@ -1704,7 +1693,7 @@ def turn_gap_stats(ds, *, conv_col: str = "conv_id", ts_col: str = "ts",
     bot).
 
     Composition: :func:`~hooqu_ray.pipelines.windows.lag_delta` (one
-    range sort + vectorized per-block shift + boundary repair) yields the
+    range exchange + vectorized per-block shift + boundary repair) yields the
     per-turn delta in seconds; null deltas (each conversation's first
     turn) are filtered and a slim ``groupby(conv)`` Max/Mean/Count
     finishes.  Single-turn conversations are absent, as in SQL ``GROUP

@@ -3,13 +3,13 @@ BY ts, tie ROWS BETWEEN w-1 PRECEDING AND CURRENT ROW)``), Ray-Data-first.
 
 The reference has no window surface (SURVEY §2.3 "Streaming: nothing");
 rolling features (trailing activity averages, smoothed quality scores) are
-a staple of event-log and training-data pipelines.  Same sort-based
+a staple of event-log and training-data pipelines.  Same ordered
 discipline as ``sessions.py``/``asof.py``: the shared sorted scan
-(``functions.sorted_scan``) — ONE distributed range ``sort(key, ts, tie)``
+(``functions.sorted_scan``) — ONE range exchange on ``(key, ts, tie)``
 over a slim projection, then a fully vectorized per-block padded-cumsum
 pass — zero Python per row.
 
-Boundary repair: after a range sort only a block's FIRST key can continue
+Boundary repair: after a range exchange only a block's FIRST key can continue
 from an earlier block, so only its first ``w−1`` rows can have windows
 reaching back across the boundary; they are re-computed in the scan's
 tiny per-key repair merge fed by ≤ ``w−1`` context rows per block (the last
@@ -18,7 +18,7 @@ pending row is present in its merge group: in-block predecessors of a
 pending row are themselves pending (they sit even earlier in the first
 ``w−1`` rows), and cross-block predecessors are inside the previous
 blocks' ``w−1``-row tails — so the group-local window equals the global
-one.  Nothing is broadcast and the one all-to-all is the range sort.
+one.  Nothing is broadcast and the one all-to-all is the range exchange.
 
 Null semantics match SQL: null values don't contribute to the window
 (``AVG`` skips them; an all-null window yields null); rows with a null key
@@ -354,30 +354,14 @@ def hopping_window_agg(ds, key_col: str, ts_col: str, value_col: str,
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-def _running_block(t: pa.Table, key: str, value_col: str, emit: str) -> pa.Table:
-    """One vectorized pass over a (key, ts, tie)-sorted block for the
-    RUNNING (unbounded-preceding) aggregate.
-
-    ``emit='finals'``: rows of keys interior to the block (their whole
-    history is in-block), with ``run_sum`` / ``run_n`` attached.
-    ``emit='pend'``: raw rows of the block's first/last key — their prefix
-    may continue from an adjacent block, so they are re-accumulated in the
-    per-key boundary merge.  Unlike the rolling window no context rows are
-    needed: a boundary key contributes ALL its rows as pending in every
-    block it touches (it is first or last there by sort contiguity), so the
-    merge group holds the key's full history."""
-    n = len(t)
-    if n == 0:
-        if emit == "finals":
-            return t.drop_columns([value_col]).append_column(
-                "run_sum", pa.array([], pa.float64())
-            ).append_column("run_n", pa.array([], pa.int64()))
+def _running_block(t: pa.Table, key: str, value_col: str) -> pa.Table:
+    """The RUNNING (unbounded-preceding) aggregate over a table of complete
+    keys sorted on ``(key, ts, tie)``: one vectorized pass attaching
+    ``run_sum`` / ``run_n`` to every row."""
+    if value_col not in t.column_names:  # the schema-less typed empty
         return t
+    n = len(t)
     keys = t.column(key).to_numpy(zero_copy_only=False)
-    pending = (keys == keys[0]) | (keys == keys[-1])
-    if emit == "pend":
-        return t.filter(pa.array(pending))
-
     vals = t.column(value_col).to_numpy(zero_copy_only=False).astype(
         np.float64, copy=False
     )
@@ -390,38 +374,9 @@ def _running_block(t: pa.Table, key: str, value_col: str, emit: str) -> pa.Table
     s = cs[arange + 1] - cs[run_start]
     c = cc[arange + 1] - cc[run_start]
     run_sum = np.where(c > 0, s, np.nan)  # SQL SUM: all-null prefix → NULL
-    run_n = arange - run_start + 1
-    final = ~pending
-    sub = t.filter(pa.array(final))
-    return sub.drop_columns([value_col]).append_column(
-        "run_sum", pa.array(run_sum[final], pa.float64(), from_pandas=True)
-    ).append_column("run_n", pa.array(run_n[final], pa.int64()))
-
-
-class _MergeBoundaryRunning:
-    """Per-key boundary repair for the running aggregate: sort one boundary
-    key's full row set by (ts, tie) and accumulate — every row is emitted
-    (all are pending)."""
-
-    def __init__(self, ts_col: str, tie: str, value_col: str):
-        self.ts_col = ts_col
-        self.tie = tie
-        self.value_col = value_col
-
-    def __call__(self, g: pa.Table) -> pa.Table:
-        g = g.sort_by([(self.ts_col, "ascending"), (self.tie, "ascending")])
-        vals = g.column(self.value_col).to_numpy(zero_copy_only=False).astype(
-            np.float64, copy=False
-        )
-        valid = ~np.isnan(vals)
-        s = np.cumsum(np.where(valid, vals, 0.0))
-        c = np.cumsum(valid)
-        run_sum = np.where(c > 0, s, np.nan)
-        return g.drop_columns([self.value_col]).append_column(
-            "run_sum", pa.array(run_sum, pa.float64(), from_pandas=True)
-        ).append_column(
-            "run_n", pa.array(np.arange(1, len(g) + 1, dtype=np.int64), pa.int64())
-        )
+    return t.drop_columns([value_col]).append_column(
+        "run_sum", pa.array(run_sum, pa.float64(), from_pandas=True)
+    ).append_column("run_n", pa.array(arange - run_start + 1, pa.int64()))
 
 
 def running_agg(ds, key: str, ts_col: str, tie: str, value_col: str):
@@ -431,11 +386,12 @@ def running_agg(ds, key: str, ts_col: str, tie: str, value_col: str):
     operator behind "tokens emitted so far per user", "spend to date per
     account".
 
-    Same discipline as :func:`rolling_mean`: ONE distributed range
-    ``sort(key, ts, tie)`` over a 4-column projection, a fully vectorized
-    per-block padded-cumsum pass, and a per-key boundary merge
-    that touches only each block's first/last key (≤ 2 keys per block —
-    O(#blocks) groups, NOT O(#keys)).  Null semantics match SQL: null
+    A complete-key ``sorted_scan`` kernel: one hash exchange on the key
+    over a 4-column projection, then a fully vectorized padded-cumsum
+    pass over each bucket's whole, ``(key, ts, tie)``-sorted keys.  A
+    running total needs every earlier row of its key, so a boundary
+    repair would receive all of a boundary key's rows anyway: the
+    block/merge arm bounds nothing here.  Null semantics match SQL: null
     values don't advance the sum (an all-null prefix yields null);
     ``run_n`` counts every row.  Rows with a null key or ts are dropped
     (cf. ``asof.py``).  ``tie`` must be unique per key.  Returns
@@ -444,8 +400,7 @@ def running_agg(ds, key: str, ts_col: str, tie: str, value_col: str):
     return sorted_scan(
         ds, [key, ts_col, tie, value_col], key, [ts_col, tie],
         non_null=[ts_col],
-        block=lambda t, emit: _running_block(t, key, value_col, emit),
-        merge=_MergeBoundaryRunning(ts_col, tie, value_col))
+        kernel=lambda t: _running_block(t, key, value_col))
 
 
 def _lag_block(t: pa.Table, key: str, value_col: str, periods: int,
@@ -537,7 +492,7 @@ def lag_delta(ds, key: str, ts_col: str, tie: str, value_col: str,
     ORDER BY ts, tie)`` and ``v − LAG(v)`` — inter-arrival deltas, spend
     changes, monotonicity checks.
 
-    Same sort-based discipline as :func:`rolling_mean`: one range sort of a
+    Same discipline as :func:`rolling_mean`: one range exchange of a
     4-column projection, a vectorized per-block shift, and a boundary
     repair touching only the first ``periods`` rows of each block's first
     key (context = the last ``periods`` rows of the previous block's last
@@ -557,8 +512,8 @@ def lead_delta(ds, key: str, ts_col: str, tie: str, value_col: str,
     look-ahead labels for sequence models.
 
     Exactly the :func:`lag_delta` machinery run over the REVERSED
-    per-key order: the one range sort is ``sort([key, ts DESC, tie
-    DESC])``, under which each row's positional predecessor is its
+    per-key order: the one range exchange orders ``[key, ts DESC, tie
+    DESC]``, under which each row's positional predecessor is its
     logical successor, so the same vectorized shift + O(#blocks)
     boundary repair apply unchanged (the repair re-sorts its ≤
     2·periods-row groups descending).  The last ``periods`` rows of each
@@ -624,8 +579,8 @@ def grouped_first_last(ds, key: str, ts_col: str, tie: str, value_col: str):
     """Per-key FIRST_VALUE / LAST_VALUE in ``(ts, tie)`` order — SQL
     ``FIRST_VALUE(v) OVER (PARTITION BY key ORDER BY ts, tie)`` /
     ``LAST_VALUE(v) OVER (... ROWS BETWEEN UNBOUNDED PRECEDING AND
-    UNBOUNDED FOLLOWING)`` — WITHOUT the corpus range sort the rest of
-    the window family pays: first/last selection is an algebraic fold
+    UNBOUNDED FOLLOWING)`` — WITHOUT the corpus range exchange the rest
+    of the window family pays: first/last selection is an algebraic fold
     (the earlier of two firsts is the first), so it is one
     ``shuffle.hash_exchange`` on the key whose split tasks reduce each
     block to its candidates (≤ #keys-in-block rows) and whose folds

@@ -273,39 +273,6 @@ def tree_reduce(rows, combine, fanout: int = 64):
     return combine(tbl)
 
 
-def global_stream_offsets(sorted_ds, id_col: str, token_cols):
-    """Global exclusive token offset per block of an ``id_col``-sorted
-    dataset — the shared mechanics behind the packing planners
-    (``relational.pack_sequences``, ``transcripts.pack_sft_examples``):
-    each block reduces to ``(first_id, Σ token_cols, …)``, the driver
-    prefix-sums #blocks summary rows, and the returned ``{first_id:
-    offset}`` dict broadcasts so each block turns its local exclusive
-    cumsum into global stream positions.  Returns ``None`` when the
-    dataset is empty."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    def summary(t: pa.Table) -> pa.Table:
-        if id_col not in t.column_names or len(t) == 0:
-            return pa.table({"__fid": pa.array([]),
-                             "__tok": pa.array([], pa.int64())})
-        total = sum(pc.sum(t.column(c)).as_py() or 0 for c in token_cols)
-        return pa.table({"__fid": t.column(id_col).slice(0, 1),
-                         "__tok": pa.array([total], pa.int64())})
-
-    summ = collect_arrow(
-        sorted_ds.map_batches(summary, batch_format="pyarrow",
-                              batch_size=None))
-    if summ is None or len(summ) == 0:
-        return None
-    summ = summ.sort_by([("__fid", "ascending")])
-    toks = summ.column("__tok").to_numpy(zero_copy_only=False)
-    offs = np.concatenate([[0], np.cumsum(toks)[:-1]]).astype(np.int64)
-    return {fid: int(off) for fid, off in
-            zip(summ.column("__fid").to_pylist(), offs)}
-
-
 class _EmptyBlockSchemaWarningFilter:
     """Drops Ray 2.49's "RefBundle with a different schema" warning ONLY
     when one side of the comparison is an EMPTY block (its schema prints

@@ -1,6 +1,9 @@
 """Replicates the driver's correctness gate locally: run every queries()
 entry at a given sf and compare row-count / schema / sorted value hash with
-its oracle_sql() DuckDB result.  Usage:
+its oracle_sql() DuckDB result.  Each line also gives the query's wall time
+and its Ray Data execution count (``StreamingExecutor.execute`` calls on
+the driver, as the tests' ``executions`` fixture counts them); the last
+line gives the total.  Usage:
 python scripts/check_contract.py [sf_dir] [only_query1,only_query2,...]"""
 
 import hashlib
@@ -30,6 +33,23 @@ def norm_table(obj):
 def value_hash(df):
     payload = df.to_csv(index=False, float_format="%.6f").encode()
     return hashlib.md5(payload).hexdigest()
+
+
+def count_executions():
+    """Patch ``StreamingExecutor.execute`` to append to the returned list
+    on every Ray Data execution."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    return calls
 
 
 def main(sf_dir: str = "/root/testdata/sf0.01", only: str = ""):
@@ -63,17 +83,21 @@ def main(sf_dir: str = "/root/testdata/sf0.01", only: str = ""):
             return 1
         qs = {k: v for k, v in qs.items() if k in wanted}
     oracles = entrymod.oracle_sql()
-    n_pass = n_fail = n_rows_only = 0
+    executions = count_executions()
+    n_pass = n_fail = n_rows_only = n_executions = 0
     for name, fn in qs.items():
         t0 = time.time()
+        executions.clear()
         try:
             mine = norm_table(fn(sf_dir))
         except Exception as ex:  # noqa: BLE001
             print(f"FAIL {name}: query raised {type(ex).__name__}: {ex}")
             n_fail += 1
             continue
+        cost = f"({time.time()-t0:.1f}s, {len(executions)} executions)"
+        n_executions += len(executions)
         if name not in oracles:
-            print(f"rows-only {name}: {len(mine)} rows  ({time.time()-t0:.1f}s)")
+            print(f"rows-only {name}: {len(mine)} rows  {cost}")
             n_rows_only += 1
             continue
         try:
@@ -86,7 +110,7 @@ def main(sf_dir: str = "/root/testdata/sf0.01", only: str = ""):
         ok_cols = list(mine.columns) == list(oracle.columns)
         ok_hash = ok_rows and ok_cols and value_hash(mine) == value_hash(oracle)
         if ok_hash:
-            print(f"PASS {name}  ({time.time()-t0:.1f}s)")
+            print(f"PASS {name}  {cost}")
             n_pass += 1
         else:
             print(f"FAIL {name}: rows {len(mine)}/{len(oracle)} cols {list(mine.columns)}"
@@ -96,7 +120,8 @@ def main(sf_dir: str = "/root/testdata/sf0.01", only: str = ""):
                 if merged is not None and len(merged):
                     print(merged.head(5))
             n_fail += 1
-    print(f"\n{n_pass} pass, {n_fail} fail, {n_rows_only} rows-only")
+    print(f"\n{n_pass} pass, {n_fail} fail, {n_rows_only} rows-only, "
+          f"{n_executions} Ray Data executions")
     ray.shutdown()
     return n_fail
 

@@ -162,6 +162,74 @@ def test_grouped_fold_typed_when_empty(ray_session, op, blocks):
         [(c, full.schema.field(src).type) for c, src in cols])
 
 
+def _turns_with_ids() -> pa.Table:
+    """:func:`_turns` plus a unique ``"<conv>:<turn_idx>"`` id ``tid``."""
+    t = _turns()
+    return t.append_column("tid", pc.binary_join_element_wise(
+        t.column("conv_id"), pc.cast(t.column("turn_idx"), pa.string()), ":"))
+
+
+def _ordered_ops():
+    """The global-offset ops on ``shuffle.range_exchange`` and
+    ``running_agg`` on the hash exchange, each with its output schema."""
+    from hooqu_ray.pipelines.relational import global_row_number, pack_sequences
+    from hooqu_ray.pipelines.windows import running_agg
+
+    i64 = pa.int64()
+    full = _turns_with_ids().schema
+    return {
+        "global_row_number": (
+            lambda ds: global_row_number(ds, "conv_id", "turn_idx"),
+            full.append(pa.field("row_number", i64))),
+        "pack_sequences": (
+            lambda ds: pack_sequences(ds, "tid", "turn_idx", 7),
+            pa.schema([("tid", pa.string())] + [(c, i64) for c in (
+                "turn_idx", "token_start", "seq_start", "seq_end",
+                "n_seqs")])),
+        "pack_sft_examples": (
+            lambda ds: tp.pack_sft_examples(ds, 7, id_col="tid",
+                                            prompt_col="role",
+                                            target_col="text"),
+            pa.schema([("tid", pa.string())] + [(c, i64) for c in (
+                "n_prompt_tokens", "n_tokens", "token_start", "target_start",
+                "target_end", "seq_start", "seq_end")])),
+        "running_agg": (
+            lambda ds: running_agg(ds, "conv_id", "tid", "role", "turn_idx"),
+            pa.schema([("conv_id", pa.string()), ("tid", pa.string()),
+                       ("role", pa.string()), ("run_sum", pa.float64()),
+                       ("run_n", i64)])),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_ordered_ops()))
+def test_ordered_op_runs_no_execution_on_materialized_input(
+        ray_session, executions, op):
+    import ray.data as rd
+
+    ds = rd.from_arrow(_turns_with_ids()).repartition(4).materialize()
+    executions.clear()
+    run, schema = _ordered_ops()[op]
+    out = collect_arrow(run(ds))
+    assert len(out) > 0 and out.schema == schema
+    assert len(executions) == 0
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+@pytest.mark.parametrize("op", sorted(_ordered_ops()))
+def test_ordered_op_typed_when_empty(ray_session, op, blocks):
+    import ray.data as rd
+
+    from hooqu_ray.util import dataset_arrow_schema
+
+    ds = rd.from_arrow(_turns_with_ids()).repartition(blocks).map_batches(
+        lambda t: t.slice(0, 0), batch_format="pyarrow").materialize()
+    assert ds.num_blocks() == blocks
+    run, schema = _ordered_ops()[op]
+    out = run(ds)
+    assert out.count() == 0
+    assert dataset_arrow_schema(out) == schema
+
+
 def _events(blocks=4):
     import ray.data as rd
 
@@ -183,12 +251,12 @@ def test_driver_repair_plans_no_groupby(ray_session, monkeypatch,
                         1 << 40 if driver else -1)
     out = sessions.session_stats(_events(), "user_id", "ts", 1800.0)
     ops = _plan_ops(out)
-    # the range sort is materialized upstream, so any Sort left in the plan
-    # would be the repair's: neither arm plans one
+    # the range exchange plans no Sort, so any Sort in the plan would be
+    # the repair's: neither arm plans one
     assert "Sort" not in ops, ops
     assert len(collect_arrow(out)) > 0
-    # the distributed arm's repair is a hash exchange, the driver's none
-    assert exchange_tasks["exchanges"] == (0 if driver else 1), exchange_tasks
+    # the range exchange, plus the distributed arm's repair exchange
+    assert exchange_tasks["exchanges"] == (1 if driver else 2), exchange_tasks
 
 
 @pytest.fixture
@@ -285,9 +353,8 @@ def _pack(ds):
     (lambda ds: shuffle.bucketed_group_fold(ds, ["conv_id"], ["turn_idx"]),
      0),
     (_join, 0), (_snapshot_diff, 0), (_verify_pairs, 0), (_components, 0),
-    # the packer's one range sort of the documents by id; its boundary
-    # merge is an exchange
-    (_pack, 1),
+    # the packer's range and boundary exchanges run no Ray Data sort
+    (_pack, 0),
 ], ids=["kernel_sorted_scan", "conversation_reports", "bucketed_group_fold",
         "hash_join", "snapshot_diff", "verify_pairs", "connected_components",
         "pack_texts"])

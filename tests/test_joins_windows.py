@@ -119,6 +119,21 @@ def test_asof_join_hot_key_sparse_states(ray_session):
     assert (hot.o_orderkey == 71.0).all()
 
 
+def test_asof_join_half_hot_key_over_64_blocks(ray_session):
+    """One user holds exactly half the probes and a third of the states,
+    over 64 probe blocks: its rows span several ranges of the exchange,
+    and the boundary context must still resolve every probe."""
+    events, orders = _asof_frames(n_users=40, n_events=1280, n_orders=300,
+                                  seed=12)
+    events.loc[: len(events) // 2 - 1, "user_id"] = 3
+    orders.loc[: len(orders) // 3, "o_custkey"] = 3
+    events = events.sample(frac=1, random_state=0, ignore_index=True)
+    got = _run_asof(events, orders, 64)
+    pd.testing.assert_frame_equal(got, _asof_oracle(events, orders))
+    hot = got.event_id.isin(events.event_id[events.user_id == 3])
+    assert got.o_orderkey[hot].notna().sum() > 100
+
+
 def test_asof_join_tie_and_boundary_semantics(ray_session):
     base = np.datetime64("2024-01-01T00:00:00", "us")
     events = pd.DataFrame(

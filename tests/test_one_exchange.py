@@ -8,7 +8,10 @@ correct (null keys, empty buckets, typed-empty results, ref release).
 So ``ray.remote`` — as an attribute, a decorator or an imported name —
 appears in ``hooqu_ray/`` only in that module, and Ray Data's
 ``groupby(...).map_groups`` (a range sort of the key plus a Python call
-per group) appears nowhere.  ``shuffle.py`` itself calls no Ray Data
+per group) appears nowhere.  Nor does a Ray Data ``sort``, in
+``hooqu_ray/`` or ``__ray_entry__.py``: ordered steps run on
+``shuffle.range_exchange``, top-n steps on ``shuffle.top_n`` per block
+and once more on the driver.  ``shuffle.py`` itself calls no Ray Data
 ``repartition``, ``map_batches``, ``sort`` or ``groupby``: its folds run
 on the exchange's tasks, so a second fold route (a coalesce tree) cannot
 grow back there.
@@ -85,6 +88,37 @@ def test_structural_check_catches_planted_map_groups(tmp_path):
                  "    fn = ds.groupby(['a', 'b']).map_groups\n"
                  "    return out, fn\n")
     assert _map_groups_uses(p) == [3, 4]
+
+
+def _dataset_sort_calls(path: pathlib.Path):
+    """Lines of every ``.sort(...)`` method call except numpy's
+    (``np.sort``/``numpy.sort``): the engine holds no Python ``list.sort``,
+    so such a call is a Ray Data sort.  Arrow's ``sort_by`` and
+    ``sort_indices`` are other names."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "sort"
+                  and not (isinstance(node.func.value, ast.Name)
+                           and node.func.value.id in ("np", "numpy")))
+
+
+def test_no_dataset_sort_in_engine():
+    files = [*sorted(ROOT.rglob("*.py")), ROOT.parent / "__ray_entry__.py"]
+    assert {p.name: hits for p in files if (hits := _dataset_sort_calls(p))} \
+        == {}
+
+
+def test_structural_check_catches_planted_sort(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("import numpy as np\n"
+                 "def f(ds, t, a):\n"
+                 "    # ds.sort('k') in a comment is fine\n"
+                 "    top = ds.sort(['v', 'id'], descending=[True, False])\n"
+                 "    out = ds.map_batches(g).sort('k').materialize()\n"
+                 "    return top, out, np.sort(a), t.sort_by('k'), \\\n"
+                 "        ds.sort(key='k')\n")
+    assert _dataset_sort_calls(p) == [4, 5, 7]
 
 
 _DATASET_OPS = {"repartition", "map_batches", "sort", "groupby"}

@@ -508,6 +508,38 @@ class TestGlobalRowNumber:
         )
         assert got["event_id"].tolist() == [3, 1, 4, 2]
 
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_null_and_nan_order_values_match_duckdb(self, ray_session,
+                                                    descending):
+        """Null order values rank last and NaN above every number, in
+        either direction, as DuckDB's ``row_number() OVER (ORDER BY ...)``
+        ranks them (its default NULLS LAST)."""
+        import duckdb
+        import ray.data as rd
+
+        from hooqu_ray.pipelines.relational import global_row_number
+        from hooqu_ray.util import collect_arrow
+
+        rng = np.random.default_rng(23)
+        n = 1500
+        v = np.round(rng.normal(0, 2, n), 1)
+        v[rng.random(n) < 0.1] = np.nan
+        t = pa.table({
+            "event_id": pa.array(rng.permutation(n), pa.int64()),
+            "value": pa.array(v, pa.float64(), mask=rng.random(n) < 0.1),
+        })
+        got = collect_arrow(global_row_number(
+            rd.from_arrow(t).repartition(7), "value", "event_id",
+            descending=descending)).to_pandas().sort_values(
+                "row_number", ignore_index=True)
+        d = "DESC" if descending else "ASC"
+        exp = duckdb.sql(
+            f"SELECT event_id, value, row_number() OVER (ORDER BY value {d}, "
+            f"event_id {d}) AS row_number FROM t ORDER BY row_number").df()
+        assert np.isnan(got["value"]).sum() > 100  # nulls and NaNs both
+        pd.testing.assert_frame_equal(
+            got[["event_id", "value", "row_number"]], exp, check_dtype=False)
+
 
 def test_percentile_rank_accuracy(ray_session):
     import ray.data as rd

@@ -704,10 +704,9 @@ class TestHypothesisDifferentials:
                 }
             ).sort_values(["k", "ts", "id"], ignore_index=True)
             t = pa.Table.from_pandas(df, preserve_index=False)
-            finals = _running_block(t, "k", "v", "finals").to_pandas()
-            pend = _running_block(t, "k", "v", "pend").to_pandas()
-            # finals ∪ pend covers every row exactly once
-            assert len(finals) + len(pend) == len(df)
+            finals = _running_block(t, "k", "v").to_pandas()
+            # the kernel sees whole keys: every row is final
+            assert len(finals) == len(df)
             if len(finals):
                 # SQL running-sum semantics: a null row carries the sum of
                 # prior non-nulls (pandas cumsum would emit NaN AT the row)
@@ -753,8 +752,7 @@ class TestHypothesisDifferentials:
                 }
             )
             n_tok = len(_block_tokens(t, "text")) if len(texts) else 0
-            offsets = {0: base} if len(texts) else {}
-            frags = _fragments_block(t, "text", max_len, offsets, "doc_id")
+            frags = _fragments_block(t, "text", max_len, base)
             assert int(frags["n_tokens"].to_pandas().sum()) == n_tok
             # every fragment respects the max_len cut
             fd = frags.to_pandas()

@@ -2,8 +2,9 @@
 (``hooqu_ray.functions.sorted_scan``).
 
 The same rows arrive in 1, 7 and 64 blocks.  One hot key holds most rows
-and sits in every input block, so after the range sort it spans many
-blocks and its boundary repair sees partial state from each of them.  The
+and sits in every input block, so after the range exchange it spans
+several ranges and its boundary repair sees partial state from each of
+them.  The
 degenerate inputs are an empty table, one row, and a table whose keys are
 all null.  Ops with an independent pandas reference must match it on every
 input; every op must give identical rows in every layout, and an empty
@@ -13,7 +14,9 @@ Kernel (complete-key) ops ride the hash exchange and have no repair.
 Both boundary-repair arms run every ``block``/``merge`` op: the reference
 and layout tests force the driver arm, and a third test forces the
 distributed ``groupby(key)`` arm and requires the driver arm's rows and
-schema on every input; for the kernel ops it proves no repair runs.
+schema on every input; for the kernel ops it proves no repair runs.  A
+fourth gives every ``block``/``merge`` op a key holding exactly half the
+rows over 64 blocks, on both arms.
 """
 
 import numpy as np
@@ -351,10 +354,10 @@ LAYOUT_OPS = sorted([
     "reports_tool_transitions", "grouped_exact_quantile", "grouped_ntile",
     "grouped_percent_rank", "grouped_string_agg",
     "grouped_top_k_distributed"])
-# the block/merge ops: range sort plus boundary repair on either arm
+# the block/merge ops: range exchange plus boundary repair on either arm
 REPAIR_OPS = sorted([
-    "time_window_mean", "rolling_mean", "running_agg", "lag_delta",
-    "lead_delta", "session_stats"])
+    "time_window_mean", "rolling_mean", "lag_delta", "lead_delta",
+    "session_stats"])
 
 
 def _force_arm(monkeypatch, driver: bool):
@@ -428,3 +431,48 @@ def test_distributed_repair_matches_driver_repair(ray_session, monkeypatch,
         names, got = drv["p1" if case.startswith("p") else case]
         assert dist[case][0] == names, (op, case)
         pd.testing.assert_frame_equal(dist[case][1], got, obj=f"{op}/{case}")
+
+
+def _half_hot_events() -> pa.Table:
+    """User 7 holds exactly half the rows; the other half spreads over 40
+    users.  Timestamps repeat (``event_id`` breaks the ties) and a tenth
+    of the values are null."""
+    rng = np.random.default_rng(8)
+    n = 1280
+    users = np.r_[np.full(n // 2, 7), rng.integers(100, 140, n // 2)]
+    ts = BASE + rng.integers(0, 3 * 86400, n).astype("timedelta64[s]")
+    vals = rng.normal(size=n).round(2)
+    vals[rng.random(n) < 0.1] = np.nan
+    t = pa.table({
+        "user_id": pa.array(users, pa.int64()),
+        "ts": pa.array(ts.astype("datetime64[us]")),
+        "event_id": pa.array(np.arange(n), pa.int64()),
+        "value": pa.array(vals, pa.float64(), from_pandas=True),
+        "cat": pa.array(rng.integers(0, 5, n).astype(str).tolist()),
+    })
+    return t.take(pa.array(rng.permutation(n)))
+
+
+@pytest.mark.parametrize("driver", [True, False])
+@pytest.mark.parametrize("op", REPAIR_OPS)
+def test_half_hot_key_over_64_blocks_matches_reference(ray_session,
+                                                       monkeypatch, op,
+                                                       driver):
+    import ray
+    import ray.data as rd
+
+    from hooqu_ray.functions.shuffle import range_exchange
+
+    table = _half_hot_events()
+    ds = rd.from_arrow(table).repartition(64).materialize()
+    # the hot key spans several ranges, so its repair sees several blocks
+    ranges = range_exchange(ds, [(c, "ascending")
+                                 for c in ("user_id", "ts", "event_id")])
+    assert sum(7 in t.column("user_id").to_pylist()
+               for t in ray.get(ranges.to_arrow_refs())) >= 2
+    _force_arm(monkeypatch, driver)
+    _, run, ref = _ops()[op]
+    names, got = _collect(run(ds))
+    pd.testing.assert_frame_equal(
+        got, _sorted_like(ref(table.to_pandas()), names), check_dtype=False,
+        obj=op)

@@ -108,3 +108,47 @@ def test_block_ngram_counts_use_re2_tokens():
     got = _block_ngram_counts(t, "text", 2).to_pydict()
     assert dict(zip(got["ngram"], got["n"])) == {"a\x0bb c": 1,
                                                  "x\u00a0y z": 1}
+
+
+_NON_RE2_SPACE = ["a\x0bb c", "a\u00a0b", "x a\u3000b", "a\u0085b a",
+                  "a\x1cb", None, ""]
+
+
+def test_vocab_counts_total_matches_token_counts(ray_session):
+    """``scoring._vocab_counts_in``'s corpus token total and vocab counts
+    tokenize like ``\\S+`` (``_tokenize_block``): ``\\v``, NBSP, U+3000,
+    NEL and ``\\x1c`` stay inside a token."""
+    import ray.data as rd
+
+    from hooqu_ray.pipelines.scoring import _vocab_counts_in
+
+    a = pa.array(_NON_RE2_SPACE)
+    ds = rd.from_arrow(pa.table({"text": a})).repartition(2)
+    counts, total = _vocab_counts_in(ds, "text",
+                                     pa.array(["a", "b", "a\x0bb", "x"]))
+    assert total == int(whitespace_token_counts(a).sum())
+    got = dict(zip(*counts.to_pydict().values()))
+    assert got == {"a\x0bb": 1, "a": 1, "x": 1}
+
+
+def test_llr_scorer_token_counts_match_token_counts():
+    """``scoring._LLRScoreBatch``'s per-document ``n_tokens`` is the
+    ``\\S+`` count, and only whole ``\\S+`` tokens hit the vocab."""
+    from hooqu_ray.pipelines.scoring import _LLRScoreBatch
+
+    a = pa.array(_NON_RE2_SPACE)
+    t = pa.table({"doc_id": pa.array(range(len(a)), pa.int64()), "text": a})
+    lr = pa.table({"token": ["a", "b"], "lr": [1.0, 2.0]})
+    out = _LLRScoreBatch(lr, "text", "doc_id")(t).to_pydict()
+    np.testing.assert_array_equal(out["n_tokens"], whitespace_token_counts(a))
+    assert out["n_invocab"] == [0, 0, 0, 1, 0, 0, 0]
+
+
+def test_packing_tokens_match_token_counts():
+    """``packing._block_tokens`` (the packer's tokens) splits like
+    ``\\S+``."""
+    from hooqu_ray.pipelines.packing import _block_tokens
+
+    a = pa.array(_NON_RE2_SPACE)
+    assert len(_block_tokens(pa.table({"text": a}), "text")) == int(
+        whitespace_token_counts(a).sum())
