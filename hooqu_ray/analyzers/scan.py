@@ -441,10 +441,19 @@ class _StdBound(BoundScan):
         n = _valid_count(values)
         if n == 0:
             return None
+        finite = values[np.isfinite(values)]
+        # near DBL_MAX the finite values' sum overflows: take the moments
+        # of the values scaled by a power of two, exact in binary, so the
+        # mean comes back finite (in-range data never takes this branch)
+        exp = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            if not np.isfinite(finite.sum()):
+                exp = int(np.frexp(np.abs(finite).max())[1])
+                values = np.ldexp(values, -exp)
             avg = float(np.nanmean(values))
             m2 = float(np.nansum((values - avg) ** 2))
+            avg, m2 = float(np.ldexp(avg, exp)), float(np.ldexp(m2, 2 * exp))
         return _StdMoments(
             float(n),
             avg,

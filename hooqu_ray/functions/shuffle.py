@@ -18,7 +18,9 @@ so any per-bucket merge that is correct on a set of whole keys is a fold
 fold tasks, after one sample wave: bucket b is the b-th range of a sort
 order, each fold sorts its range and also receives the row count (or a
 weight total) of all earlier ranges, so a global row number or stream
-offset is assigned inside the fold.  The folds on top of them:
+offset is assigned inside the fold, and, given a ``tail``, the halo: the
+rows of the earlier ranges that the range may need, composed on the
+driver from each split task's tails.  The folds on top of them:
 
 - :func:`tree_group_sum` — the default entry point for sum/min/max (count
   = sum of a ones column): the exchange with the same Arrow ``group_by``
@@ -31,13 +33,13 @@ offset is assigned inside the fold.  The folds on top of them:
   (near-unique ids, content hashes, full-row set keys).
 - :func:`per_key_fold` — the run-cutting fold for logic that must see
   exactly one key at a time (a per-LSH-bucket pair scan, one index file
-  per bucket, a boundary repair's ``merge``): sort the bucket by the keys,
-  cut it at key changes, call ``fn`` once per run and concatenate.
+  per bucket): sort the bucket by the keys, cut it at key changes, call
+  ``fn`` once per run and concatenate.
 
-Order-dependent per-key logic (turn-order checks, windows, sessions) runs
-on ``sorted_scan``: complete-key kernels on :func:`hash_exchange`,
-hot-key block/merge ops on :func:`range_exchange` with a boundary repair
-that is a :func:`per_key_fold`.  A top-n needs no exchange:
+Order-dependent per-key logic (turn-order checks, windows) runs on
+``sorted_scan``: a kernel over complete keys on :func:`hash_exchange`,
+or, for keys that can be hot, the same kernel over each range plus its
+halo on :func:`range_exchange`.  A top-n needs no exchange:
 :func:`top_n` per block, then once more over the candidates on the
 driver.
 """
@@ -181,16 +183,21 @@ def top_n(t: pa.Table, sort_keys, n: int) -> pa.Table:
     return t.take(sort_indices(t, sort_keys)[:n])
 
 
-def _hash_route(keys, num_buckets, t: pa.Table) -> np.ndarray:
-    """Bucket of each row for :func:`hash_exchange`: ``hash64(keys) % B``."""
-    return (_row_hash64(t, keys) % np.uint64(num_buckets)).astype(np.int64)
+def _hash_route(keys, num_buckets, t: pa.Table):
+    """Rows of ``t`` cut into :func:`hash_exchange`'s buckets
+    (``hash64(keys) % B``): the stable argsort on the bucket, so each
+    bucket's rows stay in input order, and the row count of each bucket."""
+    b = (_row_hash64(t, keys) % np.uint64(num_buckets)).astype(np.int64)
+    return np.argsort(b, kind="stable"), np.bincount(b, minlength=num_buckets)
 
 
-def _range_route(sort_keys, bounds: pa.Table, t: pa.Table) -> np.ndarray:
-    """Range of each row for :func:`range_exchange`: the number of
-    boundary tuples at or before the row's ``sort_keys`` tuple, from one
-    :func:`sort_indices` over the rows plus the boundaries (a boundary
-    sorts before the rows equal to it, so equal tuples share a range)."""
+def _range_route(sort_keys, bounds: pa.Table, t: pa.Table):
+    """Rows of ``t`` cut into :func:`range_exchange`'s ranges: the rows in
+    :func:`sort_indices` order of their ``sort_keys`` tuples, and the row
+    count of each range.  A row's range is the number of boundary tuples
+    at or before its tuple, from one sort over the rows plus the
+    boundaries (a boundary sorts before the rows equal to it, so equal
+    tuples share a range), so each range's rows are a sorted slice."""
     n = len(t)
     both = pa.concat_tables([t.select(bounds.column_names), bounds],
                             promote_options="permissive")
@@ -198,45 +205,49 @@ def _range_route(sort_keys, bounds: pa.Table, t: pa.Table) -> np.ndarray:
         np.r_[np.ones(n, np.int8), np.zeros(len(bounds), np.int8)]))
     order = sort_indices(both, [*sort_keys, ("__row", "ascending")]).to_numpy()
     row = order < n
-    out = np.empty(n, dtype=np.int64)
-    out[order[row]] = np.cumsum(~row)[row]
-    return out
+    return order[row], np.bincount(np.cumsum(~row)[row],
+                                   minlength=len(bounds) + 1)
 
 
-def _split_block(route, weight, pre, num_buckets, *blocks):
-    """Split task of both exchanges over a contiguous run of blocks:
-    ``pre`` of each block, the results concatenated in block order, then
-    one bucket per row (``route``) and one stable argsort on it.  Returns
-    the per-bucket row counts and ``weight`` column totals (the counts
-    again when ``weight`` is None) as one ``(2, B)`` array, then one table
-    per bucket, rows in input order within each bucket."""
-    ts = [_as_arrow(b) for b in blocks]
-    if pre is not None:
-        ts = [pre(t) for t in ts]
+def _pre_each(pres, blocks):
+    """Each block as an Arrow table through its ``pre`` (None keeps it)."""
+    return [t if p is None else p(t)
+            for p, t in zip(pres, map(_as_arrow, blocks))]
+
+
+def _split_block(route, weight, tail, pres, *blocks):
+    """Split task of both exchanges over a contiguous run of blocks: each
+    block through its ``pre`` (``pres``, one per block), the results
+    concatenated in block order, then cut into one part per bucket in the
+    ``route`` order (input order for a hash bucket, sorted for a range).
+    Returns the per-bucket row counts and ``weight`` column totals (the
+    counts again when ``weight`` is None) as one ``(2, B)`` array, paired
+    with each non-empty part's ``tail`` (None for an empty part) when
+    ``tail`` is given, then one table per bucket."""
+    ts = _pre_each(pres, blocks)
     # a block that ``pre`` empties sends no rows, so its schema never
     # meets the others (as in the fold, which sees only non-empty parts)
     t = pa.concat_tables([t for t in ts if len(t)] or ts[:1],
                          promote_options="permissive")
-    b = route(t)
-    order = np.argsort(b, kind="stable")
-    counts = np.bincount(b, minlength=num_buckets)
+    order, counts = route(t)
     ends = np.cumsum(counts)
     sums = counts
     if weight is not None:
         w = pc.fill_null(t.column(weight), 0).to_numpy()
         cum = np.r_[0, np.cumsum(w[order], dtype=np.int64)]
         sums = cum[ends] - cum[ends - counts]
-    return (np.stack([counts, sums]),
-            *[t.take(order[e - c:e]) for c, e in zip(counts, ends)])
+    parts = [t.take(order[e - c:e]) for c, e in zip(counts, ends)]
+    head = np.stack([counts, sums])
+    if tail is not None:
+        head = (head, [tail(p) if len(p) else None for p in parts])
+    return (head, *parts)
 
 
-def _sample_run(cols, pre, size, *blocks):
-    """Sample task of :func:`range_exchange` over a run of blocks: ``pre``
-    of each block, then ``cols`` of up to ``size`` evenly spaced rows, and
-    the run's row count."""
-    ts = [_as_arrow(b) for b in blocks]
-    if pre is not None:
-        ts = [pre(t) for t in ts]
+def _sample_run(cols, size, pres, *blocks):
+    """Sample task of :func:`range_exchange` over a run of blocks: each
+    block through its ``pre``, then ``cols`` of up to ``size`` evenly
+    spaced rows, and the run's row count."""
+    ts = _pre_each(pres, blocks)
     t = pa.concat_tables([t.select(cols) for t in ts if len(t)] or
                          [ts[0].select(cols)], promote_options="permissive")
     n = len(t)
@@ -257,14 +268,37 @@ def _boundaries(samples, sort_keys, num_buckets: int) -> pa.Table:
     return t.take(order[np.minimum(cuts, len(order) - 1)])
 
 
-def _sorted_fold(sort_keys, fold, t: pa.Table, before: int) -> pa.Table:
+def _sorted_fold(sort_keys, fold, t: pa.Table, before: int,
+                 *halo) -> pa.Table:
     """Fold of :func:`range_exchange`: sort the range, then ``fold(t,
-    before)`` (the range itself when ``fold`` is None)."""
+    before)``, or ``fold(t, before, halo)`` with a tail (the range itself
+    when ``fold`` is None)."""
     if len(t):
         t = t.take(sort_indices(t, sort_keys))
     elif t.num_columns == 0:  # the input had no schema: no fold
         return t
-    return t if fold is None else fold(t, before)
+    return t if fold is None else fold(t, before, *halo)
+
+
+def _halos(sort_keys, tail, tails, num_buckets: int) -> list:
+    """The halo of each range for :func:`range_exchange`: ``tail`` of the
+    sorted rows of all earlier ranges.  Tails compose, tail(A ∪ B) =
+    tail(tail(A) ∪ tail(B)), so range b's halo is ``tail`` of the previous
+    halo plus the split tasks' tails of range b - 1, never of the ranges'
+    rows.  A non-empty range with no earlier rows gets a 0-row halo; an
+    empty range, which has no fold, gets None."""
+    halos, halo = [], None
+    for b in range(num_buckets):
+        parts = [tl[b] for tl in tails if tl[b] is not None]
+        if not parts:
+            halos.append(None)
+            continue
+        halos.append(parts[0].slice(0, 0) if halo is None else halo)
+        both = pa.concat_tables(([] if halo is None else [halo]) + parts,
+                                promote_options="permissive")
+        halo = tail(both.take(sort_indices(both, sort_keys))) if len(both) \
+            else both
+    return halos
 
 
 def _contiguous_runs(sizes, runs: int) -> np.ndarray:
@@ -282,11 +316,14 @@ def _contiguous_runs(sizes, runs: int) -> np.ndarray:
     return np.r_[0, ends, n]
 
 
-def _fold_bucket(fold, before, *parts):
+def _fold_bucket(fold, before, halo, *parts):
     """Fold task of both exchanges: one bucket's parts, folded once (with
-    ``before``, the weight of the earlier ranges, unless it is None)."""
+    ``before``, the weight of the earlier ranges, unless it is None, and
+    the range's ``halo`` unless it is None)."""
     t = pa.concat_tables(parts, promote_options="permissive")
-    return fold(t) if before is None else fold(t, before)
+    if before is None:
+        return fold(t)
+    return fold(t, before) if halo is None else fold(t, before, halo)
 
 
 def key_runs(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
@@ -414,65 +451,82 @@ def hash_exchange(ds, keys: Sequence[str],
     ``fold`` of a 0-row table with no columns (a map over all-empty
     blocks has no schema).  So ``fold`` must accept a 0-row table that
     may lack columns, and returns its op's typed empty result."""
-    ds, runs, num_buckets = _plan(ds)
+    inputs, runs, num_buckets = _plan(ds, pre)
     route = functools.partial(_hash_route, list(keys), num_buckets)
-    return _exchange(ds, runs, num_buckets, route, fold, pre, None, False)
+    return _exchange(inputs, runs, num_buckets, route, fold)
 
 
-def _plan(ds):
-    """The materialized input, its non-empty blocks cut into S contiguous
-    runs of about equal bytes (lists of block refs), and B."""
-    ds = ds.materialize()
-    blocks = [(ref, meta.size_bytes or 0)
-              for bundle in ds.iter_internal_ref_bundles()
+def _plan(ds, pre):
+    """The materialized inputs, their non-empty blocks cut into S
+    contiguous runs of about equal bytes, each run a ``(pres, refs)``
+    pair (one ``pre`` per block), and B.  ``ds`` is a Dataset with its
+    per-block ``pre``, or a list of Datasets with a list of one ``pre``
+    each: the exchange then reads the union of their blocks, each block
+    through its own input's ``pre``, where a Ray Data ``union`` would cost
+    an execution."""
+    inputs = list(zip(ds, pre)) if isinstance(ds, list) else [(ds, pre)]
+    inputs = [(d.materialize(), p) for d, p in inputs]
+    blocks = [(ref, meta.size_bytes or 0, p) for d, p in inputs
+              for bundle in d.iter_internal_ref_bundles()
               for ref, meta in bundle.blocks if meta.num_rows != 0]
     num_buckets = int(min(MAX_BUCKETS, max(
-        _default_buckets(ds.count()),
-        -(-ds.size_bytes() // BUCKET_MAX_BYTES))))
-    bounds = _contiguous_runs(np.maximum([n for _, n in blocks], 1),
+        _default_buckets(sum(d.count() for d, _ in inputs)),
+        -(-sum(d.size_bytes() for d, _ in inputs) // BUCKET_MAX_BYTES))))
+    bounds = _contiguous_runs(np.maximum([n for _, n, _ in blocks], 1),
                               min(len(blocks), num_buckets))
-    runs = [[ref for ref, _ in blocks[a:b]]
+    runs = [([p for _, _, p in blocks[a:b]], [r for r, _, _ in blocks[a:b]])
             for a, b in zip(bounds[:-1], bounds[1:])]
-    return ds, runs, num_buckets
+    return inputs, runs, num_buckets
 
 
-def _exchange(ds, runs, num_buckets, route, fold, pre, weight, ranged):
-    """Split each run by ``route`` and fold each non-empty bucket once;
-    when ``ranged``, the fold of bucket b also receives the ``weight``
-    total of buckets < b.
-    Returns the folds in bucket order, or the fold of the typed empty
-    input when no row reaches one (see :func:`hash_exchange`)."""
+def _exchange(inputs, runs, num_buckets, route, fold, weight=None,
+              sort_keys=None, tail=None):
+    """Split each run by ``route`` and fold each non-empty bucket once.
+    With ``sort_keys`` (a range exchange) the fold of range b also
+    receives the ``weight`` total of ranges < b, and with ``tail`` their
+    halo (:func:`_halos`).  Returns the folds in bucket order, or the fold
+    of the typed empty input when no row reaches one (see
+    :func:`hash_exchange`)."""
     import ray
     import ray.data as rd
 
     from ..util import dataset_arrow_schema
 
+    ranged = sort_keys is not None
     split = _remote(_split_block).options(num_returns=num_buckets + 1)
-    splits = [split.remote(route, weight, pre, num_buckets, *run)
-              for run in runs]
+    splits = [split.remote(route, weight, tail, pres, *refs)
+              for pres, refs in runs]
     counts = ray.get([s[0] for s in splits])
+    halos = [None] * num_buckets
+    if tail is not None and counts:
+        counts, tails = zip(*counts)
+        halos = _halos(sort_keys, tail, tails, num_buckets)
     before = np.zeros(num_buckets, dtype=np.int64)
     if counts and ranged:
         before[1:] = np.cumsum(np.sum(counts, axis=0)[1])[:-1]
     fold_ref = ray.put(fold)
     folds = [
         _remote(_fold_bucket).remote(
-            fold_ref, int(before[b]) if ranged else None,
+            fold_ref, int(before[b]) if ranged else None, halos[b],
             *[s[1 + b] for s, c in zip(splits, counts) if c[0, b]])
         for b in range(num_buckets) if any(c[0, b] for c in counts)]
     del splits, fold_ref
     if not folds:
-        schema = dataset_arrow_schema(ds)
         empty = pa.table({})  # no schema: e.g. a map over all-empty blocks
-        if schema is not None:
-            empty = schema.empty_table()
-            empty = empty if pre is None else pre(empty)
-        return rd.from_arrow(_fold_bucket(fold, 0 if ranged else None, empty))
+        for d, pre in inputs:
+            schema = dataset_arrow_schema(d)
+            if schema is not None:
+                empty = schema.empty_table()
+                empty = empty if pre is None else pre(empty)
+                break
+        return rd.from_arrow(_fold_bucket(
+            fold, 0 if ranged else None,
+            empty if tail is not None else None, empty))
     return rd.from_arrow_refs(folds)
 
 
 def range_exchange(ds, sort_keys, fold=None, *, pre=None,
-                   weight: Optional[str] = None):
+                   weight: Optional[str] = None, tail=None):
     """The engine's one ordered exchange, on :func:`hash_exchange`'s split
     and fold tasks: its output blocks are ranges of the ``sort_keys``
     order (Arrow ``(column, "ascending" | "descending")`` pairs, in
@@ -486,38 +540,51 @@ def range_exchange(ds, sort_keys, fold=None, *, pre=None,
       cuts B - 1 boundary tuples (:func:`_boundaries`);
     - S split tasks route each row to its range with one
       :func:`sort_indices` over the run plus the boundaries (equal tuples
-      share a range, so a tuple never straddles two ranges) and return
-      beside the row counts each range's total of the ``weight`` column
-      (row counts when None);
+      share a range, so a tuple never straddles two ranges), cut the
+      sorted run into one slice per range, and return beside the row
+      counts each range's total of the ``weight`` column (row counts when
+      None) and, with a ``tail``, the ``tail`` of each slice;
     - one fold task per non-empty range sorts it (stable) and calls
       ``fold(t, before)``, where ``before`` is the ``weight`` total of all
       earlier ranges, so a global row number or stream offset is
       ``before`` plus a local cumsum.  No ``fold`` returns the sorted range.
 
-    Costs S sample + S split + B fold tasks and one ``ray.get`` of about
-    16·B sampled rows, a wave more than :func:`hash_exchange`, and no Ray
-    Data execution on a materialized input; ``pre`` runs twice per block.
-    B, S and the typed empty result (``fold(pre(typed empty), 0)``) are as
-    there, except that an input with no schema gives a 0-row table with no
-    columns, unfolded.  A range holds about 1/B of the rows, except that
-    one tuple's rows stay in one range."""
+    ``tail(sorted table) -> table`` names the rows of a range that a later
+    range may need (the last w - 1 rows for a w-row window), and must
+    compose: tail(A ∪ B) = tail(tail(A) ∪ tail(B)).  With it the driver
+    composes each range's halo, ``tail`` of all earlier ranges' rows, from
+    the split tasks' tails (:func:`_halos`), and the fold is ``fold(t,
+    before, halo)`` with the halo sorted and of ``t``'s columns.  So a
+    range needs no boundary repair, and a hot key still spreads over many
+    ranges instead of landing whole in one fold.
+
+    ``ds`` may be a list of Datasets with ``pre`` a list of one step each
+    (a tagged union: :func:`_plan`).  Costs S sample + S split + B fold
+    tasks and one ``ray.get`` of about 16·B sampled rows (and the tails),
+    a wave more than :func:`hash_exchange`, and no Ray Data execution on
+    a materialized input; ``pre`` runs twice per block.  B, S and the
+    typed empty result (``fold(pre(typed empty), 0)``, with a 0-row halo)
+    are as there, except that an input with no schema gives a 0-row table
+    with no columns, unfolded.  A range holds about 1/B of the rows,
+    except that one tuple's rows stay in one range."""
     import ray
 
-    ds, runs, num_buckets = _plan(ds)
+    inputs, runs, num_buckets = _plan(ds, pre)
     cols = [c for c, _ in sort_keys]
     # about 16 sampled rows per range in all, whatever S
     size = -(-16 * num_buckets // max(len(runs), 1))
     sample = _remote(_sample_run)
-    samples = ray.get([sample.remote(cols, pre, size, *run) for run in runs])
+    samples = ray.get([sample.remote(cols, size, pres, *refs)
+                       for pres, refs in runs])
     route = None
     if any(len(s) for s, _ in samples):
         route = functools.partial(_range_route, list(sort_keys),
                                   _boundaries(samples, sort_keys, num_buckets))
     else:  # no row survives ``pre``
         runs = []
-    return _exchange(ds, runs, num_buckets, route,
+    return _exchange(inputs, runs, num_buckets, route,
                      functools.partial(_sorted_fold, list(sort_keys), fold),
-                     pre, weight, True)
+                     weight, list(sort_keys), tail)
 
 
 def bucketed_group_fold(ds, keys, cols, funcs: Optional[Sequence[str]] = None,

@@ -1693,11 +1693,13 @@ def turn_gap_stats(ds, *, conv_col: str = "conv_id", ts_col: str = "ts",
     bot).
 
     Composition: :func:`~hooqu_ray.pipelines.windows.lag_delta` (one
-    range exchange + vectorized per-block shift + boundary repair) yields the
-    per-turn delta in seconds; null deltas (each conversation's first
-    turn) are filtered and a slim ``groupby(conv)`` Max/Mean/Count
-    finishes.  Single-turn conversations are absent, as in SQL ``GROUP
-    BY`` over non-null ``LAG`` deltas."""
+    range exchange; a vectorized shift over each range plus its halo)
+    yields the per-turn delta in seconds; null deltas (each
+    conversation's first turn) are filtered, each block folds them to
+    per-conversation sum/max/count partials, and ``tree_group_sum``
+    (one hash exchange) combines the partials.  Single-turn
+    conversations are absent, as in SQL ``GROUP BY`` over non-null
+    ``LAG`` deltas."""
 
     from .windows import lag_delta
 

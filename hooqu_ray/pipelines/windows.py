@@ -1,26 +1,22 @@
-"""Per-key rolling-window aggregate (``AVG(x) OVER (PARTITION BY key ORDER
-BY ts, tie ROWS BETWEEN w-1 PRECEDING AND CURRENT ROW)``), Ray-Data-first.
+"""Per-key window operators: rolling and time-window means, running
+sums, LAG/LEAD deltas, FIRST/LAST values, hopping and tumbling
+aggregates.
 
 The reference has no window surface (SURVEY §2.3 "Streaming: nothing");
 rolling features (trailing activity averages, smoothed quality scores) are
-a staple of event-log and training-data pipelines.  Same ordered
-discipline as ``sessions.py``/``asof.py``: the shared sorted scan
-(``functions.sorted_scan``) — ONE range exchange on ``(key, ts, tie)``
-over a slim projection, then a fully vectorized per-block padded-cumsum
-pass — zero Python per row.
+a staple of event-log and training-data pipelines.  The ordered ops run
+on the shared sorted scan (``functions.sorted_scan``): one vectorized
+kernel (padded cumsums, shifts, ``searchsorted``) over a table sorted on
+``(key, ts, tie)``, zero Python per row.  ``running_agg`` needs every
+earlier row of a key, so it runs over complete keys on the hash exchange.
+The bounded windows run over the ranges of ONE range exchange, each with
+its halo, the ``tail`` of all earlier ranges: the last ``w−1`` rows for
+a ``w``-row window, the last ``periods`` rows for LAG/LEAD, and the last
+key's rows within ``span`` of its last ts for the time window.  That is
+every earlier row a range's window can reach, so the kernel's output on
+halo plus range is final, and a hot key spreads over many ranges.
 
-Boundary repair: after a range exchange only a block's FIRST key can continue
-from an earlier block, so only its first ``w−1`` rows can have windows
-reaching back across the boundary; they are re-computed in the scan's
-tiny per-key repair merge fed by ≤ ``w−1`` context rows per block (the last
-``w−1`` rows of each block's LAST key).  Every in-window predecessor of a
-pending row is present in its merge group: in-block predecessors of a
-pending row are themselves pending (they sit even earlier in the first
-``w−1`` rows), and cross-block predecessors are inside the previous
-blocks' ``w−1``-row tails — so the group-local window equals the global
-one.  Nothing is broadcast and the one all-to-all is the range exchange.
-
-Null semantics match SQL: null values don't contribute to the window
+Null semantics match SQL: null values don't contribute to a window
 (``AVG`` skips them; an all-null window yields null); rows with a null key
 or timestamp are dropped (see ``asof.py`` for the rationale).  ``tie``
 must be unique per key (it is the deterministic order tie-break — use a
@@ -36,45 +32,31 @@ import pyarrow.compute as pc
 from ..functions.sorted_scan import sorted_scan
 
 
+def _run_start(keys: np.ndarray) -> np.ndarray:
+    """Index of the first row of each row's key run, in a key-sorted
+    array."""
+    new_key = np.r_[True, keys[1:] != keys[:-1]][:len(keys)]
+    return np.flatnonzero(new_key)[np.cumsum(new_key) - 1]
+
+
 def _rolling_block(t: pa.Table, key: str, value_col: str, w: int,
-                   out_col: str, emit: str) -> pa.Table:
-    """One vectorized pass over a (key, ts, tie)-sorted block.
-
-    ``emit='finals'``: rows whose window is complete in-block, with the
-    rolling mean attached.  ``emit='pend'``: the boundary set — pending
-    first-key head rows (``__emit`` true) plus the last ``w−1`` rows of the
-    block's last key as context (``__emit`` false)."""
-    n = len(t)
-    if n == 0:
-        if emit == "finals":
-            return t.drop_columns([value_col]).append_column(
-                out_col, pa.array([], pa.float64())
-            )
-        return t.append_column("__emit", pa.array([], pa.bool_()))
+                   out_col: str) -> pa.Table:
+    """The trailing ``w``-row mean of every row of a (key, ts, tie)-sorted
+    table, as ``out_col`` in place of ``value_col``: one vectorized
+    padded-cumsum pass."""
     keys = t.column(key).to_numpy(zero_copy_only=False)
-    arange = np.arange(n, dtype=np.int64)
-    pending = (keys == keys[0]) & (arange < w - 1)
+    hi = np.arange(len(t), dtype=np.int64)
+    lo = np.maximum(hi - w + 1, _run_start(keys))
+    mean = _window_mean(t.column(value_col).to_numpy(zero_copy_only=False),
+                        lo, hi)
+    return t.drop_columns([value_col]).append_column(
+        out_col, pa.array(mean, pa.float64(), from_pandas=True))
 
-    if emit == "pend":
-        mask = pending.copy()
-        ctx = np.flatnonzero(keys == keys[-1])[-(w - 1):] if w > 1 else []
-        is_pending = pending.copy()
-        mask[ctx] = True
-        sub = t.filter(pa.array(mask))
-        return sub.append_column("__emit", pa.array(is_pending[mask]))
 
-    new_key = np.r_[True, keys[1:] != keys[:-1]]
-    starts = np.flatnonzero(new_key)
-    run_start = starts[np.cumsum(new_key) - 1]
-    lo = np.maximum(arange - w + 1, run_start)
-    mean = _window_mean(
-        t.column(value_col).to_numpy(zero_copy_only=False), lo, arange
-    )
-    final = ~pending
-    sub = t.filter(pa.array(final))
-    return sub.drop_columns([value_col]).append_column(
-        out_col, pa.array(mean[final], pa.float64(), from_pandas=True)
-    )
+def _last_rows(n: int):
+    """``tail`` of a window over the ``n`` preceding rows: the last ``n``
+    rows of a sorted table (at most ``n`` rows)."""
+    return lambda t: t.slice(max(len(t) - n, 0))
 
 
 def _window_mean(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -122,77 +104,32 @@ def _time_window_stats(ts: np.ndarray, vals: np.ndarray, starts: np.ndarray,
 
 
 def _time_block(t: pa.Table, key: str, ts_col: str, value_col: str,
-                span_seconds: float, emit: str) -> pa.Table:
-    """One vectorized pass over a (key, ts)-sorted block for the time
-    window.  ``emit='finals'``: rows whose window is provably in-block.
-    ``emit='pend'``: boundary rows — pending (window may cross a block
-    edge: first-key rows with ``ts <= first_ts + span``, plus last-key rows
-    tied with the block's last ts, whose equal-ts peers may sit in the next
-    block) with ``__emit`` true, and context rows (last-key rows within
-    ``span`` of the block's last ts; first-key rows tied with the first ts)
-    with ``__emit`` false."""
-    n = len(t)
-    if n == 0:
-        if emit == "finals":
-            return t.drop_columns([value_col]).append_column(
-                "tw_mean", pa.array([], pa.float64())
-            ).append_column("tw_n", pa.array([], pa.int64()))
-        return t.append_column("__emit", pa.array([], pa.bool_()))
+                span_seconds: float) -> pa.Table:
+    """``tw_mean``/``tw_n`` over the ts-set window ``[t − span, t]`` of
+    every row of a (key, ts)-sorted table, in place of ``value_col``."""
     keys = t.column(key).to_numpy(zero_copy_only=False)
     ts = t.column(ts_col).to_numpy(zero_copy_only=False)
-    span = _span_scalar(ts, span_seconds)
-    first_key = keys == keys[0]
-    last_key = keys == keys[-1]
-    pending = (first_key & (ts <= ts[0] + span)) | (last_key & (ts == ts[-1]))
-
-    if emit == "pend":
-        ctx = (last_key & (ts >= ts[-1] - span)) | (first_key & (ts == ts[0]))
-        mask = pending | ctx
-        sub = t.filter(pa.array(mask))
-        return sub.append_column("__emit", pa.array(pending[mask]))
-
-    new_key = np.r_[True, keys[1:] != keys[:-1]]
-    starts = np.flatnonzero(new_key)
-    ends = np.r_[starts[1:], n]
+    starts = np.flatnonzero(_run_start(keys) == np.arange(len(t)))
     mean, cnt = _time_window_stats(
         ts, t.column(value_col).to_numpy(zero_copy_only=False),
-        starts, ends, span,
-    )
-    final = ~pending
-    sub = t.filter(pa.array(final))
-    return sub.drop_columns([value_col]).append_column(
-        "tw_mean", pa.array(mean[final], pa.float64(), from_pandas=True)
-    ).append_column("tw_n", pa.array(cnt[final], pa.int64()))
+        starts, np.r_[starts[1:], len(t)][:len(starts)],
+        _span_scalar(ts, span_seconds))
+    return t.drop_columns([value_col]).append_column(
+        "tw_mean", pa.array(mean, pa.float64(), from_pandas=True)
+    ).append_column("tw_n", pa.array(cnt, pa.int64()))
 
 
-class _MergeBoundaryTime:
-    """Per-key boundary repair for the time window: one boundary key's pending +
-    context rows, re-windowed over the group (a pending row's every global
-    window row is in the group — in-block rows inside its window satisfy the
-    pending bound themselves, cross-block rows are inside the adjacent
-    blocks' span-tail context), emitting only pending rows.  Group size is
-    bounded by the key's row density within ``span`` of each block edge —
-    a window wider than a whole block degrades toward per-key grouping,
-    never worse than a plain ``groupby(key)`` over the full data."""
+def _time_tail(key: str, ts_col: str, span_seconds: float):
+    """``tail`` of the time window: the rows of a sorted table's last key
+    within ``span`` of its last ts, every row a later row of that key can
+    window over (bounded by the key's row density over ``span``)."""
+    def tail(t: pa.Table) -> pa.Table:
+        keys = t.column(key).to_numpy(zero_copy_only=False)
+        ts = t.column(ts_col).to_numpy(zero_copy_only=False)
+        near = ts >= ts[-1] - _span_scalar(ts, span_seconds)
+        return t.filter(pa.array((keys == keys[-1]) & near))
 
-    def __init__(self, ts_col: str, value_col: str, span_seconds: float):
-        self.ts_col = ts_col
-        self.value_col = value_col
-        self.span_seconds = span_seconds
-
-    def __call__(self, g: pa.Table) -> pa.Table:
-        g = g.sort_by([(self.ts_col, "ascending")])
-        ts = g.column(self.ts_col).to_numpy(zero_copy_only=False)
-        span = _span_scalar(ts, self.span_seconds)
-        mean, cnt = _time_window_stats(
-            ts, g.column(self.value_col).to_numpy(zero_copy_only=False),
-            np.array([0]), np.array([len(g)]), span,
-        )
-        emit = g.column("__emit").to_numpy(zero_copy_only=False)
-        sub = g.filter(pa.array(emit))
-        return sub.drop_columns([self.value_col, "__emit"]).append_column(
-            "tw_mean", pa.array(mean[emit], pa.float64(), from_pandas=True)
-        ).append_column("tw_n", pa.array(cnt[emit], pa.int64()))
+    return tail
 
 
 def time_window_mean(ds, key: str, ts_col: str, id_col: str, value_col: str,
@@ -201,47 +138,18 @@ def time_window_mean(ds, key: str, ts_col: str, id_col: str, value_col: str,
     ``value_col`` and the row count over the key's rows with ``ts`` in
     ``[t − span, t]`` — the ts-SET window (equal-ts peers always included,
     regardless of order), i.e. SQL's ``(SELECT avg(v), count(*) FROM self i
-    WHERE i.key = o.key AND i.ts BETWEEN o.ts - span AND o.ts)``.  Same
-    sort + vectorized block pass + boundary repair discipline as
-    :func:`rolling_mean`; see ``_MergeBoundaryTime`` for the dense-window
-    caveat.  Returns ``[key, ts_col, id_col, tw_mean, tw_n]``."""
+    WHERE i.key = o.key AND i.ts BETWEEN o.ts - span AND o.ts)``.  One
+    range exchange on ``(key, ts)``, so equal-ts peers never straddle two
+    ranges, and the kernel over each range plus its halo
+    (:func:`_time_tail`).  Returns ``[key, ts_col, id_col, tw_mean,
+    tw_n]``."""
     if span_seconds < 0:
         raise ValueError(f"time_window_mean: span must be ≥ 0, got {span_seconds}")
 
     return sorted_scan(
-        ds, [key, ts_col, id_col, value_col], key, [ts_col, id_col],
-        non_null=[ts_col],
-        block=lambda t, emit: _time_block(t, key, ts_col, value_col,
-                                          span_seconds, emit),
-        merge=_MergeBoundaryTime(ts_col, value_col, span_seconds))
-
-
-class _MergeBoundaryRolling:
-    """Per-key boundary repair: order one boundary key's pending + context rows
-    and re-run the window over the group (group-local windows equal global
-    ones — see module docstring), emitting only the pending rows."""
-
-    def __init__(self, ts_col: str, tie: str, value_col: str, w: int,
-                 out_col: str):
-        self.ts_col = ts_col
-        self.tie = tie
-        self.value_col = value_col
-        self.w = w
-        self.out_col = out_col
-
-    def __call__(self, g: pa.Table) -> pa.Table:
-        g = g.sort_by([(self.ts_col, "ascending"), (self.tie, "ascending")])
-        n = len(g)
-        arange = np.arange(n, dtype=np.int64)
-        lo = np.maximum(arange - self.w + 1, 0)
-        mean = _window_mean(
-            g.column(self.value_col).to_numpy(zero_copy_only=False), lo, arange
-        )
-        emit = g.column("__emit").to_numpy(zero_copy_only=False)
-        sub = g.filter(pa.array(emit))
-        return sub.drop_columns([self.value_col, "__emit"]).append_column(
-            self.out_col, pa.array(mean[emit], pa.float64(), from_pandas=True)
-        )
+        ds, [key, ts_col, id_col, value_col], key, [ts_col],
+        lambda t: _time_block(t, key, ts_col, value_col, span_seconds),
+        non_null=[ts_col], tail=_time_tail(key, ts_col, span_seconds))
 
 
 def rolling_mean(ds, key: str, ts_col: str, tie: str, value_col: str,
@@ -254,10 +162,8 @@ def rolling_mean(ds, key: str, ts_col: str, tie: str, value_col: str,
 
     return sorted_scan(
         ds, [key, ts_col, tie, value_col], key, [ts_col, tie],
-        non_null=[ts_col],
-        block=lambda t, emit: _rolling_block(t, key, value_col, window,
-                                             out_col, emit),
-        merge=_MergeBoundaryRolling(ts_col, tie, value_col, window, out_col))
+        lambda t: _rolling_block(t, key, value_col, window, out_col),
+        non_null=[ts_col], tail=_last_rows(window - 1))
 
 
 def hopping_window_agg(ds, key_col: str, ts_col: str, value_col: str,
@@ -365,8 +271,7 @@ def _running_block(t: pa.Table, key: str, value_col: str) -> pa.Table:
     vals = t.column(value_col).to_numpy(zero_copy_only=False).astype(
         np.float64, copy=False
     )
-    new_key = np.r_[True, keys[1:] != keys[:-1]]
-    run_start = np.flatnonzero(new_key)[np.cumsum(new_key) - 1]
+    run_start = _run_start(keys)
     valid = ~np.isnan(vals)
     cs = np.r_[0.0, np.cumsum(np.where(valid, vals, 0.0))]
     cc = np.r_[0, np.cumsum(valid)]
@@ -389,9 +294,9 @@ def running_agg(ds, key: str, ts_col: str, tie: str, value_col: str):
     A complete-key ``sorted_scan`` kernel: one hash exchange on the key
     over a 4-column projection, then a fully vectorized padded-cumsum
     pass over each bucket's whole, ``(key, ts, tie)``-sorted keys.  A
-    running total needs every earlier row of its key, so a boundary
-    repair would receive all of a boundary key's rows anyway: the
-    block/merge arm bounds nothing here.  Null semantics match SQL: null
+    running total needs every earlier row of its key, so a range's halo
+    would hold all of a key's earlier rows: a ``tail`` bounds nothing
+    here.  Null semantics match SQL: null
     values don't advance the sum (an all-null prefix yields null);
     ``run_n`` counts every row.  Rows with a null key or ts are dropped
     (cf. ``asof.py``).  ``tie`` must be unique per key.  Returns
@@ -404,86 +309,23 @@ def running_agg(ds, key: str, ts_col: str, tie: str, value_col: str):
 
 
 def _lag_block(t: pa.Table, key: str, value_col: str, periods: int,
-               emit: str, forward: bool = False) -> pa.Table:
-    """One vectorized pass over a (key, ts, tie)-sorted block for LAG
-    (``forward=False``) or LEAD (``forward=True`` — the block is then
-    sorted ts/tie-DESCENDING within each key, so the positional
-    predecessor is the logical successor; the output column becomes
-    ``next_value`` and the delta flips to ``next − v``).
-
-    ``emit='finals'``: rows with their in-block predecessor resolved (the
-    first ``periods`` rows of the block's FIRST key are pending — their
-    predecessor may sit in the previous block).  ``emit='pend'``: those
-    pending rows (``__emit`` true) plus the last ``periods`` rows of the
-    block's LAST key as context (``__emit`` false)."""
-    out_col = "next_value" if forward else "prev_value"
-    n = len(t)
-    if n == 0:
-        if emit == "finals":
-            return t.append_column(
-                out_col, pa.array([], pa.float64())
-            ).append_column("delta", pa.array([], pa.float64()))
-        return t.append_column("__emit", pa.array([], pa.bool_()))
+               forward: bool = False) -> pa.Table:
+    """LAG (``forward=False``) of every row of a (key, ts, tie)-sorted
+    table, as ``prev_value`` and ``delta = v − prev``: one vectorized
+    shift.  For LEAD (``forward=True``) the table is sorted ts/tie
+    DESCENDING within each key, so the positional predecessor is the
+    logical successor; the column is then ``next_value`` and the delta
+    ``next − v``."""
     keys = t.column(key).to_numpy(zero_copy_only=False)
-    arange = np.arange(n, dtype=np.int64)
-    pending = (keys == keys[0]) & (arange < periods)
-
-    if emit == "pend":
-        mask = pending.copy()
-        ctx = np.flatnonzero(keys == keys[-1])[-periods:]
-        mask[ctx] = True
-        sub = t.filter(pa.array(mask))
-        return sub.append_column("__emit", pa.array(pending[mask]))
-
     vals = t.column(value_col).to_numpy(zero_copy_only=False).astype(
-        np.float64, copy=False
-    )
-    new_key = np.r_[True, keys[1:] != keys[:-1]]
-    run_start = np.flatnonzero(new_key)[np.cumsum(new_key) - 1]
-    src = arange - periods
-    ok = src >= run_start
-    prev = np.where(ok, vals[np.maximum(src, 0)], np.nan)
+        np.float64, copy=False)
+    src = np.arange(len(t), dtype=np.int64) - periods
+    prev = np.where(src >= _run_start(keys), vals[np.maximum(src, 0)], np.nan)
     delta = (prev - vals) if forward else (vals - prev)
-    final = ~pending
-    sub = t.filter(pa.array(final))
-    prev_a = pa.array(prev[final], pa.float64(), from_pandas=True)
-    return sub.append_column(out_col, prev_a).append_column(
-        "delta", pa.array(delta[final], pa.float64(), from_pandas=True)
-    )
-
-
-class _MergeBoundaryLag:
-    """Per-key boundary repair: order one boundary key's pending + context rows
-    and re-resolve the lag (or lead, ``forward=True``) over the group,
-    emitting only pending rows."""
-
-    def __init__(self, ts_col: str, tie: str, value_col: str, periods: int,
-                 forward: bool = False):
-        self.ts_col = ts_col
-        self.tie = tie
-        self.value_col = value_col
-        self.periods = periods
-        self.forward = forward
-
-    def __call__(self, g: pa.Table) -> pa.Table:
-        order = "descending" if self.forward else "ascending"
-        g = g.sort_by([(self.ts_col, order), (self.tie, order)])
-        vals = g.column(self.value_col).to_numpy(zero_copy_only=False).astype(
-            np.float64, copy=False
-        )
-        n = len(g)
-        src = np.arange(n, dtype=np.int64) - self.periods
-        prev = np.where(src >= 0, vals[np.maximum(src, 0)], np.nan)
-        delta = (prev - vals) if self.forward else (vals - prev)
-        emit = g.column("__emit").to_numpy(zero_copy_only=False)
-        sub = g.filter(pa.array(emit)).drop_columns(["__emit"])
-        out_col = "next_value" if self.forward else "prev_value"
-        return sub.append_column(
-            out_col, pa.array(prev[emit], pa.float64(), from_pandas=True)
-        ).append_column(
-            "delta",
-            pa.array(delta[emit], pa.float64(), from_pandas=True),
-        )
+    return t.append_column(
+        "next_value" if forward else "prev_value",
+        pa.array(prev, pa.float64(), from_pandas=True),
+    ).append_column("delta", pa.array(delta, pa.float64(), from_pandas=True))
 
 
 def lag_delta(ds, key: str, ts_col: str, tie: str, value_col: str,
@@ -493,11 +335,10 @@ def lag_delta(ds, key: str, ts_col: str, tie: str, value_col: str,
     changes, monotonicity checks.
 
     Same discipline as :func:`rolling_mean`: one range exchange of a
-    4-column projection, a vectorized per-block shift, and a boundary
-    repair touching only the first ``periods`` rows of each block's first
-    key (context = the last ``periods`` rows of the previous block's last
-    key).  The first ``periods`` rows of each key get null ``prev_value``
-    and ``delta`` (SQL LAG default).  Rows with a null key or ts are
+    4-column projection and a vectorized shift over each range plus its
+    halo, the last ``periods`` rows of the earlier ranges.  The first
+    ``periods`` rows of each key get null ``prev_value`` and ``delta``
+    (SQL LAG default).  Rows with a null key or ts are
     dropped; ``tie`` must be unique per key.  Returns
     ``[key, ts_col, tie, value_col, prev_value, delta]``."""
     return _lag_lead_scaffold(ds, key, ts_col, tie, value_col, periods,
@@ -514,9 +355,9 @@ def lead_delta(ds, key: str, ts_col: str, tie: str, value_col: str,
     Exactly the :func:`lag_delta` machinery run over the REVERSED
     per-key order: the one range exchange orders ``[key, ts DESC, tie
     DESC]``, under which each row's positional predecessor is its
-    logical successor, so the same vectorized shift + O(#blocks)
-    boundary repair apply unchanged (the repair re-sorts its ≤
-    2·periods-row groups descending).  The last ``periods`` rows of each
+    logical successor, so the same vectorized shift and halo (the last
+    ``periods`` rows of the earlier ranges in that order) apply
+    unchanged.  The last ``periods`` rows of each
     key get null ``next_value``/``delta`` (SQL LEAD default).  Rows with
     a null key or ts are dropped; ``tie`` must be unique per key.
     Returns ``[key, ts_col, tie, value_col, next_value, delta]`` with
@@ -534,10 +375,9 @@ def _lag_lead_scaffold(ds, key: str, ts_col: str, tie: str, value_col: str,
 
     return sorted_scan(
         ds, [key, ts_col, tie, value_col], key, [ts_col, tie],
+        lambda t: _lag_block(t, key, value_col, periods, forward),
         descending=[False, forward, forward], non_null=[ts_col],
-        block=lambda t, emit: _lag_block(t, key, value_col, periods, emit,
-                                         forward),
-        merge=_MergeBoundaryLag(ts_col, tie, value_col, periods, forward))
+        tail=_last_rows(periods))
 
 
 def _first_last_combine(key: str):

@@ -166,6 +166,18 @@ class TestMeanSumStd:
         else:
             assert isinstance(m.value, Failure)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("att2", [
+        [8.988466e307, 8.988466e307],
+        [8.988466e307, np.nan, np.nan, 8.988466e307]],
+        ids=["two_values", "nans_between"])
+    def test_std_exact_near_dbl_max(self, att2, chunk_rows):
+        """Equal values whose sum overflows have std 0.0 in any chunking
+        (the two explicit examples of ``test_std_matches_pandas``)."""
+        df = pd.DataFrame({"item": range(len(att2)), "att2": att2})
+        m = metric(df, hq.StandardDeviation("att2"), chunk_rows=chunk_rows)
+        assert m.value == Success(0.0)
+
     def test_filtered_goldens(self, df_with_numeric_values):
         df = df_with_numeric_values
         w = "item != '6'"

@@ -13,7 +13,6 @@ import pytest
 
 import hooqu_ray as hq
 from hooqu_ray.functions import shuffle
-from hooqu_ray.functions import sorted_scan as ss
 from hooqu_ray.pipelines import transcripts as tp
 from hooqu_ray.runner import do_analysis_run
 from hooqu_ray.util import collect_arrow
@@ -242,21 +241,100 @@ def _events(blocks=4):
     return rd.from_arrow(t).repartition(blocks).materialize()
 
 
-@pytest.mark.parametrize("driver", [True, False])
+@pytest.mark.parametrize("many_ranges", [True, False])
 def test_driver_repair_plans_no_groupby(ray_session, monkeypatch,
-                                        exchange_tasks, driver):
+                                        exchange_tasks, many_ranges):
+    """``session_stats`` plans no Sort and runs two exchanges: the range
+    exchange that sessionizes each range, and the hash exchange that fuses
+    each key's sessions, over the default ranges or about 12."""
     from hooqu_ray.pipelines import sessions
 
-    monkeypatch.setattr(ss, "DRIVER_REPAIR_MAX_BYTES",
-                        1 << 40 if driver else -1)
+    if many_ranges:
+        monkeypatch.setattr(shuffle, "BUCKET_MAX_ROWS", 50)
     out = sessions.session_stats(_events(), "user_id", "ts", 1800.0)
-    ops = _plan_ops(out)
-    # the range exchange plans no Sort, so any Sort in the plan would be
-    # the repair's: neither arm plans one
-    assert "Sort" not in ops, ops
+    assert "Sort" not in _plan_ops(out)
     assert len(collect_arrow(out)) > 0
-    # the range exchange, plus the distributed arm's repair exchange
-    assert exchange_tasks["exchanges"] == (1 if driver else 2), exchange_tasks
+    assert exchange_tasks["exchanges"] == 2, exchange_tasks
+    assert exchange_tasks["_fold_bucket"] > (12 if many_ranges else 0)
+
+
+def _window_events() -> pa.Table:
+    """:func:`_events`' users and timestamps, an ``event_id`` and a
+    ``value`` with nulls."""
+    rng = np.random.default_rng(3)
+    n = 600
+    ts = np.datetime64("2025-01-01T00:00:00", "us") + np.cumsum(
+        rng.integers(0, 4000, n)).astype("timedelta64[s]")
+    vals = rng.normal(size=n)
+    vals[rng.random(n) < 0.1] = np.nan
+    return pa.table({"user_id": pa.array(rng.integers(0, 5, n), pa.int64()),
+                     "ts": pa.array(rng.permutation(ts)),
+                     "event_id": pa.array(np.arange(n), pa.int64()),
+                     "value": pa.array(vals, from_pandas=True)})
+
+
+def _window_ops():
+    """The ops on the range exchange with a halo, and ``session_stats``,
+    each with its output schema over :func:`_window_events`."""
+    from hooqu_ray.pipelines import sessions, windows
+    from hooqu_ray.pipelines.asof import asof_join
+
+    ev = ("user_id", "ts", "event_id", "value")
+    i64, f64, ts = pa.int64(), pa.float64(), pa.timestamp("us")
+    base = [("user_id", i64), ("ts", ts), ("event_id", i64)]
+    return {
+        "rolling_mean": (
+            lambda ds: windows.rolling_mean(ds, *ev, 3),
+            pa.schema(base + [("rolling_mean", f64)])),
+        "time_window_mean": (
+            lambda ds: windows.time_window_mean(ds, *ev, 1800.0),
+            pa.schema(base + [("tw_mean", f64), ("tw_n", i64)])),
+        "lag_delta": (
+            lambda ds: windows.lag_delta(ds, *ev, 2),
+            pa.schema(base + [("value", f64), ("prev_value", f64),
+                              ("delta", f64)])),
+        "lead_delta": (
+            lambda ds: windows.lead_delta(ds, *ev, 2),
+            pa.schema(base + [("value", f64), ("next_value", f64),
+                              ("delta", f64)])),
+        "session_stats": (
+            lambda ds: sessions.session_stats(ds, "user_id", "ts", 1800.0),
+            pa.schema([("user_id", i64), ("session_idx", i64),
+                       ("n_events", i64), ("t_start", ts), ("t_end", ts)])),
+        "asof_join": (
+            lambda ds: asof_join(ds, ds, "user_id", "user_id", "ts", "ts",
+                                 ["event_id"], ["value"]),
+            pa.schema(base + [("value", f64)])),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_window_ops()))
+def test_window_op_runs_no_execution_on_materialized_input(
+        ray_session, executions, op):
+    import ray.data as rd
+
+    ds = rd.from_arrow(_window_events()).repartition(4).materialize()
+    executions.clear()
+    run, schema = _window_ops()[op]
+    out = collect_arrow(run(ds))
+    assert len(out) > 0 and out.schema == schema
+    assert len(executions) == 0
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+@pytest.mark.parametrize("op", sorted(_window_ops()))
+def test_window_op_typed_when_empty(ray_session, op, blocks):
+    import ray.data as rd
+
+    from hooqu_ray.util import dataset_arrow_schema
+
+    ds = rd.from_arrow(_window_events()).repartition(blocks).map_batches(
+        lambda t: t.slice(0, 0), batch_format="pyarrow").materialize()
+    assert ds.num_blocks() == blocks
+    run, schema = _window_ops()[op]
+    out = run(ds)
+    assert out.count() == 0
+    assert dataset_arrow_schema(out) == schema
 
 
 @pytest.fixture

@@ -119,10 +119,19 @@ def test_asof_join_hot_key_sparse_states(ray_session):
     assert (hot.o_orderkey == 71.0).all()
 
 
-def test_asof_join_half_hot_key_over_64_blocks(ray_session):
+def test_asof_join_half_hot_key_over_64_blocks(ray_session, monkeypatch):
     """One user holds exactly half the probes and a third of the states,
     over 64 probe blocks: its rows span several ranges of the exchange,
-    and the boundary context must still resolve every probe."""
+    and each range's halo must still resolve every probe.  Then over
+    about 26 ranges (``BUCKET_MAX_ROWS`` = 50) with the user's states
+    thinned to its three earliest, so a probe's match sits several ranges
+    back and reaches it only through halos composed over the ranges in
+    between."""
+    import ray
+    import ray.data as rd
+
+    from hooqu_ray.functions import shuffle
+
     events, orders = _asof_frames(n_users=40, n_events=1280, n_orders=300,
                                   seed=12)
     events.loc[: len(events) // 2 - 1, "user_id"] = 3
@@ -132,6 +141,19 @@ def test_asof_join_half_hot_key_over_64_blocks(ray_session):
     pd.testing.assert_frame_equal(got, _asof_oracle(events, orders))
     hot = got.event_id.isin(events.event_id[events.user_id == 3])
     assert got.o_orderkey[hot].notna().sum() > 100
+
+    monkeypatch.setattr(shuffle, "BUCKET_MAX_ROWS", 50)
+    ranges = shuffle.range_exchange(
+        rd.from_pandas(events).repartition(64),
+        [("user_id", "ascending"), ("ts", "ascending")])
+    assert sum(3 in t.column("user_id").to_pylist()
+               for t in ray.get(ranges.to_arrow_refs())) >= 3
+    hot_states = orders[orders.o_custkey == 3].sort_values("o_orderdate")
+    sparse = orders.drop(hot_states.index[3:])
+    got = _run_asof(events, sparse, 64)
+    pd.testing.assert_frame_equal(got, _asof_oracle(events, sparse))
+    last = hot_states.o_orderkey.iloc[2]
+    assert (got.o_orderkey[hot] == last).sum() > 300
 
 
 def test_asof_join_tie_and_boundary_semantics(ray_session):

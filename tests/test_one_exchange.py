@@ -14,7 +14,11 @@ per group) appears nowhere.  Nor does a Ray Data ``sort``, in
 and once more on the driver.  ``shuffle.py`` itself calls no Ray Data
 ``repartition``, ``map_batches``, ``sort`` or ``groupby``: its folds run
 on the exchange's tasks, so a second fold route (a coalesce tree) cannot
-grow back there.
+grow back there.  Nor do ``functions/sorted_scan.py``,
+``pipelines/sessions.py`` and ``pipelines/asof.py`` call ``map_batches``:
+their kernels run in the exchanges' folds, each range with its halo, so
+the post-exchange block passes and their boundary repair cannot grow
+back.
 
 Likewise every ``\\S+`` token count runs on the one byte-level kernel,
 ``functions/strings.whitespace_token_counts``: no engine module counts
@@ -147,6 +151,34 @@ def test_structural_check_catches_planted_dataset_ops(tmp_path):
                  "    return out, ds.map_batches\n")
     assert _dataset_op_calls(p) == [
         (3, "map_batches"), (3, "repartition"), (4, "groupby"), (4, "sort")]
+
+
+# the sorted scan and its range-exchange callers with no own exchange code
+NO_MAPS = ("functions/sorted_scan.py", "pipelines/sessions.py",
+           "pipelines/asof.py")
+
+
+def _maps_after_exchange(root: pathlib.Path):
+    """Lines of every ``map_batches`` call in the ``NO_MAPS`` files under
+    ``root`` that exist."""
+    return {rel: hits for rel in NO_MAPS if (root / rel).exists()
+            and (hits := [line for line, name in
+                          _dataset_op_calls(root / rel)
+                          if name == "map_batches"])}
+
+
+def test_no_map_batches_after_the_exchange():
+    assert _maps_after_exchange(ROOT) == {}
+
+
+def test_structural_check_catches_planted_map_batches(tmp_path):
+    (tmp_path / "pipelines").mkdir()
+    (tmp_path / "pipelines" / "sessions.py").write_text(
+        "def scan(ds, block):\n"
+        "    # ds.map_batches(block) in a comment is fine\n"
+        "    pend = ds.map_batches(lambda t: block(t, 'pend'))\n"
+        "    return pend, ds.map_batches\n")
+    assert _maps_after_exchange(tmp_path) == {"pipelines/sessions.py": [3]}
 
 
 def _token_regex_counts(path: pathlib.Path):

@@ -3,20 +3,19 @@
 
 The same rows arrive in 1, 7 and 64 blocks.  One hot key holds most rows
 and sits in every input block, so after the range exchange it spans
-several ranges and its boundary repair sees partial state from each of
-them.  The
-degenerate inputs are an empty table, one row, and a table whose keys are
-all null.  Ops with an independent pandas reference must match it on every
-input; every op must give identical rows in every layout, and an empty
-result keeps the op's typed schema.
+several ranges and each range's halo carries it over from the ranges
+before.  The degenerate inputs are an empty table, one row, and a table
+whose keys are all null.  Ops with an independent pandas reference must
+match it on every input; every op must give identical rows in every
+layout, and an empty result keeps the op's typed schema.
 
-Kernel (complete-key) ops ride the hash exchange and have no repair.
-Both boundary-repair arms run every ``block``/``merge`` op: the reference
-and layout tests force the driver arm, and a third test forces the
-distributed ``groupby(key)`` arm and requires the driver arm's rows and
-schema on every input; for the kernel ops it proves no repair runs.  A
-fourth gives every ``block``/``merge`` op a key holding exactly half the
-rows over 64 blocks, on both arms.
+Kernel (complete-key) ops ride the hash exchange; the windows, LAG/LEAD
+and sessions ride the range exchange.  A third test cuts every exchange
+into many buckets and requires the default buckets' rows and schema on
+every input.  A fourth gives every range op a key holding exactly half
+the rows over 64 blocks, once over the default ranges and once over
+about 26 ranges with windows, periods, spans and session gaps wider than
+one range, so that each halo composes over several earlier ranges.
 """
 
 import numpy as np
@@ -24,7 +23,6 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from hooqu_ray.functions import sorted_scan as ss
 
 BASE = np.datetime64("2025-01-01T00:00:00", "us")
 CASES = ("p1", "p7", "p64", "empty", "one", "allnull")
@@ -238,11 +236,15 @@ def ref_rank(df):
     return df[["user_id", "value", "event_id"]].assign(rank=rank)
 
 
-def _ops():
+def _ops(window=3, periods=2, span=1800.0):
+    """Each reference op with its input table, its run and its pandas
+    reference, at a ``window`` and ``periods`` and a ``span`` that is both
+    the time window's span and the session gap, in seconds."""
     from hooqu_ray.pipelines import ranks, sessions, windows
     from hooqu_ray.pipelines import transcripts as tp
 
     ev = ("user_id", "ts", "event_id", "value")
+    gap = pd.Timedelta(seconds=span)
     return {
         "truncate_conversations": (
             TURNS, lambda ds: tp.truncate_conversations(ds, 20), ref_truncate),
@@ -253,19 +255,22 @@ def _ops():
         "validate_conversations": (
             TURNS, tp.validate_conversations, ref_validate),
         "time_window_mean": (
-            EVENTS, lambda ds: windows.time_window_mean(ds, *ev, 1800.0),
-            ref_time_window),
+            EVENTS, lambda ds: windows.time_window_mean(ds, *ev, span),
+            lambda df: ref_time_window(df, gap)),
         "rolling_mean": (
-            EVENTS, lambda ds: windows.rolling_mean(ds, *ev, 3), ref_rolling),
+            EVENTS, lambda ds: windows.rolling_mean(ds, *ev, window),
+            lambda df: ref_rolling(df, window)),
         "running_agg": (
             EVENTS, lambda ds: windows.running_agg(ds, *ev), ref_running),
         "lag_delta": (
-            EVENTS, lambda ds: windows.lag_delta(ds, *ev, 2), ref_lag),
+            EVENTS, lambda ds: windows.lag_delta(ds, *ev, periods),
+            lambda df: ref_lag(df, periods)),
         "lead_delta": (
-            EVENTS, lambda ds: windows.lead_delta(ds, *ev, 2), ref_lead),
+            EVENTS, lambda ds: windows.lead_delta(ds, *ev, periods),
+            lambda df: ref_lead(df, periods)),
         "session_stats": (
             EVENTS, lambda ds: sessions.session_stats(
-                ds, "user_id", "ts", 1800.0), ref_sessions),
+                ds, "user_id", "ts", span), lambda df: ref_sessions(df, gap)),
         "grouped_rank": (
             EVENTS, lambda ds: ranks.grouped_rank(
                 ds, "user_id", "value", "event_id"), ref_rank),
@@ -354,25 +359,14 @@ LAYOUT_OPS = sorted([
     "reports_tool_transitions", "grouped_exact_quantile", "grouped_ntile",
     "grouped_percent_rank", "grouped_string_agg",
     "grouped_top_k_distributed"])
-# the block/merge ops: range exchange plus boundary repair on either arm
-REPAIR_OPS = sorted([
+# the ops on the range exchange
+RANGE_OPS = sorted([
     "time_window_mean", "rolling_mean", "lag_delta", "lead_delta",
     "session_stats"])
 
 
-def _force_arm(monkeypatch, driver: bool):
-    monkeypatch.setattr(ss, "DRIVER_REPAIR_MAX_BYTES",
-                        1 << 40 if driver else -1)
-
-
-@pytest.fixture
-def driver_repair(monkeypatch):
-    _force_arm(monkeypatch, driver=True)
-
-
 @pytest.mark.parametrize("op", REFERENCE_OPS)
-def test_matches_pandas_reference_in_every_layout(ray_session, driver_repair,
-                                                  op):
+def test_matches_pandas_reference_in_every_layout(ray_session, op):
     table, run, ref = _ops()[op]
     key = "conv_id" if table is TURNS else "user_id"
     full_names = None
@@ -391,7 +385,7 @@ def test_matches_pandas_reference_in_every_layout(ray_session, driver_repair,
 
 
 @pytest.mark.parametrize("op", LAYOUT_OPS)
-def test_identical_in_every_layout(ray_session, driver_repair, op):
+def test_identical_in_every_layout(ray_session, op):
     table, run, empty_names = _layout_ops()[op]
     key = "conv_id" if table is TURNS else "user_id"
     outs = {case: _collect(run(_dataset(table, key, case))) for case in CASES}
@@ -407,30 +401,24 @@ def test_identical_in_every_layout(ray_session, driver_repair, op):
 @pytest.mark.parametrize("op", sorted(REFERENCE_OPS + LAYOUT_OPS))
 def test_distributed_repair_matches_driver_repair(ray_session, monkeypatch,
                                                   op):
-    """The ``groupby(key)`` arm against the driver arm.  The driver arm's
-    p7/p64 rows equal its p1 rows (the tests above), so each partitioned
-    layout is compared with the driver's p1 output.  Only the block/merge
-    ops reach a repair; a spy proves the kernel ops never do, so the arm
-    constant cannot change their rows."""
+    """Every op with its exchanges cut into many buckets
+    (``BUCKET_MAX_ROWS`` = 50: about 12 over ``EVENTS``, so a range
+    exchange's halos compose over several ranges).  Each input must give
+    the rows and schema of its default-bucket run; the one-block run of
+    the default buckets is what the tests above check against the pandas
+    reference, and so are the degenerate inputs."""
+    from hooqu_ray.functions import shuffle
+
     table, run, _ = {**_ops(), **_layout_ops()}[op]
     key = "conv_id" if table is TURNS else "user_id"
-    repairs = []
-    repair = ss._repair
-    monkeypatch.setattr(ss, "_repair",
-                        lambda *a: repairs.append(1) or repair(*a))
-
-    def outputs(driver, cases):
-        _force_arm(monkeypatch, driver)
-        return {case: _collect(run(_dataset(table, key, case)))
-                for case in cases}
-
-    dist = outputs(False, CASES)
-    drv = outputs(True, ("p1", "empty", "one", "allnull"))
-    assert bool(repairs) == (op in REPAIR_OPS), op
+    base = {case: _collect(run(_dataset(table, key, case)))
+            for case in ("p1", "empty", "one", "allnull")}
+    monkeypatch.setattr(shuffle, "BUCKET_MAX_ROWS", 50)
     for case in CASES:
-        names, got = drv["p1" if case.startswith("p") else case]
-        assert dist[case][0] == names, (op, case)
-        pd.testing.assert_frame_equal(dist[case][1], got, obj=f"{op}/{case}")
+        names, got = base["p1" if case.startswith("p") else case]
+        out_names, out = _collect(run(_dataset(table, key, case)))
+        assert out_names == names, (op, case)
+        pd.testing.assert_frame_equal(out, got, obj=f"{op}/{case}")
 
 
 def _half_hot_events() -> pa.Table:
@@ -453,25 +441,43 @@ def _half_hot_events() -> pa.Table:
     return t.take(pa.array(rng.permutation(n)))
 
 
-@pytest.mark.parametrize("driver", [True, False])
-@pytest.mark.parametrize("op", REPAIR_OPS)
-def test_half_hot_key_over_64_blocks_matches_reference(ray_session,
-                                                       monkeypatch, op,
-                                                       driver):
+def _hot_ranges(ds, key_cols):
+    """The ``user_id == 7`` rows of each range of ``ds`` on ``key_cols``
+    that holds any, as pandas frames in range order."""
     import ray
-    import ray.data as rd
 
     from hooqu_ray.functions.shuffle import range_exchange
 
+    ranges = range_exchange(ds, [(c, "ascending") for c in key_cols])
+    frames = [t.to_pandas() for t in ray.get(ranges.to_arrow_refs())]
+    return [f[f.user_id == 7] for f in frames if (f.user_id == 7).any()]
+
+
+@pytest.mark.parametrize("many_ranges", [True, False])
+@pytest.mark.parametrize("op", RANGE_OPS)
+def test_half_hot_key_over_64_blocks_matches_reference(ray_session,
+                                                       monkeypatch, op,
+                                                       many_ranges):
+    import ray.data as rd
+
+    from hooqu_ray.functions import shuffle
+
     table = _half_hot_events()
     ds = rd.from_arrow(table).repartition(64).materialize()
-    # the hot key spans several ranges, so its repair sees several blocks
-    ranges = range_exchange(ds, [(c, "ascending")
-                                 for c in ("user_id", "ts", "event_id")])
-    assert sum(7 in t.column("user_id").to_pylist()
-               for t in ray.get(ranges.to_arrow_refs())) >= 2
-    _force_arm(monkeypatch, driver)
-    _, run, ref = _ops()[op]
+    params = {}
+    if many_ranges:
+        monkeypatch.setattr(shuffle, "BUCKET_MAX_ROWS", 50)  # B = 26
+        params = dict(window=160, periods=160, span=24 * 3600.0)
+    hot = _hot_ranges(ds, ("user_id", "ts", "event_id"))
+    assert len(hot) >= (3 if many_ranges else 2)
+    if many_ranges:
+        # each window, shift, span and session gap reaches back over at
+        # least two whole earlier ranges of the hot key
+        inner = hot[1:-1]
+        assert max(map(len, inner)) * 2 < params["window"] - 1
+        cover = max(f.ts.max() - f.ts.min() for f in inner)
+        assert cover * 2 < pd.Timedelta(seconds=params["span"])
+    _, run, ref = _ops(**params)[op]
     names, got = _collect(run(ds))
     pd.testing.assert_frame_equal(
         got, _sorted_like(ref(table.to_pandas()), names), check_dtype=False,
