@@ -296,8 +296,8 @@ def _halos(sort_keys, tail, tails, num_buckets: int) -> list:
         halos.append(parts[0].slice(0, 0) if halo is None else halo)
         both = pa.concat_tables(([] if halo is None else [halo]) + parts,
                                 promote_options="permissive")
-        halo = tail(both.take(sort_indices(both, sort_keys))) if len(both) \
-            else both
+        halo = (tail(both.take(sort_indices(both, sort_keys))) if len(both)
+                else both)
     return halos
 
 

@@ -134,8 +134,8 @@ def asof_join(left, right, left_on: str, right_on: str, left_ts: str,
 
     def fold(t: pa.Table, before: int, halo: pa.Table) -> pa.Table:
         t = pa.concat_tables([halo, t], promote_options="permissive")
-        return _match_probes(t, key, right_cols).select(out_cols) \
-            .rename_columns([key, left_ts, *left_cols, *right_cols])
+        out = _match_probes(t, key, right_cols).select(out_cols)
+        return out.rename_columns([key, left_ts, *left_cols, *right_cols])
 
     return range_exchange(
         [left, right], [(c, "ascending") for c in sort_cols], fold,

@@ -54,8 +54,9 @@ def _rolling_block(t: pa.Table, key: str, value_col: str, w: int,
 
 
 def _last_rows(n: int):
-    """``tail`` of a window over the ``n`` preceding rows: the last ``n``
-    rows of a sorted table (at most ``n`` rows)."""
+    """``tail`` of a window over the ``n`` preceding rows (``w − 1`` for a
+    ``w``-row rolling mean, ``periods`` for LAG/LEAD): the last ``n`` rows
+    of a sorted table, so at most ``n`` rows."""
     return lambda t: t.slice(max(len(t) - n, 0))
 
 
